@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ContractViolation
 from .linalg import Matrix, ZERO, as_scalar, solve_linear, vector
+from .sparse import LinearCombination
 
 ONE = Fraction(1)
 
@@ -120,43 +121,25 @@ def _blade_wedge(ma: int, mb: int) -> tuple[int, int] | None:
     return sign, ma | mb
 
 
-class Multivector:
+class Multivector(LinearCombination):
     """Element of the Clifford algebra on ordered-blade coordinates."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
+    carrier_fields = ("space",)
 
     def __init__(self, space: CliffordSpace, terms: dict):
         self.space = space
         self.terms = {m: c for m, c in terms.items() if c}
 
-    # -- ring structure ----------------------------------------------------
-
-    def _check_space(self, other: "Multivector"):
-        if self.space != other.space:
-            raise ContractViolation("multivectors live on different spaces")
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check_space(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return Multivector(self.space, out)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + (-other)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.space, {m: -c for m, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "Multivector":
-        c = as_scalar(scalar)
-        return Multivector(self.space, {m: c * x for m, x in self.terms.items()})
+    @staticmethod
+    def _key_parity(mask: int) -> int:
+        return mask.bit_count() & 1
 
     def __mul__(self, other):
         """Clifford product; scalars multiply coefficientwise."""
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
-        self._check_space(other)
+        self._check(other)
         out: dict[int, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -170,7 +153,7 @@ class Multivector:
 
     def __xor__(self, other: "Multivector") -> "Multivector":
         """Exterior product (use parentheses: ^ binds loosely in Python)."""
-        self._check_space(other)
+        self._check(other)
         out: dict[int, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -185,35 +168,13 @@ class Multivector:
                     del out[mask]
         return Multivector(self.space, out)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Multivector)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.terms.items()))))
-
     # -- grading -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree_part(self, k: int) -> "Multivector":
         return Multivector(self.space, {m: c for m, c in self.terms.items() if m.bit_count() == k})
 
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
-
-    def parity(self) -> int | None:
-        """0 for even, 1 for odd, None for inhomogeneous; zero counts as even."""
-        ps = {m.bit_count() & 1 for m in self.terms}
-        if not ps:
-            return 0
-        if len(ps) == 1:
-            return ps.pop()
-        return None
 
     def grade_involution(self) -> "Multivector":
         """The automorphism acting by (-1)^k on degree k."""
@@ -259,7 +220,7 @@ def contract(x: Multivector, w: Multivector) -> Multivector:
     """
     if any(m.bit_count() != 1 for m in x.terms):
         raise ContractViolation("contraction direction must have pure degree 1")
-    x._check_space(w)
+    x._check(w)
     space = x.space
     out: dict[int, Fraction] = {}
     for mx, cx in x.terms.items():
@@ -280,7 +241,7 @@ def contract(x: Multivector, w: Multivector) -> Multivector:
 
 def pairing(a: Multivector, b: Multivector) -> Fraction:
     """The extension of B to blades: Gram determinants, diagonal here."""
-    a._check_space(b)
+    a._check(b)
     total = ZERO
     for m, ca in a.terms.items():
         cb = b.terms.get(m)

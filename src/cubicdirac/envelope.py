@@ -15,6 +15,7 @@ from typing import Sequence
 from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO, as_scalar, vector
+from .sparse import LinearCombination
 
 Monomial = tuple[int, ...]
 
@@ -42,10 +43,11 @@ def pbw_normalize(algebra: QuadraticLieAlgebra, raw: dict) -> dict:
     return out
 
 
-class PBWElement:
+class PBWElement(LinearCombination):
     """Element of U(g) on the PBW monomial basis."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
+    carrier_fields = ("algebra",)
 
     def __init__(self, algebra: QuadraticLieAlgebra, terms: dict, normalized: bool = False):
         self.algebra = algebra
@@ -85,33 +87,6 @@ class PBWElement:
             raise ContractViolation("coordinate length does not match the algebra")
         return cls(algebra, {(i,): c for i, c in enumerate(coords) if c}, normalized=True)
 
-    # -- ring structure --------------------------------------------------
-
-    def _check(self, other: "PBWElement"):
-        if self.algebra is not other.algebra and self.algebra.name != other.algebra.name:
-            raise ContractViolation("elements live over different algebras")
-
-    def __add__(self, other: "PBWElement") -> "PBWElement":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, ZERO) + c
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
-        return PBWElement(self.algebra, out, normalized=True)
-
-    def __sub__(self, other: "PBWElement") -> "PBWElement":
-        return self + (-other)
-
-    def __neg__(self) -> "PBWElement":
-        return PBWElement(self.algebra, {m: -c for m, c in self.terms.items()}, normalized=True)
-
-    def __rmul__(self, scalar) -> "PBWElement":
-        c = as_scalar(scalar)
-        return PBWElement(self.algebra, {m: c * x for m, x in self.terms.items()}, normalized=True)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
@@ -122,19 +97,6 @@ class PBWElement:
                 mono = ma + mb
                 raw[mono] = raw.get(mono, ZERO) + ca * cb
         return PBWElement(self.algebra, pbw_normalize(self.algebra, raw), normalized=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PBWElement)
-            and self.algebra.name == other.algebra.name
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra.name, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Filtration degree: longest monomial (0 for scalars, -1 for zero)."""

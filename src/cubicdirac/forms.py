@@ -11,7 +11,9 @@ the coordinate formulas, evaluated on every output tuple:
 
 d raises arity by one and is capped so results stay within arity 4.  On
 alternating maps these are the usual Lie-algebra-cohomology operators with
-trivial coefficients; d of a 0-form is zero.
+trivial coefficients; d of a 0-form is zero.  A map's table is its `terms`;
+addition, scaling, equality and the carrier check (the algebra and the
+arity) come from the shared LinearCombination base.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .clifford import CliffordSpace, Multivector
 from .errors import ContractViolation, UnsupportedArityError
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO, as_scalar, vector
+from .sparse import LinearCombination
 
 MAX_ARITY = 4
 
 
-class MultilinearMap:
-    __slots__ = ("algebra", "arity", "values")
+class MultilinearMap(LinearCombination):
+    __slots__ = ("algebra", "arity")
+    carrier_fields = ("algebra", "arity")
 
     def __init__(self, algebra: QuadraticLieAlgebra, arity: int, values: Mapping):
         if not 0 <= arity <= MAX_ARITY:
@@ -46,7 +50,7 @@ class MultilinearMap:
             val = as_scalar(val)
             if val:
                 table[key] = val
-        self.values = table
+        self.terms = table
 
     @classmethod
     def zero(cls, algebra, arity: int) -> "MultilinearMap":
@@ -76,67 +80,27 @@ class MultilinearMap:
             {(i,): algebra.b(x, [Fraction(int(s == i)) for s in range(algebra.dim)]) for i in range(algebra.dim)},
         )
 
-    def value(self, key: Sequence[int]) -> Fraction:
-        return self.values.get(tuple(key), ZERO)
+    @property
+    def values(self) -> dict:
+        """The nonzero table entries, keyed by index tuple."""
+        return self.terms
 
-    def is_zero(self) -> bool:
-        return not self.values
+    def value(self, key: Sequence[int]) -> Fraction:
+        return self.terms.get(tuple(key), ZERO)
 
     def is_alternating(self) -> bool:
-        for key, val in self.values.items():
+        for key, val in self.terms.items():
             if len(set(key)) != len(key):
                 return False
             for s in range(len(key) - 1):
                 swapped = key[:s] + (key[s + 1], key[s]) + key[s + 2 :]
-                if self.values.get(swapped, ZERO) != -val:
+                if self.terms.get(swapped, ZERO) != -val:
                     return False
         return True
 
-    def __add__(self, other: "MultilinearMap") -> "MultilinearMap":
-        self._check(other)
-        out = dict(self.values)
-        for k, v in other.values.items():
-            acc = out.get(k, ZERO) + v
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        res = MultilinearMap.zero(self.algebra, self.arity)
-        res.values = out
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        res = MultilinearMap.zero(self.algebra, self.arity)
-        res.values = {k: -v for k, v in self.values.items()}
-        return res
-
-    def __rmul__(self, scalar):
-        c = as_scalar(scalar)
-        res = MultilinearMap.zero(self.algebra, self.arity)
-        res.values = {k: c * v for k, v in self.values.items() if c * v}
-        return res
-
-    def _check(self, other):
-        if self.algebra.name != other.algebra.name or self.arity != other.arity:
-            raise ContractViolation("maps have different carriers or arities")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultilinearMap)
-            and self.algebra.name == other.algebra.name
-            and self.arity == other.arity
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.algebra.name, self.arity, tuple(sorted(self.values.items()))))
-
     def __repr__(self) -> str:
         entries = ", ".join(
-            f"{key}:{val}" for key, val in sorted(self.values.items())
+            f"{key}:{val}" for key, val in sorted(self.terms.items())
         )
         return f"MultilinearMap(arity={self.arity}, {{{entries}}})"
 
@@ -148,7 +112,7 @@ def ce_differential(w: MultilinearMap) -> MultilinearMap:
     k = w.arity
     if k + 1 > MAX_ARITY:
         raise UnsupportedArityError(f"differential of arity {k} exceeds the arity cap")
-    get = w.values.get
+    get = w.terms.get
     sparse = g.bracket_sparse
     out = {}
     for idx in product(range(n), repeat=k + 1):
@@ -168,9 +132,7 @@ def ce_differential(w: MultilinearMap) -> MultilinearMap:
                         total = total - c * val if negative else total + c * val
         if total:
             out[idx] = total
-    res = MultilinearMap.zero(g, k + 1)
-    res.values = out
-    return res
+    return MultilinearMap._from_terms((g, k + 1), out)
 
 
 def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
@@ -187,7 +149,7 @@ def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
                 for r, c in g.bracket_sparse(i, s):
                     col[r] = col.get(r, ZERO) + xi * c
         adx.append(tuple((r, c) for r, c in col.items() if c))
-    get = w.values.get
+    get = w.terms.get
     out = {}
     for idx in product(range(n), repeat=k):
         total = ZERO
@@ -199,9 +161,7 @@ def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
                     total += c * val
         if total:
             out[idx] = total
-    res = MultilinearMap.zero(g, k)
-    res.values = out
-    return res
+    return MultilinearMap._from_terms((g, k), out)
 
 
 def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
@@ -210,7 +170,7 @@ def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
         raise ContractViolation("cannot contract an arity-0 map")
     g = w.algebra
     x = vector(x)
-    get = w.values.get
+    get = w.terms.get
     out = {}
     for idx in product(range(g.dim), repeat=w.arity - 1):
         total = ZERO
@@ -221,9 +181,7 @@ def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
                     total += xa * val
         if total:
             out[idx] = total
-    res = MultilinearMap.zero(g, w.arity - 1)
-    res.values = out
-    return res
+    return MultilinearMap._from_terms((g, w.arity - 1), out)
 
 
 def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Sequence) -> Multivector:
@@ -269,6 +227,4 @@ def form_of_trivector(algebra: QuadraticLieAlgebra, v: Multivector) -> Multiline
         val = pairing(v, wedge)
         if val:
             out[idx] = val
-    res = MultilinearMap.zero(algebra, 3)
-    res.values = out
-    return res
+    return MultilinearMap._from_terms((algebra, 3), out)

@@ -1,0 +1,78 @@
+"""Sparse Q-linear combinations: the ring plumbing of every element type.
+
+An element is a dict `terms` from basis keys to nonzero Fractions, together
+with a carrier: the tuple of objects that fixes the space it lives in
+(algebras, Clifford spaces, an arity).  Two elements mix only when their
+carriers are equal.  QuadraticLieAlgebra defines no equality, so algebras
+compare by identity; Clifford spaces compare by their Gram entries.
+
+A subclass names its carrier fields and supplies its product and repr; a
+Z2-graded one also supplies `_key_parity`.
+"""
+
+from __future__ import annotations
+
+from .errors import ContractViolation
+from .linalg import ZERO, as_scalar
+
+
+class LinearCombination:
+    """Addition, negation, scaling, equality and hashing over a fixed carrier."""
+
+    __slots__ = ("terms",)
+    carrier_fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _from_terms(cls, carrier: tuple, terms: dict):
+        """An element from terms already in normal form, with no zero coefficient."""
+        out = object.__new__(cls)
+        for name, value in zip(cls.carrier_fields, carrier):
+            setattr(out, name, value)
+        out.terms = terms
+        return out
+
+    @property
+    def carrier(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.carrier_fields)
+
+    def _check(self, other: "LinearCombination"):
+        if type(other) is not type(self) or self.carrier != other.carrier:
+            raise ContractViolation(f"{type(self).__name__} operands live on different carriers")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = out.get(key, ZERO) + c
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+        return self._from_terms(self.carrier, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._from_terms(self.carrier, {key: -c for key, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        s = as_scalar(scalar)
+        terms = {key: s * c for key, c in self.terms.items()} if s else {}
+        return self._from_terms(self.carrier, terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.carrier == other.carrier and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.carrier, tuple(sorted(self.terms.items()))))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def parity(self) -> int | None:
+        """0 for even, 1 for odd, None for inhomogeneous; zero counts as even."""
+        ps = {self._key_parity(key) for key in self.terms}
+        if len(ps) > 1:
+            return None
+        return ps.pop() if ps else 0

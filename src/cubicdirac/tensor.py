@@ -4,29 +4,32 @@ TensorElement lives in U(g) tensor C(h_perp); the two factors commute, so
 multiplication is componentwise (the Z2-grading of a term is the parity of
 its Clifford blade).  TripleTensorElement lives in U(g) tensor C(h_perp)
 graded-tensor C(h): moving a C(h) blade past a C(h_perp) blade costs the
-Koszul sign (-1)^{|k| |c'|}.
+Koszul sign (-1)^{|k| |c'|}.  Addition, scaling, equality, hashing and
+the carrier check come from the shared LinearCombination base; each class
+here supplies its carrier, its product and its repr.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .clifford import CliffordSpace, Multivector, _blade_clifford
 from .envelope import PBWElement, pbw_normalize
 from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO, as_scalar
+from .sparse import LinearCombination
 
 
 def _mono_mul(algebra, ma, mb) -> dict:
     return pbw_normalize(algebra, {ma + mb: Fraction(1)})
 
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """Element of U(g) x C on the basis (PBW monomial, blade)."""
 
-    __slots__ = ("algebra", "space", "terms")
+    __slots__ = ("algebra", "space")
+    carrier_fields = ("algebra", "space")
 
     def __init__(self, algebra: QuadraticLieAlgebra, space: CliffordSpace, terms: dict):
         self.algebra = algebra
@@ -49,30 +52,10 @@ class TensorElement:
                 terms[(mono, mask)] = cu * cc
         return cls(u.algebra, c.space, terms)
 
-    def _check(self, other: "TensorElement"):
-        if self.algebra.name != other.algebra.name or self.space != other.space:
-            raise ContractViolation("tensor elements live on different carriers")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k, ZERO) + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return TensorElement(self.algebra, self.space, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.algebra, self.space, {k: -c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> "TensorElement":
-        c = as_scalar(scalar)
-        return TensorElement(self.algebra, self.space, {k: c * x for k, x in self.terms.items()})
+    @staticmethod
+    def _key_parity(key) -> int:
+        """Z2-degree of a term: its Clifford blade parity (U carries no grading)."""
+        return key[1].bit_count() & 1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -93,32 +76,6 @@ class TensorElement:
                     elif key in out:
                         del out[key]
         return TensorElement(self.algebra, self.space, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra.name == other.algebra.name
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra.name, self.space, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def parity(self) -> int | None:
-        """Z2-degree: Clifford blade parity (U carries no grading).
-
-        Zero counts as even; inhomogeneous elements return None.
-        """
-        ps = {k[1].bit_count() & 1 for k in self.terms}
-        if not ps:
-            return 0
-        if len(ps) == 1:
-            return ps.pop()
-        return None
 
     def u_degree_terms(self, k: int) -> dict:
         return {key: c for key, c in self.terms.items() if len(key[0]) == k}
@@ -149,10 +106,11 @@ class TensorElement:
         return " + ".join(bits)
 
 
-class TripleTensorElement:
+class TripleTensorElement(LinearCombination):
     """Element of U(g) x C(h_perp) x C(h) with the graded product."""
 
-    __slots__ = ("algebra", "p_space", "h_space", "terms")
+    __slots__ = ("algebra", "p_space", "h_space")
+    carrier_fields = ("algebra", "p_space", "h_space")
 
     def __init__(self, algebra, p_space: CliffordSpace, h_space: CliffordSpace, terms: dict):
         self.algebra = algebra
@@ -173,38 +131,10 @@ class TripleTensorElement:
             terms[(mono, pmask, h_mask)] = c * c0
         return cls(t.algebra, t.space, h_space, terms)
 
-    def _check(self, other: "TripleTensorElement"):
-        if (
-            self.algebra.name != other.algebra.name
-            or self.p_space != other.p_space
-            or self.h_space != other.h_space
-        ):
-            raise ContractViolation("triple tensor elements live on different carriers")
-
-    def __add__(self, other: "TripleTensorElement") -> "TripleTensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k, ZERO) + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return TripleTensorElement(self.algebra, self.p_space, self.h_space, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TripleTensorElement(
-            self.algebra, self.p_space, self.h_space, {k: -c for k, c in self.terms.items()}
-        )
-
-    def __rmul__(self, scalar):
-        c = as_scalar(scalar)
-        return TripleTensorElement(
-            self.algebra, self.p_space, self.h_space, {k: c * x for k, x in self.terms.items()}
-        )
+    @staticmethod
+    def _key_parity(key) -> int:
+        """Total Clifford parity |p-blade| + |h-blade| mod 2."""
+        return (key[1].bit_count() + key[2].bit_count()) & 1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -229,32 +159,6 @@ class TripleTensorElement:
                     elif key in out:
                         del out[key]
         return TripleTensorElement(self.algebra, self.p_space, self.h_space, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TripleTensorElement)
-            and self.algebra.name == other.algebra.name
-            and self.p_space == other.p_space
-            and self.h_space == other.h_space
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.algebra.name, self.p_space, self.h_space, tuple(sorted(self.terms.items())))
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def parity(self) -> int | None:
-        """Total Clifford parity |p-blade| + |h-blade| mod 2; zero is even."""
-        ps = {(k[1].bit_count() + k[2].bit_count()) & 1 for k in self.terms}
-        if not ps:
-            return 0
-        if len(ps) == 1:
-            return ps.pop()
-        return None
 
     def __repr__(self) -> str:
         if not self.terms:

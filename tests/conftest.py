@@ -9,12 +9,22 @@ from fractions import Fraction
 
 import pytest
 
-from cubicdirac import DiracContext, catalog_entry
+from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
+from cubicdirac.linalg import Matrix
 from cubicdirac.suite import run_suite
 
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(s == i)) for s in range(n))
+
+
+def abelian_named_sl2() -> QuadraticLieAlgebra:
+    """A 3-dimensional abelian algebra that borrows catalog sl(2)'s name.
+
+    Carriers are compared by identity, so its elements must never mix with
+    sl(2)'s even though the names agree.
+    """
+    return QuadraticLieAlgebra("sl2-killing", ("a", "b", "c"), {}, Matrix.identity(3))
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import unit_vector
+from conftest import abelian_named_sl2, unit_vector
 from cubicdirac.catalog import catalog_entry
 from cubicdirac.envelope import PBWElement, casimir_element
 from cubicdirac.errors import ContractViolation
@@ -133,6 +133,12 @@ def test_casimir_halves_when_form_doubles(sl2):
 def test_elements_of_different_algebras_do_not_mix(sl2, abelian2):
     with pytest.raises(ContractViolation):
         gen(sl2, 0) + gen(abelian2, 0)
+    namesake = abelian_named_sl2()
+    with pytest.raises(ContractViolation):
+        gen(namesake, 2) * gen(sl2, 0)
+    with pytest.raises(ContractViolation):
+        gen(sl2, 0) * gen(namesake, 2)
+    assert gen(namesake, 0) != gen(sl2, 0)
 
 
 def test_from_vector(sl2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import unit_vector
+from conftest import abelian_named_sl2, unit_vector
 from cubicdirac.catalog import catalog_entry
 from cubicdirac.clifford import pairing
 from cubicdirac.dirac import DiracContext
@@ -151,6 +151,19 @@ def test_arity_cap_is_enforced(sl2):
         ce_differential(top)
     with pytest.raises(UnsupportedArityError):
         MultilinearMap(sl2, 5, {})
+
+
+def test_maps_over_different_algebras_do_not_mix(sl2):
+    namesake = abelian_named_sl2()
+    b = MultilinearMap.from_matrix(sl2, sl2.form)
+    b_namesake = MultilinearMap.from_matrix(namesake, sl2.form)
+    with pytest.raises(ContractViolation):
+        b + b_namesake
+    with pytest.raises(ContractViolation):
+        b_namesake - b
+    assert b != b_namesake
+    with pytest.raises(ContractViolation):
+        b + MultilinearMap.covector(sl2, unit_vector(3, 0))
 
 
 def test_is_alternating_detects_symmetry(sl2):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import abelian_named_sl2
 from cubicdirac.catalog import catalog_entry
 from cubicdirac.clifford import CliffordSpace
 from cubicdirac.envelope import PBWElement
@@ -173,3 +174,21 @@ def test_elements_over_different_carriers_do_not_mix(abelian2, space, h_space):
     b = TensorElement.one(abelian2, h_space)
     with pytest.raises(ContractViolation):
         a + b
+    sl2 = catalog_entry("sl2-killing").algebra
+    namesake = abelian_named_sl2()
+    x = elem(sl2, space, 0, (0,))
+    y = elem(namesake, space, 0, (0,))
+    for left, right in ((x, y), (y, x)):
+        with pytest.raises(ContractViolation):
+            left + right
+        with pytest.raises(ContractViolation):
+            left * right
+    assert x != y
+    x3 = TripleTensorElement.from_tensor(x, h_space, 1)
+    y3 = TripleTensorElement.from_tensor(y, h_space, 1)
+    for left, right in ((x3, y3), (y3, x3)):
+        with pytest.raises(ContractViolation):
+            left + right
+        with pytest.raises(ContractViolation):
+            left * right
+    assert x3 != y3
