@@ -93,6 +93,11 @@ def parse_algebra_text(text: str):
     ):
         raise AlgebraFileError("basis_labels must list one non-empty string per dimension")
 
+    # checked before the brackets, which cost O(dimension) each
+    raw_form = doc["form"]
+    if not isinstance(raw_form, list) or len(raw_form) != dim * dim:
+        raise AlgebraFileError(f"form must list dimension^2 = {dim * dim} entries row-major")
+
     raw_brackets = doc["brackets"]
     if not isinstance(raw_brackets, list):
         raise AlgebraFileError("brackets must be a list")
@@ -125,9 +130,6 @@ def parse_algebra_text(text: str):
             coeffs[k] = _coefficient(term[1], twhere)
         table[(i, j)] = tuple(coeffs)
 
-    raw_form = doc["form"]
-    if not isinstance(raw_form, list) or len(raw_form) != dim * dim:
-        raise AlgebraFileError(f"form must list dimension^2 = {dim * dim} entries row-major")
     entries = [_coefficient(x, f"form[{pos}]") for pos, x in enumerate(raw_form)]
     form = Matrix([entries[r * dim : (r + 1) * dim] for r in range(dim)], cols=dim)
 
@@ -151,10 +153,11 @@ def parse_algebra_text(text: str):
 def emit_algebra_text(algebra: QuadraticLieAlgebra, subalgebra=()) -> str:
     """Canonical document for an algebra (sorted, lowest-terms, trailing newline)."""
     brackets = []
-    for (i, j), coeffs in sorted(algebra.bracket_table().items()):
-        terms = [[k, str(c)] for k, c in enumerate(coeffs) if c]
-        if terms:
-            brackets.append({"i": i, "j": j, "terms": terms})
+    for i in range(algebra.dim):
+        for j in range(i + 1, algebra.dim):
+            terms = algebra.bracket_sparse(i, j)
+            if terms:
+                brackets.append({"i": i, "j": j, "terms": [[k, str(c)] for k, c in terms]})
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .clifford import (
@@ -372,7 +373,7 @@ class DiracContext:
         exhaustive verification for arities 1..3.
         """
         for arity in range(1, 4):
-            for key in _all_keys(n, arity):
+            for key in product(range(n), repeat=arity):
                 w = MultilinearMap(g, arity, {key: 1})
                 dw = ce_differential(w)
                 for i in range(n):
@@ -502,22 +503,6 @@ class DiracContext:
                 images[mono] = acc
             out = out + TripleTensorElement.from_tensor(images[mono], h_space, hmask, c)
         return out
-
-
-def _all_keys(n: int, arity: int):
-    if arity == 0:
-        yield ()
-        return
-    key = [0] * arity
-    while True:
-        yield tuple(key)
-        pos = arity - 1
-        while pos >= 0 and key[pos] == n - 1:
-            key[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        key[pos] += 1
 
 
 def _alternating_triple(i: int, j: int, k: int) -> dict:

@@ -200,11 +200,11 @@ def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Seq
     x = vector(x)
     if len(x) != algebra.dim:
         raise ContractViolation("coordinate length does not match the algebra")
+    bx = algebra.form.mat_vec(x)  # B(x, e_k) = (Bx)_k, B being symmetric
     terms = {}
     for i in range(space.dim):
         for j in range(i + 1, space.dim):
-            br = algebra.bracket_basis(i, j)
-            val = algebra.b(x, br)
+            val = sum((c * bx[k] for k, c in algebra.bracket_sparse(i, j)), ZERO)
             if val:
                 terms[(1 << i) | (1 << j)] = val / (space.gram[i] * space.gram[j])
     return Multivector(space, terms)

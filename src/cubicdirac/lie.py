@@ -2,10 +2,11 @@
 
 A quadratic Lie algebra carries a symmetric non-degenerate bilinear form B
 that is ad-invariant: B([x,y],z) + B(y,[x,z]) = 0.  Structure constants are
-stored per unordered basis pair (i < j) as a dense coefficient vector; the
-constructor validates antisymmetry conventions, the Jacobi identity,
-non-degeneracy and ad-invariance eagerly, so an instance is always a genuine
-quadratic Lie algebra.
+given per unordered basis pair (i < j) as a coefficient vector and stored
+sparsely, per ordered pair, as the nonzero terms ((k, c), ...) of
+[e_i, e_j] = sum c e_k; the constructor validates antisymmetry conventions,
+the Jacobi identity, non-degeneracy and ad-invariance eagerly, so an
+instance is always a genuine quadratic Lie algebra.
 
 `orthogonal_split` decomposes g = h + h_perp for a non-degenerate subalgebra
 h, produces B-orthogonal bases of both parts (over Q one cannot normalize, so
@@ -29,7 +30,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     ZERO,
-    as_scalar,
     diagonalize_form,
     invert,
     is_zero_vector,
@@ -42,6 +42,7 @@ from .linalg import (
 )
 
 BracketTable = dict[tuple[int, int], tuple[Fraction, ...]]
+SparseBrackets = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 
 
 def normalize_brackets(dim: int, raw: Mapping) -> BracketTable:
@@ -60,62 +61,42 @@ def normalize_brackets(dim: int, raw: Mapping) -> BracketTable:
     return table
 
 
-def bracket_of(dim: int, table: BracketTable, i: int, j: int) -> tuple[Fraction, ...]:
-    """[e_i, e_j] as a coordinate vector, for any index order."""
-    if i == j:
-        return (ZERO,) * dim
-    if i < j:
-        return table.get((i, j), (ZERO,) * dim)
-    flipped = table.get((j, i))
-    if flipped is None:
-        return (ZERO,) * dim
-    return tuple(-c for c in flipped)
-
-
-def _bracket_vectors(dim: int, table: BracketTable, x: Sequence, y: Sequence):
-    out = [ZERO] * dim
+def _sparse_brackets(dim: int, table: BracketTable) -> SparseBrackets:
+    """{(i, j): ((k, c), ...)} for every ordered pair; () where [e_i, e_j] = 0."""
+    out: SparseBrackets = {(i, j): () for i in range(dim) for j in range(dim)}
     for (i, j), coeffs in table.items():
-        factor = x[i] * y[j] - x[j] * y[i]
-        if factor:
-            for k, c in enumerate(coeffs):
-                if c:
-                    out[k] += factor * c
-    return tuple(out)
+        terms = tuple((k, c) for k, c in enumerate(coeffs) if c)
+        out[(i, j)] = terms
+        out[(j, i)] = tuple((k, -c) for k, c in terms)
+    return out
 
 
 def check_jacobi(dim: int, table: BracketTable):
     """None if the Jacobi identity holds; otherwise the first failing (i,j,k)."""
+    br = _sparse_brackets(dim, table)
     for i in range(dim):
         for j in range(i + 1, dim):
-            vij = bracket_of(dim, table, i, j)
             for k in range(j + 1, dim):
-                vjk = bracket_of(dim, table, j, k)
-                vki = bracket_of(dim, table, k, i)
-                total = [ZERO] * dim
-                for a in range(dim):
-                    if vij[a]:
-                        for t, c in enumerate(bracket_of(dim, table, a, k)):
-                            total[t] += vij[a] * c
-                    if vjk[a]:
-                        for t, c in enumerate(bracket_of(dim, table, a, i)):
-                            total[t] += vjk[a] * c
-                    if vki[a]:
-                        for t, c in enumerate(bracket_of(dim, table, a, j)):
-                            total[t] += vki[a] * c
-                if any(total):
+                total = {}
+                for pair, last in (((i, j), k), ((j, k), i), ((k, i), j)):
+                    for a, c in br[pair]:
+                        for t, d in br[(a, last)]:
+                            total[t] = total.get(t, ZERO) + c * d
+                if any(total.values()):
                     return (i, j, k)
     return None
 
 
 def check_ad_invariance(dim: int, table: BracketTable, form: Matrix):
     """None if B([x,y],z) + B(y,[x,z]) = 0 on all basis triples; else (i,j,k)."""
+    br = _sparse_brackets(dim, table)
     for i in range(dim):
         for j in range(dim):
-            vij = bracket_of(dim, table, i, j)
+            vij = br[(i, j)]
+            row_j = form.row(j)
             for k in range(dim):
-                vik = bracket_of(dim, table, i, k)
-                s = sum((vij[a] * form.entry(a, k) for a in range(dim)), ZERO)
-                s += sum((form.entry(j, a) * vik[a] for a in range(dim)), ZERO)
+                s = sum((c * form.entry(a, k) for a, c in vij), ZERO)
+                s += sum((row_j[a] * c for a, c in br[(i, k)]), ZERO)
                 if s != 0:
                     return (i, j, k)
     return None
@@ -123,29 +104,37 @@ def check_ad_invariance(dim: int, table: BracketTable, form: Matrix):
 
 def ad_matrix(dim: int, table: BracketTable, x: Sequence) -> Matrix:
     """Matrix of ad(x) = [x, .] on the basis, columns indexed by the argument."""
+    br = _sparse_brackets(dim, table)
     x = vector(x)
     cols = []
     for s in range(dim):
         col = [ZERO] * dim
         for i, xi in enumerate(x):
             if xi:
-                for k, c in enumerate(bracket_of(dim, table, i, s)):
+                for k, c in br[(i, s)]:
                     col[k] += xi * c
         cols.append(tuple(col))
     return Matrix.from_columns(cols, rows=dim)
 
 
 def killing_form(dim: int, table: BracketTable) -> Matrix:
-    """K(x,y) = trace(ad x ad y) by brute force; may be degenerate."""
-    ads = [ad_matrix(dim, table, [ZERO] * i + [Fraction(1)] + [ZERO] * (dim - i - 1)) for i in range(dim)]
+    """K(x,y) = trace(ad x ad y); may be degenerate."""
+    return _killing(dim, _sparse_brackets(dim, table))
+
+
+def _killing(dim: int, br: SparseBrackets) -> Matrix:
+    # K(e_i, e_j) = sum_s (coefficient of e_s in [e_i, [e_j, e_s]])
+    lookup = {pair: dict(terms) for pair, terms in br.items()}
     entries = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            t = sum(
-                (ads[i].entry(a, b) * ads[j].entry(b, a) for a in range(dim) for b in range(dim)),
-                ZERO,
-            )
+            t = ZERO
+            for s in range(dim):
+                for a, c in br[(j, s)]:
+                    d = lookup[(i, a)].get(s)
+                    if d:
+                        t += c * d
             row.append(t)
         entries.append(row)
     return Matrix(entries, cols=dim)
@@ -154,7 +143,7 @@ def killing_form(dim: int, table: BracketTable) -> Matrix:
 class QuadraticLieAlgebra:
     """A validated quadratic Lie algebra given by structure constants."""
 
-    __slots__ = ("name", "dim", "labels", "form", "_table", "_sparse")
+    __slots__ = ("name", "dim", "labels", "form", "_sparse")
 
     def __init__(self, name: str, labels: Sequence[str], brackets: Mapping, form: Matrix):
         self.name = name
@@ -164,7 +153,7 @@ class QuadraticLieAlgebra:
             raise ContractViolation("algebra must have positive dimension")
         if len(set(self.labels)) != self.dim:
             raise ContractViolation("basis labels must be distinct")
-        self._table = normalize_brackets(self.dim, brackets)
+        table = normalize_brackets(self.dim, brackets)
         if form.rows != self.dim or form.cols != self.dim:
             raise ContractViolation("form matrix shape does not match dimension")
         if not form.is_symmetric():
@@ -177,7 +166,7 @@ class QuadraticLieAlgebra:
             raise ValidationError("form-symmetric", witness=bad)
         self.form = form
 
-        w = check_jacobi(self.dim, self._table)
+        w = check_jacobi(self.dim, table)
         if w is not None:
             raise ValidationError("jacobi", witness=tuple(self.labels[a] for a in w))
         kernel = nullspace(form)
@@ -187,31 +176,40 @@ class QuadraticLieAlgebra:
                 witness=kernel[0],
                 detail="the bilinear form has a nonzero kernel vector",
             )
-        w = check_ad_invariance(self.dim, self._table, form)
+        w = check_ad_invariance(self.dim, table, form)
         if w is not None:
             raise ValidationError("ad-invariance", witness=tuple(self.labels[a] for a in w))
-
-        sparse = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                coeffs = bracket_of(self.dim, self._table, i, j)
-                sparse[(i, j)] = tuple((k, c) for k, c in enumerate(coeffs) if c)
-        self._sparse = sparse
+        self._sparse = _sparse_brackets(self.dim, table)
 
     # -- bracket and form access ------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return bracket_of(self.dim, self._table, i, j)
+        """[e_i, e_j] as a dense coordinate vector, for any index order."""
+        out = [ZERO] * self.dim
+        for k, c in self.bracket_sparse(i, j):
+            out[k] = c
+        return tuple(out)
 
     def bracket_sparse(self, i: int, j: int):
         """[(k, coeff), ...] for [e_i, e_j]; empty tuple when the bracket vanishes."""
         return self._sparse[(i, j)]
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        return _bracket_vectors(self.dim, self._table, vector(x), vector(y))
+        x, y = vector(x), vector(y)
+        out = [ZERO] * self.dim
+        for (i, j), terms in self._sparse.items():
+            if terms and x[i] and y[j]:
+                factor = x[i] * y[j]
+                for k, c in terms:
+                    out[k] += factor * c
+        return tuple(out)
 
     def bracket_table(self) -> BracketTable:
-        return dict(self._table)
+        return {
+            (i, j): self.bracket_basis(i, j)
+            for (i, j), terms in self._sparse.items()
+            if i < j and terms
+        }
 
     def b(self, x: Sequence, y: Sequence) -> Fraction:
         x, y = vector(x), vector(y)
@@ -224,10 +222,10 @@ class QuadraticLieAlgebra:
         return self.form.entry(i, j)
 
     def is_abelian(self) -> bool:
-        return not self._table
+        return not any(self._sparse.values())
 
     def killing(self) -> Matrix:
-        return killing_form(self.dim, self._table)
+        return _killing(self.dim, self._sparse)
 
     def __repr__(self) -> str:
         return f"QuadraticLieAlgebra({self.name}, dim={self.dim})"
@@ -387,7 +385,8 @@ def orthogonal_split(
     for i in range(n):
         for j in range(i + 1, n):
             br = g.bracket(cols[i], cols[j])
-            adapted_brackets[(i, j)] = to_adapted.mat_vec(br)
+            if any(br):
+                adapted_brackets[(i, j)] = to_adapted.mat_vec(br)
     labels = tuple(f"p{i + 1}" for i in range(m)) + tuple(f"h{j + 1}" for j in range(len(h_vectors)))
     adapted = QuadraticLieAlgebra(f"{g.name}#adapted", labels, adapted_brackets, adapted_form)
 

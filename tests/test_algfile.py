@@ -1,6 +1,7 @@
 """The JSON interchange format: canonical emission, strict parsing, rejection."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -226,3 +227,28 @@ def test_jacobi_failure_is_rejected_with_witness():
         parse_doc(doc)
     assert info.value.condition == "jacobi"
     assert info.value.witness is not None
+
+
+def test_short_form_is_rejected_before_the_brackets_are_expanded():
+    """A large dimension with many brackets and a 1-entry form fails on the
+    form, without first spending O(dimension) memory on every bracket."""
+    dim = 5000
+    doc = {
+        "format": "quadratic-lie-algebra",
+        "version": 1,
+        "name": "oversized",
+        "dimension": dim,
+        "basis_labels": [f"x{i}" for i in range(dim)],
+        "brackets": [{"i": 0, "j": j, "terms": [[j, "1"]]} for j in range(1, 401)],
+        "form": ["1"],
+    }
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AlgebraFileError) as info:
+            parse_algebra_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "form must list dimension^2" in str(info.value)
+    assert peak < 4 * 2**20

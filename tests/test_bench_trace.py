@@ -2,15 +2,16 @@
 
 The tracer finds the methods it times by name in each class body and reads
 `terms` and `values` off the results, so a refactor of the element classes
-can silently empty the traced run.  This installs it, runs one traced
-decomposition check and one differential, and checks that it undoes every
-patch.
+can silently empty the traced run, and a refactor that validates through
+private helpers instead of the public `lie` checks leaves the per-layer
+validation metrics at zero.  These tests install it, run traced work, and
+check that it counts the layers and undoes every patch.
 """
 
 import importlib.util
 from pathlib import Path
 
-from cubicdirac import catalog_entry, dirac, forms
+from cubicdirac import catalog_entry, dirac, emit_algebra_text, forms, parse_algebra_text
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -43,3 +44,22 @@ def test_tracer_counts_the_layers_and_restores_the_package():
     assert patches
     for owner, attr, original in patches:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_tracer_sees_the_validation_layers():
+    """sl2-killing has a non-diagonal Killing form, so its context splits."""
+    text = emit_algebra_text(catalog_entry("sl2-killing").algebra)
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        algebra, _ = parse_algebra_text(text)
+        dirac.DiracContext(algebra)
+    finally:
+        tracer.uninstall()
+    for name in (
+        "lie.QuadraticLieAlgebra.__init__",
+        "lie.check_jacobi",
+        "lie.check_ad_invariance",
+        "lie.orthogonal_split",
+    ):
+        assert tracer.stats[name]["calls"] > 0, name

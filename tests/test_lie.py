@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import unit_vector
-from cubicdirac.catalog import catalog_entry, heisenberg_brackets, sl2_brackets
+from cubicdirac.catalog import catalog_entry, catalog_names, heisenberg_brackets, sl2_brackets
 from cubicdirac.errors import (
     ContractViolation,
     DegenerateFormError,
@@ -191,3 +191,130 @@ def test_p_variant_produces_a_genuinely_different_basis():
     variant = orthogonal_split(sl2, (), p_variant=1)
     assert base.p_vectors != variant.p_vectors
     assert variant.adapted.form.is_diagonal()
+
+
+# -- dense reference for validation -------------------------------------------
+#
+# The structure-constant walks above read a sparse store; these are the dense
+# originals, one coordinate vector per bracket and every inner sum over the
+# whole basis, kept here as the oracle they must agree with.
+
+
+def dense_bracket(dim, table, i, j):
+    if i == j:
+        return (Fraction(0),) * dim
+    if i < j:
+        return table.get((i, j), (Fraction(0),) * dim)
+    flipped = table.get((j, i))
+    if flipped is None:
+        return (Fraction(0),) * dim
+    return tuple(-c for c in flipped)
+
+
+def dense_jacobi(dim, table):
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            vij = dense_bracket(dim, table, i, j)
+            for k in range(j + 1, dim):
+                vjk = dense_bracket(dim, table, j, k)
+                vki = dense_bracket(dim, table, k, i)
+                total = [Fraction(0)] * dim
+                for a in range(dim):
+                    if vij[a]:
+                        for t, c in enumerate(dense_bracket(dim, table, a, k)):
+                            total[t] += vij[a] * c
+                    if vjk[a]:
+                        for t, c in enumerate(dense_bracket(dim, table, a, i)):
+                            total[t] += vjk[a] * c
+                    if vki[a]:
+                        for t, c in enumerate(dense_bracket(dim, table, a, j)):
+                            total[t] += vki[a] * c
+                if any(total):
+                    return (i, j, k)
+    return None
+
+
+def dense_ad_invariance(dim, table, form):
+    for i in range(dim):
+        for j in range(dim):
+            vij = dense_bracket(dim, table, i, j)
+            for k in range(dim):
+                vik = dense_bracket(dim, table, i, k)
+                s = sum((vij[a] * form.entry(a, k) for a in range(dim)), Fraction(0))
+                s += sum((form.entry(j, a) * vik[a] for a in range(dim)), Fraction(0))
+                if s != 0:
+                    return (i, j, k)
+    return None
+
+
+def dense_killing(dim, table):
+    ads = [
+        [[dense_bracket(dim, table, i, s)[k] for s in range(dim)] for k in range(dim)]
+        for i in range(dim)
+    ]
+    return Matrix(
+        [
+            [
+                sum((ads[i][a][b] * ads[j][b][a] for a in range(dim) for b in range(dim)), Fraction(0))
+                for j in range(dim)
+            ]
+            for i in range(dim)
+        ],
+        cols=dim,
+    )
+
+
+def assert_matches_dense(dim, table, form):
+    assert check_jacobi(dim, table) == dense_jacobi(dim, table)
+    assert check_ad_invariance(dim, table, form) == dense_ad_invariance(dim, table, form)
+    assert killing_form(dim, table) == dense_killing(dim, table)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_validation_matches_dense_reference_on_catalog(name):
+    g = catalog_entry(name).algebra
+    assert_matches_dense(g.dim, g.bracket_table(), g.form)
+    assert g.killing() == dense_killing(g.dim, g.bracket_table())
+
+
+@pytest.mark.parametrize("name", ["sl2-killing", "sl2xsl2-diagonal"])
+def test_validation_matches_dense_reference_on_corrupted_tables(name):
+    """Every single-coefficient change, including ones that create a bracket."""
+    g = catalog_entry(name).algebra
+    n = g.dim
+    clean = g.bracket_table()
+    failures = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                table = dict(clean)
+                coeffs = list(table.get((i, j), (Fraction(0),) * n))
+                coeffs[k] += 1
+                table[(i, j)] = tuple(coeffs)
+                table = normalize_brackets(n, table)
+                assert_matches_dense(n, table, g.form)
+                failures += check_jacobi(n, table) is not None
+    assert failures > 0
+
+
+def test_ad_invariance_matches_dense_reference_on_a_non_symmetric_form():
+    """The second term reads row j of the form, so the witness is (0, 0, 2), not (0, 1, 1)."""
+    g = catalog_entry("sl2-killing").algebra
+    rows = [list(g.form.row(r)) for r in range(3)]
+    rows[0][1] += 1
+    form = Matrix(rows)
+    table = g.bracket_table()
+    assert check_ad_invariance(3, table, form) == dense_ad_invariance(3, table, form) == (0, 0, 2)
+
+
+def test_sparse_store_agrees_with_the_dense_table():
+    g = catalog_entry("sl2xsl2-diagonal").algebra
+    table = g.bracket_table()
+    for i in range(g.dim):
+        for j in range(g.dim):
+            dense = dense_bracket(g.dim, table, i, j)
+            assert g.bracket_basis(i, j) == dense
+            assert g.bracket_sparse(i, j) == tuple((k, c) for k, c in enumerate(dense) if c)
+            assert g.bracket(unit_vector(g.dim, i), unit_vector(g.dim, j)) == dense
+    assert not g.is_abelian()
+    assert catalog_entry("abelian3").algebra.is_abelian()
