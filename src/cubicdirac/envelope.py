@@ -82,9 +82,7 @@ class PBWElement(LinearCombination):
 
     @classmethod
     def from_vector(cls, algebra, coords: Sequence) -> "PBWElement":
-        coords = vector(coords)
-        if len(coords) != algebra.dim:
-            raise ContractViolation("coordinate length does not match the algebra")
+        (coords,) = algebra._coordinates(coords)
         return cls(algebra, {(i,): c for i, c in enumerate(coords) if c}, normalized=True)
 
     def __mul__(self, other):

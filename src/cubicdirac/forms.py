@@ -2,12 +2,16 @@
 
 A MultilinearMap of arity k is a table over all n^k basis index tuples (no
 symmetry compression; only nonzero entries are physically stored, reads
-default to zero).  The three operators below are literal transcriptions of
-the coordinate formulas, evaluated on every output tuple:
+default to zero).  The three operators below are the coordinate formulas
 
   (d w)(x_0..x_k)     = sum_{s<t} (-1)^s w(x_0.. x_s-hat .. [x_s,x_t]@t .. x_k)
   (theta_X w)(x_1..x_k) = sum_s w(x_1 .. [X, x_s] .. x_k)
   (iota_X w)(...)       = w(X, ...)
+
+read backwards: each one walks the nonzero entries of w and scatters every
+entry into the output tuples it contributes to, so the work grows with the
+support of w, not with n^k.  d finds the pairs (x_s, x_t) whose bracket
+reaches a slot's index through `QuadraticLieAlgebra.bracket_preimage`.
 
 d raises arity by one and is capped so results stay within arity 4.  On
 alternating maps these are the usual Lie-algebra-cohomology operators with
@@ -19,7 +23,7 @@ arity) come from the shared LinearCombination base.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations
 from typing import Mapping, Sequence
 
 from .clifford import CliffordSpace, Multivector
@@ -105,63 +109,48 @@ class MultilinearMap(LinearCombination):
         return f"MultilinearMap(arity={self.arity}, {{{entries}}})"
 
 
+def _nonzero(table: dict) -> dict:
+    return {key: val for key, val in table.items() if val}
+
+
 def ce_differential(w: MultilinearMap) -> MultilinearMap:
     """The coboundary; raises arity by one (input arity at most 3)."""
     g = w.algebra
-    n = g.dim
     k = w.arity
     if k + 1 > MAX_ARITY:
         raise UnsupportedArityError(f"differential of arity {k} exceeds the arity cap")
-    get = w.terms.get
-    sparse = g.bracket_sparse
-    out = {}
-    for idx in product(range(n), repeat=k + 1):
-        total = ZERO
-        for s in range(k + 1):
-            negative = s & 1
-            for t in range(s + 1, k + 1):
-                br = sparse(idx[s], idx[t])
-                if not br:
-                    continue
-                base = idx[:s] + idx[s + 1 :]
-                pos = t - 1
-                head, tail = base[:pos], base[pos + 1 :]
-                for r, c in br:
-                    val = get(head + (r,) + tail)
-                    if val:
-                        total = total - c * val if negative else total + c * val
-        if total:
-            out[idx] = total
-    return MultilinearMap._from_terms((g, k + 1), out)
+    out: dict = {}
+    for key, val in w.terms.items():
+        for pos, r in enumerate(key):
+            tail = key[pos + 1 :]
+            for a, b, c in g.bracket_preimage(r):
+                cv = c * val
+                for s in range(pos + 1):
+                    idx = key[:s] + (a,) + key[s:pos] + (b,) + tail
+                    out[idx] = out.get(idx, ZERO) + (-cv if s & 1 else cv)
+    return MultilinearMap._from_terms((g, k + 1), _nonzero(out))
 
 
 def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
     """theta_X w: the natural action, inserting [X, .] slot by slot."""
     g = w.algebra
-    n = g.dim
-    k = w.arity
-    x = vector(x)
-    adx = []
-    for s in range(n):
-        col: dict[int, Fraction] = {}
-        for i, xi in enumerate(x):
-            if xi:
-                for r, c in g.bracket_sparse(i, s):
-                    col[r] = col.get(r, ZERO) + xi * c
-        adx.append(tuple((r, c) for r, c in col.items() if c))
-    get = w.terms.get
-    out = {}
-    for idx in product(range(n), repeat=k):
-        total = ZERO
-        for s in range(k):
-            head, tail = idx[:s], idx[s + 1 :]
-            for r, c in adx[idx[s]]:
-                val = get(head + (r,) + tail)
-                if val:
-                    total += c * val
-        if total:
-            out[idx] = total
-    return MultilinearMap._from_terms((g, k), out)
+    (x,) = g._coordinates(x)
+    # row r of ad X: the (s, c) with [X, e_s] = ... + c e_r + ...
+    rows = []
+    for r in range(g.dim):
+        row: dict[int, Fraction] = {}
+        for a, s, c in g.bracket_preimage(r):
+            if x[a]:
+                row[s] = row.get(s, ZERO) + x[a] * c
+        rows.append(tuple(row.items()))
+    out: dict = {}
+    for key, val in w.terms.items():
+        for pos, r in enumerate(key):
+            head, tail = key[:pos], key[pos + 1 :]
+            for s, c in rows[r]:
+                idx = head + (s,) + tail
+                out[idx] = out.get(idx, ZERO) + c * val
+    return MultilinearMap._from_terms((g, w.arity), _nonzero(out))
 
 
 def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
@@ -169,19 +158,12 @@ def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
     if w.arity == 0:
         raise ContractViolation("cannot contract an arity-0 map")
     g = w.algebra
-    x = vector(x)
-    get = w.terms.get
-    out = {}
-    for idx in product(range(g.dim), repeat=w.arity - 1):
-        total = ZERO
-        for a, xa in enumerate(x):
-            if xa:
-                val = get((a,) + idx)
-                if val:
-                    total += xa * val
-        if total:
-            out[idx] = total
-    return MultilinearMap._from_terms((g, w.arity - 1), out)
+    (x,) = g._coordinates(x)
+    out: dict = {}
+    for key, val in w.terms.items():
+        if x[key[0]]:
+            out[key[1:]] = out.get(key[1:], ZERO) + x[key[0]] * val
+    return MultilinearMap._from_terms((g, w.arity - 1), _nonzero(out))
 
 
 def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Sequence) -> Multivector:
@@ -197,9 +179,7 @@ def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Seq
     for i in range(space.dim):
         if algebra.form.entry(i, i) != space.gram[i]:
             raise ContractViolation("space Gram does not match the algebra form")
-    x = vector(x)
-    if len(x) != algebra.dim:
-        raise ContractViolation("coordinate length does not match the algebra")
+    (x,) = algebra._coordinates(x)
     bx = algebra.form.mat_vec(x)  # B(x, e_k) = (Bx)_k, B being symmetric
     terms = {}
     for i in range(space.dim):
@@ -211,20 +191,19 @@ def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Seq
 
 
 def form_of_trivector(algebra: QuadraticLieAlgebra, v: Multivector) -> MultilinearMap:
-    """Read a degree-3 multivector back as the arity-3 map pairing(v, .^.^.)."""
+    """Read a degree-3 multivector back as the arity-3 map pairing(v, .^.^.).
+
+    A degree-3 blade c e_i^e_j^e_k (i < j < k) pairs with e_p^e_q^e_r to
+    sign(p, q, r) c d_i d_j d_k when (p, q, r) orders {i, j, k}, else to 0.
+    """
     space = v.space
     if space.dim != algebra.dim:
         raise ContractViolation("multivector space does not match the algebra")
-    from .clifford import pairing
-
-    n = space.dim
     out = {}
-    for idx in product(range(n), repeat=3):
-        i, j, k = idx
-        if len({i, j, k}) < 3:
-            continue
-        wedge = (space.generator(i) ^ space.generator(j)) ^ space.generator(k)
-        val = pairing(v, wedge)
-        if val:
-            out[idx] = val
+    for mask, c in v.degree_part(3).terms.items():
+        i, j, k = (t for t in range(space.dim) if mask >> t & 1)
+        val = c * space.gram[i] * space.gram[j] * space.gram[k]
+        # permutations() lists the orderings of (i, j, k) with these signs
+        for idx, sign in zip(permutations((i, j, k)), (1, -1, -1, 1, 1, -1)):
+            out[idx] = sign * val
     return MultilinearMap._from_terms((algebra, 3), out)

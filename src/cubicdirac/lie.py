@@ -102,21 +102,6 @@ def check_ad_invariance(dim: int, table: BracketTable, form: Matrix):
     return None
 
 
-def ad_matrix(dim: int, table: BracketTable, x: Sequence) -> Matrix:
-    """Matrix of ad(x) = [x, .] on the basis, columns indexed by the argument."""
-    br = _sparse_brackets(dim, table)
-    x = vector(x)
-    cols = []
-    for s in range(dim):
-        col = [ZERO] * dim
-        for i, xi in enumerate(x):
-            if xi:
-                for k, c in br[(i, s)]:
-                    col[k] += xi * c
-        cols.append(tuple(col))
-    return Matrix.from_columns(cols, rows=dim)
-
-
 def killing_form(dim: int, table: BracketTable) -> Matrix:
     """K(x,y) = trace(ad x ad y); may be degenerate."""
     return _killing(dim, _sparse_brackets(dim, table))
@@ -143,7 +128,7 @@ def _killing(dim: int, br: SparseBrackets) -> Matrix:
 class QuadraticLieAlgebra:
     """A validated quadratic Lie algebra given by structure constants."""
 
-    __slots__ = ("name", "dim", "labels", "form", "_sparse")
+    __slots__ = ("name", "dim", "labels", "form", "_sparse", "_preimage")
 
     def __init__(self, name: str, labels: Sequence[str], brackets: Mapping, form: Matrix):
         self.name = name
@@ -180,6 +165,11 @@ class QuadraticLieAlgebra:
         if w is not None:
             raise ValidationError("ad-invariance", witness=tuple(self.labels[a] for a in w))
         self._sparse = _sparse_brackets(self.dim, table)
+        preimage: list[list] = [[] for _ in range(self.dim)]
+        for (a, b), terms in self._sparse.items():
+            for r, c in terms:
+                preimage[r].append((a, b, c))
+        self._preimage = tuple(map(tuple, preimage))
 
     # -- bracket and form access ------------------------------------------
 
@@ -194,14 +184,26 @@ class QuadraticLieAlgebra:
         """[(k, coeff), ...] for [e_i, e_j]; empty tuple when the bracket vanishes."""
         return self._sparse[(i, j)]
 
+    def bracket_preimage(self, r: int):
+        """((a, b, c), ...): every ordered pair with [e_a, e_b] = ... + c e_r + ..."""
+        return self._preimage[r]
+
+    def _coordinates(self, *vectors: Sequence):
+        out = tuple(vector(v) for v in vectors)
+        if any(len(v) != self.dim for v in out):
+            raise ContractViolation("coordinate length does not match the algebra")
+        return out
+
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        x, y = vector(x), vector(y)
+        x, y = self._coordinates(x, y)
         out = [ZERO] * self.dim
-        for (i, j), terms in self._sparse.items():
-            if terms and x[i] and y[j]:
-                factor = x[i] * y[j]
-                for k, c in terms:
-                    out[k] += factor * c
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        factor = xi * yj
+                        for k, c in self._sparse[(i, j)]:
+                            out[k] += factor * c
         return tuple(out)
 
     def bracket_table(self) -> BracketTable:
@@ -212,11 +214,14 @@ class QuadraticLieAlgebra:
         }
 
     def b(self, x: Sequence, y: Sequence) -> Fraction:
-        x, y = vector(x), vector(y)
-        return sum(
-            (x[i] * self.form.entry(i, j) * y[j] for i in range(self.dim) for j in range(self.dim) if x[i] and self.form.entry(i, j)),
-            ZERO,
-        )
+        x, y = self._coordinates(x, y)
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        total = ZERO
+        for i, xi in enumerate(x):
+            if xi:
+                row = self.form.row(i)
+                total += xi * sum((row[j] * yj for j, yj in ys if row[j]), ZERO)
+        return total
 
     def b_basis(self, i: int, j: int) -> Fraction:
         return self.form.entry(i, j)

@@ -103,24 +103,24 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ContractViolation("matrix shape mismatch in product")
-        return Matrix(
-            [
-                [
-                    sum((self._e[i][k] * other._e[k][j] for k in range(self.cols)), ZERO)
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            cols=other.cols,
-        )
+        rows = []
+        for row in self._e:
+            out = [ZERO] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in enumerate(other._e[k]):
+                        if b:
+                            out[j] += a * b
+            rows.append(out)
+        return Matrix(rows, cols=other.cols)
 
     def mat_vec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = vector(v)
         if len(v) != self.cols:
             raise ContractViolation("matrix/vector shape mismatch")
+        nonzero = [(j, vj) for j, vj in enumerate(v) if vj]
         return tuple(
-            sum((self._e[i][j] * v[j] for j in range(self.cols)), ZERO)
-            for i in range(self.rows)
+            sum((row[j] * vj for j, vj in nonzero if row[j]), ZERO) for row in self._e
         )
 
     def scaled(self, c) -> "Matrix":

@@ -318,3 +318,31 @@ def test_sparse_store_agrees_with_the_dense_table():
             assert g.bracket(unit_vector(g.dim, i), unit_vector(g.dim, j)) == dense
     assert not g.is_abelian()
     assert catalog_entry("abelian3").algebra.is_abelian()
+
+
+def test_bracket_preimage_lists_every_pair_reaching_a_basis_vector():
+    g = catalog_entry("sl2xsl2-diagonal").algebra
+    table = g.bracket_table()
+    for r in range(g.dim):
+        expected = tuple(
+            (a, b, c)
+            for a in range(g.dim)
+            for b in range(g.dim)
+            if (c := dense_bracket(g.dim, table, a, b)[r])
+        )
+        assert g.bracket_preimage(r) == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: g.bracket((1, 0, 0, 5), (0, 1, 0)),
+        lambda g: g.bracket((1, 0, 0), (0, 1)),
+        lambda g: g.b((1, 0, 0, 5), (0, 0, 1)),
+        lambda g: g.b((1, 0, 0), (0, 0, 1, 5)),
+    ],
+    ids=["bracket-long", "bracket-short", "b-long", "b-long-second"],
+)
+def test_bracket_and_form_reject_a_wrong_coordinate_length(sl2, call):
+    with pytest.raises(ContractViolation, match="coordinate length does not match the algebra"):
+        call(sl2)
