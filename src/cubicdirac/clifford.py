@@ -39,13 +39,24 @@ def _bits(mask: int) -> list[int]:
 class CliffordSpace:
     """An orthogonal basis with nonzero diagonal Gram entries."""
 
-    __slots__ = ("dim", "gram")
+    __slots__ = ("dim", "gram", "_overlap_grams")
 
     def __init__(self, gram: Sequence):
         self.gram = vector(gram)
         self.dim = len(self.gram)
         if any(d == 0 for d in self.gram):
             raise ContractViolation("Gram entries must be nonzero")
+        self._overlap_grams: dict[int, Fraction] = {}
+
+    def _gram_product(self, mask: int) -> Fraction:
+        """The product of d_i over the bits of mask, kept per mask on first use."""
+        prod = self._overlap_grams.get(mask)
+        if prod is None:
+            prod = ONE
+            for i in _bits(mask):
+                prod *= self.gram[i]
+            self._overlap_grams[mask] = prod
+        return prod
 
     def zero(self) -> "Multivector":
         return Multivector(self, {})
@@ -94,31 +105,36 @@ class CliffordSpace:
         return f"CliffordSpace(gram={[str(d) for d in self.gram]})"
 
 
+def _swap_parity(ma: int, mb: int) -> int:
+    """Parity of the pairs (i in ma, j in mb) with i > j.
+
+    That count, sum over s >= 1 of popcount((ma >> s) & mb), is the number of
+    transpositions that sort e_A e_B into ascending order.  Its parity is
+    that of popcount(p & mb), where bit j of p is the parity of the bits of
+    ma above j: p is the xor of ma >> s over s >= 1, built by doubling.
+    """
+    p = ma >> 1
+    s = 1
+    top = ma.bit_length()
+    while s < top:
+        p ^= p >> s
+        s <<= 1
+    return (p & mb).bit_count() & 1
+
+
 def _blade_clifford(space: CliffordSpace, ma: int, mb: int) -> tuple[Fraction, int]:
     """Clifford product of two blades is +-(product of Grams) times one blade."""
-    coeff = ONE
-    mask = mb
-    for i in reversed(_bits(ma)):
-        lower = mask & ((1 << i) - 1)
-        if lower.bit_count() & 1:
-            coeff = -coeff
-        bit = 1 << i
-        if mask & bit:
-            coeff *= space.gram[i]
-            mask &= ~bit
-        else:
-            mask |= bit
-    return coeff, mask
+    overlap = ma & mb
+    coeff = space._gram_product(overlap) if overlap else ONE
+    if _swap_parity(ma, mb):
+        coeff = -coeff
+    return coeff, ma ^ mb
 
 
 def _blade_wedge(ma: int, mb: int) -> tuple[int, int] | None:
     if ma & mb:
         return None
-    sign = 1
-    for i in _bits(ma):
-        if (mb & ((1 << i) - 1)).bit_count() & 1:
-            sign = -sign
-    return sign, ma | mb
+    return (-1 if _swap_parity(ma, mb) else 1), ma | mb
 
 
 class Multivector(LinearCombination):
@@ -140,16 +156,27 @@ class Multivector(LinearCombination):
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
+        space = self.space
         out: dict[int, Fraction] = {}
         for ma, ca in self.terms.items():
+            neg_ca = -ca
             for mb, cb in other.terms.items():
-                coeff, mask = _blade_clifford(self.space, ma, mb)
-                acc = out.get(mask, ZERO) + ca * cb * coeff
-                if acc:
-                    out[mask] = acc
-                elif mask in out:
-                    del out[mask]
-        return Multivector(self.space, out)
+                # one Fraction product per pair; the sign picks the factor
+                c = (neg_ca if _swap_parity(ma, mb) else ca) * cb
+                overlap = ma & mb
+                if overlap:
+                    c *= space._gram_product(overlap)
+                mask = ma ^ mb
+                acc = out.get(mask)
+                if acc is None:
+                    out[mask] = c
+                else:
+                    acc += c
+                    if acc:
+                        out[mask] = acc
+                    else:
+                        del out[mask]
+        return Multivector._from_terms((space,), out)
 
     def __xor__(self, other: "Multivector") -> "Multivector":
         """Exterior product (use parentheses: ^ binds loosely in Python)."""
@@ -246,10 +273,7 @@ def pairing(a: Multivector, b: Multivector) -> Fraction:
     for m, ca in a.terms.items():
         cb = b.terms.get(m)
         if cb:
-            prod = ca * cb
-            for i in _bits(m):
-                prod *= a.space.gram[i]
-            total += prod
+            total += ca * cb * a.space._gram_product(m)
     return total
 
 

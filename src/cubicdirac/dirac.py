@@ -345,21 +345,21 @@ class DiracContext:
         rng = random.Random(seed)
         v2 = v * v
         witness = None
-        for trial in range(samples):
+        for _ in range(samples):
             a = _random_multivector(space, rng)
             b = _random_multivector(space, rng)
             lhs = twisted_commutator(v, a * b)
             rhs = twisted_commutator(v, a) * b + a.grade_involution() * twisted_commutator(v, b)
             if lhs != rhs:
-                witness = f"trial {trial}"
+                witness = f"seed {seed} a={a!r} b={b!r}"
                 break
         items.append(CheckItem("dv-derivation-law", witness is None, witness))
 
         witness = None
-        for trial in range(samples):
+        for _ in range(samples):
             a = _random_multivector(space, rng)
             if twisted_commutator(v, twisted_commutator(v, a)) != v2 * a - a * v2:
-                witness = f"trial {trial}"
+                witness = f"seed {seed} a={a!r}"
                 break
         items.append(CheckItem("dv-square-is-v2-bracket", witness is None, witness))
 

@@ -11,7 +11,9 @@ default to zero).  The three operators below are the coordinate formulas
 read backwards: each one walks the nonzero entries of w and scatters every
 entry into the output tuples it contributes to, so the work grows with the
 support of w, not with n^k.  d finds the pairs (x_s, x_t) whose bracket
-reaches a slot's index through `QuadraticLieAlgebra.bracket_preimage`.
+reaches a slot's index through `QuadraticLieAlgebra.bracket_preimage`;
+theta_X reads the rows of ad X off `bracket_sparse(a, .)` for the a in the
+support of X, so on a basis vector it costs O(n + nnz(ad e_a)).
 
 d raises arity by one and is capped so results stay within arity 4.  On
 alternating maps these are the usual Lie-algebra-cohomology operators with
@@ -135,21 +137,29 @@ def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
     """theta_X w: the natural action, inserting [X, .] slot by slot."""
     g = w.algebra
     (x,) = g._coordinates(x)
-    # row r of ad X: the (s, c) with [X, e_s] = ... + c e_r + ...
-    rows = []
-    for r in range(g.dim):
-        row: dict[int, Fraction] = {}
-        for a, s, c in g.bracket_preimage(r):
-            if x[a]:
-                row[s] = row.get(s, ZERO) + x[a] * c
-        rows.append(tuple(row.items()))
+    # row r of ad X: the (s, c) with [X, e_s] = ... + c e_r + ..., read off
+    # the brackets [e_a, e_s] for the a in the support of X.  A first
+    # contribution is stored as it is, not added to zero, and X is usually a
+    # basis vector, so a coordinate 1 costs no product.
+    rows: dict[int, dict[int, Fraction]] = {}
+    for a, xa in enumerate(x):
+        if xa:
+            for s in range(g.dim):
+                for r, c in g.bracket_sparse(a, s):
+                    if xa != 1:
+                        c *= xa
+                    row = rows.setdefault(r, {})
+                    row[s] = row[s] + c if s in row else c
     out: dict = {}
     for key, val in w.terms.items():
         for pos, r in enumerate(key):
-            head, tail = key[:pos], key[pos + 1 :]
-            for s, c in rows[r]:
-                idx = head + (s,) + tail
-                out[idx] = out.get(idx, ZERO) + c * val
+            row = rows.get(r)
+            if row:
+                head, tail = key[:pos], key[pos + 1 :]
+                for s, c in row.items():
+                    idx = head + (s,) + tail
+                    cv = c * val
+                    out[idx] = out[idx] + cv if idx in out else cv
     return MultilinearMap._from_terms((g, w.arity), _nonzero(out))
 
 

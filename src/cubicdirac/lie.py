@@ -223,9 +223,6 @@ class QuadraticLieAlgebra:
                 total += xi * sum((row[j] * yj for j, yj in ys if row[j]), ZERO)
         return total
 
-    def b_basis(self, i: int, j: int) -> Fraction:
-        return self.form.entry(i, j)
-
     def is_abelian(self) -> bool:
         return not any(self._sparse.values())
 

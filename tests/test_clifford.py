@@ -9,6 +9,8 @@ import pytest
 from cubicdirac.clifford import (
     CliffordSpace,
     Multivector,
+    _blade_clifford,
+    _blade_wedge,
     contract,
     is_scalar,
     multivector_from_trilinear,
@@ -69,6 +71,97 @@ def test_blade_times_generator(space2):
     e1, e2 = space2.generator(0), space2.generator(1)
     assert e12 * e1 == Fraction(-2) * e2
     assert e12 * e2 == Fraction(7) * e1
+
+
+# The blade kernel as a walk over the bits of the left blade, highest first:
+# each generator moves past the lower bits of the running blade (one sign per
+# bit it crosses) and either squares to its Gram entry or joins the blade.
+# It is kept here as the reference for the bit-parity kernel.
+
+
+def bit_list(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def walk_blade_clifford(gram, ma, mb):
+    coeff = Fraction(1)
+    mask = mb
+    for i in reversed(bit_list(ma)):
+        if (mask & ((1 << i) - 1)).bit_count() & 1:
+            coeff = -coeff
+        bit = 1 << i
+        if mask & bit:
+            coeff *= gram[i]
+            mask &= ~bit
+        else:
+            mask |= bit
+    return coeff, mask
+
+
+def walk_blade_wedge(ma, mb):
+    if ma & mb:
+        return None
+    sign = 1
+    for i in bit_list(ma):
+        if (mb & ((1 << i) - 1)).bit_count() & 1:
+            sign = -sign
+    return sign, ma | mb
+
+
+def mixed_gram(m):
+    """Gram entries of both signs, none of them +-1: 3/2, -5/3, 7/4, ..."""
+    return tuple(Fraction((-1) ** i * (2 * i + 3), i + 2) for i in range(m))
+
+
+def walk_product(a, b):
+    """a * b summed term by term through the reference kernel."""
+    out = a.space.zero()
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            coeff, mask = walk_blade_clifford(a.space.gram, ma, mb)
+            out = out + Multivector(a.space, {mask: ca * cb * coeff})
+    return out
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_blade_kernel_matches_the_bit_walk_on_every_pair(m):
+    gram = mixed_gram(m)
+    space = CliffordSpace(gram)
+    for ma in range(1 << m):
+        for mb in range(1 << m):
+            assert _blade_clifford(space, ma, mb) == walk_blade_clifford(gram, ma, mb)
+            assert _blade_wedge(ma, mb) == walk_blade_wedge(ma, mb)
+
+
+def test_blade_kernel_matches_the_bit_walk_on_random_pairs():
+    rng = random.Random(20000)
+    spaces = {m: CliffordSpace(mixed_gram(m)) for m in range(1, 16)}
+    for _ in range(20000):
+        m = rng.randint(1, 15)
+        ma, mb = rng.randrange(1 << m), rng.randrange(1 << m)
+        assert _blade_clifford(spaces[m], ma, mb) == walk_blade_clifford(spaces[m].gram, ma, mb)
+        assert _blade_wedge(ma, mb) == walk_blade_wedge(ma, mb)
+
+
+@pytest.mark.parametrize("m", (3, 6, 15))
+def test_product_matches_the_bit_walk(m):
+    space = CliffordSpace(mixed_gram(m))
+    rng = random.Random(m)
+    for _ in range(40):
+        a = random_multivector(space, rng, terms=6)
+        b = random_multivector(space, rng, terms=6)
+        assert (a * b).terms == walk_product(a, b).terms
+
+
+@pytest.mark.parametrize(
+    "gram, square",
+    [((Fraction(2, 3), Fraction(-5, 2)), {0: Fraction(-11, 6)}), ((Fraction(3), Fraction(-3)), {})],
+)
+def test_cancelling_terms_leave_no_zero_coefficient(gram, square):
+    """(e1 + e2)^2 = d1 + d2: the e1^e2 terms cancel, and so does d1 + d2 = 0."""
+    space = CliffordSpace(gram)
+    x = space.generator(0) + space.generator(1)
+    assert (x * x).terms == square
 
 
 def test_clifford_relation_on_all_degree_one_pairs(space3):

@@ -11,14 +11,16 @@ values frozen into the assertions:
   * an sl(2) triple inside sl(3): constants 1/3, 1/12, 1/4
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import unit_vector
+from cubicdirac import dirac
 from cubicdirac.catalog import catalog_entry
-from cubicdirac.clifford import twisted_commutator
-from cubicdirac.dirac import DiracContext
+from cubicdirac.clifford import Multivector, twisted_commutator
+from cubicdirac.dirac import DEFAULT_SEED, DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
 from cubicdirac.forms import bracket_coproduct
@@ -292,3 +294,58 @@ def test_scale_coherence_two_routes(contexts):
     for name in ("sl2-killing", "sl2-killing-neg", "sl2-killing-half"):
         outcome = contexts(name).kostant_check()
         assert outcome.values["c"] == outcome.values["v_square"]
+
+
+def parse_multivector(space, text):
+    """The inverse of Multivector.__repr__: 'c*e1^e3 + e2 + c' back to an element."""
+    terms = {}
+    if text != "0":
+        for part in text.split(" + "):
+            if "e" not in part:
+                terms[0] = Fraction(part)
+                continue
+            coeff, _, blade = part.rpartition("*")
+            mask = sum(1 << (int(g[1:]) - 1) for g in blade.split("^"))
+            terms[mask] = Fraction(coeff) if coeff else Fraction(1)
+    return Multivector(space, terms)
+
+
+def dv_witness(ctx, item_id):
+    outcome = ctx.cohomology_check()
+    item = items_by_id(outcome)[item_id]
+    assert not item.ok
+    match = re.fullmatch(r"seed (\d+) a=(.*?)(?: b=(.*))?", item.witness)
+    assert match is not None, item.witness
+    assert int(match.group(1)) == DEFAULT_SEED
+    operands = [parse_multivector(ctx.space, text) for text in match.groups()[1:] if text is not None]
+    assert [repr(x) for x in operands] == [text for text in match.groups()[1:] if text is not None]
+    return operands
+
+
+def test_dv_square_witness_reproduces_the_failure_on_its_own():
+    """An even part in v breaks d_v^2 = [v^2, .]; the witness names a and the seed."""
+    ctx = DiracContext(catalog_entry("sl2-killing").algebra)
+    ctx.v = ctx.v + ctx.space.blade((0, 1))
+    (a,) = dv_witness(ctx, "dv-square-is-v2-bracket")
+    v = ctx.v
+    assert twisted_commutator(v, twisted_commutator(v, a)) != v * v * a - a * (v * v)
+
+
+def test_dv_derivation_witness_reproduces_the_failure_on_its_own(monkeypatch):
+    """d_v(ab) = d_v(a) b + kappa(a) d_v(b) holds for every v, odd or not, so no
+    change of v breaks it; a sign error in the twist does."""
+    ctx = DiracContext(catalog_entry("sl2-killing").algebra)
+
+    def wrong_sign(v, a):
+        return v * a + a.grade_involution() * v
+
+    monkeypatch.setattr(dirac, "twisted_commutator", wrong_sign)
+    a, b = dv_witness(ctx, "dv-derivation-law")
+    v = ctx.v
+    assert wrong_sign(v, a * b) != wrong_sign(v, a) * b + a.grade_involution() * wrong_sign(v, b)
+
+
+def test_passing_dv_items_carry_no_witness(contexts):
+    items = items_by_id(contexts("sl2-killing").cohomology_check())
+    for item_id in ("dv-derivation-law", "dv-square-is-v2-bracket"):
+        assert items[item_id].ok and items[item_id].witness is None

@@ -20,7 +20,7 @@ from cubicdirac.forms import (
     insert_first,
     lie_action,
 )
-from cubicdirac.lie import orthogonal_split
+from cubicdirac.lie import orthogonal_split, unit
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +313,9 @@ def test_scatter_operators_match_the_dense_reference(name):
             assert ce_differential(w).terms == dense_differential(w).terms
             x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(g.dim))
             assert lie_action(x, w).terms == dense_lie_action(x, w).terms
+            for i in range(g.dim):
+                e = unit(g.dim, i)
+                assert lie_action(e, w).terms == dense_lie_action(e, w).terms
             if arity:
                 assert insert_first(x, w).terms == dense_insert_first(x, w).terms
 
