@@ -8,7 +8,7 @@ floats are rejected outright, both as JSON numbers and as strings like
       "format": "quadratic-lie-algebra",
       "version": 1,
       "name": "sl2-killing",
-      "dimension": 3,
+      "dimension": 3,                       at most MAX_DIMENSION
       "basis_labels": ["e", "h", "f"],
       "brackets": [{"i": 0, "j": 1, "terms": [[0, "-2"]]}, ...],
       "form": ["8", "0", ...],              row-major, dimension^2 entries
@@ -35,6 +35,9 @@ from .linalg import Matrix
 
 FORMAT_NAME = "quadratic-lie-algebra"
 FORMAT_VERSION = 1
+# validation visits all dimension^3 basis triples, so larger documents are
+# refused before anything is expanded
+MAX_DIMENSION = 64
 RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
 
 _REQUIRED_KEYS = ("format", "version", "name", "dimension", "basis_labels", "brackets", "form")
@@ -97,6 +100,8 @@ def parse_algebra_text(text: str):
     raw_form = doc["form"]
     if not isinstance(raw_form, list) or len(raw_form) != dim * dim:
         raise AlgebraFileError(f"form must list dimension^2 = {dim * dim} entries row-major")
+    if dim > MAX_DIMENSION:
+        raise AlgebraFileError(f"dimension {dim} exceeds the maximum {MAX_DIMENSION}")
 
     raw_brackets = doc["brackets"]
     if not isinstance(raw_brackets, list):

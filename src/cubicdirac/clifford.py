@@ -17,12 +17,13 @@ blades by Gram determinants.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import ContractViolation
 from .linalg import Matrix, ZERO, as_scalar, solve_linear, vector
-from .sparse import LinearCombination
+from .sparse import LinearCombination, _fractions_over, _integer_terms
 
 ONE = Fraction(1)
 
@@ -37,9 +38,14 @@ def _bits(mask: int) -> list[int]:
 
 
 class CliffordSpace:
-    """An orthogonal basis with nonzero diagonal Gram entries."""
+    """An orthogonal basis with nonzero diagonal Gram entries.
 
-    __slots__ = ("dim", "gram", "_overlap_grams")
+    Q, the product of the Gram entries' denominators, makes every Gram
+    product an integer after scaling: Q * prod_{i in mask} d_i is the
+    product of the numerators in mask and the denominators outside it.
+    """
+
+    __slots__ = ("dim", "gram", "_overlap_grams", "_gram_den", "_overlap_integers")
 
     def __init__(self, gram: Sequence):
         self.gram = vector(gram)
@@ -47,6 +53,8 @@ class CliffordSpace:
         if any(d == 0 for d in self.gram):
             raise ContractViolation("Gram entries must be nonzero")
         self._overlap_grams: dict[int, Fraction] = {}
+        self._gram_den = math.prod(d.denominator for d in self.gram)
+        self._overlap_integers: dict[int, int] = {0: self._gram_den}
 
     def _gram_product(self, mask: int) -> Fraction:
         """The product of d_i over the bits of mask, kept per mask on first use."""
@@ -57,6 +65,14 @@ class CliffordSpace:
                 prod *= self.gram[i]
             self._overlap_grams[mask] = prod
         return prod
+
+    def _gram_integer(self, mask: int) -> int:
+        """Q times the product of d_i over the bits of mask, kept per mask on first use."""
+        scaled = self._overlap_integers.get(mask)
+        if scaled is None:
+            scaled = (self._gram_den * self._gram_product(mask)).numerator
+            self._overlap_integers[mask] = scaled
+        return scaled
 
     def zero(self) -> "Multivector":
         return Multivector(self, {})
@@ -105,13 +121,14 @@ class CliffordSpace:
         return f"CliffordSpace(gram={[str(d) for d in self.gram]})"
 
 
-def _swap_parity(ma: int, mb: int) -> int:
-    """Parity of the pairs (i in ma, j in mb) with i > j.
+def _swap_prefix(ma: int) -> int:
+    """p with bit j the parity of the bits of ma above j, so that the sign of
+    e_A e_B is the parity of popcount(p & mb).
 
-    That count, sum over s >= 1 of popcount((ma >> s) & mb), is the number of
-    transpositions that sort e_A e_B into ascending order.  Its parity is
-    that of popcount(p & mb), where bit j of p is the parity of the bits of
-    ma above j: p is the xor of ma >> s over s >= 1, built by doubling.
+    popcount(p & mb) has the parity of the pairs (i in ma, j in mb) with
+    i > j: that count, sum over s >= 1 of popcount((ma >> s) & mb), is the
+    number of transpositions that sort e_A e_B into ascending order.  p is
+    the xor of ma >> s over s >= 1, built by doubling.
     """
     p = ma >> 1
     s = 1
@@ -119,14 +136,14 @@ def _swap_parity(ma: int, mb: int) -> int:
     while s < top:
         p ^= p >> s
         s <<= 1
-    return (p & mb).bit_count() & 1
+    return p
 
 
 def _blade_clifford(space: CliffordSpace, ma: int, mb: int) -> tuple[Fraction, int]:
     """Clifford product of two blades is +-(product of Grams) times one blade."""
     overlap = ma & mb
     coeff = space._gram_product(overlap) if overlap else ONE
-    if _swap_parity(ma, mb):
+    if (_swap_prefix(ma) & mb).bit_count() & 1:
         coeff = -coeff
     return coeff, ma ^ mb
 
@@ -134,7 +151,7 @@ def _blade_clifford(space: CliffordSpace, ma: int, mb: int) -> tuple[Fraction, i
 def _blade_wedge(ma: int, mb: int) -> tuple[int, int] | None:
     if ma & mb:
         return None
-    return (-1 if _swap_parity(ma, mb) else 1), ma | mb
+    return (-1 if (_swap_prefix(ma) & mb).bit_count() & 1 else 1), ma | mb
 
 
 class Multivector(LinearCombination):
@@ -152,31 +169,34 @@ class Multivector(LinearCombination):
         return mask.bit_count() & 1
 
     def __mul__(self, other):
-        """Clifford product; scalars multiply coefficientwise."""
+        """Clifford product; scalars multiply coefficientwise.
+
+        The blade pairs multiply integer numerators: a's over D_a, b's over
+        D_b, and the Gram product of each overlap scaled by the space's Q,
+        so every sum is over D_a D_b Q and becomes one Fraction per blade.
+        """
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
         space = self.space
-        out: dict[int, Fraction] = {}
-        for ma, ca in self.terms.items():
-            neg_ca = -ca
-            for mb, cb in other.terms.items():
-                # one Fraction product per pair; the sign picks the factor
-                c = (neg_ca if _swap_parity(ma, mb) else ca) * cb
+        grams = space._overlap_integers
+        den_a, left = _integer_terms(self.terms)
+        den_b, right = _integer_terms(other.terms)
+        out: dict[int, int] = {}
+        for ma, na in left:
+            p = _swap_prefix(ma)
+            for mb, nb in right:
                 overlap = ma & mb
-                if overlap:
-                    c *= space._gram_product(overlap)
+                g = grams.get(overlap)
+                if g is None:
+                    g = space._gram_integer(overlap)
+                c = na * nb * g
                 mask = ma ^ mb
-                acc = out.get(mask)
-                if acc is None:
-                    out[mask] = c
+                if (p & mb).bit_count() & 1:
+                    out[mask] = out.get(mask, 0) - c
                 else:
-                    acc += c
-                    if acc:
-                        out[mask] = acc
-                    else:
-                        del out[mask]
-        return Multivector._from_terms((space,), out)
+                    out[mask] = out.get(mask, 0) + c
+        return Multivector._from_terms((space,), _fractions_over(out, den_a * den_b * space._gram_den))
 
     def __xor__(self, other: "Multivector") -> "Multivector":
         """Exterior product (use parentheses: ^ binds loosely in Python)."""

@@ -315,6 +315,11 @@ class DiracContext:
 
         The chain lives on the full algebra (forms take arguments anywhere in
         g), so a context with a subalgebra delegates to the absolute one.
+
+        `dv-derivation-law`, d_v(ab) = d_v(a) b + kappa(a) d_v(b), holds for
+        every v, odd or not (the kappa(a) v b terms cancel), so it checks the
+        Clifford product and kappa, not v.  The items that depend on v are
+        `dv-square-is-v2-bracket` and `delta-plus-dv-vanishes`.
         """
         ctx = self if self.k == 0 else DiracContext(self.algebra)
         g = ctx.adapted

@@ -11,9 +11,12 @@ default to zero).  The three operators below are the coordinate formulas
 read backwards: each one walks the nonzero entries of w and scatters every
 entry into the output tuples it contributes to, so the work grows with the
 support of w, not with n^k.  d finds the pairs (x_s, x_t) whose bracket
-reaches a slot's index through `QuadraticLieAlgebra.bracket_preimage`;
-theta_X reads the rows of ad X off `bracket_sparse(a, .)` for the a in the
-support of X, so on a basis vector it costs O(n + nnz(ad e_a)).
+reaches a slot's index through the algebra's preimage index (the one behind
+`QuadraticLieAlgebra.bracket_preimage`); theta_X reads the rows of ad X off
+ad e_a for the a in the support of X, so on a basis vector it costs
+O(n + nnz(ad e_a)).  Both indexes hold the structure constants over one
+common denominator, and every operator adds integer numerators, building
+one Fraction per output tuple at the end.
 
 d raises arity by one and is capped so results stay within arity 4.  On
 alternating maps these are the usual Lie-algebra-cohomology operators with
@@ -32,7 +35,7 @@ from .clifford import CliffordSpace, Multivector
 from .errors import ContractViolation, UnsupportedArityError
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO, as_scalar, vector
-from .sparse import LinearCombination
+from .sparse import LinearCombination, _fractions_over, _integer_terms
 
 MAX_ARITY = 4
 
@@ -111,56 +114,50 @@ class MultilinearMap(LinearCombination):
         return f"MultilinearMap(arity={self.arity}, {{{entries}}})"
 
 
-def _nonzero(table: dict) -> dict:
-    return {key: val for key, val in table.items() if val}
-
-
 def ce_differential(w: MultilinearMap) -> MultilinearMap:
     """The coboundary; raises arity by one (input arity at most 3)."""
     g = w.algebra
     k = w.arity
     if k + 1 > MAX_ARITY:
         raise UnsupportedArityError(f"differential of arity {k} exceeds the arity cap")
+    den, entries = _integer_terms(w.terms)
+    den_g, _, preimage = g._structure_over_integers()
     out: dict = {}
-    for key, val in w.terms.items():
+    for key, val in entries:
         for pos, r in enumerate(key):
             tail = key[pos + 1 :]
-            for a, b, c in g.bracket_preimage(r):
+            for a, b, c in preimage[r]:
                 cv = c * val
                 for s in range(pos + 1):
                     idx = key[:s] + (a,) + key[s:pos] + (b,) + tail
-                    out[idx] = out.get(idx, ZERO) + (-cv if s & 1 else cv)
-    return MultilinearMap._from_terms((g, k + 1), _nonzero(out))
+                    out[idx] = out.get(idx, 0) + (-cv if s & 1 else cv)
+    return MultilinearMap._from_terms((g, k + 1), _fractions_over(out, den * den_g))
 
 
 def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
     """theta_X w: the natural action, inserting [X, .] slot by slot."""
     g = w.algebra
     (x,) = g._coordinates(x)
-    # row r of ad X: the (s, c) with [X, e_s] = ... + c e_r + ..., read off
-    # the brackets [e_a, e_s] for the a in the support of X.  A first
-    # contribution is stored as it is, not added to zero, and X is usually a
-    # basis vector, so a coordinate 1 costs no product.
-    rows: dict[int, dict[int, Fraction]] = {}
-    for a, xa in enumerate(x):
-        if xa:
-            for s in range(g.dim):
-                for r, c in g.bracket_sparse(a, s):
-                    if xa != 1:
-                        c *= xa
-                    row = rows.setdefault(r, {})
-                    row[s] = row[s] + c if s in row else c
+    # row r of ad X: the (s, c) with [X, e_s] = ... + c e_r + ..., over
+    # den_x * den_g, read off ad e_a for the a in the support of X
+    den_x, support = _integer_terms({a: xa for a, xa in enumerate(x) if xa})
+    den_g, ad, _ = g._structure_over_integers()
+    rows: dict[int, dict[int, int]] = {}
+    for a, xa in support:
+        for s, r, c in ad[a]:
+            row = rows.setdefault(r, {})
+            row[s] = row.get(s, 0) + xa * c
+    den, entries = _integer_terms(w.terms)
     out: dict = {}
-    for key, val in w.terms.items():
+    for key, val in entries:
         for pos, r in enumerate(key):
             row = rows.get(r)
             if row:
                 head, tail = key[:pos], key[pos + 1 :]
                 for s, c in row.items():
                     idx = head + (s,) + tail
-                    cv = c * val
-                    out[idx] = out[idx] + cv if idx in out else cv
-    return MultilinearMap._from_terms((g, w.arity), _nonzero(out))
+                    out[idx] = out.get(idx, 0) + c * val
+    return MultilinearMap._from_terms((g, w.arity), _fractions_over(out, den * den_x * den_g))
 
 
 def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
@@ -169,11 +166,19 @@ def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
         raise ContractViolation("cannot contract an arity-0 map")
     g = w.algebra
     (x,) = g._coordinates(x)
+    # only the entries whose first index is in the support of X, and only
+    # the coordinates of X they read, are brought to integers
+    picked = {key: val for key, val in w.terms.items() if x[key[0]]}
+    if not picked:
+        return MultilinearMap._from_terms((g, w.arity - 1), {})
+    den_x, coords = _integer_terms({key[0]: x[key[0]] for key in picked})
+    coords = dict(coords)
+    den, entries = _integer_terms(picked)
     out: dict = {}
-    for key, val in w.terms.items():
-        if x[key[0]]:
-            out[key[1:]] = out.get(key[1:], ZERO) + x[key[0]] * val
-    return MultilinearMap._from_terms((g, w.arity - 1), _nonzero(out))
+    for key, val in entries:
+        rest = key[1:]
+        out[rest] = out.get(rest, 0) + coords[key[0]] * val
+    return MultilinearMap._from_terms((g, w.arity - 1), _fractions_over(out, den * den_x))
 
 
 def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Sequence) -> Multivector:

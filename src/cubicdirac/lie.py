@@ -40,6 +40,7 @@ from .linalg import (
     vec_scale,
     vector,
 )
+from .sparse import _integer_terms
 
 BracketTable = dict[tuple[int, int], tuple[Fraction, ...]]
 SparseBrackets = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
@@ -128,7 +129,7 @@ def _killing(dim: int, br: SparseBrackets) -> Matrix:
 class QuadraticLieAlgebra:
     """A validated quadratic Lie algebra given by structure constants."""
 
-    __slots__ = ("name", "dim", "labels", "form", "_sparse", "_preimage")
+    __slots__ = ("name", "dim", "labels", "form", "_sparse", "_integer_structure")
 
     def __init__(self, name: str, labels: Sequence[str], brackets: Mapping, form: Matrix):
         self.name = name
@@ -165,11 +166,7 @@ class QuadraticLieAlgebra:
         if w is not None:
             raise ValidationError("ad-invariance", witness=tuple(self.labels[a] for a in w))
         self._sparse = _sparse_brackets(self.dim, table)
-        preimage: list[list] = [[] for _ in range(self.dim)]
-        for (a, b), terms in self._sparse.items():
-            for r, c in terms:
-                preimage[r].append((a, b, c))
-        self._preimage = tuple(map(tuple, preimage))
+        self._integer_structure = None
 
     # -- bracket and form access ------------------------------------------
 
@@ -186,12 +183,34 @@ class QuadraticLieAlgebra:
 
     def bracket_preimage(self, r: int):
         """((a, b, c), ...): every ordered pair with [e_a, e_b] = ... + c e_r + ..."""
-        return self._preimage[r]
+        den, _, preimage = self._structure_over_integers()
+        return tuple((a, b, Fraction(c, den)) for a, b, c in preimage[r])
+
+    def _structure_over_integers(self):
+        """(P, ad, preimage): the structure constants times their common denominator P.
+
+        ad[a] lists the (s, r, P c) with [e_a, e_s] = ... + c e_r + ..., and
+        preimage[r] the same triples with r fixed, as (a, s, P c).  Built on
+        first use, so algebras that never meet the Chevalley-Eilenberg
+        operators do not pay for it.
+        """
+        if self._integer_structure is None:
+            den, flat = _integer_terms(
+                {(a, s, r): c for (a, s), terms in self._sparse.items() for r, c in terms}
+            )
+            ad: list[list] = [[] for _ in range(self.dim)]
+            preimage: list[list] = [[] for _ in range(self.dim)]
+            for (a, s, r), c in flat:
+                ad[a].append((s, r, c))
+                preimage[r].append((a, s, c))
+            self._integer_structure = den, tuple(map(tuple, ad)), tuple(map(tuple, preimage))
+        return self._integer_structure
 
     def _coordinates(self, *vectors: Sequence):
-        out = tuple(vector(v) for v in vectors)
-        if any(len(v) != self.dim for v in out):
-            raise ContractViolation("coordinate length does not match the algebra")
+        out = tuple(map(vector, vectors))
+        for v in out:
+            if len(v) != self.dim:
+                raise ContractViolation("coordinate length does not match the algebra")
         return out
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:

@@ -30,7 +30,7 @@ def as_scalar(value) -> Fraction:
 
 
 def vector(entries: Iterable) -> tuple[Fraction, ...]:
-    return tuple(as_scalar(x) for x in entries)
+    return tuple(map(as_scalar, entries))
 
 
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:

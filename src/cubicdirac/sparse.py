@@ -8,9 +8,17 @@ compare by identity; Clifford spaces compare by their Gram entries.
 
 A subclass names its carrier fields and supplies its product and repr; a
 Z2-graded one also supplies `_key_parity`.
+
+The product kernels run on integers: `_integer_terms` writes an operand's
+coefficients over one common denominator, the kernel multiplies and adds
+the numerators, and `_fractions_over` turns the sums back into Fractions,
+once per output key.  The arithmetic stays exact.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import ContractViolation
 from .linalg import ZERO, as_scalar
@@ -76,3 +84,20 @@ class LinearCombination:
         if len(ps) > 1:
             return None
         return ps.pop() if ps else 0
+
+
+def _integer_terms(terms: dict) -> tuple[int, list]:
+    """(D, [(key, n), ...]) with each coefficient c of terms equal to n / D."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if den % d:
+            den = lcm(den, d)
+    if den == 1:
+        return 1, [(key, c.numerator) for key, c in terms.items()]
+    return den, [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
+
+
+def _fractions_over(numerators: dict, den: int) -> dict:
+    """{key: n / den} in lowest terms, leaving out the keys whose n is 0."""
+    return {key: Fraction(n, den) for key, n in numerators.items() if n}

@@ -27,6 +27,19 @@ def abelian_named_sl2() -> QuadraticLieAlgebra:
     return QuadraticLieAlgebra("sl2-killing", ("a", "b", "c"), {}, Matrix.identity(3))
 
 
+def tstar_heisenberg() -> QuadraticLieAlgebra:
+    """T*-extension of the Heisenberg algebra: g = heis + heis* with the dual pairing.
+
+    [x, y] = z, [x, z*] = -y*, [y, z*] = x*, and B pairs each basis vector
+    with its dual.  The form is split, so its adapted basis has Grams 2 and
+    -1/2 and non-integer structure constants.
+    """
+    n = 6
+    brackets = {(0, 1): (0, 0, 1, 0, 0, 0), (0, 5): (0, 0, 0, 0, -1, 0), (1, 5): (0, 0, 0, 1, 0, 0)}
+    form = Matrix([[int(abs(i - j) == 3) for j in range(n)] for i in range(n)], cols=n)
+    return QuadraticLieAlgebra("tstar-heisenberg", ("x", "y", "z", "x*", "y*", "z*"), brackets, form)
+
+
 @pytest.fixture(scope="session")
 def contexts():
     cache: dict = {}

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubicdirac.algfile import emit_algebra_text, parse_algebra_text
+from cubicdirac import algfile
+from cubicdirac.algfile import MAX_DIMENSION, emit_algebra_text, parse_algebra_text
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
 from cubicdirac.errors import AlgebraFileError, ValidationError
 
@@ -252,3 +253,26 @@ def test_short_form_is_rejected_before_the_brackets_are_expanded():
         tracemalloc.stop()
     assert "form must list dimension^2" in str(info.value)
     assert peak < 4 * 2**20
+
+
+def identity_doc(dim):
+    return {
+        "format": "quadratic-lie-algebra",
+        "version": 1,
+        "name": "wide",
+        "dimension": dim,
+        "basis_labels": [f"x{i}" for i in range(dim)],
+        "brackets": [],
+        "form": [str(int(r == c)) for r in range(dim) for c in range(dim)],
+    }
+
+
+def test_dimension_above_the_cap_is_rejected_before_any_algebra_is_built(monkeypatch):
+    """A complete form does not get a dimension past the cap into validation."""
+    built = []
+    monkeypatch.setattr(algfile, "QuadraticLieAlgebra", lambda *args: built.append(args[3].rows))
+    with pytest.raises(AlgebraFileError, match=f"dimension 65 exceeds the maximum {MAX_DIMENSION}"):
+        parse_doc(identity_doc(65))
+    assert built == []
+    parse_doc(identity_doc(MAX_DIMENSION))
+    assert built == [MAX_DIMENSION]

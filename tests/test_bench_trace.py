@@ -63,3 +63,34 @@ def test_tracer_sees_the_validation_layers():
         "lie.orthogonal_split",
     ):
         assert tracer.stats[name]["calls"] > 0, name
+
+
+def test_cohomology_kernels_keep_their_traced_names_and_work():
+    """Exact work counts of one traced cohomology check on sl2xsl2-diagonal.
+
+    The Clifford product and the three Chevalley-Eilenberg operators must
+    still run under the names the tracer wraps, and do the same work: the
+    same calls, blade pairs and map sizes in and out.
+    """
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        ctx = dirac.DiracContext(catalog_entry("sl2xsl2-diagonal").algebra)
+        assert ctx.cohomology_check().passed
+    finally:
+        tracer.uninstall()
+    counts = {
+        name: tuple(tracer.stats[name][field] for field in ("calls", "pairs", "terms_in", "terms_out"))
+        for name in (
+            "clifford.Multivector.__mul__",
+            "forms.ce_differential",
+            "forms.lie_action",
+            "forms.insert_first",
+        )
+    }
+    assert counts == {
+        "clifford.Multivector.__mul__": (1513, 15860, 0, 14399),
+        "forms.ce_differential": (1890, 0, 834, 4296),
+        "forms.lie_action": (1554, 0, 1584, 1452),
+        "forms.insert_first": (3096, 0, 15876, 2646),
+    }

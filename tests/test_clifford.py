@@ -153,6 +153,49 @@ def test_product_matches_the_bit_walk(m):
         assert (a * b).terms == walk_product(a, b).terms
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def coprime_multivector(space, rng, terms):
+    """Coefficients whose denominators are distinct primes up to 97, so no two share a factor."""
+    dens = rng.sample(PRIMES, terms)
+    return Multivector(
+        space,
+        {rng.randrange(1 << space.dim): Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), d) for d in dens},
+    )
+
+
+def assert_product_matches_the_walk(a, b):
+    got = (a * b).terms
+    assert got == walk_product(a, b).terms
+    assert all(type(c) is Fraction and c for c in got.values())
+
+
+@pytest.mark.parametrize("m", (1, 4, 9))
+def test_product_over_coprime_denominators_matches_the_bit_walk(m):
+    """Operands over coprime denominators and a Gram with denominators 2..m+1."""
+    space = CliffordSpace(mixed_gram(m))
+    rng = random.Random(f"coprime-{m}")
+    scalar = Multivector(space, {0: Fraction(-7, 97)})
+    for _ in range(30):
+        a = coprime_multivector(space, rng, rng.randint(1, 8))
+        b = coprime_multivector(space, rng, rng.randint(1, 8))
+        for x, y in ((a, b), (b, a), (a, scalar), (scalar, a), (a, space.zero()), (space.zero(), a)):
+            assert_product_matches_the_walk(x, y)
+
+
+def test_product_that_cancels_completely_is_zero():
+    """x = 9/28 e1 + 1/7 e2 with Grams 2/3 and -27/8 squares to 0, so x (x z) = 0."""
+    space = CliffordSpace((Fraction(2, 3), Fraction(-27, 8), Fraction(5, 11)))
+    x = Multivector(space, {1: Fraction(9, 28), 2: Fraction(1, 7)})
+    assert (x * x).terms == {}
+    z = coprime_multivector(space, random.Random(7), 6)
+    xz = x * z
+    assert xz.terms and all(type(c) is Fraction for c in xz.terms.values())
+    assert (x * xz).terms == {}
+    assert walk_product(x, xz).terms == {}
+
+
 @pytest.mark.parametrize(
     "gram, square",
     [((Fraction(2, 3), Fraction(-5, 2)), {0: Fraction(-11, 6)}), ((Fraction(3), Fraction(-3)), {})],

@@ -331,6 +331,17 @@ def test_dv_square_witness_reproduces_the_failure_on_its_own():
     assert twisted_commutator(v, twisted_commutator(v, a)) != v * v * a - a * (v * v)
 
 
+def test_dv_derivation_law_holds_for_a_wrong_v():
+    """d_v(ab) = d_v(a) b + kappa(a) d_v(b) for every v: the kappa(a) v b terms
+    cancel.  So with an even part in v the derivation law still passes, and
+    the square law is the item that catches it."""
+    ctx = DiracContext(catalog_entry("sl2-killing").algebra)
+    ctx.v = ctx.v + ctx.space.blade((0, 1))
+    items = items_by_id(ctx.cohomology_check())
+    assert items["dv-derivation-law"].ok
+    assert not items["dv-square-is-v2-bracket"].ok
+
+
 def test_dv_derivation_witness_reproduces_the_failure_on_its_own(monkeypatch):
     """d_v(ab) = d_v(a) b + kappa(a) d_v(b) holds for every v, odd or not, so no
     change of v breaks it; a sign error in the twist does."""

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import abelian_named_sl2, unit_vector
+from conftest import abelian_named_sl2, tstar_heisenberg, unit_vector
 from cubicdirac.catalog import catalog_entry, catalog_names
 from cubicdirac.clifford import pairing
 from cubicdirac.dirac import DiracContext
@@ -300,24 +300,31 @@ def reference_algebra(name):
     if name == "sl2xsl2-diagonal#adapted":
         entry = catalog_entry("sl2xsl2-diagonal")
         return orthogonal_split(entry.algebra, entry.subalgebra).adapted
+    if name == "tstar-heisenberg#adapted":
+        # structure constants with denominators 2, 4 and 8, Grams 2 and -1/2
+        return orthogonal_split(tstar_heisenberg()).adapted
     return catalog_entry(name).algebra
 
 
-@pytest.mark.parametrize("name", [*catalog_names(), "sl2xsl2-diagonal#adapted"])
+@pytest.mark.parametrize("name", [*catalog_names(), "sl2xsl2-diagonal#adapted", "tstar-heisenberg#adapted"])
 def test_scatter_operators_match_the_dense_reference(name):
+    """Every result is also checked to store only nonzero Fractions."""
     g = reference_algebra(name)
     rng = random.Random(f"ce-{name}")
     for arity in range(4):
         for entries in (1, 3, g.dim**arity):
             w = random_map(rng, g, arity, entries)
-            assert ce_differential(w).terms == dense_differential(w).terms
+            results = [(ce_differential(w), dense_differential(w))]
             x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(g.dim))
-            assert lie_action(x, w).terms == dense_lie_action(x, w).terms
-            for i in range(g.dim):
-                e = unit(g.dim, i)
-                assert lie_action(e, w).terms == dense_lie_action(e, w).terms
+            y = tuple(Fraction(rng.randint(-5, 5), rng.choice((2, 3, 7))) for _ in range(g.dim))
+            for z in (x, y, *(unit(g.dim, i) for i in range(g.dim))):
+                results.append((lie_action(z, w), dense_lie_action(z, w)))
             if arity:
-                assert insert_first(x, w).terms == dense_insert_first(x, w).terms
+                for z in (x, y):
+                    results.append((insert_first(z, w), dense_insert_first(z, w)))
+            for got, want in results:
+                assert got.terms == want.terms
+                assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 def test_differential_matches_the_dense_reference_on_every_sl3_point_mass():
