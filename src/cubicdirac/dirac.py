@@ -118,7 +118,6 @@ class DiracContext:
         self.m = self.split.p_dim
         self.k = self.split.h_dim
         self.space = CliffordSpace(self.split.p_gram)
-        self.h_space = CliffordSpace(self.split.h_gram)
 
         self.v = multivector_from_trilinear(self.space, self._fundamental_value)
         self.casimir = casimir_element(self.adapted)
@@ -328,19 +327,20 @@ class DiracContext:
         n = g.dim
         items: list[CheckItem] = []
 
+        basis = [unit(n, i) for i in range(n)]
         b_form = MultilinearMap.from_matrix(g, g.form)
         items.append(
             CheckItem("dB-equals-2v", ce_differential(b_form) == 2 * form_of_trivector(g, v))
         )
 
         witness = None
-        for i in range(n):
-            if not lie_action(unit(n, i), b_form).is_zero():
+        for i, x in enumerate(basis):
+            if not lie_action(x, b_form).is_zero():
                 witness = g.labels[i]
                 break
         items.append(CheckItem("theta-B-vanishes", witness is None, witness))
 
-        items.append(self._cartan_item(g, n))
+        items.append(self._cartan_item(g, basis))
         items.append(self._d_squared_item(g, n))
         items.append(self._alternating_stability_item(g, n))
 
@@ -370,19 +370,19 @@ class DiracContext:
 
         return CheckOutcome("cohomology", tuple(items))
 
-    def _cartan_item(self, g: QuadraticLieAlgebra, n: int) -> CheckItem:
+    def _cartan_item(self, g: QuadraticLieAlgebra, basis: list) -> CheckItem:
         """iota_X d + d iota_X = theta_X on every point-mass form of arity <= 3.
 
         Point-mass (single-entry) tables span the whole space of multilinear
         maps and every operator involved is linear in the form, so this is an
-        exhaustive verification for arities 1..3.
+        exhaustive verification for arities 1..3, with X over `basis`, the
+        unit vectors of g.
         """
         for arity in range(1, 4):
-            for key in product(range(n), repeat=arity):
+            for key in product(range(len(basis)), repeat=arity):
                 w = MultilinearMap(g, arity, {key: 1})
                 dw = ce_differential(w)
-                for i in range(n):
-                    x = unit(n, i)
+                for i, x in enumerate(basis):
                     lhs = insert_first(x, dw) + ce_differential(insert_first(x, w))
                     if lhs != lie_action(x, w):
                         return CheckItem(
@@ -437,13 +437,15 @@ class DiracContext:
             raise ContractViolation("the decomposition check needs a nonzero subalgebra")
         ctx_h = DiracContext(self.h_algebra)
         ctx_g = DiracContext(self.adapted)
-        h_space = ctx_h.space
-        if h_space != self.h_space:
-            raise ContractViolation("internal: subalgebra Clifford carriers disagree")
+        space = ctx_g.space
+        if space.gram != self.space.gram + ctx_h.space.gram:
+            raise ContractViolation("internal: C(g) is not C(h_perp) (x)bar C(h) on concatenated blades")
 
-        dg3 = self._triple_from_full(ctx_g.dirac, h_space)
-        a3 = TripleTensorElement.from_tensor(self.dirac, h_space)
-        b3 = self._embed_h_tensor(ctx_h.dirac, h_space)
+        # h_perp blades are the low m bits of a C(g) blade, so D_g and
+        # D_{g/h} (x)bar 1 keep their terms over the concatenated space.
+        dg3 = TripleTensorElement(self.adapted, space, ctx_g.dirac.terms)
+        a3 = TripleTensorElement(self.adapted, space, self.dirac.terms)
+        b3 = self._embed_h_tensor(ctx_h.dirac, space)
 
         items = []
         ident = dg3 == a3 + b3
@@ -456,7 +458,7 @@ class DiracContext:
         )
         anti = (a3 * b3 + b3 * a3).is_zero()
         items.append(CheckItem("components-anticommute", anti))
-        squared = a3 * a3 == dg3 * dg3 - self._embed_h_tensor(ctx_h.dirac * ctx_h.dirac, h_space)
+        squared = a3 * a3 == dg3 * dg3 - self._embed_h_tensor(ctx_h.dirac * ctx_h.dirac, space)
         items.append(CheckItem("squared-consequence", squared))
 
         values: dict[str, Fraction] = {}
@@ -479,35 +481,27 @@ class DiracContext:
 
     # -- decomposition plumbing ----------------------------------------------
 
-    def _triple_from_full(self, t: TensorElement, h_space: CliffordSpace) -> TripleTensorElement:
-        """Split blades of C(g) (p directions first) into C(h_perp) (x)bar C(h).
-
-        With the adapted ordering every full blade is an increasing product of
-        p generators then h generators, so the identification carries no sign.
-        """
-        low = (1 << self.m) - 1
-        terms = {}
-        for (mono, mask), c in t.terms.items():
-            terms[(mono, mask & low, mask >> self.m)] = c
-        return TripleTensorElement(self.adapted, self.space, h_space, terms)
-
-    def _embed_h_tensor(self, t: TensorElement, h_space: CliffordSpace) -> TripleTensorElement:
-        """(Delta (x)bar 1) applied to an element of U(h) (x) C(h).
+    def _embed_h_tensor(self, t: TensorElement, space: CliffordSpace) -> TripleTensorElement:
+        """(Delta (x)bar 1) applied to an element of U(h) (x) C(h), over C(g).
 
         PBW monomials over h map multiplicatively through the diagonal
-        embedding (all images are even, so appending the h blade on the right
-        needs no sign).
+        embedding into U(g) (x) C(h_perp), whose blades are the low m bits.
+        The h blade goes on the high bits, hmask << m: it follows the h_perp
+        blade in ascending order, so the concatenation carries no sign.
         """
-        out = TripleTensorElement.zero(self.adapted, self.space, h_space)
+        out: dict = {}
         images: dict[tuple, TensorElement] = {}
-        for (mono, hmask), c in sorted(t.terms.items()):
+        for (mono, hmask), c in t.terms.items():
             if mono not in images:
                 acc = TensorElement.one(self.adapted, self.space)
                 for j in mono:
                     acc = acc * self.diagonal_embedding(j)
                 images[mono] = acc
-            out = out + TripleTensorElement.from_tensor(images[mono], h_space, hmask, c)
-        return out
+            high = hmask << self.m
+            for (umono, pmask), ci in images[mono].terms.items():
+                key = (umono, pmask | high)
+                out[key] = out.get(key, ZERO) + c * ci
+        return TripleTensorElement(self.adapted, space, out)
 
 
 def _alternating_triple(i: int, j: int, k: int) -> dict:

@@ -11,12 +11,12 @@ default to zero).  The three operators below are the coordinate formulas
 read backwards: each one walks the nonzero entries of w and scatters every
 entry into the output tuples it contributes to, so the work grows with the
 support of w, not with n^k.  d finds the pairs (x_s, x_t) whose bracket
-reaches a slot's index through the algebra's preimage index (the one behind
-`QuadraticLieAlgebra.bracket_preimage`); theta_X reads the rows of ad X off
-ad e_a for the a in the support of X, so on a basis vector it costs
-O(n + nnz(ad e_a)).  Both indexes hold the structure constants over one
-common denominator, and every operator adds integer numerators, building
-one Fraction per output tuple at the end.
+reaches a slot's index through the algebra's preimage index, and theta_X
+reads the rows of ad X off ad e_a for the a in the support of X, so on a
+basis vector it costs O(n + nnz(ad e_a)).  Both indexes come from
+`QuadraticLieAlgebra._structure_over_integers` and hold the structure
+constants over one common denominator; every operator adds integer
+numerators, building one Fraction per output tuple at the end.
 
 d raises arity by one and is capped so results stay within arity 4.  On
 alternating maps these are the usual Lie-algebra-cohomology operators with

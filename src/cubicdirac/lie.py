@@ -181,11 +181,6 @@ class QuadraticLieAlgebra:
         """[(k, coeff), ...] for [e_i, e_j]; empty tuple when the bracket vanishes."""
         return self._sparse[(i, j)]
 
-    def bracket_preimage(self, r: int):
-        """((a, b, c), ...): every ordered pair with [e_a, e_b] = ... + c e_r + ..."""
-        den, _, preimage = self._structure_over_integers()
-        return tuple((a, b, Fraction(c, den)) for a, b, c in preimage[r])
-
     def _structure_over_integers(self):
         """(P, ad, preimage): the structure constants times their common denominator P.
 

@@ -1,12 +1,20 @@
-"""Tensor products U(g) x C and U(g) x C x C' with the super sign rule.
+"""The tensor product U(g) x C with the super sign rule, and its graded triple.
 
-TensorElement lives in U(g) tensor C(h_perp); the two factors commute, so
+TensorElement lives in U(g) tensor C(V); the two factors commute, so
 multiplication is componentwise (the Z2-grading of a term is the parity of
-its Clifford blade).  TripleTensorElement lives in U(g) tensor C(h_perp)
-graded-tensor C(h): moving a C(h) blade past a C(h_perp) blade costs the
-Koszul sign (-1)^{|k| |c'|}.  Addition, scaling, equality, hashing and
-the carrier check come from the shared LinearCombination base; each class
-here supplies its carrier, its product and its repr.
+its Clifford blade).  Addition, scaling, equality, hashing and the carrier
+check come from the shared LinearCombination base; TensorElement supplies
+its carrier, its product and its repr.
+
+The graded triple U(g) x C(h_perp) (x)bar C(h) needs no second product.  For
+an orthogonal sum, C(h_perp + h) = C(h_perp) (x)bar C(h) (Chevalley), and in
+a basis with the h_perp vectors first (bits 0..m-1) and the h vectors after
+them, the blade p (x)bar h is the blade on the concatenated mask
+p | h << m.  The Clifford sign of (p_a h_a)(p_b h_b) is the sign of moving
+h_a past p_b, which is the Koszul sign (-1)^{|h_a| |p_b|}, times the signs of
+p_a p_b and h_a h_b, and the Gram product over the overlap splits the same
+way.  So TripleTensorElement is TensorElement over CliffordSpace(p_gram +
+h_gram), the Clifford space of g in its adapted basis.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from .clifford import CliffordSpace, Multivector, _blade_clifford
 from .envelope import PBWElement, pbw_normalize
 from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
-from .linalg import ZERO, as_scalar
+from .linalg import ZERO
 from .sparse import LinearCombination
 
 
@@ -75,7 +83,7 @@ class TensorElement(LinearCombination):
                         out[key] = acc
                     elif key in out:
                         del out[key]
-        return TensorElement(self.algebra, self.space, out)
+        return self._from_terms(self.carrier, out)
 
     def u_degree_terms(self, k: int) -> dict:
         return {key: c for key, c in self.terms.items() if len(key[0]) == k}
@@ -106,74 +114,15 @@ class TensorElement(LinearCombination):
         return " + ".join(bits)
 
 
-class TripleTensorElement(LinearCombination):
-    """Element of U(g) x C(h_perp) x C(h) with the graded product."""
+class TripleTensorElement(TensorElement):
+    """Element of U(g) x C(h_perp) (x)bar C(h), stored over C(h_perp + h).
 
-    __slots__ = ("algebra", "p_space", "h_space")
-    carrier_fields = ("algebra", "p_space", "h_space")
+    The product is TensorElement's, bound here so that bench/tracing.py
+    times the decomposition side's products under their own name.
+    """
 
-    def __init__(self, algebra, p_space: CliffordSpace, h_space: CliffordSpace, terms: dict):
-        self.algebra = algebra
-        self.p_space = p_space
-        self.h_space = h_space
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, algebra, p_space, h_space) -> "TripleTensorElement":
-        return cls(algebra, p_space, h_space, {})
-
-    @classmethod
-    def from_tensor(cls, t: TensorElement, h_space: CliffordSpace, h_mask: int = 0, coeff=1):
-        """t x (h blade); no sign, since the blade is appended on the right."""
-        c0 = as_scalar(coeff)
-        terms = {}
-        for (mono, pmask), c in t.terms.items():
-            terms[(mono, pmask, h_mask)] = c * c0
-        return cls(t.algebra, t.space, h_space, terms)
-
-    @staticmethod
-    def _key_parity(key) -> int:
-        """Total Clifford parity |p-blade| + |h-blade| mod 2."""
-        return (key[1].bit_count() + key[2].bit_count()) & 1
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__rmul__(other)
-        self._check(other)
-        out: dict = {}
-        for (ma, pa, ha), ca in self.terms.items():
-            for (mb, pb, hb), cb in other.terms.items():
-                # Koszul sign: h-blade of the left factor passes the
-                # h_perp-blade of the right factor
-                sign = -1 if (ha.bit_count() & 1) and (pb.bit_count() & 1) else 1
-                p_coeff, pmask = _blade_clifford(self.p_space, pa, pb)
-                h_coeff, hmask = _blade_clifford(self.h_space, ha, hb)
-                factor = sign * ca * cb * p_coeff * h_coeff
-                if not factor:
-                    continue
-                for mono, mc in _mono_mul(self.algebra, ma, mb).items():
-                    key = (mono, pmask, hmask)
-                    acc = out.get(key, ZERO) + factor * mc
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
-        return TripleTensorElement(self.algebra, self.p_space, self.h_space, out)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        labels = self.algebra.labels
-        bits = []
-        for (mono, pmask, hmask) in sorted(
-            self.terms, key=lambda k: (len(k[0]), k[0], k[1], k[2])
-        ):
-            c = self.terms[(mono, pmask, hmask)]
-            u = "*".join(labels[i] for i in mono) if mono else "1"
-            p = "^".join(f"e{i + 1}" for i in range(self.p_space.dim) if pmask >> i & 1) or "1"
-            h = "^".join(f"f{i + 1}" for i in range(self.h_space.dim) if hmask >> i & 1) or "1"
-            bits.append(f"{c}*[{u} (x) {p} (x) {h}]")
-        return " + ".join(bits)
+    __slots__ = ()
+    __mul__ = TensorElement.__mul__
 
 
 def graded_commutator(a, b):

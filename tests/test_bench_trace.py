@@ -65,32 +65,42 @@ def test_tracer_sees_the_validation_layers():
         assert tracer.stats[name]["calls"] > 0, name
 
 
-def test_cohomology_kernels_keep_their_traced_names_and_work():
-    """Exact work counts of one traced cohomology check on sl2xsl2-diagonal.
-
-    The Clifford product and the three Chevalley-Eilenberg operators must
-    still run under the names the tracer wraps, and do the same work: the
-    same calls, blade pairs and map sizes in and out.
-    """
-    tracer = load_tracing().Tracer()
-    try:
-        tracer.install()
-        ctx = dirac.DiracContext(catalog_entry("sl2xsl2-diagonal").algebra)
-        assert ctx.cohomology_check().passed
-    finally:
-        tracer.uninstall()
-    counts = {
-        name: tuple(tracer.stats[name][field] for field in ("calls", "pairs", "terms_in", "terms_out"))
-        for name in (
-            "clifford.Multivector.__mul__",
-            "forms.ce_differential",
-            "forms.lie_action",
-            "forms.insert_first",
-        )
-    }
-    assert counts == {
+PINNED_COUNTS = {
+    # one cohomology check on sl2xsl2-diagonal (absolute): the Clifford
+    # product and the three Chevalley-Eilenberg operators
+    ("cohomology_check", False): {
         "clifford.Multivector.__mul__": (1513, 15860, 0, 14399),
         "forms.ce_differential": (1890, 0, 834, 4296),
         "forms.lie_action": (1554, 0, 1584, 1452),
         "forms.insert_first": (3096, 0, 15876, 2646),
-    }
+    },
+    # one decomposition check on sl2xsl2-diagonal over its diagonal sl(2):
+    # the pair products and the graded triple products
+    ("decomposition_check", True): {
+        "tensor.TensorElement.__mul__": (16, 177, 0, 51),
+        "tensor.TripleTensorElement.__mul__": (4, 151, 0, 55),
+    },
+}
+
+
+def test_cohomology_kernels_keep_their_traced_names_and_work():
+    """Exact work counts of traced checks on sl2xsl2-diagonal.
+
+    The product kernels and the three Chevalley-Eilenberg operators must
+    still run under the names the tracer wraps, and do the same work: the
+    same calls, term pairs and sizes in and out.
+    """
+    entry = catalog_entry("sl2xsl2-diagonal")
+    for (check, with_subalgebra), expected in PINNED_COUNTS.items():
+        tracer = load_tracing().Tracer()
+        try:
+            tracer.install()
+            ctx = dirac.DiracContext(entry.algebra, entry.subalgebra if with_subalgebra else ())
+            assert getattr(ctx, check)().passed
+        finally:
+            tracer.uninstall()
+        counts = {
+            name: tuple(tracer.stats[name][field] for field in ("calls", "pairs", "terms_in", "terms_out"))
+            for name in expected
+        }
+        assert counts == expected, check

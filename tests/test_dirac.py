@@ -233,6 +233,25 @@ def test_decomposition_requires_a_subalgebra(contexts):
         contexts("sl2-killing").decomposition_check()
 
 
+def test_decomposition_fails_without_the_spin_lift(monkeypatch):
+    """With Delta(y) = y (x) 1, the spin lift dropped, the decomposition breaks.
+
+    The identity's witness counts the terms of
+    D_g - (D_{g/h} (x)bar 1 + (Delta (x)bar 1)(D_h)); the relative residual
+    is no longer a scalar, so c_rel is missing.
+    """
+    monkeypatch.setattr(dirac, "spin_lift", lambda space, nu: space.zero())
+    entry = catalog_entry("sl2xsl2-diagonal")
+    outcome = DiracContext(entry.algebra, entry.subalgebra).decomposition_check()
+    assert [(item.item_id, item.ok, item.witness) for item in outcome.items] == [
+        ("decomposition-identity", False, "3 mismatched terms"),
+        ("components-anticommute", False, None),
+        ("squared-consequence", False, None),
+        ("c-additivity", False, "c_rel=None c_g=1/4 c_h=1/16"),
+    ]
+    assert outcome.values == {"c_g": Fraction(1, 4), "c_h": Fraction(1, 16)}
+
+
 def transport(source_ctx, target_ctx):
     """Rewrite source's Dirac element in target's adapted basis."""
     move = target_ctx.split.to_adapted @ source_ctx.split.from_adapted

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import unit_vector
+from conftest import tstar_heisenberg, unit_vector
 from cubicdirac.catalog import catalog_entry, catalog_names, heisenberg_brackets, sl2_brackets
 from cubicdirac.errors import (
     ContractViolation,
@@ -321,16 +321,25 @@ def test_sparse_store_agrees_with_the_dense_table():
 
 
 def test_bracket_preimage_lists_every_pair_reaching_a_basis_vector():
-    g = catalog_entry("sl2xsl2-diagonal").algebra
-    table = g.bracket_table()
-    for r in range(g.dim):
-        expected = tuple(
-            (a, b, c)
-            for a in range(g.dim)
-            for b in range(g.dim)
-            if (c := dense_bracket(g.dim, table, a, b)[r])
-        )
-        assert g.bracket_preimage(r) == expected
+    """The integer preimage index over its denominator is the dense bracket.
+
+    The adapted T*-Heisenberg algebra has structure constants over 2, 4 and
+    8, so the denominator is not 1 there.
+    """
+    dens = []
+    for g in (catalog_entry("sl2xsl2-diagonal").algebra, orthogonal_split(tstar_heisenberg()).adapted):
+        table = g.bracket_table()
+        den, _, preimage = g._structure_over_integers()
+        dens.append(den)
+        for r in range(g.dim):
+            expected = tuple(
+                (a, b, c)
+                for a in range(g.dim)
+                for b in range(g.dim)
+                if (c := dense_bracket(g.dim, table, a, b)[r])
+            )
+            assert tuple((a, b, Fraction(c, den)) for a, b, c in preimage[r]) == expected
+    assert dens[1] > 1
 
 
 @pytest.mark.parametrize(
