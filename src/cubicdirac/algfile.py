@@ -11,6 +11,7 @@ floats are rejected outright, both as JSON numbers and as strings like
       "dimension": 3,                       at most MAX_DIMENSION
       "basis_labels": ["e", "h", "f"],
       "brackets": [{"i": 0, "j": 1, "terms": [[0, "-2"]]}, ...],
+                                            at most MAX_BRACKET_TERMS terms in all
       "form": ["8", "0", ...],              row-major, dimension^2 entries
       "subalgebra": [["1", "0", "0"], ...], optional spanning vectors
       "field": "rational"                   optional, reserved
@@ -38,6 +39,9 @@ FORMAT_VERSION = 1
 # validation visits all dimension^3 basis triples, so larger documents are
 # refused before anything is expanded
 MAX_DIMENSION = 64
+# each basis triple sums over the bracket terms, so a dense table is refused
+# too, before any coefficient is parsed
+MAX_BRACKET_TERMS = MAX_DIMENSION * MAX_DIMENSION
 RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
 
 _REQUIRED_KEYS = ("format", "version", "name", "dimension", "basis_labels", "brackets", "form")
@@ -106,6 +110,13 @@ def parse_algebra_text(text: str):
     raw_brackets = doc["brackets"]
     if not isinstance(raw_brackets, list):
         raise AlgebraFileError("brackets must be a list")
+    term_count = sum(
+        len(record["terms"])
+        for record in raw_brackets
+        if isinstance(record, dict) and isinstance(record.get("terms"), list)
+    )
+    if term_count > MAX_BRACKET_TERMS:
+        raise AlgebraFileError(f"{term_count} bracket terms exceed the maximum {MAX_BRACKET_TERMS}")
     table = {}
     for pos, record in enumerate(raw_brackets):
         where = f"brackets[{pos}]"

@@ -348,8 +348,39 @@ def twisted_commutator(v: Multivector, a: Multivector) -> Multivector:
 
     For odd v this operator is an odd derivation of the Clifford algebra and
     its square is the plain commutator with v*v.
+
+    One pass over the blade pairs: e_V e_A and kappa(e_A) e_V land on the
+    same blade V ^ A with the same Gram product g over V & A, with signs
+    (-1)^sw(V,A) and (-1)^(|A| + sw(A,V)), where sw(V,A) + sw(A,V) =
+    |V||A| - |V & A|.  So a pair adds 2 (-1)^sw(V,A) g when
+    |A|(|V| + 1) + |V & A| is odd and nothing otherwise: for odd V when
+    |A & V| is odd, for even V when |A & ~V| is odd.  The numerators add
+    over D_v D_a Q as in `Multivector.__mul__`.
     """
-    return v * a - a.grade_involution() * v
+    v._check(a)
+    space = v.space
+    grams = space._overlap_integers
+    den_v, left = _integer_terms(v.terms)
+    den_a, right = _integer_terms(a.terms)
+    out: dict[int, int] = {}
+    for mv, nv in left:
+        p = _swap_prefix(mv)
+        t = mv if mv.bit_count() & 1 else ~mv
+        nv2 = 2 * nv
+        for ma, na in right:
+            if not (t & ma).bit_count() & 1:
+                continue
+            overlap = mv & ma
+            g = grams.get(overlap)
+            if g is None:
+                g = space._gram_integer(overlap)
+            c = nv2 * na * g
+            mask = mv ^ ma
+            if (p & ma).bit_count() & 1:
+                out[mask] = out.get(mask, 0) - c
+            else:
+                out[mask] = out.get(mask, 0) + c
+    return Multivector._from_terms((space,), _fractions_over(out, den_v * den_a * space._gram_den))
 
 
 def spin_lift(space: CliffordSpace, a: Matrix) -> Multivector:

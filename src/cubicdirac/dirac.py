@@ -170,12 +170,16 @@ class DiracContext:
             self._delta_casimir = acc
         return self._delta_casimir
 
+    @cached_property
+    def _dirac_square(self) -> TensorElement:
+        """D^2, computed once for the residual and the decomposition check."""
+        return self.dirac * self.dirac
+
     def residual(self) -> TensorElement:
         """D^2 - Omega_g (x) 1 + Delta(Omega_h); a scalar by the main theorem."""
         if self._residual is None:
-            d2 = self.dirac * self.dirac
             omega = TensorElement.from_parts(self.casimir, self.space.one())
-            self._residual = d2 - omega + self.delta_casimir()
+            self._residual = self._dirac_square - omega + self.delta_casimir()
         return self._residual
 
     def c_value(self) -> Fraction | None:
@@ -318,7 +322,9 @@ class DiracContext:
         `dv-derivation-law`, d_v(ab) = d_v(a) b + kappa(a) d_v(b), holds for
         every v, odd or not (the kappa(a) v b terms cancel), so it checks the
         Clifford product and kappa, not v.  The items that depend on v are
-        `dv-square-is-v2-bracket` and `delta-plus-dv-vanishes`.
+        `dv-square-is-v2-bracket` and `delta-plus-dv-vanishes`.  Both laws
+        keep their right-hand sides on the generic product, so each also
+        checks the one-pass `twisted_commutator` against it.
         """
         ctx = self if self.k == 0 else DiracContext(self.algebra)
         g = ctx.adapted
@@ -442,9 +448,13 @@ class DiracContext:
             raise ContractViolation("internal: C(g) is not C(h_perp) (x)bar C(h) on concatenated blades")
 
         # h_perp blades are the low m bits of a C(g) blade, so D_g and
-        # D_{g/h} (x)bar 1 keep their terms over the concatenated space.
-        dg3 = TripleTensorElement(self.adapted, space, ctx_g.dirac.terms)
-        a3 = TripleTensorElement(self.adapted, space, self.dirac.terms)
+        # D_{g/h} (x)bar 1, and their squares, keep their terms over the
+        # concatenated space.
+        def over_g(t: TensorElement) -> TripleTensorElement:
+            return TripleTensorElement(self.adapted, space, t.terms)
+
+        dg3 = over_g(ctx_g.dirac)
+        a3 = over_g(self.dirac)
         b3 = self._embed_h_tensor(ctx_h.dirac, space)
 
         items = []
@@ -458,7 +468,11 @@ class DiracContext:
         )
         anti = (a3 * b3 + b3 * a3).is_zero()
         items.append(CheckItem("components-anticommute", anti))
-        squared = a3 * a3 == dg3 * dg3 - self._embed_h_tensor(ctx_h.dirac * ctx_h.dirac, space)
+        # the squares the residuals took: D_g^2 over C(g) is the product
+        # dg3 * dg3, and D_{g/h}^2 over C(h_perp) the product a3 * a3
+        squared = over_g(self._dirac_square) == (
+            over_g(ctx_g._dirac_square) - self._embed_h_tensor(ctx_h._dirac_square, space)
+        )
         items.append(CheckItem("squared-consequence", squared))
 
         values: dict[str, Fraction] = {}

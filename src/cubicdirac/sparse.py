@@ -59,7 +59,15 @@ class LinearCombination:
         return self._from_terms(self.carrier, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            acc = out.get(key, ZERO) - c
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+        return self._from_terms(self.carrier, out)
 
     def __neg__(self):
         return self._from_terms(self.carrier, {key: -c for key, c in self.terms.items()})

@@ -2,12 +2,14 @@
 
 import json
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cubicdirac import algfile
-from cubicdirac.algfile import MAX_DIMENSION, emit_algebra_text, parse_algebra_text
+from cubicdirac.algfile import MAX_BRACKET_TERMS, MAX_DIMENSION, emit_algebra_text, parse_algebra_text
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
 from cubicdirac.errors import AlgebraFileError, ValidationError
 
@@ -276,3 +278,57 @@ def test_dimension_above_the_cap_is_rejected_before_any_algebra_is_built(monkeyp
     assert built == []
     parse_doc(identity_doc(MAX_DIMENSION))
     assert built == [MAX_DIMENSION]
+
+
+def bracket_doc(term_count):
+    """A 64-dimensional abelian document whose brackets list term_count zero terms."""
+    doc = identity_doc(MAX_DIMENSION)
+    pairs = ((i, j) for i in range(MAX_DIMENSION) for j in range(i + 1, MAX_DIMENSION))
+    while term_count:
+        i, j = next(pairs)
+        size = min(term_count, MAX_DIMENSION)
+        doc["brackets"].append({"i": i, "j": j, "terms": [[k, "0"] for k in range(size)]})
+        term_count -= size
+    return doc
+
+
+def test_bracket_terms_above_the_cap_are_rejected_before_any_coefficient_is_parsed(monkeypatch):
+    assert MAX_BRACKET_TERMS == MAX_DIMENSION**2
+    parsed = []
+    coefficient = algfile._coefficient
+
+    def recording(raw, where):
+        parsed.append(where)
+        return coefficient(raw, where)
+
+    monkeypatch.setattr(algfile, "_coefficient", recording)
+    with pytest.raises(AlgebraFileError, match=f"4097 bracket terms exceed the maximum {MAX_BRACKET_TERMS}"):
+        parse_doc(bracket_doc(MAX_BRACKET_TERMS + 1))
+    assert parsed == []
+    algebra, _ = parse_doc(bracket_doc(MAX_BRACKET_TERMS))
+    assert algebra.dim == MAX_DIMENSION
+    assert len(parsed) == MAX_BRACKET_TERMS + MAX_DIMENSION**2
+
+
+def test_catalog_and_benchmark_documents_are_under_the_bracket_cap(monkeypatch):
+    """The documents bench/workloads.py builds for each workload, seed 1.
+
+    The oracle's values only label the calls, so they are stubbed out, and
+    the algebras beyond the catalog are built once for the three workloads.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import gen
+    import workloads
+
+    monkeypatch.setattr(gen, "oracle_values", lambda spec, use_subalgebra: defaultdict(Fraction))
+    extra = workloads.extra_specs(workloads.catalog_spec("sl3-killing"))
+    monkeypatch.setattr(workloads, "extra_specs", lambda sl3: extra)
+    texts = [emit_algebra_text(catalog_entry(name).algebra, catalog_entry(name).subalgebra) for name in CATALOG_NAMES]
+    for workload in ("operator", "cohomology", "generated"):
+        docs, _ = workloads.build(workload, 1)
+        texts += [gen.document(spec) for spec in docs.values()]
+    assert len(texts) == 8 + 13 + 3 + 22
+    for text in texts:
+        terms = sum(len(record["terms"]) for record in json.loads(text)["brackets"])
+        assert terms <= MAX_BRACKET_TERMS
+        parse_algebra_text(text)

@@ -65,20 +65,24 @@ def test_tracer_sees_the_validation_layers():
         assert tracer.stats[name]["calls"] > 0, name
 
 
+FIELDS = ("calls", "pairs", "terms_in", "terms_out")
 PINNED_COUNTS = {
     # one cohomology check on sl2xsl2-diagonal (absolute): the Clifford
-    # product and the three Chevalley-Eilenberg operators
+    # product, the twisted commutator (calls only: it makes no Clifford
+    # product of its own) and the three Chevalley-Eilenberg operators
     ("cohomology_check", False): {
-        "clifford.Multivector.__mul__": (1513, 15860, 0, 14399),
+        "clifford.Multivector.__mul__": (501, 4796, 0, 4505),
+        "clifford.twisted_commutator": (506,),
         "forms.ce_differential": (1890, 0, 834, 4296),
         "forms.lie_action": (1554, 0, 1584, 1452),
         "forms.insert_first": (3096, 0, 15876, 2646),
     },
     # one decomposition check on sl2xsl2-diagonal over its diagonal sl(2):
-    # the pair products and the graded triple products
+    # the pair products and the graded triple products; the squared
+    # consequence reads the squares the residuals took
     ("decomposition_check", True): {
-        "tensor.TensorElement.__mul__": (16, 177, 0, 51),
-        "tensor.TripleTensorElement.__mul__": (4, 151, 0, 55),
+        "tensor.TensorElement.__mul__": (15, 161, 0, 47),
+        "tensor.TripleTensorElement.__mul__": (2, 42, 0, 42),
     },
 }
 
@@ -88,7 +92,8 @@ def test_cohomology_kernels_keep_their_traced_names_and_work():
 
     The product kernels and the three Chevalley-Eilenberg operators must
     still run under the names the tracer wraps, and do the same work: the
-    same calls, term pairs and sizes in and out.
+    same calls, term pairs and sizes in and out.  A pin lists a prefix of
+    (calls, pairs, terms_in, terms_out).
     """
     entry = catalog_entry("sl2xsl2-diagonal")
     for (check, with_subalgebra), expected in PINNED_COUNTS.items():
@@ -100,7 +105,7 @@ def test_cohomology_kernels_keep_their_traced_names_and_work():
         finally:
             tracer.uninstall()
         counts = {
-            name: tuple(tracer.stats[name][field] for field in ("calls", "pairs", "terms_in", "terms_out"))
-            for name in expected
+            name: tuple(tracer.stats[name][field] for field in FIELDS[: len(pin)])
+            for name, pin in expected.items()
         }
         assert counts == expected, check

@@ -407,6 +407,59 @@ def test_twisted_commutator_with_unit_vanishes(space3):
     assert twisted_commutator(v, space3.one()).is_zero()
 
 
+def reference_twisted_commutator(v, a):
+    """v a - kappa(a) v through two generic products: the reference for the one-pass kernel."""
+    return v * a - a.grade_involution() * v
+
+
+def assert_twist_matches_the_reference(v, a):
+    got = twisted_commutator(v, a).terms
+    assert got == reference_twisted_commutator(v, a).terms
+    assert all(type(c) is Fraction and c for c in got.values())
+
+
+def graded_multivector(space, rng, terms, parity):
+    """A coprime_multivector on blades of one parity."""
+    masks = [m for m in range(1 << space.dim) if m.bit_count() & 1 == parity]
+    return Multivector(
+        space,
+        {rng.choice(masks): Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), d) for d in rng.sample(PRIMES, terms)},
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("kind", ("odd", "even", "inhomogeneous"))
+def test_twisted_commutator_matches_the_two_products(m, kind):
+    """Any v, over coprime denominators up to 97 and a Gram with denominators 2..m+1."""
+    space = CliffordSpace(mixed_gram(m))
+    rng = random.Random(f"twist-{kind}-{m}")
+    scalar = Multivector(space, {0: Fraction(-7, 97)})
+    for _ in range(20):
+        if kind == "inhomogeneous":
+            v = graded_multivector(space, rng, rng.randint(1, 4), 1) + graded_multivector(space, rng, rng.randint(1, 4), 0)
+            assert v.parity() is None
+        else:
+            v = graded_multivector(space, rng, rng.randint(1, 8), kind == "odd")
+        a = coprime_multivector(space, rng, rng.randint(1, 8))
+        for x in (a, v, scalar, space.zero()):
+            assert_twist_matches_the_reference(v, x)
+        assert_twist_matches_the_reference(space.zero(), a)
+        assert_twist_matches_the_reference(scalar, a)
+
+
+def test_twisted_commutator_that_cancels_completely_is_zero():
+    """x = 9/28 e1 + 1/7 e2 with Grams 2/3 and -27/8 squares to 0, so for odd x
+    d_x(x) = 2 x^2 = 0 and d_x(d_x(z)) = [x^2, z] = 0 while d_x(z) is not."""
+    space = CliffordSpace((Fraction(2, 3), Fraction(-27, 8), Fraction(5, 11)))
+    x = Multivector(space, {1: Fraction(9, 28), 2: Fraction(1, 7)})
+    assert twisted_commutator(x, x).terms == {}
+    z = coprime_multivector(space, random.Random(7), 6)
+    dz = twisted_commutator(x, z)
+    assert dz.terms and dz == reference_twisted_commutator(x, z)
+    assert twisted_commutator(x, dz).terms == {}
+    assert reference_twisted_commutator(x, dz).terms == {}
+
+
 def test_spin_lift_of_a_rotation():
     space = CliffordSpace((Fraction(1), Fraction(1)))
     rotation = Matrix([[0, -1], [1, 0]])
