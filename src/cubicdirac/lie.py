@@ -6,7 +6,10 @@ given per unordered basis pair (i < j) as a coefficient vector and stored
 sparsely, per ordered pair, as the nonzero terms ((k, c), ...) of
 [e_i, e_j] = sum c e_k; the constructor validates antisymmetry conventions,
 the Jacobi identity, non-degeneracy and ad-invariance eagerly, so an
-instance is always a genuine quadratic Lie algebra.
+instance is always a genuine quadratic Lie algebra.  The two identity checks
+write the structure constants, and the form, over one common denominator and
+add integer numerators over the nonzero brackets and form entries only; they
+test sums against zero, which the positive scale does not change.
 
 `orthogonal_split` decomposes g = h + h_perp for a non-degenerate subalgebra
 h, produces B-orthogonal bases of both parts (over Q one cannot normalize, so
@@ -72,34 +75,71 @@ def _sparse_brackets(dim: int, table: BracketTable) -> SparseBrackets:
     return out
 
 
+def _integer_brackets(dim: int, sparse: SparseBrackets) -> tuple[int, list[dict]]:
+    """(P, ad) with ad[i][j] = [(k, P c), ...] for each nonzero [e_i, e_j] = sum c e_k.
+
+    P is the common denominator of the structure constants, and each ad[i]
+    lists its j in increasing order.
+    """
+    den, flat = _integer_terms(
+        {(i, j, k): c for (i, j), terms in sparse.items() for k, c in terms}
+    )
+    ad: list[dict] = [{} for _ in range(dim)]
+    for (i, j, k), c in flat:
+        ad[i].setdefault(j, []).append((k, c))
+    return den, ad
+
+
 def check_jacobi(dim: int, table: BracketTable):
     """None if the Jacobi identity holds; otherwise the first failing (i,j,k)."""
-    br = _sparse_brackets(dim, table)
+    _, ad = _integer_brackets(dim, _sparse_brackets(dim, table))
     for i in range(dim):
+        ad_i = ad[i]
         for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
+            ad_j = ad[j]
+            vij = ad_i.get(j)
+            # without [e_i, e_j], only a k with [e_j, e_k] or [e_k, e_i] can fail
+            ks = range(j + 1, dim) if vij else sorted(k for k in {*ad_i, *ad_j} if k > j)
+            for k in ks:
                 total = {}
-                for pair, last in (((i, j), k), ((j, k), i), ((k, i), j)):
-                    for a, c in br[pair]:
-                        for t, d in br[(a, last)]:
-                            total[t] = total.get(t, ZERO) + c * d
+                for terms, last in ((vij, k), (ad_j.get(k), i), (ad[k].get(i), j)):
+                    for a, c in terms or ():
+                        for t, d in ad[a].get(last, ()):
+                            total[t] = total.get(t, 0) + c * d
                 if any(total.values()):
                     return (i, j, k)
     return None
 
 
 def check_ad_invariance(dim: int, table: BracketTable, form: Matrix):
-    """None if B([x,y],z) + B(y,[x,z]) = 0 on all basis triples; else (i,j,k)."""
-    br = _sparse_brackets(dim, table)
-    for i in range(dim):
-        for j in range(dim):
-            vij = br[(i, j)]
-            row_j = form.row(j)
-            for k in range(dim):
-                s = sum((c * form.entry(a, k) for a, c in vij), ZERO)
-                s += sum((row_j[a] * c for a, c in br[(i, k)]), ZERO)
-                if s != 0:
-                    return (i, j, k)
+    """None if B([x,y],z) + B(y,[x,z]) = 0 on all basis triples; else (i,j,k).
+
+    For each i, the sums over all (j, k) are scattered from the nonzero
+    [e_i, e_j] and the nonzero form entries, and the witness is the least
+    failing (j, k) of the first i that has one.
+    """
+    _, ad = _integer_brackets(dim, _sparse_brackets(dim, table))
+    _, entries = _integer_terms(
+        {(a, k): b for a in range(dim) for k, b in enumerate(form.row(a)) if b}
+    )
+    rows: list[list] = [[] for _ in range(dim)]
+    cols: list[list] = [[] for _ in range(dim)]
+    for (a, k), b in entries:
+        rows[a].append((k, b))
+        cols[k].append((a, b))
+    for i, ad_i in enumerate(ad):
+        s: dict = {}
+        for j, terms in ad_i.items():
+            for a, c in terms:
+                for k, b in rows[a]:
+                    s[j, k] = s.get((j, k), 0) + c * b
+        for k, terms in ad_i.items():
+            for a, c in terms:
+                for j, b in cols[a]:
+                    s[j, k] = s.get((j, k), 0) + b * c
+        failing = [jk for jk, v in s.items() if v]
+        if failing:
+            return (i, *min(failing))
     return None
 
 
@@ -190,15 +230,15 @@ class QuadraticLieAlgebra:
         operators do not pay for it.
         """
         if self._integer_structure is None:
-            den, flat = _integer_terms(
-                {(a, s, r): c for (a, s), terms in self._sparse.items() for r, c in terms}
+            den, rows = _integer_brackets(self.dim, self._sparse)
+            ad = tuple(
+                tuple((s, r, c) for s, terms in row.items() for r, c in terms) for row in rows
             )
-            ad: list[list] = [[] for _ in range(self.dim)]
             preimage: list[list] = [[] for _ in range(self.dim)]
-            for (a, s, r), c in flat:
-                ad[a].append((s, r, c))
-                preimage[r].append((a, s, c))
-            self._integer_structure = den, tuple(map(tuple, ad)), tuple(map(tuple, preimage))
+            for a, row in enumerate(ad):
+                for s, r, c in row:
+                    preimage[r].append((a, s, c))
+            self._integer_structure = den, ad, tuple(map(tuple, preimage))
         return self._integer_structure
 
     def _coordinates(self, *vectors: Sequence):

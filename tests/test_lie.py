@@ -1,5 +1,6 @@
 """Lie algebra layer: structure validation, Killing form, orthogonal splits."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from cubicdirac.lie import (
     orthogonal_split,
     subalgebra_action,
 )
-from cubicdirac.linalg import Matrix, vector
+from cubicdirac.linalg import Matrix, invert, rank, vector
 
 
 @pytest.fixture(scope="module")
@@ -234,15 +235,19 @@ def dense_jacobi(dim, table):
     return None
 
 
+def dense_ad_defect(dim, table, form, i, j, k):
+    """B([e_i, e_j], e_k) + B(e_j, [e_i, e_k]), reading row j of the form."""
+    vij = dense_bracket(dim, table, i, j)
+    vik = dense_bracket(dim, table, i, k)
+    s = sum((vij[a] * form.entry(a, k) for a in range(dim)), Fraction(0))
+    return s + sum((form.entry(j, a) * vik[a] for a in range(dim)), Fraction(0))
+
+
 def dense_ad_invariance(dim, table, form):
     for i in range(dim):
         for j in range(dim):
-            vij = dense_bracket(dim, table, i, j)
             for k in range(dim):
-                vik = dense_bracket(dim, table, i, k)
-                s = sum((vij[a] * form.entry(a, k) for a in range(dim)), Fraction(0))
-                s += sum((form.entry(j, a) * vik[a] for a in range(dim)), Fraction(0))
-                if s != 0:
+                if dense_ad_defect(dim, table, form, i, j, k) != 0:
                     return (i, j, k)
     return None
 
@@ -305,6 +310,118 @@ def test_ad_invariance_matches_dense_reference_on_a_non_symmetric_form():
     form = Matrix(rows)
     table = g.bracket_table()
     assert check_ad_invariance(3, table, form) == dense_ad_invariance(3, table, form) == (0, 0, 2)
+
+
+def test_ad_invariance_witness_is_the_least_failing_pair_of_its_row():
+    """Killing form of sl(2) plus B(e, e) = 1: for i = e exactly (e, h) and (h, e) fail.
+
+    The kernel meets (h, e) first, from [e, h] = -2e and row e of the form,
+    and (e, h) only afterwards, from column e; the witness is still the
+    least pair, as in the triple loop.
+    """
+    g = catalog_entry("sl2-killing").algebra
+    rows = [list(g.form.row(r)) for r in range(3)]
+    rows[0][0] += 1
+    form = Matrix(rows)
+    table = g.bracket_table()
+    failing = [
+        (j, k) for j in range(3) for k in range(3) if dense_ad_defect(3, table, form, 0, j, k) != 0
+    ]
+    assert failing == [(0, 1), (1, 0)]
+    assert check_ad_invariance(3, table, form) == dense_ad_invariance(3, table, form) == (0, 0, 1)
+
+
+def changed_basis(g, seed):
+    """g's bracket table and form in a seeded random basis of Q^n.
+
+    The new basis vectors are the columns of an invertible matrix with
+    entries a/b, |a| <= 2 and 1 <= b <= 4, so the structure constants and
+    the form, which is not diagonal, have denominators.
+    """
+    rng = random.Random(seed)
+    n = g.dim
+    while True:
+        p = Matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            break
+    inverse, cols = invert(p), p.columns()
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = g.bracket(cols[i], cols[j])
+            if any(br):
+                table[(i, j)] = inverse.mat_vec(br)
+    return table, p.transpose() @ g.form @ p
+
+
+def test_validation_matches_dense_reference_with_denominators_and_non_diagonal_forms():
+    """Adapted T*-Heisenberg (constants over 2, 4 and 8) and sl(2), sl(3) in a random basis.
+
+    Each clean input passes; single coefficients are shifted by 1/3 (all of
+    them below dimension 8, a seeded sample of 40 on sl(3)) and one form
+    entry of sl(3), with its mirror, is shifted by 1/3; every verdict and
+    witness equals the dense reference's.
+    """
+    rng = random.Random(10)
+    adapted = orthogonal_split(tstar_heisenberg()).adapted
+    cases = [(adapted.dim, adapted.bracket_table(), adapted.form)]
+    for name, seed in (("sl2-killing", 1), ("sl3-killing", 2)):
+        g = catalog_entry(name).algebra
+        cases.append((g.dim, *changed_basis(g, seed)))
+    assert all(any(c.denominator > 1 for v in table.values() for c in v) for _, table, _ in cases)
+    assert not cases[2][2].is_diagonal() and any(c.denominator > 1 for c in cases[2][2].row(0))
+    witnesses = []
+    for n, clean, form in cases:
+        assert check_jacobi(n, clean) is None
+        assert check_ad_invariance(n, clean, form) is None
+        positions = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+        if n == 8:
+            positions = rng.sample(positions, 40)
+        for i, j, k in positions:
+            table = dict(clean)
+            coeffs = list(table.get((i, j), (Fraction(0),) * n))
+            coeffs[k] += Fraction(1, 3)
+            table[(i, j)] = tuple(coeffs)
+            table = normalize_brackets(n, table)
+            witnesses.append(check_jacobi(n, table))
+            assert witnesses[-1] == dense_jacobi(n, table)
+            witnesses.append(check_ad_invariance(n, table, form))
+            assert witnesses[-1] == dense_ad_invariance(n, table, form)
+    n, clean, form = cases[2]
+    rows = [list(form.row(r)) for r in range(n)]
+    rows[2][5] += Fraction(1, 3)
+    rows[5][2] += Fraction(1, 3)
+    shifted = Matrix(rows)
+    witnesses.append(check_ad_invariance(n, clean, shifted))
+    assert witnesses[-1] == dense_ad_invariance(n, clean, shifted) is not None
+    # both verdicts occur, and the failures spread over many witnesses
+    assert None in witnesses and len(set(witnesses)) > 50
+
+
+def test_validation_does_no_fraction_arithmetic(monkeypatch):
+    """Both checks add integer numerators only, over the nonzero brackets and form entries.
+
+    On the 64-dimensional abelian algebra with the identity form and on
+    every catalog entry, no Fraction is added, subtracted or multiplied.
+    """
+    cases = [(64, {}, Matrix.identity(64))]
+    for name in catalog_names():
+        g = catalog_entry(name).algebra
+        cases.append((g.dim, g.bracket_table(), g.form))
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        def counted(self, other, _original=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _original(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    dense_ad_invariance(3, {}, Matrix.identity(3))
+    assert calls, "the patched operators are not reached"
+    calls.clear()
+    for n, table, form in cases:
+        assert check_jacobi(n, table) is None
+        assert check_ad_invariance(n, table, form) is None
+    assert calls == []
 
 
 def test_sparse_store_agrees_with_the_dense_table():
