@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import AlgebraFileError
@@ -36,11 +37,13 @@ from .linalg import Matrix
 
 FORMAT_NAME = "quadratic-lie-algebra"
 FORMAT_VERSION = 1
-# validation visits all dimension^3 basis triples, so larger documents are
-# refused before anything is expanded
+# validation follows the nonzero brackets; the cap bounds what grows with the
+# dimension alone: the dimension^2 form entries and ordered bracket pairs, and
+# the exact elimination that orthogonalizes the form
 MAX_DIMENSION = 64
-# each basis triple sums over the bracket terms, so a dense table is refused
-# too, before any coefficient is parsed
+# the Jacobi check visits up to dimension triples per nonzero bracket, each
+# summing over bracket terms, so a dense table is refused before any
+# coefficient is parsed
 MAX_BRACKET_TERMS = MAX_DIMENSION * MAX_DIMENSION
 RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
 
@@ -53,7 +56,13 @@ def _coefficient(raw, where: str) -> Fraction:
         raise AlgebraFileError(f"{where}: coefficient must be a rational string, got {raw!r}")
     if not RATIONAL_RE.fullmatch(raw):
         raise AlgebraFileError(f"{where}: {raw!r} is not an exact rational 'p' or 'p/q'")
-    return Fraction(raw)
+    try:
+        return Fraction(raw)
+    except ValueError as exc:  # Python's limit on the digits of an int read from a string
+        raise AlgebraFileError(
+            f"{where}: coefficient of {len(raw)} characters exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits per integer"
+        ) from exc
 
 
 def _expect_int(raw, where: str) -> int:
@@ -68,6 +77,8 @@ def parse_algebra_text(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"syntax error: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except (RecursionError, ValueError) as exc:  # nesting depth; digits of an integer literal
+        raise AlgebraFileError(f"syntax error: {exc}") from exc
     if not isinstance(doc, dict):
         raise AlgebraFileError("document root must be an object")
 

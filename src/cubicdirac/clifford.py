@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import permutations
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
-from .linalg import Matrix, ZERO, as_scalar, solve_linear, vector
+from .linalg import Matrix, ZERO, as_scalar, vector
 from .sparse import LinearCombination, _fractions_over, _integer_terms
 
 ONE = Fraction(1)
+# the signs of the orderings of three indices, in the order permutations() lists them
+_ORDERING_SIGNS = (1, -1, -1, 1, 1, -1)
 
 
 def _bits(mask: int) -> list[int]:
@@ -297,49 +300,34 @@ def pairing(a: Multivector, b: Multivector) -> Fraction:
     return total
 
 
-def _perm_sign3(t: tuple[int, int, int]) -> int:
-    a, b, c = t
-    sign = 1
-    if a > b:
-        a, b = b, a
-        sign = -sign
-    if b > c:
-        b, c = c, b
-        sign = -sign
-    if a > b:
-        a, b = b, a
-        sign = -sign
-    return sign
-
-
-def multivector_from_trilinear(space: CliffordSpace, t: Callable[[int, int, int], object]) -> Multivector:
+def multivector_from_trilinear(space: CliffordSpace, table: Mapping[tuple[int, int, int], object]) -> Multivector:
     """The unique degree-3 multivector v with pairing(v, x^y^z) = t(x,y,z).
 
-    t is evaluated on basis indices and must be alternating; that is verified
-    on every ordered triple before constructing v.
+    t is the table {(i, j, k): t(e_i, e_j, e_k)}; absent triples read as
+    zero.  t must be alternating, which is verified on its support: a nonzero
+    entry has three distinct indices, and each of its six orderings carries
+    it with the ordering's sign.  An absent triple has no nonzero ordering,
+    so this is the check on all m^3 triples.  The blade e_i^e_j^e_k pairs
+    with itself to d_i d_j d_k, so v has t(i, j, k) / (d_i d_j d_k) on it.
     """
     m = space.dim
     values = {}
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                values[(i, j, k)] = as_scalar(t(i, j, k))
-    for (i, j, k), val in values.items():
-        if len({i, j, k}) < 3:
-            if val != 0:
-                raise ContractViolation(f"trilinear map not alternating at {(i, j, k)}")
-            continue
-        srt = tuple(sorted((i, j, k)))
-        if val != _perm_sign3((i, j, k)) * values[srt]:
-            raise ContractViolation(f"trilinear map not alternating at {(i, j, k)}")
+    for key, raw in table.items():
+        if not (isinstance(key, tuple) and len(key) == 3 and all(isinstance(i, int) and 0 <= i < m for i in key)):
+            raise ContractViolation(f"trilinear key {key!r} is not three indices below {m}")
+        val = as_scalar(raw)
+        if val:
+            values[key] = val
     terms = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                val = values[(i, j, k)]
-                if val:
-                    mask = (1 << i) | (1 << j) | (1 << k)
-                    terms[mask] = val / (space.gram[i] * space.gram[j] * space.gram[k])
+    for key, val in sorted(values.items()):
+        i, j, k = key
+        if i == j or j == k or i == k:
+            raise ContractViolation(f"trilinear map not alternating at {key}")
+        for order, sign in zip(permutations(key), _ORDERING_SIGNS):
+            if values.get(order, ZERO) != sign * val:
+                raise ContractViolation(f"trilinear map not alternating at {order}")
+        if i < j < k:
+            terms[(1 << i) | (1 << j) | (1 << k)] = val / (space.gram[i] * space.gram[j] * space.gram[k])
     return Multivector(space, terms)
 
 
@@ -386,9 +374,11 @@ def twisted_commutator(v: Multivector, a: Multivector) -> Multivector:
 def spin_lift(space: CliffordSpace, a: Matrix) -> Multivector:
     """The degree-2 Clifford element alpha with [alpha, x] = A x on degree 1.
 
-    A must be in so of the Gram (Gram * A antisymmetric).  alpha is found by
-    solving the defining commutator equations rather than by a closed formula,
-    then re-verified on every generator.
+    A must be in so of the Gram (Gram * A antisymmetric).  Since
+    [e_i e_j, e_l] = 2 d_l (delta_jl e_i - delta_il e_j), the element is
+    alpha = sum_{i<j} A_ij / (2 d_j) e_i e_j: its commutator with e_l has
+    A_il on e_i for i < l, and -2 d_l A_li / (2 d_i) = A_il for i > l by
+    the so condition.  alpha is re-verified on every generator.
     """
     m = space.dim
     if a.rows != m or a.cols != m:
@@ -397,32 +387,9 @@ def spin_lift(space: CliffordSpace, a: Matrix) -> Multivector:
         for j in range(m):
             if space.gram[i] * a.entry(i, j) != -space.gram[j] * a.entry(j, i):
                 raise ContractViolation("matrix is not in so of the Gram")
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    if not pairs:
-        if any(a.entry(i, j) for i in range(m) for j in range(m)):
-            raise ContractViolation("no degree-2 element can realize this action")
-        return space.zero()
-    rows = []
-    rhs = []
-    columns_of = []
-    for u, (i, j) in enumerate(pairs):
-        blade = space.blade((i, j))
-        cols_for_pair = []
-        for l in range(m):
-            gen = space.generator(l)
-            com = blade * gen - gen * blade
-            cols_for_pair.append([com.terms.get(1 << t, ZERO) for t in range(m)])
-        columns_of.append(cols_for_pair)
-    for l in range(m):
-        for t in range(m):
-            rows.append([columns_of[u][l][t] for u in range(len(pairs))])
-            rhs.append(a.entry(t, l))
-    sol = solve_linear(Matrix(rows, cols=len(pairs)), rhs)
-    if sol is None:
-        raise ContractViolation("commutator system is inconsistent")
     alpha = Multivector(
         space,
-        {(1 << i) | (1 << j): c for (i, j), c in zip(pairs, sol.vector) if c},
+        {(1 << i) | (1 << j): a.entry(i, j) / (2 * space.gram[j]) for i in range(m) for j in range(i + 1, m)},
     )
     for l in range(m):
         gen = space.generator(l)

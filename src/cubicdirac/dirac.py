@@ -119,7 +119,7 @@ class DiracContext:
         self.k = self.split.h_dim
         self.space = CliffordSpace(self.split.p_gram)
 
-        self.v = multivector_from_trilinear(self.space, self._fundamental_value)
+        self.v = multivector_from_trilinear(self.space, self._fundamental_table())
         self.casimir = casimir_element(self.adapted)
         self.dirac = self._build_dirac()
 
@@ -130,9 +130,21 @@ class DiracContext:
 
     # -- construction ------------------------------------------------------
 
-    def _fundamental_value(self, i: int, j: int, k: int) -> Fraction:
-        """t(X_i, X_j, X_k) = -1/2 B(X_i, [X_j, X_k]) on the h_perp basis."""
-        return -HALF * self.split.p_gram[i] * self.adapted.bracket_basis(j, k)[i]
+    def _fundamental_table(self) -> dict[tuple[int, int, int], Fraction]:
+        """t(X_i, X_j, X_k) = -1/2 B(X_i, [X_j, X_k]) = -1/2 d_i c_jk^i on the h_perp basis.
+
+        Scattered from the nonzero brackets [X_j, X_k], j, k < m, keeping
+        the terms on h_perp (i < m).
+        """
+        m = self.m
+        gram = self.split.p_gram
+        return {
+            (i, j, k): -HALF * gram[i] * c
+            for j in range(m)
+            for k in range(m)
+            for i, c in self.adapted.bracket_sparse(j, k)
+            if i < m
+        }
 
     def _build_dirac(self) -> TensorElement:
         d = TensorElement.from_parts(PBWElement.one(self.adapted), self.v)

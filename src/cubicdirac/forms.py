@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from .clifford import CliffordSpace, Multivector
+from .clifford import _ORDERING_SIGNS, CliffordSpace, Multivector
 from .errors import ContractViolation, UnsupportedArityError
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO, as_scalar, vector
@@ -218,7 +218,6 @@ def form_of_trivector(algebra: QuadraticLieAlgebra, v: Multivector) -> Multiline
     for mask, c in v.degree_part(3).terms.items():
         i, j, k = (t for t in range(space.dim) if mask >> t & 1)
         val = c * space.gram[i] * space.gram[j] * space.gram[k]
-        # permutations() lists the orderings of (i, j, k) with these signs
-        for idx, sign in zip(permutations((i, j, k)), (1, -1, -1, 1, 1, -1)):
+        for idx, sign in zip(permutations((i, j, k)), _ORDERING_SIGNS):
             out[idx] = sign * val
     return MultilinearMap._from_terms((algebra, 3), out)

@@ -39,8 +39,6 @@ from .linalg import (
     nullspace,
     rank,
     solve_linear,
-    vec_add,
-    vec_scale,
     vector,
 )
 from .sparse import _integer_terms
@@ -342,6 +340,17 @@ def _span_solver(vectors: Sequence[Sequence[Fraction]], dim: int) -> Matrix:
     return Matrix.from_columns([vector(v) for v in vectors], rows=dim)
 
 
+def _combination(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]], n: int) -> tuple[Fraction, ...]:
+    """sum_s coeffs[s] vectors[s] in Q^n, skipping zero coefficients and zero entries."""
+    acc = [ZERO] * n
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for t, x in enumerate(vec):
+                if x:
+                    acc[t] += c * x
+    return tuple(acc)
+
+
 def orthogonal_split(
     g: QuadraticLieAlgebra,
     subalgebra: Sequence[Sequence] = (),
@@ -383,12 +392,7 @@ def orthogonal_split(
                 "the form restricted to the subalgebra is degenerate",
                 witness=exc.witness,
             ) from exc
-        h_vectors = []
-        for col in p_h.columns():
-            acc = (ZERO,) * n
-            for c, hv in zip(col, h_raw):
-                acc = vec_add(acc, vec_scale(c, hv))
-            h_vectors.append(acc)
+        h_vectors = [_combination(col, h_raw, n) for col in p_h.columns()]
         # h_perp = kernel of x -> (B(h_i, x))_i
         pairing_rows = Matrix(
             [[g.b(h_raw[i], unit(n, s)) for s in range(n)] for i in range(k)], cols=n
@@ -401,8 +405,7 @@ def orthogonal_split(
 
     if p_variant and len(complement) >= 2:
         complement = list(reversed(complement))
-        for _ in range(p_variant):
-            complement[0] = vec_add(complement[0], complement[1])
+        complement[0] = tuple(x + p_variant * y for x, y in zip(complement[0], complement[1]))
 
     m = len(complement)
     if m:
@@ -411,12 +414,7 @@ def orthogonal_split(
             cols=m,
         )
         p_p, p_gram = diagonalize_form(gram_p)
-        p_vectors = []
-        for col in p_p.columns():
-            acc = (ZERO,) * n
-            for c, pv in zip(col, complement):
-                acc = vec_add(acc, vec_scale(c, pv))
-            p_vectors.append(acc)
+        p_vectors = [_combination(col, complement, n) for col in p_p.columns()]
     else:
         p_vectors = []
         p_gram = ()

@@ -33,15 +33,6 @@ def vector(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(map(as_scalar, entries))
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    c = as_scalar(c)
-    return tuple(c * x for x in a)
-
-
 def is_zero_vector(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 

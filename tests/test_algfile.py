@@ -148,6 +148,29 @@ def test_negative_denominator_is_rejected():
         parse_doc(doc)
 
 
+def test_coefficient_with_too_many_digits_is_rejected_with_its_position():
+    """Python reads at most 4,300 digits into one int by default; a longer
+    coefficient is an input error naming where it sits, not a bare ValueError."""
+    doc = base_doc()
+    doc["form"] = ["0", "0", "0", "1" * 5001]
+    with pytest.raises(AlgebraFileError, match=r"^form\[3\]: coefficient of 5001 characters"):
+        parse_doc(doc)
+    doc = base_doc()
+    doc["brackets"] = [{"i": 0, "j": 1, "terms": [[0, "1/" + "7" * 5001]]}]
+    with pytest.raises(AlgebraFileError, match=r"^brackets\[0\]\.terms\[0\]: coefficient of 5003 characters"):
+        parse_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"form": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"dimension": ' + "1" * 5001 + "}"],
+    ids=("nested-100000-deep", "5001-digit-integer-literal"),
+)
+def test_json_the_decoder_cannot_hold_is_a_syntax_error(text):
+    with pytest.raises(AlgebraFileError, match="^syntax error: "):
+        parse_algebra_text(text)
+
+
 def sl2_doc(form_entries):
     return {
         "format": "quadratic-lie-algebra",

@@ -206,3 +206,18 @@ def test_module_invocation_smoke(tmp_path):
     )
     assert result.returncode == 0
     assert "all checks passed" in result.stdout
+
+
+def test_oversized_coefficient_exits_2_without_a_traceback(tmp_path):
+    path = write_entry(tmp_path, "abelian2")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["form"][0] = "1" * 5001
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "cubicdirac.cli", "verify", "--input", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: form[0]: coefficient of 5001 characters")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -341,36 +342,31 @@ def test_pairing_is_nondegenerate_per_degree(space3):
         assert any(v != 0 for v in values)
 
 
+def alternating_table(base):
+    """{(i, j, k): sign * value} over all six orderings of each base triple i < j < k."""
+    return {
+        order: sign * value
+        for triple, value in base.items()
+        for order, sign in zip(itertools.permutations(triple), (1, -1, -1, 1, 1, -1))
+    }
+
+
 def test_trilinear_reconstruction_orthonormal_case():
     space = CliffordSpace((Fraction(1), Fraction(1), Fraction(1)))
-
-    def t(i, j, k):
-        order = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-                 (1, 0, 2): -1, (0, 2, 1): -1, (2, 1, 0): -1}
-        return Fraction(order.get((i, j, k), 0))
-
-    v = multivector_from_trilinear(space, t)
+    table = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (1, 0, 2): -1, (0, 2, 1): -1, (2, 1, 0): -1}
+    v = multivector_from_trilinear(space, table)
     assert v == space.blade((0, 1, 2))
 
 
 def test_trilinear_reconstruction_matches_linear_solve_oracle():
     """Independent route: solve pairing(v, e_i^e_j^e_k) = t(i,j,k) directly."""
     space = CliffordSpace((Fraction(2), Fraction(-3), Fraction(5), Fraction(1, 2)))
-    base = {frozenset({0, 1, 2}): Fraction(3, 2), frozenset({1, 2, 3}): Fraction(-4, 7)}
+    table = alternating_table({(0, 1, 2): Fraction(3, 2), (1, 2, 3): Fraction(-4, 7)})
 
     def t(i, j, k):
-        if len({i, j, k}) < 3:
-            return Fraction(0)
-        val = base.get(frozenset({i, j, k}), Fraction(0))
-        parity = 1
-        lst = [i, j, k]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if lst[a] > lst[b]:
-                    parity = -parity
-        return val * parity
+        return table.get((i, j, k), Fraction(0))
 
-    v = multivector_from_trilinear(space, t)
+    v = multivector_from_trilinear(space, table)
     n = space.dim
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
     rows = []
@@ -389,9 +385,39 @@ def test_trilinear_reconstruction_matches_linear_solve_oracle():
         assert pairing(v, space.blade((i, j, k))) == t(i, j, k)
 
 
+def test_trilinear_of_an_all_zero_table_is_zero(space3):
+    table = {key: Fraction(0) for key in itertools.product(range(3), repeat=3)}
+    assert multivector_from_trilinear(space3, table) == space3.zero()
+    assert multivector_from_trilinear(space3, {}) == space3.zero()
+
+
+GOOD = alternating_table({(0, 1, 2): Fraction(2, 3)})
+
+
 def test_trilinear_rejects_non_alternating_input(space3):
-    with pytest.raises(ContractViolation):
-        multivector_from_trilinear(space3, lambda i, j, k: Fraction(1))
+    table = {key: Fraction(1) for key in itertools.product(range(3), repeat=3)}
+    with pytest.raises(ContractViolation, match=re.escape("not alternating at (0, 0, 0)")):
+        multivector_from_trilinear(space3, table)
+
+
+@pytest.mark.parametrize(
+    "table, where",
+    [
+        ({**GOOD, (1, 1, 2): Fraction(5)}, "(1, 1, 2)"),
+        ({key: c for key, c in GOOD.items() if key != (2, 1, 0)}, "(2, 1, 0)"),
+        ({**GOOD, (1, 2, 0): Fraction(-2, 3)}, "(1, 2, 0)"),
+    ],
+    ids=("repeated-index", "missing-ordering", "wrong-sign-ordering"),
+)
+def test_trilinear_rejects_one_broken_entry(space3, table, where):
+    with pytest.raises(ContractViolation, match=re.escape(f"not alternating at {where}")):
+        multivector_from_trilinear(space3, table)
+
+
+@pytest.mark.parametrize("key", [(0, 1, 3), (-1, 0, 1), (0, 1), (0, 1, 2, 0), "012", (0, 1, 1.0)])
+def test_trilinear_rejects_a_key_that_is_not_three_indices_in_range(space3, key):
+    with pytest.raises(ContractViolation, match="is not three indices below 3"):
+        multivector_from_trilinear(space3, {**GOOD, key: Fraction(0)})
 
 
 def test_scalar_part_and_is_scalar(space2):
@@ -493,3 +519,68 @@ def test_spin_lift_rejects_non_orthogonal_matrix():
     space = CliffordSpace((Fraction(1), Fraction(1)))
     with pytest.raises(ContractViolation):
         spin_lift(space, Matrix([[1, 0], [0, 1]]))
+
+
+def reference_spin_lift(space, a):
+    """alpha from the commutator equations [alpha, e_l] = A e_l, solved as a
+    linear system over the C(m, 2) blades e_i e_j: the reference for the
+    closed form."""
+    m = space.dim
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    if not pairs:
+        if any(a.entry(i, j) for i in range(m) for j in range(m)):
+            raise ContractViolation("no degree-2 element can realize this action")
+        return space.zero()
+    columns_of = []
+    for i, j in pairs:
+        blade = space.blade((i, j))
+        cols_for_pair = []
+        for l in range(m):
+            gen = space.generator(l)
+            com = blade * gen - gen * blade
+            cols_for_pair.append([com.terms.get(1 << t, Fraction(0)) for t in range(m)])
+        columns_of.append(cols_for_pair)
+    rows = []
+    rhs = []
+    for l in range(m):
+        for t in range(m):
+            rows.append([columns_of[u][l][t] for u in range(len(pairs))])
+            rhs.append(a.entry(t, l))
+    sol = solve_linear(Matrix(rows, cols=len(pairs)), rhs)
+    if sol is None:
+        raise ContractViolation("commutator system is inconsistent")
+    return Multivector(space, {(1 << i) | (1 << j): c for (i, j), c in zip(pairs, sol.vector) if c})
+
+
+def random_so_matrix(gram, rng, density):
+    """A = Gram^-1 S for a random antisymmetric S, so Gram * A is antisymmetric."""
+    m = len(gram)
+    s = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < density:
+                s[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                s[j][i] = -s[i][j]
+    return Matrix([[s[i][j] / gram[i] for j in range(m)] for i in range(m)], cols=m)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_spin_lift_matches_the_linear_system(m):
+    """The closed form against the solved commutator system, on Grams of both
+    signs with non-unit entries, dense and sparse so(Gram) matrices."""
+    rng = random.Random(f"spin-lift-{m}")
+    grams = (mixed_gram(m), tuple(Fraction(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, 5)) for _ in range(m)))
+    for gram in grams:
+        space = CliffordSpace(gram)
+        for density in (1.0, 0.5, 0.2):
+            for _ in range(5):
+                a = random_so_matrix(space.gram, rng, density)
+                assert spin_lift(space, a).terms == reference_spin_lift(space, a).terms
+
+
+def test_spin_lift_in_dimension_one():
+    space = CliffordSpace((Fraction(-3, 2),))
+    assert spin_lift(space, Matrix([[0]])) == space.zero()
+    assert reference_spin_lift(space, Matrix([[0]])) == space.zero()
+    with pytest.raises(ContractViolation):
+        spin_lift(space, Matrix([[Fraction(1, 2)]]))

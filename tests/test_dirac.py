@@ -13,12 +13,13 @@ values frozen into the assertions:
 
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import unit_vector
 from cubicdirac import dirac
-from cubicdirac.catalog import catalog_entry
+from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
 from cubicdirac.clifford import Multivector, twisted_commutator
 from cubicdirac.dirac import DEFAULT_SEED, DiracContext
 from cubicdirac.envelope import PBWElement
@@ -124,6 +125,28 @@ def test_kostant_bundle_on_absolute_cases(contexts, name):
     ):
         assert required in items and items[required].ok
     assert outcome.values["c"] == outcome.values["v_square"]
+
+
+def assert_fundamental_table_is_the_dense_form(ctx):
+    """The scattered table against -1/2 d_i [X_j, X_k]_i read densely on all m^3 triples."""
+    table = ctx._fundamental_table()
+    assert all(table.values())
+    for i, j, k in product(range(ctx.m), repeat=3):
+        dense = -Fraction(1, 2) * ctx.split.p_gram[i] * ctx.adapted.bracket_basis(j, k)[i]
+        assert table.get((i, j, k), 0) == dense, (i, j, k)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("variant", (0, 1))
+def test_fundamental_table_is_the_dense_three_form(contexts, name, variant):
+    assert_fundamental_table_is_the_dense_form(contexts(name, variant=variant))
+
+
+def test_fundamental_table_on_the_pairs(contexts, sl3_triple_context):
+    """With a subalgebra, brackets that land in h are left out of t."""
+    for ctx in (contexts("sl2xsl2-diagonal", True), sl3_triple_context):
+        assert any(i >= ctx.m for j in range(ctx.m) for k in range(ctx.m) for i, _ in ctx.adapted.bracket_sparse(j, k))
+        assert_fundamental_table_is_the_dense_form(ctx)
 
 
 def test_first_order_identity_directly(contexts):
