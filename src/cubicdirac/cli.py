@@ -75,7 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    text = Path(args.input).read_text(encoding="utf-8")
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileError(f"the input is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
     algebra, subalgebra = parse_algebra_text(text)
     if args.subalgebra_from_file:
         if not subalgebra:

@@ -142,15 +142,6 @@ def _swap_prefix(ma: int) -> int:
     return p
 
 
-def _blade_clifford(space: CliffordSpace, ma: int, mb: int) -> tuple[Fraction, int]:
-    """Clifford product of two blades is +-(product of Grams) times one blade."""
-    overlap = ma & mb
-    coeff = space._gram_product(overlap) if overlap else ONE
-    if (_swap_prefix(ma) & mb).bit_count() & 1:
-        coeff = -coeff
-    return coeff, ma ^ mb
-
-
 def _blade_wedge(ma: int, mb: int) -> tuple[int, int] | None:
     if ma & mb:
         return None

@@ -6,6 +6,15 @@ its Clifford blade).  Addition, scaling, equality, hashing and the carrier
 check come from the shared LinearCombination base; TensorElement supplies
 its carrier, its product and its repr.
 
+The product is an integer kernel.  Each operand is put over its own common
+denominator, and each distinct pair of PBW monomials is normalised once per
+call, its normal forms over their lcm.  A term pair adds integer numerators
+into one sum per blade overlap; only at the end is each sum scaled by the
+Gram product of its overlap and turned into a Fraction.  So D^2 is added
+per overlap and never over Q, the product of all Gram denominators, which
+the Clifford kernels use: with large Gram denominators Q would be a huge
+integer and every coefficient would pay a huge gcd.
+
 The graded triple U(g) x C(h_perp) (x)bar C(h) needs no second product.  For
 an orthogonal sum, C(h_perp + h) = C(h_perp) (x)bar C(h) (Chevalley), and in
 a basis with the h_perp vectors first (bits 0..m-1) and the h vectors after
@@ -21,16 +30,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .clifford import CliffordSpace, Multivector, _blade_clifford
+from .clifford import ONE, CliffordSpace, Multivector, _swap_prefix
 from .envelope import PBWElement, pbw_normalize
 from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO
-from .sparse import LinearCombination
-
-
-def _mono_mul(algebra, ma, mb) -> dict:
-    return pbw_normalize(algebra, {ma + mb: Fraction(1)})
+from .sparse import LinearCombination, _integer_terms
 
 
 class TensorElement(LinearCombination):
@@ -66,24 +71,54 @@ class TensorElement(LinearCombination):
         return key[1].bit_count() & 1
 
     def __mul__(self, other):
+        """Super tensor product; scalars multiply coefficientwise.
+
+        a's coefficients are over D_a and b's over D_b; each distinct pair
+        of PBW monomials is normalised once, and the normal forms are put
+        over their lcm D_m.  A term pair adds its signed integer numerators
+        into the sums of its blade overlap, so every sum is over
+        D_a D_b D_m and needs only the Gram product of its overlap to
+        become a coefficient, once per (overlap, key) at the end.
+        """
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
-        out: dict = {}
-        for (ma, ka), ca in self.terms.items():
-            for (mb, kb), cb in other.terms.items():
-                bl_coeff, mask = _blade_clifford(self.space, ka, kb)
-                factor = ca * cb * bl_coeff
-                if not factor:
-                    continue
-                for mono, mc in _mono_mul(self.algebra, ma, mb).items():
+        algebra = self.algebra
+        den_a, left = _integer_terms(self.terms)
+        den_b, right = _integer_terms(other.terms)
+        monos_b = {mb for mb, _ in other.terms}
+        den_m, normal = _integer_terms({
+            (ma, mb, mono): c
+            for ma in {ma for ma, _ in self.terms}
+            for mb in monos_b
+            for mono, c in pbw_normalize(algebra, {ma + mb: ONE}).items()
+        })
+        products: dict = {}
+        for (ma, mb, mono), nm in normal:
+            products.setdefault((ma, mb), []).append((mono, nm))
+        by_overlap: dict[int, dict] = {}
+        for (ma, ka), na in left:
+            p = _swap_prefix(ka)
+            for (mb, kb), nb in right:
+                n = -na * nb if (p & kb).bit_count() & 1 else na * nb
+                overlap = ka & kb
+                sums = by_overlap.get(overlap)
+                if sums is None:
+                    sums = by_overlap[overlap] = {}
+                mask = ka ^ kb
+                for mono, nm in products[ma, mb]:
                     key = (mono, mask)
-                    acc = out.get(key, ZERO) + factor * mc
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
-        return self._from_terms(self.carrier, out)
+                    sums[key] = sums.get(key, 0) + n * nm
+        den = den_a * den_b * den_m
+        out: dict = {}
+        for overlap, sums in by_overlap.items():
+            g = self.space._gram_product(overlap)
+            num, den_g = g.numerator, g.denominator * den
+            for key, n in sums.items():
+                c = Fraction(n * num, den_g)
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+        return self._from_terms(self.carrier, {key: c for key, c in out.items() if c})
 
     def u_degree_terms(self, k: int) -> dict:
         return {key: c for key, c in self.terms.items() if len(key[0]) == k}

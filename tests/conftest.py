@@ -5,12 +5,14 @@ enough that reconstructing them per test would dominate the run; the caches
 hand out the same immutable objects everywhere.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
-from cubicdirac.linalg import Matrix
+from cubicdirac.clifford import _swap_prefix
+from cubicdirac.linalg import Matrix, invert, rank
 from cubicdirac.suite import run_suite
 
 
@@ -38,6 +40,42 @@ def tstar_heisenberg() -> QuadraticLieAlgebra:
     brackets = {(0, 1): (0, 0, 1, 0, 0, 0), (0, 5): (0, 0, 0, 0, -1, 0), (1, 5): (0, 0, 0, 1, 0, 0)}
     form = Matrix([[int(abs(i - j) == 3) for j in range(n)] for i in range(n)], cols=n)
     return QuadraticLieAlgebra("tstar-heisenberg", ("x", "y", "z", "x*", "y*", "z*"), brackets, form)
+
+
+def blade_clifford(space, ma: int, mb: int):
+    """e_A e_B = +-(the Gram product of A & B) e_{A ^ B}, with the sign the product kernels take."""
+    coeff = space._gram_product(ma & mb)
+    return (-coeff if (_swap_prefix(ma) & mb).bit_count() & 1 else coeff), ma ^ mb
+
+
+def changed_basis(g, seed):
+    """g's bracket table and form in a seeded random basis of Q^n.
+
+    The new basis vectors are the columns of an invertible matrix with
+    entries a/b, |a| <= 2 and 1 <= b <= 4, so the structure constants and
+    the form, which is not diagonal, have denominators.
+    """
+    rng = random.Random(seed)
+    n = g.dim
+    while True:
+        p = Matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+        if rank(p) == n:
+            break
+    inverse, cols = invert(p), p.columns()
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = g.bracket(cols[i], cols[j])
+            if any(br):
+                table[(i, j)] = inverse.mat_vec(br)
+    return table, p.transpose() @ g.form @ p
+
+
+def changed_algebra(name: str, seed: int) -> QuadraticLieAlgebra:
+    """Catalog entry `name` as an algebra in the basis of changed_basis(g, seed)."""
+    g = catalog_entry(name).algebra
+    table, form = changed_basis(g, seed)
+    return QuadraticLieAlgebra(f"{name}-basis-{seed}", g.labels, table, form)
 
 
 @pytest.fixture(scope="session")

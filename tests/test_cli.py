@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cubicdirac import cli
 from cubicdirac.algfile import emit_algebra_text, parse_algebra_text
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
@@ -221,3 +223,18 @@ def test_oversized_coefficient_exits_2_without_a_traceback(tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: form[0]: coefficient of 5001 characters")
+
+
+@pytest.mark.parametrize("command", ["verify", "compute-c"])
+def test_input_that_is_not_utf8_exits_2_without_a_traceback(tmp_path, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    result = subprocess.run(
+        [sys.executable, "-m", "cubicdirac.cli", command, "--input", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: the input is not UTF-8: invalid start byte at byte offset 0\n"

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import blade_clifford
 from cubicdirac.clifford import (
     CliffordSpace,
     Multivector,
-    _blade_clifford,
     _blade_wedge,
     contract,
     is_scalar,
@@ -130,7 +130,7 @@ def test_blade_kernel_matches_the_bit_walk_on_every_pair(m):
     space = CliffordSpace(gram)
     for ma in range(1 << m):
         for mb in range(1 << m):
-            assert _blade_clifford(space, ma, mb) == walk_blade_clifford(gram, ma, mb)
+            assert blade_clifford(space, ma, mb) == walk_blade_clifford(gram, ma, mb)
             assert _blade_wedge(ma, mb) == walk_blade_wedge(ma, mb)
 
 
@@ -140,7 +140,7 @@ def test_blade_kernel_matches_the_bit_walk_on_random_pairs():
     for _ in range(20000):
         m = rng.randint(1, 15)
         ma, mb = rng.randrange(1 << m), rng.randrange(1 << m)
-        assert _blade_clifford(spaces[m], ma, mb) == walk_blade_clifford(spaces[m].gram, ma, mb)
+        assert blade_clifford(spaces[m], ma, mb) == walk_blade_clifford(spaces[m].gram, ma, mb)
         assert _blade_wedge(ma, mb) == walk_blade_wedge(ma, mb)
 
 

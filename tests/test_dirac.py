@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from conftest import unit_vector
+from conftest import changed_algebra, unit_vector
 from cubicdirac import dirac
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
 from cubicdirac.clifford import Multivector, twisted_commutator
@@ -25,6 +25,7 @@ from cubicdirac.dirac import DEFAULT_SEED, DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
 from cubicdirac.forms import bracket_coproduct
+from cubicdirac.linalg import invert
 from cubicdirac.tensor import TensorElement
 
 
@@ -95,6 +96,40 @@ def test_constants_on_rescaled_sl2(contexts):
 
 def test_sl3_constant(contexts):
     assert contexts("sl3-killing").c_value() == Fraction(1, 3)
+
+
+def trace_formula_c(g):
+    """c = (1/24) sum_ij (B^-1)_ij K_ij, from the Killing form and an inverse only.
+
+    No Clifford, PBW or tensor code runs here, so it shares nothing with
+    the product that computes D^2.
+    """
+    inverse, killing = invert(g.form), g.killing()
+    return sum((inverse[i, j] * killing[i, j] for i in range(g.dim) for j in range(g.dim)), Fraction(0)) / 24
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_c_is_the_trace_formula_on_the_catalog(contexts, name):
+    """c_g, or c_g - c_h for an entry with a subalgebra, h with its own Killing form."""
+    entry = catalog_entry(name)
+    ctx = contexts(name, with_subalgebra=bool(entry.subalgebra))
+    expected = trace_formula_c(entry.algebra)
+    if ctx.k:
+        expected -= trace_formula_c(ctx.h_algebra)
+    assert ctx.c_value() == expected
+
+
+def test_c_is_the_trace_formula_on_the_sl3_triple(sl3_triple_context):
+    ctx = sl3_triple_context
+    assert ctx.c_value() == trace_formula_c(ctx.algebra) - trace_formula_c(ctx.h_algebra) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("name, seed", [("sl2-killing", 4), ("sl2-killing", 5), ("sl3-killing", 6)])
+def test_c_is_the_trace_formula_in_a_rational_basis(name, seed):
+    """A seeded GL_n(Q) change of basis: the form is not diagonal, so the context splits."""
+    g = changed_algebra(name, seed)
+    assert not g.form.is_diagonal()
+    assert DiracContext(g).c_value() == trace_formula_c(g) == trace_formula_c(catalog_entry(name).algebra)
 
 
 @pytest.mark.parametrize(

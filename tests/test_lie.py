@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import tstar_heisenberg, unit_vector
+from conftest import changed_basis, tstar_heisenberg, unit_vector
 from cubicdirac.catalog import catalog_entry, catalog_names, heisenberg_brackets, sl2_brackets
 from cubicdirac.errors import (
     ContractViolation,
@@ -22,7 +22,7 @@ from cubicdirac.lie import (
     orthogonal_split,
     subalgebra_action,
 )
-from cubicdirac.linalg import Matrix, invert, rank, vector
+from cubicdirac.linalg import Matrix, vector
 
 
 @pytest.fixture(scope="module")
@@ -329,29 +329,6 @@ def test_ad_invariance_witness_is_the_least_failing_pair_of_its_row():
     ]
     assert failing == [(0, 1), (1, 0)]
     assert check_ad_invariance(3, table, form) == dense_ad_invariance(3, table, form) == (0, 0, 1)
-
-
-def changed_basis(g, seed):
-    """g's bracket table and form in a seeded random basis of Q^n.
-
-    The new basis vectors are the columns of an invertible matrix with
-    entries a/b, |a| <= 2 and 1 <= b <= 4, so the structure constants and
-    the form, which is not diagonal, have denominators.
-    """
-    rng = random.Random(seed)
-    n = g.dim
-    while True:
-        p = Matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
-        if rank(p) == n:
-            break
-    inverse, cols = invert(p), p.columns()
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = g.bracket(cols[i], cols[j])
-            if any(br):
-                table[(i, j)] = inverse.mat_vec(br)
-    return table, p.transpose() @ g.form @ p
 
 
 def test_validation_matches_dense_reference_with_denominators_and_non_diagonal_forms():

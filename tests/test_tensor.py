@@ -5,19 +5,50 @@ Clifford space: the term (mono, p, h) is the key (mono, p | h << m).  The
 tests below build triples that way over the Grams (2, 3, 5), so m = 2 and
 the h generator is bit 2, and compare the merged product with the
 two-factor product and its Koszul sign.
+
+The product itself is an integer kernel; `reference_tensor_mul` keeps the
+Fraction product it replaced, one PBW normalisation per term pair, and the
+kernel is compared with it on seeded operands.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import abelian_named_sl2
+from conftest import abelian_named_sl2, blade_clifford, changed_algebra
 from cubicdirac.catalog import catalog_entry
-from cubicdirac.clifford import CliffordSpace, _blade_clifford
-from cubicdirac.envelope import PBWElement
+from cubicdirac.clifford import CliffordSpace
+from cubicdirac.dirac import DiracContext
+from cubicdirac.envelope import PBWElement, pbw_normalize
 from cubicdirac.errors import ContractViolation
-from cubicdirac.tensor import TensorElement, TripleTensorElement, _mono_mul, graded_commutator
+from cubicdirac.lie import QuadraticLieAlgebra
+from cubicdirac.linalg import ZERO, Matrix
+from cubicdirac.tensor import TensorElement, TripleTensorElement, graded_commutator
+
+
+def _mono_mul(algebra, ma, mb) -> dict:
+    return pbw_normalize(algebra, {ma + mb: Fraction(1)})
+
+
+def reference_tensor_mul(a, b):
+    """a * b by Fraction arithmetic per term pair and per PBW monomial."""
+    out: dict = {}
+    for (ma, ka), ca in a.terms.items():
+        for (mb, kb), cb in b.terms.items():
+            bl_coeff, mask = blade_clifford(a.space, ka, kb)
+            factor = ca * cb * bl_coeff
+            if not factor:
+                continue
+            for mono, mc in _mono_mul(a.algebra, ma, mb).items():
+                key = (mono, mask)
+                acc = out.get(key, ZERO) + factor * mc
+                if acc:
+                    out[key] = acc
+                elif key in out:
+                    del out[key]
+    return a._from_terms(a.carrier, out)
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +90,8 @@ def koszul_product(algebra, p_space, h_space, a: dict, b: dict) -> dict:
     for (ma, pa, ha), ca in a.items():
         for (mb, pb, hb), cb in b.items():
             sign = -1 if (ha.bit_count() & 1) and (pb.bit_count() & 1) else 1
-            p_coeff, pmask = _blade_clifford(p_space, pa, pb)
-            h_coeff, hmask = _blade_clifford(h_space, ha, hb)
+            p_coeff, pmask = blade_clifford(p_space, pa, pb)
+            h_coeff, hmask = blade_clifford(h_space, ha, hb)
             factor = sign * ca * cb * p_coeff * h_coeff
             for mono, mc in _mono_mul(algebra, ma, mb).items():
                 key = (mono, pmask, hmask)
@@ -260,3 +291,130 @@ def test_elements_over_different_carriers_do_not_mix(abelian2, space, h_space, f
         with pytest.raises(ContractViolation):
             left * right
     assert x2 != x3
+
+
+def random_tensor_terms(rng, dim, blades, max_degree, count):
+    """Seeded terms {(PBW monomial, blade): c}, the c of either sign and over denominators up to 12."""
+    terms = {}
+    for _ in range(count):
+        mono = tuple(sorted(rng.randrange(dim) for _ in range(rng.randint(0, max_degree))))
+        key = (mono, rng.randrange(blades))
+        terms[key] = Fraction(rng.choice((-9, -4, -1, 1, 2, 7)), rng.choice((1, 2, 3, 5, 12)))
+    return terms
+
+
+def assert_kernel_is_the_reference(a, b):
+    product = a * b
+    assert type(product) is type(a)
+    assert product.terms == reference_tensor_mul(a, b).terms
+    return product
+
+
+def test_kernel_matches_the_reference_over_prime_denominators_and_mixed_parity():
+    """Grams over distinct primes, operands of both parities at once, over sl(2) and abelian2."""
+    rng = random.Random(12)
+    space = CliffordSpace((Fraction(2, 3), Fraction(-5, 7), Fraction(11, 13), Fraction(-1, 17)))
+    inhomogeneous = 0
+    for algebra in (catalog_entry("sl2-killing").algebra, catalog_entry("abelian2").algebra):
+        for _ in range(30):
+            a, b = (
+                TensorElement(algebra, space, random_tensor_terms(rng, algebra.dim, 16, 2, rng.randint(1, 6)))
+                for _ in range(2)
+            )
+            inhomogeneous += a.parity() is None and b.parity() is None
+            assert_kernel_is_the_reference(a, b)
+    assert inhomogeneous > 10
+
+
+def test_kernel_matches_the_reference_on_products_that_cancel():
+    """Over Grams (d, -d), (e1 + e2)^2 = d - d: the overlaps {1} and {2} cancel on one key."""
+    algebra = catalog_entry("sl2-killing").algebra
+    space = CliffordSpace((Fraction(3, 5), Fraction(-3, 5), Fraction(7)))
+    null = {((), 0b001): Fraction(1), ((), 0b010): Fraction(1)}
+    x = TensorElement(algebra, space, null)
+    assert assert_kernel_is_the_reference(x, x).is_zero()
+    # X_e (x) (e1 + e2) times X_f (x) (e1 + e2): the blade factor is 0, the U factor is not
+    xe = TensorElement(algebra, space, {((0,), k): c for (_, k), c in null.items()})
+    xf = TensorElement(algebra, space, {((2,), k): c for (_, k), c in null.items()})
+    assert assert_kernel_is_the_reference(xe, xf).is_zero()
+    # [X_h (x) 1, X_e (x) 1] = 2 X_e (x) 1: the degree-2 monomials cancel, the bracket stays
+    xh, xe1 = (TensorElement(algebra, space, {((i,), 0): Fraction(1)}) for i in (1, 0))
+    assert assert_kernel_is_the_reference(xh, xe1) - assert_kernel_is_the_reference(xe1, xh) == 2 * xe1
+    # a product with zero is zero on either side
+    half = TensorElement(algebra, space, {((0, 2), 0b100): Fraction(1, 2)})
+    assert (half * TensorElement.zero(algebra, space)).is_zero()
+    assert (TensorElement.zero(algebra, space) * half).is_zero()
+
+
+def test_kernel_matches_the_reference_on_the_diagonal_embedding_powers(contexts, sl3_triple_context):
+    """Delta(Y_j1) ... Delta(Y_jk), k <= 3, the images _embed_h_tensor builds, on two pairs."""
+    for ctx in (contexts("sl2xsl2-diagonal", with_subalgebra=True), sl3_triple_context):
+        powers = [TensorElement.one(ctx.adapted, ctx.space)]
+        for _ in range(3):
+            powers = [
+                assert_kernel_is_the_reference(acc, ctx.diagonal_embedding(j))
+                for acc in powers
+                for j in range(ctx.k)
+            ]
+        assert max(len(mono) for p in powers for mono, _ in p.terms) == 3
+        for dj in (ctx.diagonal_embedding(j) for j in range(ctx.k)):
+            assert_kernel_is_the_reference(powers[-1], dj)
+            assert_kernel_is_the_reference(dj, powers[0])
+
+
+def test_kernel_matches_the_reference_over_an_adapted_algebra_with_denominators():
+    """sl(3) in a seeded rational basis, adapted: D^2, and random operands up to degree 2."""
+    ctx = DiracContext(changed_algebra("sl3-killing", 3))
+    g = ctx.adapted
+    assert any(c.denominator > 1 for i in range(8) for j in range(8) for _, c in g.bracket_sparse(i, j))
+    assert any(d.denominator > 1 for d in ctx.space.gram)
+    assert_kernel_is_the_reference(ctx.dirac, ctx.dirac)
+    rng = random.Random(13)
+    for _ in range(6):
+        a, b = (
+            TensorElement(g, ctx.space, random_tensor_terms(rng, g.dim, 1 << ctx.m, 2, rng.randint(1, 5)))
+            for _ in range(2)
+        )
+        assert_kernel_is_the_reference(a, b)
+
+
+def test_triple_product_keeps_its_type(abelian2, full_space):
+    x = triple(abelian2, full_space, 2, {((0,), 0b01, 1): 3, ((), 0b10, 0): -1})
+    y = triple(abelian2, full_space, 2, {((1,), 0b11, 1): Fraction(1, 2)})
+    product = assert_kernel_is_the_reference(x, y)
+    assert type(product) is TripleTensorElement
+    assert type(x * 2) is TripleTensorElement
+
+
+def hostile_document_context(n=16, digits=4000, seed=16):
+    """An n-dimensional abelian algebra with form entries 1/q, for distinct seeded q of `digits` digits."""
+    rng = random.Random(seed)
+    qs = set()
+    while len(qs) < n:
+        qs.add(rng.randrange(10 ** (digits - 1), 10**digits))
+    form = Matrix([[Fraction(1, q) if i == j else Fraction(0) for j in range(n)] for i, q in enumerate(sorted(qs))])
+    return DiracContext(QuadraticLieAlgebra("hostile", tuple(f"x{i}" for i in range(n)), {}, form))
+
+
+def best_of_three(f):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        f()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_hostile_numbers_stay_cheap():
+    """D^2 with 4,000-digit Grams: the kernel keeps the Grams per overlap.
+
+    Scaling every numerator by the product of the 16 Gram denominators, a
+    64,000-digit integer, makes D^2 several times slower than the
+    reference; the kernel may take at most twice the reference's time.
+    """
+    ctx = hostile_document_context()
+    d = ctx.dirac
+    square = d * d
+    assert square == reference_tensor_mul(d, d)
+    assert ctx.c_value() == 0
+    assert best_of_three(lambda: d * d) <= 2 * best_of_three(lambda: reference_tensor_mul(d, d))
