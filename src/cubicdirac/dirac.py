@@ -38,7 +38,17 @@ from .clifford import (
 )
 from .envelope import PBWElement, casimir_element
 from .errors import ContractViolation
-from .forms import MultilinearMap, bracket_coproduct, ce_differential, form_of_trivector, insert_first, lie_action
+from .forms import (
+    MultilinearMap,
+    _ad_rows,
+    _d_scatter,
+    _iota_buckets,
+    _theta_scatter,
+    bracket_coproduct,
+    ce_differential,
+    form_of_trivector,
+    lie_action,
+)
 from .lie import (
     OrthogonalSplit,
     QuadraticLieAlgebra,
@@ -358,7 +368,7 @@ class DiracContext:
                 break
         items.append(CheckItem("theta-B-vanishes", witness is None, witness))
 
-        items.append(self._cartan_item(g, basis))
+        items.append(self._cartan_item(g))
         items.append(self._d_squared_item(g, n))
         items.append(self._alternating_stability_item(g, n))
 
@@ -388,24 +398,47 @@ class DiracContext:
 
         return CheckOutcome("cohomology", tuple(items))
 
-    def _cartan_item(self, g: QuadraticLieAlgebra, basis: list) -> CheckItem:
+    def _cartan_item(self, g: QuadraticLieAlgebra) -> CheckItem:
         """iota_X d + d iota_X = theta_X on every point-mass form of arity <= 3.
 
         Point-mass (single-entry) tables span the whole space of multilinear
         maps and every operator involved is linear in the form, so this is an
-        exhaustive verification for arities 1..3, with X over `basis`, the
-        unit vectors of g.
+        exhaustive verification for arities 1..3, with X over the unit
+        vectors of g.
+
+        Every (arity, key, X) is compared, in that loop order, on integer
+        numerators over P, the structure constants' common denominator, with
+        the kernels the public operators run.  d of each point mass delta_key
+        is scattered once: iota_{e_i} of it is its bucket with first index
+        i.  iota_{e_i} delta_key is delta_{key[1:]} when key[0] = i and zero
+        otherwise, so d iota_{e_i} delta_key is d of a point mass of the
+        previous arity, kept in a cache that lives for this call; the
+        arity-3 columns are not kept, since nothing reads them.
+        theta_{e_i} delta_key scatters the rows of ad e_i over the slots.
         """
+        _, ad, preimage = g._structure_over_integers()
+        n = g.dim
+        rows = [_ad_rows([(i, 1)], ad) for i in range(n)]
+        previous: dict = {(): {}}
         for arity in range(1, 4):
-            for key in product(range(len(basis)), repeat=arity):
-                w = MultilinearMap(g, arity, {key: 1})
-                dw = ce_differential(w)
-                for i, x in enumerate(basis):
-                    lhs = insert_first(x, dw) + ce_differential(insert_first(x, w))
-                    if lhs != lie_action(x, w):
+            columns: dict = {}
+            for key in product(range(n), repeat=arity):
+                dw = _d_scatter([(key, 1)], preimage)
+                if arity < 3:
+                    columns[key] = dw
+                buckets = _iota_buckets(dw.items())
+                for i in range(n):
+                    lhs = buckets.get(i, {})
+                    if key[0] == i:
+                        lhs = dict(lhs)
+                        for rest, val in previous[key[1:]].items():
+                            lhs[rest] = lhs.get(rest, 0) + val
+                    rhs = _theta_scatter([(key, 1)], rows[i])
+                    if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
                         return CheckItem(
                             "cartan-formula", False, f"arity {arity} key {key} X={g.labels[i]}"
                         )
+            previous = columns
         return CheckItem("cartan-formula", True)
 
     def _d_squared_item(self, g: QuadraticLieAlgebra, n: int) -> CheckItem:
@@ -528,6 +561,10 @@ class DiracContext:
                 key = (umono, pmask | high)
                 out[key] = out.get(key, ZERO) + c * ci
         return TripleTensorElement(self.adapted, space, out)
+
+
+def _nonzero(numerators: dict) -> dict:
+    return {key: n for key, n in numerators.items() if n}
 
 
 def _alternating_triple(i: int, j: int, k: int) -> dict:

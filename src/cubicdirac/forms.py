@@ -18,6 +18,14 @@ basis vector it costs O(n + nnz(ad e_a)).  Both indexes come from
 constants over one common denominator; every operator adds integer
 numerators, building one Fraction per output tuple at the end.
 
+The integer loops are private kernels that take (key, numerator) entries
+and return numerator dicts, which may hold zeros: `_d_scatter` for d,
+`_ad_rows` and `_theta_scatter` for theta_X, and `_iota_buckets`, which
+groups entries by their first index, for iota_X.  A public operator puts
+its operands over integers, runs its kernels and turns the sums back into
+Fractions.  The cartan-formula check in `dirac` runs the same kernels on
+point masses, so a fault in any of them fails that check too.
+
 d raises arity by one and is capped so results stay within arity 4.  On
 alternating maps these are the usual Lie-algebra-cohomology operators with
 trivial coefficients; d of a 0-form is zero.  A map's table is its `terms`;
@@ -114,14 +122,11 @@ class MultilinearMap(LinearCombination):
         return f"MultilinearMap(arity={self.arity}, {{{entries}}})"
 
 
-def ce_differential(w: MultilinearMap) -> MultilinearMap:
-    """The coboundary; raises arity by one (input arity at most 3)."""
-    g = w.algebra
-    k = w.arity
-    if k + 1 > MAX_ARITY:
-        raise UnsupportedArityError(f"differential of arity {k} exceeds the arity cap")
-    den, entries = _integer_terms(w.terms)
-    den_g, _, preimage = g._structure_over_integers()
+def _d_scatter(entries, preimage) -> dict:
+    """Numerators of d w from the (key, n) entries of w and the preimage index.
+
+    The result is over the entries' denominator times P; it may hold zeros.
+    """
     out: dict = {}
     for key, val in entries:
         for pos, r in enumerate(key):
@@ -131,23 +136,24 @@ def ce_differential(w: MultilinearMap) -> MultilinearMap:
                 for s in range(pos + 1):
                     idx = key[:s] + (a,) + key[s:pos] + (b,) + tail
                     out[idx] = out.get(idx, 0) + (-cv if s & 1 else cv)
-    return MultilinearMap._from_terms((g, k + 1), _fractions_over(out, den * den_g))
+    return out
 
 
-def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
-    """theta_X w: the natural action, inserting [X, .] slot by slot."""
-    g = w.algebra
-    (x,) = g._coordinates(x)
-    # row r of ad X: the (s, c) with [X, e_s] = ... + c e_r + ..., over
-    # den_x * den_g, read off ad e_a for the a in the support of X
-    den_x, support = _integer_terms({a: xa for a, xa in enumerate(x) if xa})
-    den_g, ad, _ = g._structure_over_integers()
+def _ad_rows(support, ad) -> dict[int, dict[int, int]]:
+    """Row r of ad X as {s: n}, [X, e_s] = ... + n e_r + ..., from X's (a, n) support.
+
+    The rows are over X's denominator times P.
+    """
     rows: dict[int, dict[int, int]] = {}
     for a, xa in support:
         for s, r, c in ad[a]:
             row = rows.setdefault(r, {})
             row[s] = row.get(s, 0) + xa * c
-    den, entries = _integer_terms(w.terms)
+    return rows
+
+
+def _theta_scatter(entries, rows) -> dict:
+    """Numerators of theta_X w from the (key, n) entries of w and the rows of ad X."""
     out: dict = {}
     for key, val in entries:
         for pos, r in enumerate(key):
@@ -157,7 +163,41 @@ def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
                 for s, c in row.items():
                     idx = head + (s,) + tail
                     out[idx] = out.get(idx, 0) + c * val
-    return MultilinearMap._from_terms((g, w.arity), _fractions_over(out, den * den_x * den_g))
+    return out
+
+
+def _iota_buckets(entries) -> dict[int, dict]:
+    """{a: {rest: n}}: the (key, n) entries grouped by key[0] = a, keyed by key[1:].
+
+    iota_X w is the sum over a of X's coordinate a times bucket a.
+    """
+    out: dict[int, dict] = {}
+    for key, val in entries:
+        out.setdefault(key[0], {})[key[1:]] = val
+    return out
+
+
+def ce_differential(w: MultilinearMap) -> MultilinearMap:
+    """The coboundary; raises arity by one (input arity at most 3)."""
+    g = w.algebra
+    k = w.arity
+    if k + 1 > MAX_ARITY:
+        raise UnsupportedArityError(f"differential of arity {k} exceeds the arity cap")
+    den, entries = _integer_terms(w.terms)
+    den_g, _, preimage = g._structure_over_integers()
+    out = _fractions_over(_d_scatter(entries, preimage), den * den_g)
+    return MultilinearMap._from_terms((g, k + 1), out)
+
+
+def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
+    """theta_X w: the natural action, inserting [X, .] slot by slot."""
+    g = w.algebra
+    (x,) = g._coordinates(x)
+    den_x, support = _integer_terms({a: xa for a, xa in enumerate(x) if xa})
+    den_g, ad, _ = g._structure_over_integers()
+    den, entries = _integer_terms(w.terms)
+    out = _fractions_over(_theta_scatter(entries, _ad_rows(support, ad)), den * den_x * den_g)
+    return MultilinearMap._from_terms((g, w.arity), out)
 
 
 def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
@@ -172,12 +212,12 @@ def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
     if not picked:
         return MultilinearMap._from_terms((g, w.arity - 1), {})
     den_x, coords = _integer_terms({key[0]: x[key[0]] for key in picked})
-    coords = dict(coords)
     den, entries = _integer_terms(picked)
+    buckets = _iota_buckets(entries)
     out: dict = {}
-    for key, val in entries:
-        rest = key[1:]
-        out[rest] = out.get(rest, 0) + coords[key[0]] * val
+    for a, xa in coords:
+        for rest, val in buckets[a].items():
+            out[rest] = out.get(rest, 0) + xa * val
     return MultilinearMap._from_terms((g, w.arity - 1), _fractions_over(out, den * den_x))
 
 

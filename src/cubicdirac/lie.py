@@ -114,11 +114,21 @@ def check_ad_invariance(dim: int, table: BracketTable, form: Matrix):
 
     For each i, the sums over all (j, k) are scattered from the nonzero
     [e_i, e_j] and the nonzero form entries, and the witness is the least
-    failing (j, k) of the first i that has one.
+    failing (j, k) of the first i that has one.  The sums read row a and
+    column a of the form only for the a that some bracket reaches, so only
+    the entries in those rows and columns are brought to integers.
     """
     _, ad = _integer_brackets(dim, _sparse_brackets(dim, table))
+    reached = {a for ad_i in ad for terms in ad_i.values() for a, _ in terms}
+    if not reached:
+        return None
     _, entries = _integer_terms(
-        {(a, k): b for a in range(dim) for k, b in enumerate(form.row(a)) if b}
+        {
+            (a, k): b
+            for a in range(dim)
+            for k, b in enumerate(form.row(a))
+            if b and (a in reached or k in reached)
+        }
     )
     rows: list[list] = [[] for _ in range(dim)]
     cols: list[list] = [[] for _ in range(dim)]

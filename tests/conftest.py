@@ -6,6 +6,7 @@ hand out the same immutable objects everywhere.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,24 @@ def changed_algebra(name: str, seed: int) -> QuadraticLieAlgebra:
     g = catalog_entry(name).algebra
     table, form = changed_basis(g, seed)
     return QuadraticLieAlgebra(f"{name}-basis-{seed}", g.labels, table, form)
+
+
+def hostile_form(n=16, digits=4000, seed=16):
+    """A diagonal n x n form with entries 1/q, for distinct seeded q of `digits` digits."""
+    rng = random.Random(seed)
+    qs = set()
+    while len(qs) < n:
+        qs.add(rng.randrange(10 ** (digits - 1), 10**digits))
+    return Matrix([[Fraction(1, q) if i == j else Fraction(0) for j in range(n)] for i, q in enumerate(sorted(qs))])
+
+
+def best_of_three(f):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        f()
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 @pytest.fixture(scope="session")

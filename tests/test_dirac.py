@@ -18,14 +18,16 @@ from itertools import product
 import pytest
 
 from conftest import changed_algebra, unit_vector
-from cubicdirac import dirac
+from cubicdirac import dirac, forms
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
 from cubicdirac.clifford import Multivector, twisted_commutator
-from cubicdirac.dirac import DEFAULT_SEED, DiracContext
+from cubicdirac.dirac import DEFAULT_SEED, CheckItem, DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
-from cubicdirac.forms import bracket_coproduct
+from cubicdirac.forms import MultilinearMap, bracket_coproduct, ce_differential, insert_first, lie_action
+from cubicdirac.lie import QuadraticLieAlgebra
 from cubicdirac.linalg import invert
+from cubicdirac.sparse import LinearCombination
 from cubicdirac.tensor import TensorElement
 
 
@@ -437,3 +439,141 @@ def test_passing_dv_items_carry_no_witness(contexts):
     items = items_by_id(contexts("sl2-killing").cohomology_check())
     for item_id in ("dv-derivation-law", "dv-square-is-v2-bracket"):
         assert items[item_id].ok and items[item_id].witness is None
+
+
+# -- cartan-formula against the public operators --------------------------------
+#
+# `_cartan_item` compares integer numerators from the operators' shared
+# kernels and reuses d of each point mass.  This is its previous body,
+# which evaluates every (arity, key, X) through the public operators over
+# Q, kept here as the reference it must agree with.
+
+
+def reference_cartan_item(g):
+    basis = [unit_vector(g.dim, i) for i in range(g.dim)]
+    for arity in range(1, 4):
+        for key in product(range(len(basis)), repeat=arity):
+            w = MultilinearMap(g, arity, {key: 1})
+            dw = ce_differential(w)
+            for i, x in enumerate(basis):
+                lhs = insert_first(x, dw) + ce_differential(insert_first(x, w))
+                if lhs != lie_action(x, w):
+                    return CheckItem("cartan-formula", False, f"arity {arity} key {key} X={g.labels[i]}")
+    return CheckItem("cartan-formula", True)
+
+
+def fresh_context(name):
+    """A context on a copy of catalog entry `name`, whose integer structure no other test shares."""
+    g = catalog_entry(name).algebra
+    return DiracContext(QuadraticLieAlgebra(f"{name}-copy", g.labels, g.bracket_table(), g.form))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cartan_item_matches_the_reference_on_the_catalog(contexts, name):
+    g = contexts(name).adapted
+    item = contexts(name)._cartan_item(g)
+    assert item == reference_cartan_item(g) == CheckItem("cartan-formula", True)
+
+
+def test_cartan_item_matches_the_reference_in_a_rational_basis():
+    """sl(3) in a seeded basis: structure constants with denominators, a split form."""
+    ctx = DiracContext(changed_algebra("sl3-killing", 5))
+    g = ctx.adapted
+    den, _, _ = g._structure_over_integers()
+    assert den > 1
+    item = ctx._cartan_item(g)
+    assert item == reference_cartan_item(g) == CheckItem("cartan-formula", True)
+
+
+@pytest.mark.parametrize("name", ["sl2-killing", "sl2xsl2-diagonal", "sl3-killing"])
+def test_cartan_item_matches_the_reference_on_a_corrupted_ad_entry(name):
+    """One entry of ad e_a shifted after validation, for every a with a bracket.
+
+    theta_X reads the ad rows and d the preimage index, so theta sees the
+    change and d does not; both bodies fail with the same witness.
+    """
+    witnesses = set()
+    for a in range(catalog_entry(name).algebra.dim):
+        ctx = fresh_context(name)
+        g = ctx.adapted
+        den, ad, preimage = g._structure_over_integers()
+        if not ad[a]:
+            continue
+        s, r, c = ad[a][-1]
+        corrupted = list(ad)
+        corrupted[a] = ad[a][:-1] + ((s, r, c + den),)
+        g._integer_structure = den, tuple(corrupted), preimage
+        item = ctx._cartan_item(g)
+        assert item == reference_cartan_item(g)
+        assert not item.ok and item.witness is not None
+        witnesses.add(item.witness)
+    assert len(witnesses) > 1
+
+
+def test_cartan_item_uses_no_public_operator_and_builds_no_fraction(monkeypatch):
+    ctx = fresh_context("sl2xsl2-diagonal")
+    g = ctx.adapted
+    g._structure_over_integers()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cartan-formula reached a public operator or built a Fraction")
+
+    for name in ("ce_differential", "lie_action", "insert_first"):
+        monkeypatch.setattr(forms, name, forbidden)
+        monkeypatch.setattr(dirac, name, forbidden, raising=False)
+    monkeypatch.setattr(LinearCombination, "__add__", forbidden)
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    item = ctx._cartan_item(g)
+    monkeypatch.undo()
+    assert item == CheckItem("cartan-formula", True)
+
+
+def negated_d(original):
+    """d with its alternating sign (-1)^s flipped to (-1)^(s+1)."""
+    return lambda entries, preimage: {idx: -n for idx, n in original(entries, preimage).items()}
+
+
+def doubled_theta_entry(original):
+    """The rows of ad X with the least entry of the least row doubled."""
+
+    def rows(support, ad):
+        out = original(support, ad)
+        if out:
+            row = out[min(out)]
+            row[min(row)] *= 2
+        return out
+
+    return rows
+
+
+def iota_keeping_the_first_index(original):
+    return lambda entries: {
+        a: {(a, *rest): n for rest, n in bucket.items()} for a, bucket in original(entries).items()
+    }
+
+
+KERNEL_FAULTS = {
+    "_d_scatter": negated_d,
+    "_ad_rows": doubled_theta_entry,
+    "_iota_buckets": iota_keeping_the_first_index,
+}
+
+
+@pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
+@pytest.mark.parametrize("kernel", KERNEL_FAULTS)
+def test_cartan_item_fails_under_each_kernel_fault(monkeypatch, name, kernel):
+    """A fault in a kernel the public operators share fails cartan-formula.
+
+    The fault is bound in forms, where the public operators read it, and
+    in dirac, where the cartan item does.  The witness may differ from the
+    reference's: the item reads iota of a point mass off its key instead
+    of calling the iota kernel on it.
+    """
+    ctx = fresh_context(name)
+    g = ctx.adapted
+    faulty = KERNEL_FAULTS[kernel](getattr(forms, kernel))
+    monkeypatch.setattr(forms, kernel, faulty)
+    monkeypatch.setattr(dirac, kernel, faulty)
+    item = ctx._cartan_item(g)
+    assert not item.ok
+    assert re.fullmatch(r"arity [12] key \(.*\) X=\S+", item.witness)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import changed_basis, tstar_heisenberg, unit_vector
+from conftest import best_of_three, changed_basis, hostile_form, tstar_heisenberg, unit_vector
 from cubicdirac.catalog import catalog_entry, catalog_names, heisenberg_brackets, sl2_brackets
 from cubicdirac.errors import (
     ContractViolation,
@@ -15,6 +15,8 @@ from cubicdirac.errors import (
 )
 from cubicdirac.lie import (
     QuadraticLieAlgebra,
+    _integer_brackets,
+    _sparse_brackets,
     check_ad_invariance,
     check_jacobi,
     killing_form,
@@ -23,6 +25,7 @@ from cubicdirac.lie import (
     subalgebra_action,
 )
 from cubicdirac.linalg import Matrix, vector
+from cubicdirac.sparse import _integer_terms
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +402,73 @@ def test_validation_does_no_fraction_arithmetic(monkeypatch):
         assert check_jacobi(n, table) is None
         assert check_ad_invariance(n, table, form) is None
     assert calls == []
+
+
+# -- check_ad_invariance before it followed the bracket support -------------
+#
+# The previous body put every nonzero form entry over one common
+# denominator, also the entries that no bracket reads; it is kept as the
+# reference the current body must agree with.
+
+
+def reference_check_ad_invariance(dim, table, form):
+    _, ad = _integer_brackets(dim, _sparse_brackets(dim, table))
+    _, entries = _integer_terms(
+        {(a, k): b for a in range(dim) for k, b in enumerate(form.row(a)) if b}
+    )
+    rows = [[] for _ in range(dim)]
+    cols = [[] for _ in range(dim)]
+    for (a, k), b in entries:
+        rows[a].append((k, b))
+        cols[k].append((a, b))
+    for i, ad_i in enumerate(ad):
+        s = {}
+        for j, terms in ad_i.items():
+            for a, c in terms:
+                for k, b in rows[a]:
+                    s[j, k] = s.get((j, k), 0) + c * b
+        for k, terms in ad_i.items():
+            for a, c in terms:
+                for j, b in cols[a]:
+                    s[j, k] = s.get((j, k), 0) + b * c
+        failing = [jk for jk, v in s.items() if v]
+        if failing:
+            return (i, *min(failing))
+    return None
+
+
+def test_ad_invariance_stays_cheap_on_hostile_form_entries():
+    """16 dimensions, no brackets, form entries 1/q with 4,000-digit q.
+
+    Nothing is read, so nothing is brought over the 64,000-digit lcm of
+    the q that the reference builds.
+    """
+    form = hostile_form()
+    assert check_ad_invariance(16, {}, form) is None
+    assert reference_check_ad_invariance(16, {}, form) is None
+    fast = best_of_three(lambda: check_ad_invariance(16, {}, form))
+    assert fast <= best_of_three(lambda: reference_check_ad_invariance(16, {}, form)) / 5
+
+
+def test_ad_invariance_matches_the_reference_on_perturbed_form_entries():
+    """Every catalog entry and T*-Heisenberg, clean and with each form entry shifted by 1/3.
+
+    T*-Heisenberg's z* is central and no bracket reaches it, so the shifts
+    of B(z*, z*) are entries the check no longer reads.
+    """
+    algebras = [catalog_entry(name).algebra for name in catalog_names()] + [tstar_heisenberg()]
+    witnesses = []
+    for g in algebras:
+        n, table = g.dim, g.bracket_table()
+        assert check_ad_invariance(n, table, g.form) is reference_check_ad_invariance(n, table, g.form) is None
+        for a in range(n):
+            for k in range(n):
+                rows = [list(g.form.row(r)) for r in range(n)]
+                rows[a][k] += Fraction(1, 3)
+                form = Matrix(rows)
+                witnesses.append(check_ad_invariance(n, table, form))
+                assert witnesses[-1] == reference_check_ad_invariance(n, table, form)
+    assert None in witnesses and len(set(witnesses)) > 20
 
 
 def test_sparse_store_agrees_with_the_dense_table():

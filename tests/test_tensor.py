@@ -12,19 +12,18 @@ kernel is compared with it on seeded operands.
 """
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import abelian_named_sl2, blade_clifford, changed_algebra
+from conftest import abelian_named_sl2, best_of_three, blade_clifford, changed_algebra, hostile_form
 from cubicdirac.catalog import catalog_entry
 from cubicdirac.clifford import CliffordSpace
 from cubicdirac.dirac import DiracContext
 from cubicdirac.envelope import PBWElement, pbw_normalize
 from cubicdirac.errors import ContractViolation
 from cubicdirac.lie import QuadraticLieAlgebra
-from cubicdirac.linalg import ZERO, Matrix
+from cubicdirac.linalg import ZERO
 from cubicdirac.tensor import TensorElement, TripleTensorElement, graded_commutator
 
 
@@ -386,23 +385,10 @@ def test_triple_product_keeps_its_type(abelian2, full_space):
     assert type(x * 2) is TripleTensorElement
 
 
-def hostile_document_context(n=16, digits=4000, seed=16):
-    """An n-dimensional abelian algebra with form entries 1/q, for distinct seeded q of `digits` digits."""
-    rng = random.Random(seed)
-    qs = set()
-    while len(qs) < n:
-        qs.add(rng.randrange(10 ** (digits - 1), 10**digits))
-    form = Matrix([[Fraction(1, q) if i == j else Fraction(0) for j in range(n)] for i, q in enumerate(sorted(qs))])
-    return DiracContext(QuadraticLieAlgebra("hostile", tuple(f"x{i}" for i in range(n)), {}, form))
-
-
-def best_of_three(f):
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        f()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def hostile_document_context():
+    """The 16-dimensional abelian algebra with form entries 1/q, q of 4,000 digits."""
+    form = hostile_form()
+    return DiracContext(QuadraticLieAlgebra("hostile", tuple(f"x{i}" for i in range(form.rows)), {}, form))
 
 
 def test_hostile_numbers_stay_cheap():
