@@ -12,10 +12,8 @@ from .catalog import CatalogEntry, catalog_entry, catalog_names
 from .clifford import (
     CliffordSpace,
     Multivector,
-    contract,
     is_scalar,
     multivector_from_trilinear,
-    pairing,
     scalar_part,
     spin_lift,
     twisted_commutator,
@@ -49,7 +47,7 @@ from .lie import (
 )
 from .linalg import Matrix, diagonalize_form, nullspace, solve_linear
 from .suite import SuiteReport, render_machine, render_text, run_suite
-from .tensor import TensorElement, TripleTensorElement, graded_commutator
+from .tensor import TensorElement, TripleTensorElement
 
 __version__ = "0.1.0"
 
@@ -81,11 +79,9 @@ __all__ = [
     "ce_differential",
     "check_ad_invariance",
     "check_jacobi",
-    "contract",
     "diagonalize_form",
     "emit_algebra_text",
     "form_of_trivector",
-    "graded_commutator",
     "insert_first",
     "is_scalar",
     "killing_form",
@@ -93,7 +89,6 @@ __all__ = [
     "multivector_from_trilinear",
     "nullspace",
     "orthogonal_split",
-    "pairing",
     "parse_algebra_text",
     "render_machine",
     "render_text",

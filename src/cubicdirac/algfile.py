@@ -117,6 +117,12 @@ def parse_algebra_text(text: str):
         raise AlgebraFileError(f"form must list dimension^2 = {dim * dim} entries row-major")
     if dim > MAX_DIMENSION:
         raise AlgebraFileError(f"dimension {dim} exceeds the maximum {MAX_DIMENSION}")
+    # more vectors than the dimension are dependent, refused before any coefficient is parsed
+    raw_sub = doc.get("subalgebra", [])
+    if not isinstance(raw_sub, list):
+        raise AlgebraFileError("subalgebra must be a list of coordinate vectors")
+    if len(raw_sub) > dim:
+        raise AlgebraFileError(f"subalgebra lists {len(raw_sub)} vectors, more than the dimension {dim}")
 
     raw_brackets = doc["brackets"]
     if not isinstance(raw_brackets, list):
@@ -160,18 +166,13 @@ def parse_algebra_text(text: str):
     entries = [_coefficient(x, f"form[{pos}]") for pos, x in enumerate(raw_form)]
     form = Matrix([entries[r * dim : (r + 1) * dim] for r in range(dim)], cols=dim)
 
-    subalgebra = ()
-    if "subalgebra" in doc:
-        raw_sub = doc["subalgebra"]
-        if not isinstance(raw_sub, list):
-            raise AlgebraFileError("subalgebra must be a list of coordinate vectors")
-        vectors = []
-        for pos, vec in enumerate(raw_sub):
-            where = f"subalgebra[{pos}]"
-            if not isinstance(vec, list) or len(vec) != dim:
-                raise AlgebraFileError(f"{where}: expected {dim} coordinates")
-            vectors.append(tuple(_coefficient(x, f"{where}[{i}]") for i, x in enumerate(vec)))
-        subalgebra = tuple(vectors)
+    vectors = []
+    for pos, vec in enumerate(raw_sub):
+        where = f"subalgebra[{pos}]"
+        if not isinstance(vec, list) or len(vec) != dim:
+            raise AlgebraFileError(f"{where}: expected {dim} coordinates")
+        vectors.append(tuple(_coefficient(x, f"{where}[{i}]") for i, x in enumerate(vec)))
+    subalgebra = tuple(vectors)
 
     algebra = QuadraticLieAlgebra(name, labels, table, form)
     return algebra, subalgebra

@@ -11,8 +11,8 @@ plus contraction,
     x * w = x ^ w + iota(x) w,
 
 which encodes the defining relation x y + y x = 2 B(x, y).  The contraction
-iota(x) is the transpose of wedging by x for the pairing extending B to
-blades by Gram determinants.
+iota(x) is the transpose of wedging by x for the extended pairing <.,.>,
+which extends B to blades by Gram determinants.
 """
 
 from __future__ import annotations
@@ -252,47 +252,10 @@ def is_scalar(a: Multivector) -> bool:
     return all(m == 0 for m in a.terms)
 
 
-def contract(x: Multivector, w: Multivector) -> Multivector:
-    """iota(x) w for degree-1 x: the B-transpose of wedging by x.
-
-    On blades: iota(e_i) kills blades without i, and removes i with the sign
-    of its position and a factor d_i otherwise.  It is an odd derivation of
-    the exterior algebra.
-    """
-    if any(m.bit_count() != 1 for m in x.terms):
-        raise ContractViolation("contraction direction must have pure degree 1")
-    x._check(w)
-    space = x.space
-    out: dict[int, Fraction] = {}
-    for mx, cx in x.terms.items():
-        i = mx.bit_length() - 1
-        d = space.gram[i]
-        for mw, cw in w.terms.items():
-            if not mw & mx:
-                continue
-            sign = -1 if (mw & (mx - 1)).bit_count() & 1 else 1
-            mask = mw ^ mx
-            acc = out.get(mask, ZERO) + sign * cx * cw * d
-            if acc:
-                out[mask] = acc
-            elif mask in out:
-                del out[mask]
-    return Multivector(space, out)
-
-
-def pairing(a: Multivector, b: Multivector) -> Fraction:
-    """The extension of B to blades: Gram determinants, diagonal here."""
-    a._check(b)
-    total = ZERO
-    for m, ca in a.terms.items():
-        cb = b.terms.get(m)
-        if cb:
-            total += ca * cb * a.space._gram_product(m)
-    return total
-
-
 def multivector_from_trilinear(space: CliffordSpace, table: Mapping[tuple[int, int, int], object]) -> Multivector:
-    """The unique degree-3 multivector v with pairing(v, x^y^z) = t(x,y,z).
+    """The unique degree-3 multivector v with <v, x^y^z> = t(x,y,z).
+
+    <.,.> is the extended pairing, B extended to blades by Gram determinants.
 
     t is the table {(i, j, k): t(e_i, e_j, e_k)}; absent triples read as
     zero.  t must be alternating, which is verified on its support: a nonzero

@@ -106,20 +106,30 @@ class MultilinearMap(LinearCombination):
         return self.terms.get(tuple(key), ZERO)
 
     def is_alternating(self) -> bool:
-        for key, val in self.terms.items():
-            if len(set(key)) != len(key):
-                return False
-            for s in range(len(key) - 1):
-                swapped = key[:s] + (key[s + 1], key[s]) + key[s + 2 :]
-                if self.terms.get(swapped, ZERO) != -val:
-                    return False
-        return True
+        return _is_alternating(self.terms)
 
     def __repr__(self) -> str:
         entries = ", ".join(
             f"{key}:{val}" for key, val in sorted(self.terms.items())
         )
         return f"MultilinearMap(arity={self.arity}, {{{entries}}})"
+
+
+def _is_alternating(terms: Mapping) -> bool:
+    """Whether a table {key: value} of ints or Fractions is alternating.
+
+    No stored key repeats an index, and swapping two adjacent slots negates
+    the value.  A stored zero counts, so a table that may hold zeros (the
+    kernels' numerator dicts) drops them first.
+    """
+    for key, val in terms.items():
+        if len(set(key)) != len(key):
+            return False
+        for s in range(len(key) - 1):
+            swapped = key[:s] + (key[s + 1], key[s]) + key[s + 2 :]
+            if terms.get(swapped, 0) != -val:
+                return False
+    return True
 
 
 def _d_scatter(entries, preimage) -> dict:
@@ -222,7 +232,7 @@ def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
 
 
 def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Sequence) -> Multivector:
-    """The degree-2 multivector delta(x) with pairing(delta(x), y^z) = B(x,[y,z]).
+    """The degree-2 multivector delta(x) with <delta(x), y^z> = B(x,[y,z]), <.,.> the extended pairing.
 
     The space must consist of the first space.dim basis directions of the
     algebra with matching diagonal Gram; with a diagonal Gram the defining
@@ -246,7 +256,7 @@ def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Seq
 
 
 def form_of_trivector(algebra: QuadraticLieAlgebra, v: Multivector) -> MultilinearMap:
-    """Read a degree-3 multivector back as the arity-3 map pairing(v, .^.^.).
+    """Read a degree-3 multivector back as the arity-3 map <v, .^.^.> of the extended pairing.
 
     A degree-3 blade c e_i^e_j^e_k (i < j < k) pairs with e_p^e_q^e_r to
     sign(p, q, r) c d_i d_j d_k when (p, q, r) orders {i, j, k}, else to 0.

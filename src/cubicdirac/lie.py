@@ -285,9 +285,6 @@ class QuadraticLieAlgebra:
                 total += xi * sum((row[j] * yj for j, yj in ys if row[j]), ZERO)
         return total
 
-    def is_abelian(self) -> bool:
-        return not any(self._sparse.values())
-
     def killing(self) -> Matrix:
         return _killing(self.dim, self._sparse)
 

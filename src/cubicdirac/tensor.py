@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from .clifford import ONE, CliffordSpace, Multivector, _swap_prefix
 from .envelope import PBWElement, pbw_normalize
-from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO
 from .sparse import LinearCombination, _integer_terms
@@ -158,12 +157,3 @@ class TripleTensorElement(TensorElement):
 
     __slots__ = ()
     __mul__ = TensorElement.__mul__
-
-
-def graded_commutator(a, b):
-    """[a, b] = ab - (-1)^{|a||b|} ba on homogeneous a, b."""
-    pa, pb = a.parity(), b.parity()
-    if pa is None or pb is None:
-        raise ContractViolation("graded commutator needs Z2-homogeneous arguments")
-    sign = -1 if pa and pb else 1
-    return a * b - sign * (b * a)

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
-from cubicdirac.clifford import _swap_prefix
+from cubicdirac.clifford import Multivector, _swap_prefix
+from cubicdirac.errors import ContractViolation
 from cubicdirac.linalg import Matrix, invert, rank
 from cubicdirac.suite import run_suite
 
@@ -47,6 +48,33 @@ def blade_clifford(space, ma: int, mb: int):
     """e_A e_B = +-(the Gram product of A & B) e_{A ^ B}, with the sign the product kernels take."""
     coeff = space._gram_product(ma & mb)
     return (-coeff if (_swap_prefix(ma) & mb).bit_count() & 1 else coeff), ma ^ mb
+
+
+def contract(x: Multivector, w: Multivector) -> Multivector:
+    """iota(x) w for degree-1 x: the B-transpose of wedging by x.
+
+    On blades: iota(e_i) kills blades without i, and removes i with the sign
+    of its position and a factor d_i otherwise.  It is an odd derivation of
+    the exterior algebra.
+    """
+    if any(m.bit_count() != 1 for m in x.terms):
+        raise ContractViolation("contraction direction must have pure degree 1")
+    x._check(w)
+    space = x.space
+    out: dict[int, Fraction] = {}
+    for mx, cx in x.terms.items():
+        d = space.gram[mx.bit_length() - 1]
+        for mw, cw in w.terms.items():
+            if mw & mx:
+                sign = -1 if (mw & (mx - 1)).bit_count() & 1 else 1
+                out[mw ^ mx] = out.get(mw ^ mx, Fraction(0)) + sign * cx * cw * d
+    return Multivector(space, out)
+
+
+def pairing(a: Multivector, b: Multivector) -> Fraction:
+    """The extended pairing: B extended to blades by Gram determinants, diagonal here."""
+    a._check(b)
+    return sum((ca * b.terms.get(m, 0) * a.space._gram_product(m) for m, ca in a.terms.items()), Fraction(0))
 
 
 def changed_basis(g, seed):

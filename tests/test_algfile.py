@@ -333,6 +333,27 @@ def test_bracket_terms_above_the_cap_are_rejected_before_any_coefficient_is_pars
     assert len(parsed) == MAX_BRACKET_TERMS + MAX_DIMENSION**2
 
 
+def test_subalgebra_with_more_vectors_than_the_dimension_is_rejected_before_any_coefficient_is_parsed(monkeypatch):
+    """Such vectors are dependent; the dimension bounds them, with no cap of its own."""
+    parsed = []
+    coefficient = algfile._coefficient
+
+    def recording(raw, where):
+        parsed.append(where)
+        return coefficient(raw, where)
+
+    monkeypatch.setattr(algfile, "_coefficient", recording)
+    doc = identity_doc(4)
+    doc["subalgebra"] = [[str(int(r % 4 == c)) for c in range(4)] for r in range(5)]
+    with pytest.raises(AlgebraFileError, match="subalgebra lists 5 vectors, more than the dimension 4"):
+        parse_doc(doc)
+    assert parsed == []
+    doc["subalgebra"] = doc["subalgebra"][:4]
+    _, subalgebra = parse_doc(doc)
+    assert len(subalgebra) == 4
+    assert len(parsed) == 4 * 4 + 4 * 4
+
+
 def test_catalog_and_benchmark_documents_are_under_the_bracket_cap(monkeypatch):
     """The documents bench/workloads.py builds for each workload, seed 1.
 

@@ -7,15 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import blade_clifford
+from conftest import blade_clifford, contract, pairing
 from cubicdirac.clifford import (
     CliffordSpace,
     Multivector,
     _blade_wedge,
-    contract,
     is_scalar,
     multivector_from_trilinear,
-    pairing,
     scalar_part,
     spin_lift,
     twisted_commutator,

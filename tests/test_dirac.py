@@ -577,3 +577,168 @@ def test_cartan_item_fails_under_each_kernel_fault(monkeypatch, name, kernel):
     item = ctx._cartan_item(g)
     assert not item.ok
     assert re.fullmatch(r"arity [12] key \(.*\) X=\S+", item.witness)
+
+
+# -- d-squared-zero and d-preserves-alternating against the public operators ----
+#
+# Both items scatter d on the integer entries of alternating point masses
+# with the kernel `ce_differential` runs.  These are their previous
+# bodies, which build each point mass as a MultilinearMap and apply the
+# public operator over Q, kept here as the references they must agree with.
+
+
+def reference_d_squared_item(g):
+    n = g.dim
+    for i in range(n):
+        w = MultilinearMap(g, 1, {(i,): 1})
+        if not ce_differential(ce_differential(w)).is_zero():
+            return CheckItem("d-squared-zero", False, f"arity 1 key ({i},)")
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = MultilinearMap(g, 2, {(i, j): 1, (j, i): -1})
+            if not ce_differential(ce_differential(w)).is_zero():
+                return CheckItem("d-squared-zero", False, f"arity 2 key ({i},{j})")
+    return CheckItem("d-squared-zero", True)
+
+
+def reference_alternating_item(g):
+    n = g.dim
+    for i in range(n):
+        w = MultilinearMap(g, 1, {(i,): 1})
+        if not ce_differential(w).is_alternating():
+            return CheckItem("d-preserves-alternating", False, f"arity 1 key ({i},)")
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = MultilinearMap(g, 2, {(i, j): 1, (j, i): -1})
+            if not ce_differential(w).is_alternating():
+                return CheckItem("d-preserves-alternating", False, f"arity 2 key ({i},{j})")
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                triple = {(i, j, k): 1, (j, k, i): 1, (k, i, j): 1, (j, i, k): -1, (i, k, j): -1, (k, j, i): -1}
+                if not ce_differential(MultilinearMap(g, 3, triple)).is_alternating():
+                    return CheckItem("d-preserves-alternating", False, f"arity 3 key ({i},{j},{k})")
+    return CheckItem("d-preserves-alternating", True)
+
+
+def d_items_and_references(ctx, g):
+    return (
+        (ctx._d_squared_item(g), reference_d_squared_item(g)),
+        (ctx._alternating_stability_item(g), reference_alternating_item(g)),
+    )
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_d_items_match_the_references_on_the_catalog(contexts, name):
+    g = contexts(name).adapted
+    for item, reference in d_items_and_references(contexts(name), g):
+        assert item == reference and item.ok
+
+
+def test_d_items_match_the_references_in_a_rational_basis():
+    """sl(3) in a seeded basis: structure constants with denominators, a split form."""
+    ctx = DiracContext(changed_algebra("sl3-killing", 5))
+    g = ctx.adapted
+    den, _, _ = g._structure_over_integers()
+    assert den > 1
+    for item, reference in d_items_and_references(ctx, g):
+        assert item == reference and item.ok
+
+
+def failing_arity(item):
+    assert not item.ok and item.witness is not None
+    return int(re.fullmatch(r"arity (\d) key \((\d+,)+\d*\)", item.witness).group(1))
+
+
+@pytest.mark.parametrize("name", ["sl2-killing", "sl2xsl2-diagonal", "sl3-killing"])
+def test_d_items_match_the_references_on_a_shifted_structure_constant(name):
+    """One entry of the preimage index shifted by P after validation, for every entry.
+
+    d e^r then reads a bracket that is not antisymmetric, so both items
+    fail at arity 1.  No such shift fails d-preserves-alternating later:
+    once every d e^r is alternating the bracket is antisymmetric, and then
+    d maps alternating forms to alternating forms at every arity.
+    """
+    ctx = fresh_context(name)
+    g = ctx.adapted
+    den, ad, preimage = g._structure_over_integers()
+    witnesses = set()
+    for r, row in enumerate(preimage):
+        for t, (a, s, c) in enumerate(row):
+            corrupted = list(preimage)
+            corrupted[r] = row[:t] + ((a, s, c + den),) + row[t + 1 :]
+            g._integer_structure = den, ad, tuple(corrupted)
+            for item, reference in d_items_and_references(ctx, g):
+                assert item == reference
+                assert failing_arity(item) == 1
+                witnesses.add(item.witness)
+    assert len(witnesses) > 1
+
+
+def d_repeating_the_last_index_above(arity, original):
+    """d that also adds each entry's value on its key with the last index
+    repeated, for keys of more than `arity` indices: exact up to `arity`."""
+
+    def scatter(entries, preimage):
+        entries = list(entries)
+        out = original(entries, preimage)
+        for key, val in entries:
+            if len(key) > arity:
+                idx = key + key[-1:]
+                out[idx] = out.get(idx, 0) + val
+        return out
+
+    return scatter
+
+
+@pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
+def test_d_items_match_the_references_on_a_d_that_fails_past_an_arity(monkeypatch, name):
+    """A d exact on arity 1 fails d-squared-zero at arity 1 (its second
+    application sees arity 2) and d-preserves-alternating at arity 2; a d
+    exact up to arity 2 fails them at arities 2 and 3.  The fault is bound
+    in forms, where the references read it, and in dirac, where the items
+    do.  Not on sl(2), where d of every 2-form is zero, so the second
+    application never sees an arity-3 entry.
+    """
+    ctx = fresh_context(name)
+    g = ctx.adapted
+    original = forms._d_scatter
+    for exact_up_to in (1, 2):
+        faulty = d_repeating_the_last_index_above(exact_up_to, original)
+        monkeypatch.setattr(forms, "_d_scatter", faulty)
+        monkeypatch.setattr(dirac, "_d_scatter", faulty)
+        arities = []
+        for item, reference in d_items_and_references(ctx, g):
+            assert item == reference
+            arities.append(failing_arity(item))
+        assert arities == [exact_up_to, exact_up_to + 1]
+
+
+def test_a_stored_zero_on_a_repeated_index_is_not_alternating(contexts):
+    """The kernel keeps zeros: d of e^0 ^ e^1 on sl(2) holds one on a
+    repeated index, which fails the alternation test until it is dropped."""
+    assert not forms._is_alternating({(1, 1): 0})
+    g = contexts("sl2-killing").adapted
+    _, _, preimage = g._structure_over_integers()
+    raw = forms._d_scatter([((0, 1), 1), ((1, 0), -1)], preimage)
+    assert any(n == 0 and len(set(key)) < 3 for key, n in raw.items())
+    assert not forms._is_alternating(raw)
+    assert forms._is_alternating({key: n for key, n in raw.items() if n})
+
+
+def test_d_items_use_no_public_operator_and_build_no_fraction(monkeypatch):
+    ctx = fresh_context("sl2xsl2-diagonal")
+    g = ctx.adapted
+    g._structure_over_integers()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a d item reached a public operator or built a Fraction or a map")
+
+    monkeypatch.setattr(forms, "ce_differential", forbidden)
+    monkeypatch.setattr(dirac, "ce_differential", forbidden)
+    monkeypatch.setattr(MultilinearMap, "__init__", forbidden)
+    monkeypatch.setattr(LinearCombination, "__add__", forbidden)
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    items = (ctx._d_squared_item(g), ctx._alternating_stability_item(g))
+    monkeypatch.undo()
+    assert items == (CheckItem("d-squared-zero", True), CheckItem("d-preserves-alternating", True))

@@ -7,9 +7,8 @@ from itertools import product
 
 import pytest
 
-from conftest import abelian_named_sl2, tstar_heisenberg, unit_vector
+from conftest import abelian_named_sl2, pairing, tstar_heisenberg, unit_vector
 from cubicdirac.catalog import catalog_entry, catalog_names
-from cubicdirac.clifford import pairing
 from cubicdirac.dirac import DiracContext
 from cubicdirac.errors import ContractViolation, UnsupportedArityError
 from cubicdirac.forms import (

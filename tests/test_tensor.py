@@ -24,7 +24,7 @@ from cubicdirac.envelope import PBWElement, pbw_normalize
 from cubicdirac.errors import ContractViolation
 from cubicdirac.lie import QuadraticLieAlgebra
 from cubicdirac.linalg import ZERO
-from cubicdirac.tensor import TensorElement, TripleTensorElement, graded_commutator
+from cubicdirac.tensor import TensorElement, TripleTensorElement
 
 
 def _mono_mul(algebra, ma, mb) -> dict:
@@ -186,20 +186,6 @@ def test_parity_of_simple_tensors(abelian2, space):
     assert TensorElement.zero(abelian2, space).parity() == 0
     mixed = elem(abelian2, space, None, ()) + elem(abelian2, space, 0, (0,))
     assert mixed.parity() is None
-
-
-def test_graded_commutator_rules(abelian2, space):
-    odd_a = elem(abelian2, space, 0, (0,))
-    odd_b = elem(abelian2, space, 1, (1,))
-    even = elem(abelian2, space, 0, (0, 1))
-    assert graded_commutator(odd_a, odd_b) == odd_a * odd_b + odd_b * odd_a
-    assert graded_commutator(even, odd_a) == even * odd_a - odd_a * even
-
-
-def test_graded_commutator_rejects_inhomogeneous_input(abelian2, space):
-    mixed = elem(abelian2, space, None, ()) + elem(abelian2, space, 0, (0,))
-    with pytest.raises(ContractViolation):
-        graded_commutator(mixed, mixed)
 
 
 def test_tensor_associativity_randomized(space):
