@@ -158,10 +158,6 @@ class Multivector(LinearCombination):
         self.space = space
         self.terms = {m: c for m, c in terms.items() if c}
 
-    @staticmethod
-    def _key_parity(mask: int) -> int:
-        return mask.bit_count() & 1
-
     def __mul__(self, other):
         """Clifford product; scalars multiply coefficientwise.
 

@@ -51,13 +51,12 @@ from .forms import (
     lie_action,
 )
 from .lie import (
-    OrthogonalSplit,
     QuadraticLieAlgebra,
     orthogonal_split,
     subalgebra_action,
     unit,
 )
-from .linalg import Matrix, ZERO
+from .linalg import ZERO
 from .tensor import TensorElement, TripleTensorElement
 
 HALF = Fraction(1, 2)
@@ -88,27 +87,6 @@ class CheckOutcome:
         return tuple(item for item in self.items if not item.ok)
 
 
-def _trivial_split(algebra: QuadraticLieAlgebra) -> OrthogonalSplit:
-    """The split with h = 0 when the algebra basis is already orthogonal.
-
-    Reusing the algebra itself as the adapted algebra keeps element carriers
-    compatible when a context is built on top of another context's adapted
-    algebra (the decomposition check does exactly that).
-    """
-    n = algebra.dim
-    ident = Matrix.identity(n)
-    return OrthogonalSplit(
-        ambient=algebra,
-        p_vectors=tuple(unit(n, i) for i in range(n)),
-        h_vectors=(),
-        p_gram=tuple(algebra.form.entry(i, i) for i in range(n)),
-        h_gram=(),
-        adapted=algebra,
-        from_adapted=ident,
-        to_adapted=ident,
-    )
-
-
 class DiracContext:
     """g, an optional h, one adapted basis, and the cached operator data."""
 
@@ -121,10 +99,7 @@ class DiracContext:
         self.algebra = algebra
         self.subalgebra = tuple(tuple(Fraction(c) for c in v) for v in subalgebra)
         self.p_variant = p_variant
-        if not self.subalgebra and p_variant == 0 and algebra.form.is_diagonal():
-            self.split = _trivial_split(algebra)
-        else:
-            self.split = orthogonal_split(algebra, self.subalgebra, p_variant)
+        self.split = orthogonal_split(algebra, self.subalgebra, p_variant)
         self.adapted = self.split.adapted
         self.m = self.split.p_dim
         self.k = self.split.h_dim

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
-from .linalg import ZERO, as_scalar, vector
+from .linalg import ZERO, Matrix, as_scalar
 from .sparse import LinearCombination
 
 Monomial = tuple[int, ...]
@@ -125,25 +125,25 @@ def casimir_element(algebra: QuadraticLieAlgebra, basis_vectors: Sequence[Sequen
 
     With no basis given, the algebra's own basis is used and must already be
     B-orthogonal.  A non-orthogonal basis is rejected: the dual-basis formula
-    below is only valid when the Gram matrix is diagonal.
+    below is only valid when the Gram matrix, S^T B S for the basis columns
+    S, is diagonal.
     """
+    n = algebra.dim
     if basis_vectors is None:
         if not algebra.form.is_diagonal():
             raise ContractViolation("default basis is not orthogonal; pass one explicitly")
-        basis_vectors = [
-            [Fraction(1) if s == i else ZERO for s in range(algebra.dim)]
-            for i in range(algebra.dim)
-        ]
-    vecs = [vector(v) for v in basis_vectors]
-    if len(vecs) != algebra.dim:
+        basis_vectors = Matrix.identity(n).columns()
+    vecs = algebra._coordinates(*basis_vectors)
+    if len(vecs) != n:
         raise ContractViolation("orthogonal basis must have full dimension")
-    for i, vi in enumerate(vecs):
-        for j in range(i + 1, len(vecs)):
-            if algebra.b(vi, vecs[j]) != 0:
+    s = Matrix.from_columns(vecs, rows=n)
+    gram = s.transpose() @ algebra.form @ s
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gram.entry(i, j) != 0:
                 raise ContractViolation(f"basis vectors {i} and {j} are not orthogonal")
     omega = PBWElement.zero(algebra)
-    for vi in vecs:
-        d = algebra.b(vi, vi)
+    for vi, d in zip(vecs, gram.diagonal()):
         if d == 0:
             raise ContractViolation("basis vector is isotropic")
         x = PBWElement.from_vector(algebra, vi)

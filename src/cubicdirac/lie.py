@@ -34,7 +34,6 @@ from .linalg import (
     Matrix,
     ZERO,
     diagonalize_form,
-    invert,
     is_zero_vector,
     nullspace,
     rank,
@@ -343,21 +342,6 @@ class OrthogonalSplit:
         return QuadraticLieAlgebra(f"{self.ambient.name}|h", labels, brackets, form)
 
 
-def _span_solver(vectors: Sequence[Sequence[Fraction]], dim: int) -> Matrix:
-    return Matrix.from_columns([vector(v) for v in vectors], rows=dim)
-
-
-def _combination(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]], n: int) -> tuple[Fraction, ...]:
-    """sum_s coeffs[s] vectors[s] in Q^n, skipping zero coefficients and zero entries."""
-    acc = [ZERO] * n
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            for t, x in enumerate(vec):
-                if x:
-                    acc[t] += c * x
-    return tuple(acc)
-
-
 def orthogonal_split(
     g: QuadraticLieAlgebra,
     subalgebra: Sequence[Sequence] = (),
@@ -370,6 +354,10 @@ def orthogonal_split(
     before orthogonalization; any value yields a valid split, different values
     usually yield genuinely different orthogonal bases of h_perp, which the
     basis-independence checks rely on.
+
+    Every Gram is a congruence: the Gram of the columns of S is S^T B S.
+    Once the adapted basis P is checked to satisfy P^T B P = diag(d), its
+    inverse is diag(1/d) P^T B, with no elimination.
     """
     n = g.dim
     h_raw = [vector(v) for v in subalgebra]
@@ -378,81 +366,66 @@ def orthogonal_split(
             raise ContractViolation("subalgebra vector length does not match the algebra")
     k = len(h_raw)
 
-    if k:
-        hmat = _span_solver(h_raw, n)
-        if rank(hmat) != k:
-            raise NotASubalgebraError("subalgebra vectors are linearly dependent")
-        for i in range(k):
-            for j in range(i + 1, k):
-                br = g.bracket(h_raw[i], h_raw[j])
-                if solve_linear(hmat, br) is None:
-                    raise NotASubalgebraError(
-                        "not closed under the bracket", witness=(i, j)
-                    )
-        gram_h = Matrix(
-            [[g.b(h_raw[i], h_raw[j]) for j in range(k)] for i in range(k)], cols=k
-        )
-        try:
-            p_h, h_gram = diagonalize_form(gram_h)
-        except DegenerateFormError as exc:
-            raise DegenerateFormError(
-                "the form restricted to the subalgebra is degenerate",
-                witness=exc.witness,
-            ) from exc
-        h_vectors = [_combination(col, h_raw, n) for col in p_h.columns()]
-        # h_perp = kernel of x -> (B(h_i, x))_i
-        pairing_rows = Matrix(
-            [[g.b(h_raw[i], unit(n, s)) for s in range(n)] for i in range(k)], cols=n
-        )
-        complement = nullspace(pairing_rows)
-    else:
-        h_vectors = []
-        h_gram = ()
-        complement = nullspace(Matrix.zero(0, n))
+    hmat = Matrix.from_columns(h_raw, rows=n)
+    if rank(hmat) != k:
+        raise NotASubalgebraError("subalgebra vectors are linearly dependent")
+    for i in range(k):
+        for j in range(i + 1, k):
+            br = g.bracket(h_raw[i], h_raw[j])
+            if solve_linear(hmat, br) is None:
+                raise NotASubalgebraError("not closed under the bracket", witness=(i, j))
+    # row i is x -> B(h_i, x), so h_perp is its kernel
+    pairing_rows = hmat.transpose() @ g.form
+    try:
+        p_h, h_gram = diagonalize_form(pairing_rows @ hmat)
+    except DegenerateFormError as exc:
+        raise DegenerateFormError(
+            "the form restricted to the subalgebra is degenerate",
+            witness=exc.witness,
+        ) from exc
+    h_vectors = (hmat @ p_h).columns()
+    complement = nullspace(pairing_rows)
 
     if p_variant and len(complement) >= 2:
         complement = list(reversed(complement))
         complement[0] = tuple(x + p_variant * y for x, y in zip(complement[0], complement[1]))
 
     m = len(complement)
-    if m:
-        gram_p = Matrix(
-            [[g.b(complement[i], complement[j]) for j in range(m)] for i in range(m)],
-            cols=m,
-        )
-        p_p, p_gram = diagonalize_form(gram_p)
-        p_vectors = [_combination(col, complement, n) for col in p_p.columns()]
-    else:
-        p_vectors = []
-        p_gram = ()
+    cmat = Matrix.from_columns(complement, rows=n)
+    p_p, p_gram = diagonalize_form(cmat.transpose() @ g.form @ cmat)
+    p_vectors = (cmat @ p_p).columns()
 
-    for hv in h_vectors:
-        for pv in p_vectors:
-            if g.b(hv, pv) != 0:
-                raise ContractViolation("internal: split bases are not B-orthogonal")
-
-    from_adapted = Matrix.from_columns(list(p_vectors) + list(h_vectors), rows=n)
-    to_adapted = invert(from_adapted)
-    grams = tuple(p_gram) + tuple(h_gram)
+    from_adapted = Matrix.from_columns(p_vectors + h_vectors, rows=n)
+    grams = p_gram + h_gram
     adapted_form = Matrix(
         [[grams[i] if i == j else ZERO for j in range(n)] for i in range(n)], cols=n
     )
-    check = from_adapted.transpose() @ g.form @ from_adapted
-    if check != adapted_form:
+    # the off-diagonal entries include every B(h_j, p_i) = 0
+    pairing = from_adapted.transpose() @ g.form
+    if pairing @ from_adapted != adapted_form:
         raise ContractViolation("internal: adapted form mismatch")
+    to_adapted = Matrix(
+        [[x / d if x else ZERO for x in pairing.row(i)] for i, d in enumerate(grams)], cols=n
+    )
 
-    adapted_brackets = {}
-    cols = from_adapted.columns()
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = g.bracket(cols[i], cols[j])
-            if any(br):
-                adapted_brackets[(i, j)] = to_adapted.mat_vec(br)
-    labels = tuple(f"p{i + 1}" for i in range(m)) + tuple(f"h{j + 1}" for j in range(len(h_vectors)))
-    adapted = QuadraticLieAlgebra(f"{g.name}#adapted", labels, adapted_brackets, adapted_form)
+    if not h_vectors and from_adapted == Matrix.identity(n):
+        # A context built on an adapted algebra keeps its basis and labels,
+        # so its elements mix with those of the context it came from: the
+        # decomposition check builds D_g on the pair's adapted algebra.
+        adapted = g
+    else:
+        adapted_brackets = {}
+        cols = from_adapted.columns()
+        for i in range(n):
+            for j in range(i + 1, n):
+                br = g.bracket(cols[i], cols[j])
+                if any(br):
+                    adapted_brackets[(i, j)] = to_adapted.mat_vec(br)
+        labels = tuple(f"p{i + 1}" for i in range(m)) + tuple(f"h{j + 1}" for j in range(k))
+        adapted = QuadraticLieAlgebra(f"{g.name}#adapted", labels, adapted_brackets, adapted_form)
 
     # ad-invariance makes h_perp an h-module; check it anyway
-    for j in range(len(h_vectors)):
+    for j in range(k):
         for i in range(m):
             if any(adapted.bracket_basis(m + j, i)[m:]):
                 raise ContractViolation("internal: [h, h_perp] leaves h_perp")
@@ -461,8 +434,8 @@ def orthogonal_split(
         ambient=g,
         p_vectors=tuple(p_vectors),
         h_vectors=tuple(h_vectors),
-        p_gram=tuple(p_gram),
-        h_gram=tuple(h_gram),
+        p_gram=p_gram,
+        h_gram=h_gram,
         adapted=adapted,
         from_adapted=from_adapted,
         to_adapted=to_adapted,
@@ -476,8 +449,9 @@ def unit(n: int, i: int) -> tuple[Fraction, ...]:
 def subalgebra_action(split: OrthogonalSplit, y_ambient: Sequence) -> Matrix:
     """Matrix of ad(y) restricted to h_perp, in the orthogonal p-basis.
 
-    y must lie in the span of the subalgebra.  The result lies in so of the
-    diagonal Gram: Gram * A is antisymmetric.
+    y must lie in the span of the subalgebra.  `orthogonal_split` has checked
+    that [h, h_perp] lies in h_perp; that the result lies in so of the
+    diagonal Gram is checked by `spin_lift`, which takes it.
     """
     y_ad = split.to_adapted.mat_vec(vector(y_ambient))
     m = split.p_dim
@@ -488,15 +462,7 @@ def subalgebra_action(split: OrthogonalSplit, y_ambient: Sequence) -> Matrix:
         acc = [ZERO] * m
         for j, c in enumerate(y_ad[m:]):
             if c:
-                br = split.adapted.bracket_basis(m + j, i)
-                if any(br[m:]):
-                    raise ContractViolation("internal: action leaves h_perp")
-                for t in range(m):
-                    acc[t] += c * br[t]
+                for t, b in split.adapted.bracket_sparse(m + j, i):
+                    acc[t] += c * b
         cols.append(tuple(acc))
-    mat = Matrix.from_columns(cols, rows=m)
-    for i in range(m):
-        for j in range(m):
-            if split.p_gram[i] * mat.entry(i, j) != -split.p_gram[j] * mat.entry(j, i):
-                raise ContractViolation("internal: restricted action is not in so(Gram)")
-    return mat
+    return Matrix.from_columns(cols, rows=m)

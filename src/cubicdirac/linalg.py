@@ -240,17 +240,6 @@ def rank(a: Matrix) -> int:
     return len(_echelon(aug, a.cols))
 
 
-def invert(a: Matrix) -> Matrix:
-    if a.rows != a.cols:
-        raise ContractViolation("only square matrices can be inverted")
-    n = a.rows
-    aug = [list(a.row(i)) + list(Matrix.identity(n).row(i)) for i in range(n)]
-    pivots = _echelon(aug, n)
-    if len(pivots) != n:
-        raise ContractViolation("matrix is singular")
-    return Matrix([row[n:] for row in aug], cols=n)
-
-
 def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     """Congruence-diagonalize a symmetric non-degenerate form.
 

@@ -6,8 +6,7 @@ with a carrier: the tuple of objects that fixes the space it lives in
 carriers are equal.  QuadraticLieAlgebra defines no equality, so algebras
 compare by identity; Clifford spaces compare by their Gram entries.
 
-A subclass names its carrier fields and supplies its product and repr; a
-Z2-graded one also supplies `_key_parity`.
+A subclass names its carrier fields and supplies its product and repr.
 
 The product kernels run on integers: `_integer_terms` writes an operand's
 coefficients over one common denominator, the kernel multiplies and adds
@@ -89,13 +88,6 @@ class LinearCombination:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def parity(self) -> int | None:
-        """0 for even, 1 for odd, None for inhomogeneous; zero counts as even."""
-        ps = {self._key_parity(key) for key in self.terms}
-        if len(ps) > 1:
-            return None
-        return ps.pop() if ps else 0
 
 
 def _integer_terms(terms: dict) -> tuple[int, list]:

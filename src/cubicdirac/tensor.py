@@ -64,11 +64,6 @@ class TensorElement(LinearCombination):
                 terms[(mono, mask)] = cu * cc
         return cls(u.algebra, c.space, terms)
 
-    @staticmethod
-    def _key_parity(key) -> int:
-        """Z2-degree of a term: its Clifford blade parity (U carries no grading)."""
-        return key[1].bit_count() & 1
-
     def __mul__(self, other):
         """Super tensor product; scalars multiply coefficientwise.
 

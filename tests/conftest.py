@@ -14,12 +14,23 @@ import pytest
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
 from cubicdirac.clifford import Multivector, _swap_prefix
 from cubicdirac.errors import ContractViolation
-from cubicdirac.linalg import Matrix, invert, rank
+from cubicdirac.linalg import Matrix, _echelon, rank
 from cubicdirac.suite import run_suite
 
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(s == i)) for s in range(n))
+
+
+def invert(a: Matrix) -> Matrix:
+    """A^-1 by Gauss-Jordan elimination of [A | I]."""
+    if a.rows != a.cols:
+        raise ContractViolation("only square matrices can be inverted")
+    n = a.rows
+    aug = [list(a.row(i)) + list(Matrix.identity(n).row(i)) for i in range(n)]
+    if len(_echelon(aug, n)) != n:
+        raise ContractViolation("matrix is singular")
+    return Matrix([row[n:] for row in aug], cols=n)
 
 
 def abelian_named_sl2() -> QuadraticLieAlgebra:
@@ -77,19 +88,24 @@ def pairing(a: Multivector, b: Multivector) -> Fraction:
     return sum((ca * b.terms.get(m, 0) * a.space._gram_product(m) for m, ca in a.terms.items()), Fraction(0))
 
 
-def changed_basis(g, seed):
-    """g's bracket table and form in a seeded random basis of Q^n.
-
-    The new basis vectors are the columns of an invertible matrix with
-    entries a/b, |a| <= 2 and 1 <= b <= 4, so the structure constants and
-    the form, which is not diagonal, have denominators.
-    """
+def random_basis(n: int, seed) -> Matrix:
+    """A seeded invertible n x n matrix with entries a/b, |a| <= 2 and 1 <= b <= 4."""
     rng = random.Random(seed)
-    n = g.dim
     while True:
         p = Matrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
         if rank(p) == n:
-            break
+            return p
+
+
+def changed_basis(g, seed):
+    """g's bracket table and form in a seeded random basis of Q^n.
+
+    The new basis vectors are the columns of random_basis(n, seed), so the
+    structure constants and the form, which is not diagonal, have
+    denominators.
+    """
+    n = g.dim
+    p = random_basis(n, seed)
     inverse, cols = invert(p), p.columns()
     table = {}
     for i in range(n):

@@ -47,22 +47,24 @@ def test_tracer_counts_the_layers_and_restores_the_package():
 
 
 def test_tracer_sees_the_validation_layers():
-    """sl2-killing has a non-diagonal Killing form, so its context splits."""
-    text = emit_algebra_text(catalog_entry("sl2-killing").algebra)
-    tracer = load_tracing().Tracer()
-    try:
-        tracer.install()
-        algebra, _ = parse_algebra_text(text)
-        dirac.DiracContext(algebra)
-    finally:
-        tracer.uninstall()
-    for name in (
-        "lie.QuadraticLieAlgebra.__init__",
-        "lie.check_jacobi",
-        "lie.check_ad_invariance",
-        "lie.orthogonal_split",
-    ):
-        assert tracer.stats[name]["calls"] > 0, name
+    """Every context splits: sl2-killing has a non-diagonal Killing form,
+    and abelian3's diagonal form takes the same path, to the identity."""
+    for name in ("sl2-killing", "abelian3"):
+        text = emit_algebra_text(catalog_entry(name).algebra)
+        tracer = load_tracing().Tracer()
+        try:
+            tracer.install()
+            algebra, _ = parse_algebra_text(text)
+            dirac.DiracContext(algebra)
+        finally:
+            tracer.uninstall()
+        for layer in (
+            "lie.QuadraticLieAlgebra.__init__",
+            "lie.check_jacobi",
+            "lie.check_ad_invariance",
+            "lie.orthogonal_split",
+        ):
+            assert tracer.stats[layer]["calls"] > 0, (name, layer)
 
 
 FIELDS = ("calls", "pairs", "terms_in", "terms_out")

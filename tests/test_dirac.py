@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from conftest import changed_algebra, unit_vector
+from conftest import changed_algebra, invert, unit_vector
 from cubicdirac import dirac, forms
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
 from cubicdirac.clifford import Multivector, twisted_commutator
@@ -26,7 +26,6 @@ from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
 from cubicdirac.forms import MultilinearMap, bracket_coproduct, ce_differential, insert_first, lie_action
 from cubicdirac.lie import QuadraticLieAlgebra
-from cubicdirac.linalg import invert
 from cubicdirac.sparse import LinearCombination
 from cubicdirac.tensor import TensorElement
 

@@ -101,6 +101,19 @@ def test_casimir_needs_an_orthogonal_basis(sl2):
         casimir_element(sl2)
 
 
+def test_casimir_names_the_first_failing_basis_pair(sl2):
+    """The Gram is read whole, but the errors name the first (i, j) in pair order."""
+    units = [unit_vector(3, i) for i in range(3)]
+    with pytest.raises(ContractViolation, match="basis vectors 0 and 2 are not orthogonal"):
+        casimir_element(sl2, units)
+    with pytest.raises(ContractViolation, match="isotropic"):
+        casimir_element(sl2, [(0, 0, 0), *orthogonal_split(sl2).p_vectors[1:]])
+    with pytest.raises(ContractViolation, match="full dimension"):
+        casimir_element(sl2, units[:2])
+    with pytest.raises(ContractViolation, match="coordinate length"):
+        casimir_element(sl2, [(1, 0), (0, 1), (1, 1)])
+
+
 def test_casimir_is_basis_independent(sl2):
     basis_a = orthogonal_split(sl2).p_vectors
     basis_b = orthogonal_split(sl2, (), p_variant=1).p_vectors

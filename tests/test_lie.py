@@ -5,8 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import best_of_three, changed_basis, hostile_form, tstar_heisenberg, unit_vector
+from conftest import (
+    best_of_three,
+    changed_algebra,
+    changed_basis,
+    hostile_form,
+    invert,
+    random_basis,
+    tstar_heisenberg,
+    unit_vector,
+)
 from cubicdirac.catalog import catalog_entry, catalog_names, heisenberg_brackets, sl2_brackets
+from cubicdirac.dirac import DiracContext
+from cubicdirac.envelope import casimir_element
 from cubicdirac.errors import (
     ContractViolation,
     DegenerateFormError,
@@ -24,7 +35,7 @@ from cubicdirac.lie import (
     orthogonal_split,
     subalgebra_action,
 )
-from cubicdirac.linalg import Matrix, vector
+from cubicdirac.linalg import Matrix, diagonalize_form, nullspace, vector
 from cubicdirac.sparse import _integer_terms
 
 
@@ -195,6 +206,132 @@ def test_p_variant_produces_a_genuinely_different_basis():
     variant = orthogonal_split(sl2, (), p_variant=1)
     assert base.p_vectors != variant.p_vectors
     assert variant.adapted.form.is_diagonal()
+
+
+# -- reference for the split ---------------------------------------------------
+#
+# The split as it was first written: every Gram entry one call of g.b, each
+# orthogonal vector a sum over the diagonalizing columns, and the adapted
+# basis inverted by elimination.  orthogonal_split reads its Grams as
+# congruences S^T B S and inverts the adapted basis in closed form; the two
+# must agree field by field.
+
+SL3_TRIPLE = (unit_vector(8, 0), unit_vector(8, 3), unit_vector(8, 5))
+
+
+def reference_orthogonal_split(g, subalgebra=(), p_variant=0):
+    n = g.dim
+    h_raw = [vector(v) for v in subalgebra]
+    k = len(h_raw)
+
+    def gram(vectors):
+        return Matrix([[g.b(x, y) for y in vectors] for x in vectors], cols=len(vectors))
+
+    def combination(coeffs, vectors):
+        return tuple(sum((c * v[t] for c, v in zip(coeffs, vectors)), Fraction(0)) for t in range(n))
+
+    p_h, h_gram = diagonalize_form(gram(h_raw))
+    h_vectors = [combination(col, h_raw) for col in p_h.columns()]
+    complement = nullspace(Matrix([[g.b(x, unit_vector(n, s)) for s in range(n)] for x in h_raw], cols=n))
+    if p_variant and len(complement) >= 2:
+        complement = list(reversed(complement))
+        complement[0] = tuple(x + p_variant * y for x, y in zip(complement[0], complement[1]))
+    p_p, p_gram = diagonalize_form(gram(complement))
+    p_vectors = [combination(col, complement) for col in p_p.columns()]
+
+    from_adapted = Matrix.from_columns(p_vectors + h_vectors, rows=n)
+    to_adapted = invert(from_adapted)
+    if not h_vectors and from_adapted == Matrix.identity(n):
+        adapted = g
+    else:
+        cols = from_adapted.columns()
+        table = {
+            (i, j): to_adapted.mat_vec(g.bracket(cols[i], cols[j])) for i in range(n) for j in range(i + 1, n)
+        }
+        grams = p_gram + h_gram
+        form = Matrix([[grams[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        labels = tuple(f"p{i + 1}" for i in range(len(p_vectors))) + tuple(f"h{j + 1}" for j in range(k))
+        adapted = QuadraticLieAlgebra(f"{g.name}#adapted", labels, table, form)
+    return {
+        "p_vectors": tuple(p_vectors),
+        "h_vectors": tuple(h_vectors),
+        "p_gram": p_gram,
+        "h_gram": h_gram,
+        "from_adapted": from_adapted,
+        "to_adapted": to_adapted,
+        "adapted": adapted,
+    }
+
+
+def assert_split_is_the_reference(g, subalgebra=(), p_variant=0):
+    split = orthogonal_split(g, subalgebra, p_variant)
+    want = reference_orthogonal_split(g, subalgebra, p_variant)
+    for name, value in want.items():
+        if name != "adapted":
+            assert getattr(split, name) == value, name
+    got, ref = split.adapted, want["adapted"]
+    assert (got is g) == (ref is g)
+    assert (got.name, got.labels, got.form) == (ref.name, ref.labels, ref.form)
+    assert got.bracket_table() == ref.bracket_table()
+    assert split.to_adapted @ split.from_adapted == Matrix.identity(g.dim)
+
+
+@pytest.mark.parametrize(
+    "name, with_subalgebra",
+    [(name, False) for name in catalog_names()]
+    + [(name, True) for name in catalog_names() if catalog_entry(name).subalgebra],
+)
+def test_split_matches_the_reference_on_the_catalog(name, with_subalgebra):
+    entry = catalog_entry(name)
+    for p_variant in range(3):
+        assert_split_is_the_reference(entry.algebra, entry.subalgebra if with_subalgebra else (), p_variant)
+
+
+@pytest.mark.parametrize(
+    "name, seed, subalgebra",
+    [
+        ("abelian3", 1, ((0, 0, 1),)),
+        ("sl2-killing", 2, ()),
+        ("sl2xsl2-diagonal", 3, catalog_entry("sl2xsl2-diagonal").subalgebra),
+        ("sl3-killing", 4, SL3_TRIPLE),
+    ],
+)
+def test_split_matches_the_reference_in_a_changed_basis(name, seed, subalgebra):
+    """Non-diagonal forms with denominators; the subalgebra moved into the new basis."""
+    g = changed_algebra(name, seed)
+    inverse = invert(random_basis(g.dim, seed))
+    moved = tuple(inverse.mat_vec(v) for v in subalgebra)
+    for p_variant in range(3):
+        assert_split_is_the_reference(g, (), p_variant)
+        assert_split_is_the_reference(g, moved, p_variant)
+
+
+def test_split_of_an_orthogonal_basis_is_the_algebra_itself():
+    g = catalog_entry("abelian3").algebra
+    assert orthogonal_split(g).adapted is g
+    assert DiracContext(g).adapted is g
+
+
+def test_split_along_a_subalgebra_relabels_an_orthogonal_basis():
+    """from_adapted is the identity here too, but the adapted basis is p1, p2, h1."""
+    ctx = DiracContext(catalog_entry("abelian3").algebra, [(0, 0, 1)])
+    assert ctx.split.from_adapted == Matrix.identity(3)
+    assert ctx.adapted.labels == ("p1", "p2", "h1")
+    assert [item.item_id for item in ctx.h_invariance_check().items] == ["delta-commutes-with-dirac:h1"]
+
+
+def test_split_and_casimir_take_grams_as_congruences(monkeypatch):
+    """No Gram entry is one call of QuadraticLieAlgebra.b."""
+    g = catalog_entry("sl3-killing").algebra
+
+    def refuse(self, x, y):
+        raise AssertionError("QuadraticLieAlgebra.b was called")
+
+    monkeypatch.setattr(QuadraticLieAlgebra, "b", refuse)
+    for subalgebra in ((), SL3_TRIPLE):
+        split = orthogonal_split(g, subalgebra)
+        casimir_element(g, split.p_vectors + split.h_vectors)
+        casimir_element(split.adapted)
 
 
 # -- dense reference for validation -------------------------------------------

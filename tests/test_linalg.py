@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import invert
 from cubicdirac.errors import ContractViolation, DegenerateFormError
 from cubicdirac.linalg import (
     Matrix,
     as_scalar,
     diagonalize_form,
-    invert,
     nullspace,
     rank,
     solve_linear,
