@@ -48,7 +48,7 @@ class CliffordSpace:
     product of the numerators in mask and the denominators outside it.
     """
 
-    __slots__ = ("dim", "gram", "_overlap_grams", "_gram_den", "_overlap_integers")
+    __slots__ = ("dim", "gram", "_overlap_grams", "_gram_den", "_overlap_integers", "_half_integers")
 
     def __init__(self, gram: Sequence):
         self.gram = vector(gram)
@@ -58,6 +58,7 @@ class CliffordSpace:
         self._overlap_grams: dict[int, Fraction] = {}
         self._gram_den = math.prod(d.denominator for d in self.gram)
         self._overlap_integers: dict[int, int] = {0: self._gram_den}
+        self._half_integers: dict[tuple[int, int], int] = {}
 
     def _gram_product(self, mask: int) -> Fraction:
         """The product of d_i over the bits of mask, kept per mask on first use."""
@@ -70,12 +71,30 @@ class CliffordSpace:
         return prod
 
     def _gram_integer(self, mask: int) -> int:
-        """Q times the product of d_i over the bits of mask, kept per mask on first use."""
+        """Q times the product of d_i over the bits of mask, kept per mask on first use.
+
+        That is the product of the numerators in mask and the denominators
+        outside it, so no Fraction is built.  It is taken as the product of
+        the factors from the low and the high half of the basis, each kept
+        per half mask, so that large Gram entries multiply in balanced pairs.
+        """
         scaled = self._overlap_integers.get(mask)
         if scaled is None:
-            scaled = (self._gram_den * self._gram_product(mask)).numerator
+            low = (1 << (self.dim // 2)) - 1
+            scaled = self._half_integer(mask & low, low) * self._half_integer(mask & ~low, ~low)
             self._overlap_integers[mask] = scaled
         return scaled
+
+    def _half_integer(self, mask: int, span: int) -> int:
+        """The factor of `_gram_integer(mask)` from the basis vectors in span."""
+        part = self._half_integers.get((mask, span))
+        if part is None:
+            part = 1
+            for i, d in enumerate(self.gram):
+                if span >> i & 1:
+                    part *= d.numerator if mask >> i & 1 else d.denominator
+            self._half_integers[(mask, span)] = part
+        return part
 
     def zero(self) -> "Multivector":
         return Multivector(self, {})
@@ -161,31 +180,16 @@ class Multivector(LinearCombination):
     def __mul__(self, other):
         """Clifford product; scalars multiply coefficientwise.
 
-        The blade pairs multiply integer numerators: a's over D_a, b's over
-        D_b, and the Gram product of each overlap scaled by the space's Q,
+        The blade pairs multiply integer numerators in `_product_numerators`,
         so every sum is over D_a D_b Q and becomes one Fraction per blade.
         """
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
         space = self.space
-        grams = space._overlap_integers
         den_a, left = _integer_terms(self.terms)
         den_b, right = _integer_terms(other.terms)
-        out: dict[int, int] = {}
-        for ma, na in left:
-            p = _swap_prefix(ma)
-            for mb, nb in right:
-                overlap = ma & mb
-                g = grams.get(overlap)
-                if g is None:
-                    g = space._gram_integer(overlap)
-                c = na * nb * g
-                mask = ma ^ mb
-                if (p & mb).bit_count() & 1:
-                    out[mask] = out.get(mask, 0) - c
-                else:
-                    out[mask] = out.get(mask, 0) + c
+        out = _product_numerators(space, left, right)
         return Multivector._from_terms((space,), _fractions_over(out, den_a * den_b * space._gram_den))
 
     def __xor__(self, other: "Multivector") -> "Multivector":
@@ -257,8 +261,12 @@ def multivector_from_trilinear(space: CliffordSpace, table: Mapping[tuple[int, i
     zero.  t must be alternating, which is verified on its support: a nonzero
     entry has three distinct indices, and each of its six orderings carries
     it with the ordering's sign.  An absent triple has no nonzero ordering,
-    so this is the check on all m^3 triples.  The blade e_i^e_j^e_k pairs
-    with itself to d_i d_j d_k, so v has t(i, j, k) / (d_i d_j d_k) on it.
+    so this is the check on all m^3 triples.  The six orderings are compared
+    for the first key of each orbit in sorted order only: once they carry
+    that key's value with their signs, every other key of the orbit passes
+    too, so the first failure is the same as when every key is checked.
+    The blade e_i^e_j^e_k pairs with itself to d_i d_j d_k, so v has
+    t(i, j, k) / (d_i d_j d_k) on it.
     """
     m = space.dim
     values = {}
@@ -269,15 +277,19 @@ def multivector_from_trilinear(space: CliffordSpace, table: Mapping[tuple[int, i
         if val:
             values[key] = val
     terms = {}
+    checked = set()
     for key, val in sorted(values.items()):
-        i, j, k = key
-        if i == j or j == k or i == k:
+        mask = (1 << key[0]) | (1 << key[1]) | (1 << key[2])
+        if mask in checked:
+            continue
+        if mask.bit_count() != 3:
             raise ContractViolation(f"trilinear map not alternating at {key}")
         for order, sign in zip(permutations(key), _ORDERING_SIGNS):
             if values.get(order, ZERO) != sign * val:
                 raise ContractViolation(f"trilinear map not alternating at {order}")
-        if i < j < k:
-            terms[(1 << i) | (1 << j) | (1 << k)] = val / (space.gram[i] * space.gram[j] * space.gram[k])
+        checked.add(mask)
+        i, j, k = key  # the first key of its orbit in sorted order is increasing
+        terms[mask] = val / (space.gram[i] * space.gram[j] * space.gram[k])
     return Multivector(space, terms)
 
 
@@ -285,21 +297,55 @@ def twisted_commutator(v: Multivector, a: Multivector) -> Multivector:
     """v a - kappa(a) v, the odd-twisted bracket with v (kappa = grade involution).
 
     For odd v this operator is an odd derivation of the Clifford algebra and
-    its square is the plain commutator with v*v.
-
-    One pass over the blade pairs: e_V e_A and kappa(e_A) e_V land on the
-    same blade V ^ A with the same Gram product g over V & A, with signs
-    (-1)^sw(V,A) and (-1)^(|A| + sw(A,V)), where sw(V,A) + sw(A,V) =
-    |V||A| - |V & A|.  So a pair adds 2 (-1)^sw(V,A) g when
-    |A|(|V| + 1) + |V & A| is odd and nothing otherwise: for odd V when
-    |A & V| is odd, for even V when |A & ~V| is odd.  The numerators add
-    over D_v D_a Q as in `Multivector.__mul__`.
+    its square is the plain commutator with v*v.  The blade pairs run in
+    `_twisted_numerators`, over D_v D_a Q as in `Multivector.__mul__`.
     """
     v._check(a)
     space = v.space
-    grams = space._overlap_integers
     den_v, left = _integer_terms(v.terms)
     den_a, right = _integer_terms(a.terms)
+    out = _twisted_numerators(space, left, right)
+    return Multivector._from_terms((space,), _fractions_over(out, den_v * den_a * space._gram_den))
+
+
+def _product_numerators(space: CliffordSpace, left, right) -> dict[int, int]:
+    """The Clifford product on integer numerators.
+
+    left and right are (mask, n) pairs with numerators over D_a and D_b;
+    each blade pair adds n_a n_b times Q times the Gram product of its
+    overlap, with the sign of `_swap_prefix`, so the sums {mask: n} are over
+    D_a D_b Q.  A sum that cancels stays in the result as 0.
+    """
+    grams = space._overlap_integers
+    out: dict[int, int] = {}
+    for ma, na in left:
+        p = _swap_prefix(ma)
+        for mb, nb in right:
+            overlap = ma & mb
+            g = grams.get(overlap)
+            if g is None:
+                g = space._gram_integer(overlap)
+            c = na * nb * g
+            mask = ma ^ mb
+            if (p & mb).bit_count() & 1:
+                out[mask] = out.get(mask, 0) - c
+            else:
+                out[mask] = out.get(mask, 0) + c
+    return out
+
+
+def _twisted_numerators(space: CliffordSpace, left, right) -> dict[int, int]:
+    """v a - kappa(a) v on integer numerators, in one pass over the blade pairs.
+
+    e_V e_A and kappa(e_A) e_V land on the same blade V ^ A with the same
+    Gram product g over V & A, with signs (-1)^sw(V,A) and
+    (-1)^(|A| + sw(A,V)), where sw(V,A) + sw(A,V) = |V||A| - |V & A|.  So a
+    pair adds 2 (-1)^sw(V,A) g when |A|(|V| + 1) + |V & A| is odd and
+    nothing otherwise: for odd V when |A & V| is odd, for even V when
+    |A & ~V| is odd.  The sums are over D_v D_a Q, as in
+    `_product_numerators`.
+    """
+    grams = space._overlap_integers
     out: dict[int, int] = {}
     for mv, nv in left:
         p = _swap_prefix(mv)
@@ -318,7 +364,7 @@ def twisted_commutator(v: Multivector, a: Multivector) -> Multivector:
                 out[mask] = out.get(mask, 0) - c
             else:
                 out[mask] = out.get(mask, 0) + c
-    return Multivector._from_terms((space,), _fractions_over(out, den_v * den_a * space._gram_den))
+    return out
 
 
 def spin_lift(space: CliffordSpace, a: Matrix) -> Multivector:

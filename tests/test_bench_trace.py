@@ -72,12 +72,15 @@ PINNED_COUNTS = {
     # one cohomology check on sl2xsl2-diagonal (absolute): the Clifford
     # product, the twisted commutator (calls only: it makes no Clifford
     # product of its own) and the three Chevalley-Eilenberg operators.
+    # The dv-* laws run the Clifford kernels on integers, not the public
+    # product, so what is left of the Clifford work is one twisted
+    # commutator per generator for delta-plus-dv-vanishes.
     # cartan-formula, d-squared-zero and d-preserves-alternating run the
     # operators' kernels, not the operators, so what is left is dB and
     # theta_X B
     ("cohomology_check", False): {
-        "clifford.Multivector.__mul__": (501, 4796, 0, 4505),
-        "clifford.twisted_commutator": (506,),
+        "clifford.Multivector.__mul__": (0, 0, 0, 0),
+        "clifford.twisted_commutator": (6,),
         "forms.ce_differential": (1, 0, 6, 12),
         "forms.lie_action": (6, 0, 36, 0),
         "forms.insert_first": (0, 0, 0, 0),

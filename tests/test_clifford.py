@@ -412,6 +412,55 @@ def test_trilinear_rejects_one_broken_entry(space3, table, where):
         multivector_from_trilinear(space3, table)
 
 
+def reference_multivector_from_trilinear(space, table):
+    """The reconstruction that compares all six orderings for every nonzero entry."""
+    values = {key: Fraction(raw) for key, raw in table.items() if raw}
+    terms = {}
+    for key, val in sorted(values.items()):
+        i, j, k = key
+        if i == j or j == k or i == k:
+            raise ContractViolation(f"trilinear map not alternating at {key}")
+        for order, sign in zip(itertools.permutations(key), (1, -1, -1, 1, 1, -1)):
+            if values.get(order, Fraction(0)) != sign * val:
+                raise ContractViolation(f"trilinear map not alternating at {order}")
+        if i < j < k:
+            terms[(1 << i) | (1 << j) | (1 << k)] = val / (space.gram[i] * space.gram[j] * space.gram[k])
+    return Multivector(space, terms)
+
+
+def outcome_of(build, space, table):
+    try:
+        return build(space, table).terms
+    except ContractViolation as exc:
+        return str(exc)
+
+
+def test_trilinear_checks_each_orbit_once_with_the_same_first_failure():
+    """Corrupted alternating tables on 5 generators: the same result or the same
+    error as when every entry compares its six orderings."""
+    space = CliffordSpace((Fraction(2), Fraction(-3), Fraction(5), Fraction(1, 2), Fraction(-7, 3)))
+    rng = random.Random("trilinear-orbits")
+    triples = list(itertools.combinations(range(5), 3))
+    failures = set()
+    for _ in range(300):
+        base = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for t in rng.sample(triples, 4)}
+        table = alternating_table(base)
+        for _ in range(rng.randint(0, 2)):
+            key = tuple(rng.randrange(5) for _ in range(3))
+            roll = rng.random()
+            if roll < 0.4:
+                table.pop(key, None)
+            elif roll < 0.7 and key in table:
+                table[key] = -table[key]
+            else:
+                table[key] = Fraction(rng.randint(-3, 3))
+        got = outcome_of(multivector_from_trilinear, space, table)
+        assert got == outcome_of(reference_multivector_from_trilinear, space, table)
+        if isinstance(got, str):
+            failures.add(got)
+    assert len(failures) > 20
+
+
 @pytest.mark.parametrize("key", [(0, 1, 3), (-1, 0, 1), (0, 1), (0, 1, 2, 0), "012", (0, 1, 1.0)])
 def test_trilinear_rejects_a_key_that_is_not_three_indices_in_range(space3, key):
     with pytest.raises(ContractViolation, match="is not three indices below 3"):

@@ -11,16 +11,18 @@ values frozen into the assertions:
   * an sl(2) triple inside sl(3): constants 1/3, 1/12, 1/4
 """
 
+import random
 import re
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import changed_algebra, invert, unit_vector
+from conftest import changed_algebra, hostile_form, invert, unit_vector
 from cubicdirac import dirac, forms
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
-from cubicdirac.clifford import Multivector, twisted_commutator
+from cubicdirac.clifford import CliffordSpace, Multivector, _product_numerators, twisted_commutator
 from cubicdirac.dirac import DEFAULT_SEED, CheckItem, DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
@@ -420,18 +422,156 @@ def test_dv_derivation_law_holds_for_a_wrong_v():
     assert not items["dv-square-is-v2-bracket"].ok
 
 
+def wrong_twist_sign(space, left, right):
+    """v a + kappa(a) v on numerators: the twisted kernel with the twist sign dropped."""
+    left, right = list(left), list(right)
+    out = _product_numerators(space, left, right)
+    kappa_a = [(mask, -n if mask.bit_count() & 1 else n) for mask, n in right]
+    for mask, n in _product_numerators(space, kappa_a, left).items():
+        out[mask] = out.get(mask, 0) + n
+    return out
+
+
 def test_dv_derivation_witness_reproduces_the_failure_on_its_own(monkeypatch):
     """d_v(ab) = d_v(a) b + kappa(a) d_v(b) holds for every v, odd or not, so no
-    change of v breaks it; a sign error in the twist does."""
+    change of v breaks it; a sign error in the twist does.  The laws read d_v
+    from the integer twisted kernel, so the fault goes there."""
     ctx = DiracContext(catalog_entry("sl2-killing").algebra)
+    monkeypatch.setattr(dirac, "_twisted_numerators", wrong_twist_sign)
+    a, b = dv_witness(ctx, "dv-derivation-law")
+    v = ctx.v
 
     def wrong_sign(v, a):
         return v * a + a.grade_involution() * v
 
-    monkeypatch.setattr(dirac, "twisted_commutator", wrong_sign)
-    a, b = dv_witness(ctx, "dv-derivation-law")
-    v = ctx.v
     assert wrong_sign(v, a * b) != wrong_sign(v, a) * b + a.grade_involution() * wrong_sign(v, b)
+
+
+# The witnesses of both laws under the two faults above, as the sampled laws
+# over Q reported them before they ran on integer numerators.
+PINNED_DV_WITNESSES = {
+    "even part in v": {
+        "dv-derivation-law": None,
+        "dv-square-is-v2-bracket": "seed 20240814 a=51/20*e1 + 1/20*e1^e3",
+    },
+    "twist sign dropped": {
+        "dv-derivation-law": "seed 20240814 a=9/2 + -7*e1 + -9/7*e1^e2 + -1*e1^e2^e3 b=9/7 + 82/45*e2 + -1*e3",
+        "dv-square-is-v2-bracket": None,
+    },
+}
+
+
+@pytest.mark.parametrize("fault", PINNED_DV_WITNESSES)
+def test_dv_witnesses_are_pinned(monkeypatch, fault):
+    ctx = DiracContext(catalog_entry("sl2-killing").algebra)
+    if fault == "even part in v":
+        ctx.v = ctx.v + ctx.space.blade((0, 1))
+    else:
+        monkeypatch.setattr(dirac, "_twisted_numerators", wrong_twist_sign)
+    items = items_by_id(ctx.cohomology_check())
+    for item_id, witness in PINNED_DV_WITNESSES[fault].items():
+        assert items[item_id] == CheckItem(item_id, witness is None, witness)
+
+
+def reference_random_multivector(space, rng, terms=4):
+    """The sampled laws' draw over Q, as they made it before running on integers."""
+    out = {}
+    for _ in range(terms):
+        mask = rng.randrange(1 << space.dim)
+        num = rng.randint(-9, 9)
+        den = rng.randint(1, 9)
+        if num:
+            out[mask] = out.get(mask, Fraction(0)) + Fraction(num, den)
+    return Multivector(space, out)
+
+
+def reference_dv_law_items(space, v, seed, samples):
+    """The two sampled laws over Q with the public product and twisted commutator."""
+    rng = random.Random(seed)
+    v2 = v * v
+    witness = None
+    for _ in range(samples):
+        a = reference_random_multivector(space, rng)
+        b = reference_random_multivector(space, rng)
+        lhs = twisted_commutator(v, a * b)
+        rhs = twisted_commutator(v, a) * b + a.grade_involution() * twisted_commutator(v, b)
+        if lhs != rhs:
+            witness = f"seed {seed} a={a!r} b={b!r}"
+            break
+    derivation = CheckItem("dv-derivation-law", witness is None, witness)
+    witness = None
+    for _ in range(samples):
+        a = reference_random_multivector(space, rng)
+        if twisted_commutator(v, twisted_commutator(v, a)) != v2 * a - a * v2:
+            witness = f"seed {seed} a={a!r}"
+            break
+    return derivation, CheckItem("dv-square-is-v2-bracket", witness is None, witness)
+
+
+@pytest.mark.parametrize("dim", (0, 1, 3, 6))
+def test_the_draw_over_2520_is_the_draw_over_q(dim):
+    """The same rng calls in the same order, term for term, and the rng ends in the same place."""
+    space = CliffordSpace(tuple(Fraction(i + 2, i + 1) for i in range(dim)))
+    for seed in (0, 1, DEFAULT_SEED, "draw"):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            numerators = dirac._random_numerators(dim, rng)
+            assert all(n for _, n in numerators)
+            expected = reference_random_multivector(space, ref_rng).terms
+            assert {mask: Fraction(n, 2520) for mask, n in numerators} == expected
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("m", (2, 3, 5))
+def test_dv_law_items_match_the_reference_over_q(m):
+    """Items and witnesses of the integer route equal the route over Q, on a
+    Gram with denominators, for odd v and for v of mixed parity."""
+    space = CliffordSpace(tuple(Fraction((-1) ** i * (2 * i + 3), i + 2) for i in range(m)))
+    rng = random.Random(f"dv-{m}")
+    kinds = set()
+    for trial in range(6):
+        draws = [(rng.randrange(1 << m), Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(3)]
+        v = Multivector(space, dict(draws))
+        if trial % 3 == 0:
+            v = Multivector(space, {mask: c for mask, c in v.terms.items() if mask.bit_count() & 1})
+        got = dirac._dv_law_items(space, v, trial, 12)
+        assert got == reference_dv_law_items(space, v, trial, 12)
+        kinds.add(tuple(item.ok for item in got))
+    assert (True, True) in kinds and (True, False) in kinds
+
+
+def test_dv_law_items_build_no_fraction_and_no_multivector(monkeypatch, contexts):
+    ctx = contexts("sl2xsl2-diagonal")
+    space, v = ctx.space, ctx.v
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dv law built a Fraction or reached a public Clifford operation")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    monkeypatch.setattr(Multivector, "__init__", forbidden)
+    monkeypatch.setattr(Multivector, "__mul__", forbidden)
+    monkeypatch.setattr(dirac, "twisted_commutator", forbidden)
+    monkeypatch.setattr(LinearCombination, "__add__", forbidden)
+    items = dirac._dv_law_items(space, v, DEFAULT_SEED, 100)
+    monkeypatch.undo()
+    assert items == (CheckItem("dv-derivation-law", True), CheckItem("dv-square-is-v2-bracket", True))
+
+
+def test_dv_laws_stay_cheap_on_hostile_gram_entries():
+    """The 8-dimensional abelian algebra with form entries 1/q, q of 4,000 digits.
+
+    Its Gram integers are products of eight such numbers; built from
+    Fractions they made the sampled laws take about 27 s.  The whole bundle
+    may take at most twice the bundle without samples, on the same context.
+    """
+    form = hostile_form(n=8)
+    ctx = DiracContext(QuadraticLieAlgebra("hostile", tuple(f"x{i}" for i in range(form.rows)), {}, form))
+    start = time.perf_counter()
+    assert ctx.cohomology_check(samples=0).passed
+    without_samples = time.perf_counter() - start
+    start = time.perf_counter()
+    assert ctx.cohomology_check().passed
+    assert time.perf_counter() - start <= 2 * without_samples
 
 
 def test_passing_dv_items_carry_no_witness(contexts):
