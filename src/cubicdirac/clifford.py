@@ -48,7 +48,7 @@ class CliffordSpace:
     product of the numerators in mask and the denominators outside it.
     """
 
-    __slots__ = ("dim", "gram", "_overlap_grams", "_gram_den", "_overlap_integers", "_half_integers")
+    __slots__ = ("dim", "gram", "_overlap_grams", "_gram_den", "_overlap_integers")
 
     def __init__(self, gram: Sequence):
         self.gram = vector(gram)
@@ -58,7 +58,6 @@ class CliffordSpace:
         self._overlap_grams: dict[int, Fraction] = {}
         self._gram_den = math.prod(d.denominator for d in self.gram)
         self._overlap_integers: dict[int, int] = {0: self._gram_den}
-        self._half_integers: dict[tuple[int, int], int] = {}
 
     def _gram_product(self, mask: int) -> Fraction:
         """The product of d_i over the bits of mask, kept per mask on first use."""
@@ -74,27 +73,15 @@ class CliffordSpace:
         """Q times the product of d_i over the bits of mask, kept per mask on first use.
 
         That is the product of the numerators in mask and the denominators
-        outside it, so no Fraction is built.  It is taken as the product of
-        the factors from the low and the high half of the basis, each kept
-        per half mask, so that large Gram entries multiply in balanced pairs.
+        outside it, so no Fraction is built.
         """
         scaled = self._overlap_integers.get(mask)
         if scaled is None:
-            low = (1 << (self.dim // 2)) - 1
-            scaled = self._half_integer(mask & low, low) * self._half_integer(mask & ~low, ~low)
+            scaled = 1
+            for i, d in enumerate(self.gram):
+                scaled *= d.numerator if mask >> i & 1 else d.denominator
             self._overlap_integers[mask] = scaled
         return scaled
-
-    def _half_integer(self, mask: int, span: int) -> int:
-        """The factor of `_gram_integer(mask)` from the basis vectors in span."""
-        part = self._half_integers.get((mask, span))
-        if part is None:
-            part = 1
-            for i, d in enumerate(self.gram):
-                if span >> i & 1:
-                    part *= d.numerator if mask >> i & 1 else d.denominator
-            self._half_integers[(mask, span)] = part
-        return part
 
     def zero(self) -> "Multivector":
         return Multivector(self, {})
@@ -126,12 +113,6 @@ class CliffordSpace:
                 raise ContractViolation("blade indices must be distinct")
             mask |= bit
         return Multivector(self, {mask: as_scalar(coeff)})
-
-    def basis_masks(self, degree: int | None = None) -> list[int]:
-        masks = range(1 << self.dim)
-        if degree is None:
-            return list(masks)
-        return [m for m in masks if m.bit_count() == degree]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CliffordSpace) and self.gram == other.gram

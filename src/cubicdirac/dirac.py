@@ -20,7 +20,6 @@ mathematical failure, only on misuse.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -30,8 +29,6 @@ from typing import Sequence
 from .clifford import (
     CliffordSpace,
     Multivector,
-    _product_numerators,
-    _twisted_numerators,
     is_scalar,
     multivector_from_trilinear,
     scalar_part,
@@ -50,7 +47,6 @@ from .forms import (
     bracket_coproduct,
     ce_differential,
     form_of_trivector,
-    lie_action,
 )
 from .lie import (
     QuadraticLieAlgebra,
@@ -59,13 +55,10 @@ from .lie import (
     unit,
 )
 from .linalg import ZERO
-from .sparse import _fractions_over, _integer_terms
+from .sparse import _integer_terms
 from .tensor import TensorElement, TripleTensorElement
 
 HALF = Fraction(1, 2)
-DEFAULT_SEED = 20240814
-RANDOM_SAMPLES = 100
-SAMPLE_SCALE = 2520  # lcm(1..9), a multiple of every denominator a sample draws
 
 
 @dataclass(frozen=True)
@@ -312,39 +305,28 @@ class DiracContext:
             )
         return CheckOutcome("invariance", tuple(items))
 
-    def cohomology_check(self, seed: int = DEFAULT_SEED, samples: int = RANDOM_SAMPLES) -> CheckOutcome:
+    def cohomology_check(self) -> CheckOutcome:
         """The differential-geometry identity chain, run on g with h = 0.
 
         The chain lives on the full algebra (forms take arguments anywhere in
         g), so a context with a subalgebra delegates to the absolute one.
 
-        `dv-derivation-law`, d_v(ab) = d_v(a) b + kappa(a) d_v(b), holds for
-        every v, odd or not (the kappa(a) v b terms cancel), so it checks the
-        Clifford product and kappa, not v.  The items that depend on v are
-        `dv-square-is-v2-bracket` and `delta-plus-dv-vanishes`.  The two
-        sampled laws run end to end on the Clifford kernels: each sample is
-        drawn as integer numerators over 2520, and both sides of each law
-        are compared as numerators over one scale (see `_dv_law_items`).
+        The items that depend on v are `dB-equals-2v` and
+        `delta-plus-dv-vanishes`.  `dv-derivation-law` and
+        `dv-square-is-v2-bracket` are identities of the Clifford algebra for
+        every odd v, so they check the product, kappa and the twisted
+        commutator, not v; both run on the generators (see `_dv_law_items`).
         """
         ctx = self if self.k == 0 else DiracContext(self.algebra)
         g = ctx.adapted
-        v = ctx.v
-        n = g.dim
         items: list[CheckItem] = []
 
-        basis = [unit(n, i) for i in range(n)]
         b_form = MultilinearMap.from_matrix(g, g.form)
         items.append(
-            CheckItem("dB-equals-2v", ce_differential(b_form) == 2 * form_of_trivector(g, v))
+            CheckItem("dB-equals-2v", ce_differential(b_form) == 2 * form_of_trivector(g, ctx.v))
         )
 
-        witness = None
-        for i, x in enumerate(basis):
-            if not lie_action(x, b_form).is_zero():
-                witness = g.labels[i]
-                break
-        items.append(CheckItem("theta-B-vanishes", witness is None, witness))
-
+        items.append(self._theta_b_item(b_form))
         items.append(self._cartan_item(g))
         items.append(self._d_squared_item(g))
         items.append(self._alternating_stability_item(g))
@@ -352,8 +334,22 @@ class DiracContext:
         witness = ctx.first_order_witness
         items.append(CheckItem("delta-plus-dv-vanishes", witness is None, witness))
 
-        items.extend(_dv_law_items(ctx.space, v, seed, samples))
+        items.extend(_dv_law_items(ctx.space, ctx.v, g.labels))
         return CheckOutcome("cohomology", tuple(items))
+
+    def _theta_b_item(self, b_form: MultilinearMap) -> CheckItem:
+        """theta_X B = 0 for X over the unit vectors of g, the invariance of B.
+
+        The form's entries are brought to integer numerators once, and
+        theta_{e_i} is scattered on them with the kernel `lie_action` runs.
+        """
+        g = b_form.algebra
+        _, ad, _ = g._structure_over_integers()
+        _, entries = _integer_terms(b_form.terms)
+        for i in range(g.dim):
+            if any(_theta_scatter(entries, _ad_rows([(i, 1)], ad)).values()):
+                return CheckItem("theta-B-vanishes", False, g.labels[i])
+        return CheckItem("theta-B-vanishes", True)
 
     def _cartan_item(self, g: QuadraticLieAlgebra) -> CheckItem:
         """iota_X d + d iota_X = theta_X on every point-mass form of arity <= 3.
@@ -537,77 +533,30 @@ def _key_witness(arity: int, key: tuple) -> str:
     return f"arity {arity} key {str(key).replace(' ', '')}"
 
 
-def _dv_law_items(space: CliffordSpace, v: Multivector, seed: int, samples: int) -> tuple[CheckItem, CheckItem]:
-    """`dv-derivation-law` and `dv-square-is-v2-bracket` on `samples` seeded draws each.
+def _dv_law_items(space: CliffordSpace, v: Multivector, labels: Sequence[str]) -> tuple[CheckItem, CheckItem]:
+    """`dv-derivation-law` and `dv-square-is-v2-bracket` on the generators e_a of C(h_perp).
 
-    Everything runs on integer numerators with the Clifford kernels: v over
-    its common denominator D_v, v^2 as the product kernel's sums over
-    D_v^2 Q, each draw over SAMPLE_SCALE = 2520.  Both sides of the
-    derivation law come out over D_v 2520^2 Q^2 and both sides of the
-    square law over D_v^2 2520 Q^2, so each law compares two numerator
-    dicts with their zeros dropped, which is exact since the scale is
-    positive.  The right-hand sides run on the product kernel, so each law
-    also checks the one-pass twisted kernel against it.  A Multivector is
-    built only for a failing witness, which names the seed and the draws.
+    d_v = `twisted_commutator(v, .)`.  The derivation law
+    d_v(e_i e_j) = d_v(e_i) e_j - e_i d_v(e_j) (kappa(e_i) = -e_i) is
+    checked on every ordered pair i, j, i = j included; the square law
+    d_v(d_v(e_a)) = v^2 e_a - e_a v^2 on every a.  For odd v both sides of
+    the square law are even derivations, so agreeing on the generators is
+    agreeing everywhere.  A witness names the failing generators' labels.
     """
-    rng = random.Random(seed)
-    _, v_num = _integer_terms(v.terms)
-    v2 = list(_nonzero(_product_numerators(space, v_num, v_num)).items())
-
-    def d_v(a):
-        return _twisted_numerators(space, v_num, a)
+    gens = [space.generator(a) for a in range(space.dim)]
+    dv = [twisted_commutator(v, e) for e in gens]
 
     witness = None
-    for _ in range(samples):
-        a = _random_numerators(space.dim, rng)
-        b = _random_numerators(space.dim, rng)
-        lhs = d_v(_product_numerators(space, a, b).items())
-        rhs = _plus(
-            _product_numerators(space, d_v(a).items(), b),
-            _product_numerators(space, [(m, -n if m.bit_count() & 1 else n) for m, n in a], d_v(b).items()),
-        )
-        if _nonzero(lhs) != _nonzero(rhs):
-            witness = f"seed {seed} a={_sample(space, a)!r} b={_sample(space, b)!r}"
+    for (i, a), (j, b) in product(enumerate(gens), repeat=2):
+        if twisted_commutator(v, a * b) != dv[i] * b - a * dv[j]:
+            witness = f"a={labels[i]} b={labels[j]}"
             break
     derivation = CheckItem("dv-derivation-law", witness is None, witness)
 
+    v2 = v * v
     witness = None
-    for _ in range(samples):
-        a = _random_numerators(space.dim, rng)
-        lhs = d_v(d_v(a).items())
-        rhs = _plus(_product_numerators(space, v2, a), _product_numerators(space, a, v2), -1)
-        if _nonzero(lhs) != _nonzero(rhs):
-            witness = f"seed {seed} a={_sample(space, a)!r}"
+    for a, e in enumerate(gens):
+        if twisted_commutator(v, dv[a]) != v2 * e - e * v2:
+            witness = labels[a]
             break
     return derivation, CheckItem("dv-square-is-v2-bracket", witness is None, witness)
-
-
-def _random_numerators(dim: int, rng: random.Random, terms: int = 4) -> list[tuple[int, int]]:
-    """A random multivector of C(dim) as (mask, n) pairs over SAMPLE_SCALE.
-
-    Each of `terms` draws takes a blade, a numerator in -9..9 and a
-    denominator in 1..9, in that order, and adds num/den to the blade;
-    every den divides SAMPLE_SCALE, so the sums are integers over it.
-    Blades whose sum is 0 are left out.
-    """
-    out: dict[int, int] = {}
-    for _ in range(terms):
-        mask = rng.randrange(1 << dim)
-        num = rng.randint(-9, 9)
-        den = rng.randint(1, 9)
-        if num:
-            out[mask] = out.get(mask, 0) + num * (SAMPLE_SCALE // den)
-    return [(mask, n) for mask, n in out.items() if n]
-
-
-def _sample(space: CliffordSpace, numerators: list[tuple[int, int]]) -> Multivector:
-    """The Multivector of a random draw, built only for a witness."""
-    return Multivector(space, _fractions_over(dict(numerators), SAMPLE_SCALE))
-
-
-def _plus(x: dict, y: dict, sign: int = 1) -> dict:
-    """x + sign * y on numerators over one scale."""
-    out = dict(x)
-    for key, n in y.items():
-        out[key] = out.get(key, 0) + sign * n
-    return out

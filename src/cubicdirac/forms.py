@@ -35,14 +35,13 @@ arity) come from the shared LinearCombination base.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
 
 from .clifford import _ORDERING_SIGNS, CliffordSpace, Multivector
 from .errors import ContractViolation, UnsupportedArityError
 from .lie import QuadraticLieAlgebra
-from .linalg import ZERO, as_scalar, vector
+from .linalg import ZERO, as_scalar
 from .sparse import LinearCombination, _fractions_over, _integer_terms
 
 MAX_ARITY = 4
@@ -87,23 +86,10 @@ class MultilinearMap(LinearCombination):
             },
         )
 
-    @classmethod
-    def covector(cls, algebra, x: Sequence) -> "MultilinearMap":
-        """x* = B(x, .) as an arity-1 map."""
-        x = vector(x)
-        return cls(
-            algebra,
-            1,
-            {(i,): algebra.b(x, [Fraction(int(s == i)) for s in range(algebra.dim)]) for i in range(algebra.dim)},
-        )
-
     @property
     def values(self) -> dict:
         """The nonzero table entries, keyed by index tuple."""
         return self.terms
-
-    def value(self, key: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(key), ZERO)
 
     def is_alternating(self) -> bool:
         return _is_alternating(self.terms)

@@ -12,12 +12,10 @@ The product kernels run on integers: `_integer_terms` writes an operand's
 coefficients over one common denominator, the kernel multiplies and adds
 the numerators, and `_fractions_over` turns the sums back into Fractions,
 once per output key.  The Clifford kernels put every sum over the space's Q,
-the product of the Gram denominators; their outputs can feed them again
-without a Fraction in between, which is how the sampled laws of the
-cohomology bundle compare both sides as numerators over one scale.  The
-tensor product does not: it keeps one sum per blade overlap and scales
-each by that overlap's Gram product at the end, so D^2 never goes through
-Q.  The arithmetic stays exact.
+the product of the Gram denominators.  The tensor product does not: it
+keeps one sum per blade overlap and scales each by that overlap's Gram
+product at the end, so D^2 never goes through Q.  The arithmetic stays
+exact.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dirac import CheckOutcome, DEFAULT_SEED, DiracContext
+from .dirac import CheckOutcome, DiracContext
 from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
 
@@ -35,7 +35,6 @@ def run_suite(
     algebra: QuadraticLieAlgebra,
     subalgebra: Sequence[Sequence] = (),
     checks: str = "all",
-    seed: int = DEFAULT_SEED,
 ) -> SuiteReport:
     ctx = DiracContext(algebra, subalgebra)
     if checks == "all":
@@ -58,7 +57,7 @@ def run_suite(
         if check_id == "kostant":
             outcome = ctx.kostant_check()
         elif check_id == "cohomology":
-            outcome = ctx.cohomology_check(seed=seed)
+            outcome = ctx.cohomology_check()
         elif check_id == "decomposition":
             outcome = ctx.decomposition_check()
         else:

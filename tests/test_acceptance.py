@@ -9,7 +9,7 @@ with `-s` the `acceptance ...` summary lines are printed as well.
                       constant satisfies c_rel = c_g - c_h
   3 proof chain       every supporting identity (differential, Cartan,
                       coproduct, twisted differential) holds exhaustively,
-                      with 100 seeded random inputs for the derivation laws
+                      the twisted-differential laws on the generators
   4 lemma suite       subalgebra invariance and the two-component
                       decomposition of the full operator
   5 robustness        basis independence, the bracket middle term, and

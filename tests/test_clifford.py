@@ -229,7 +229,7 @@ def test_degree_one_action_splits_into_wedge_and_contraction(space3):
     """x * w = x wedge w + contract(x, w), checked on every blade."""
     for i in range(3):
         x = space3.generator(i)
-        for mask in space3.basis_masks():
+        for mask in range(1 << space3.dim):
             indices = tuple(s for s in range(3) if mask >> s & 1)
             w = space3.blade(indices)
             assert x * w == (x ^ w) + contract(x, w)
@@ -240,7 +240,7 @@ def test_degree_one_commutation_rule(space3):
     rng = random.Random(31)
     for i in range(3):
         x = space3.generator(i)
-        for mask in space3.basis_masks():
+        for mask in range(1 << space3.dim):
             indices = tuple(s for s in range(3) if mask >> s & 1)
             w = space3.blade(indices, Fraction(rng.randint(1, 5)))
             k = len(indices)
@@ -249,14 +249,14 @@ def test_degree_one_commutation_rule(space3):
 
 
 def test_associativity_exhaustive_small(space3):
-    blades = [space3.blade(tuple(s for s in range(3) if m >> s & 1)) for m in space3.basis_masks()]
+    blades = [space3.blade(tuple(s for s in range(3) if m >> s & 1)) for m in range(1 << space3.dim)]
     for a, b, c in itertools.product(blades, repeat=3):
         assert (a * b) * c == a * (b * c)
 
 
 def test_associativity_dimension_four():
     space = CliffordSpace((Fraction(1), Fraction(-2), Fraction(3), Fraction(1, 2)))
-    blades = [space.blade(tuple(s for s in range(4) if m >> s & 1)) for m in space.basis_masks()]
+    blades = [space.blade(tuple(s for s in range(4) if m >> s & 1)) for m in range(1 << space.dim)]
     rng = random.Random(13)
     for _ in range(400):
         a, b, c = (rng.choice(blades) for _ in range(3))
@@ -301,7 +301,7 @@ def test_contract_carries_gram_factors():
 
 def test_contract_is_adjoint_to_wedge(space3):
     """pairing(contract(x, w), u) = pairing(w, x wedge u), exhaustively."""
-    blades = [space3.blade(tuple(s for s in range(3) if m >> s & 1)) for m in space3.basis_masks()]
+    blades = [space3.blade(tuple(s for s in range(3) if m >> s & 1)) for m in range(1 << space3.dim)]
     for i in range(3):
         x = space3.generator(i)
         for w in blades:
@@ -313,7 +313,7 @@ def test_contract_is_an_odd_derivation_of_wedge(space3):
     rng = random.Random(17)
     for i in range(3):
         x = space3.generator(i)
-        for mask in space3.basis_masks():
+        for mask in range(1 << space3.dim):
             indices = tuple(s for s in range(3) if mask >> s & 1)
             a = space3.blade(indices)
             k = len(indices)
@@ -333,7 +333,7 @@ def test_pairing_values(space2):
 
 
 def test_pairing_is_nondegenerate_per_degree(space3):
-    masks = list(space3.basis_masks())
+    masks = list(range(1 << space3.dim))
     for m in masks:
         w = space3.blade(tuple(s for s in range(3) if m >> s & 1))
         values = [pairing(w, space3.blade(tuple(s for s in range(3) if u >> s & 1))) for u in masks]

@@ -1,10 +1,15 @@
 """Suite orchestration and both report renderers."""
 
+import ast
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
+import cubicdirac
 from cubicdirac.catalog import catalog_entry
+from cubicdirac.dirac import DiracContext
 from cubicdirac.errors import ContractViolation
 from cubicdirac.suite import render_machine, render_text, run_suite
 
@@ -70,3 +75,23 @@ def test_machine_report_shape(pair_report):
     values = {c["id"]: c["values"] for c in doc["checks"]}
     assert values["kostant"]["c"] == "3/16"
     assert values["decomposition"] == {"c_g": "1/4", "c_h": "1/16", "c_rel": "3/16"}
+
+
+def test_no_module_samples_and_no_check_takes_a_seed():
+    """verify is deterministic by construction: no module of the package
+    imports random, and neither the cohomology check nor the suite takes a
+    seed or a sample count."""
+    modules = sorted(Path(cubicdirac.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "random" for name in names), path.name
+    for func in (DiracContext.cohomology_check, run_suite):
+        params = inspect.signature(func).parameters
+        assert not {"seed", "samples"} & set(params), func.__name__
