@@ -14,6 +14,7 @@ usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,7 +42,9 @@ _INPUT_ERRORS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="cubicdirac",
         description="Exact verification of cubic Dirac operator identities over the rationals.",

@@ -182,6 +182,14 @@ class DiracContext:
         return r.scalar_coefficient()
 
     @cached_property
+    def _dv_generators(self) -> list[Multivector]:
+        """d_v(e_a) = `twisted_commutator(v, e_a)` for each generator of C(h_perp).
+
+        Computed once for `first_order_witness` and the `dv-*` laws.
+        """
+        return [twisted_commutator(self.v, self.space.generator(a)) for a in range(self.m)]
+
+    @cached_property
     def first_order_witness(self) -> str | None:
         """Label of the first X_a in h_perp with delta(X_a) + d_v(e_a) != 0, or None.
 
@@ -189,9 +197,8 @@ class DiracContext:
         cancels the twisted commutator with v on every generator.
         """
         n = self.adapted.dim
-        for a in range(self.m):
+        for a, dv_a in enumerate(self._dv_generators):
             delta_a = bracket_coproduct(self.space, self.adapted, unit(n, a))
-            dv_a = twisted_commutator(self.v, self.space.generator(a))
             if not (delta_a + dv_a).is_zero():
                 return self.adapted.labels[a]
         return None
@@ -334,7 +341,7 @@ class DiracContext:
         witness = ctx.first_order_witness
         items.append(CheckItem("delta-plus-dv-vanishes", witness is None, witness))
 
-        items.extend(_dv_law_items(ctx.space, ctx.v, g.labels))
+        items.extend(_dv_law_items(ctx.space, ctx.v, ctx._dv_generators, g.labels))
         return CheckOutcome("cohomology", tuple(items))
 
     def _theta_b_item(self, b_form: MultilinearMap) -> CheckItem:
@@ -533,10 +540,12 @@ def _key_witness(arity: int, key: tuple) -> str:
     return f"arity {arity} key {str(key).replace(' ', '')}"
 
 
-def _dv_law_items(space: CliffordSpace, v: Multivector, labels: Sequence[str]) -> tuple[CheckItem, CheckItem]:
+def _dv_law_items(
+    space: CliffordSpace, v: Multivector, dv: Sequence[Multivector], labels: Sequence[str]
+) -> tuple[CheckItem, CheckItem]:
     """`dv-derivation-law` and `dv-square-is-v2-bracket` on the generators e_a of C(h_perp).
 
-    d_v = `twisted_commutator(v, .)`.  The derivation law
+    d_v = `twisted_commutator(v, .)`, and dv[a] = d_v(e_a).  The derivation law
     d_v(e_i e_j) = d_v(e_i) e_j - e_i d_v(e_j) (kappa(e_i) = -e_i) is
     checked on every ordered pair i, j, i = j included; the square law
     d_v(d_v(e_a)) = v^2 e_a - e_a v^2 on every a.  For odd v both sides of
@@ -544,7 +553,6 @@ def _dv_law_items(space: CliffordSpace, v: Multivector, labels: Sequence[str]) -
     agreeing everywhere.  A witness names the failing generators' labels.
     """
     gens = [space.generator(a) for a in range(space.dim)]
-    dv = [twisted_commutator(v, e) for e in gens]
 
     witness = None
     for (i, a), (j, b) in product(enumerate(gens), repeat=2):

@@ -35,13 +35,14 @@ arity) come from the shared LinearCombination base.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
 
 from .clifford import _ORDERING_SIGNS, CliffordSpace, Multivector
 from .errors import ContractViolation, UnsupportedArityError
 from .lie import QuadraticLieAlgebra
-from .linalg import ZERO, as_scalar
+from .linalg import as_scalar
 from .sparse import LinearCombination, _fractions_over, _integer_terms
 
 MAX_ARITY = 4
@@ -223,7 +224,10 @@ def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Seq
     The space must consist of the first space.dim basis directions of the
     algebra with matching diagonal Gram; with a diagonal Gram the defining
     equations decouple and the blade coefficient at {i,j} is
-    B(x, [e_i, e_j]) / (d_i d_j).
+    B(x, [e_i, e_j]) / (d_i d_j) = sum_k (Bx)_k c_ij^k / (d_i d_j).  The sum
+    reads, for each k with (Bx)_k != 0, the pairs (i, j), i < j, in the
+    preimage index of e_k, on integer numerators, and builds one Fraction
+    per blade.
     """
     if space.dim > algebra.dim:
         raise ContractViolation("space does not embed in the algebra")
@@ -232,13 +236,21 @@ def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Seq
             raise ContractViolation("space Gram does not match the algebra form")
     (x,) = algebra._coordinates(x)
     bx = algebra.form.mat_vec(x)  # B(x, e_k) = (Bx)_k, B being symmetric
+    den_x, support = _integer_terms({k: b for k, b in enumerate(bx) if b})
+    den_g, _, preimage = algebra._structure_over_integers()
+    m = space.dim
+    sums: dict = {}
+    for k, b in support:
+        for i, j, c in preimage[k]:
+            if i < j < m:
+                sums[i, j] = sums.get((i, j), 0) + b * c
+    den = den_x * den_g
     terms = {}
-    for i in range(space.dim):
-        for j in range(i + 1, space.dim):
-            val = sum((c * bx[k] for k, c in algebra.bracket_sparse(i, j)), ZERO)
-            if val:
-                terms[(1 << i) | (1 << j)] = val / (space.gram[i] * space.gram[j])
-    return Multivector(space, terms)
+    for (i, j), total in sorted(sums.items()):
+        if total:
+            dd = space.gram[i] * space.gram[j]
+            terms[(1 << i) | (1 << j)] = Fraction(total * dd.denominator, den * dd.numerator)
+    return Multivector._from_terms((space,), terms)
 
 
 def form_of_trivector(algebra: QuadraticLieAlgebra, v: Multivector) -> MultilinearMap:

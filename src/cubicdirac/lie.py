@@ -357,7 +357,9 @@ def orthogonal_split(
 
     Every Gram is a congruence: the Gram of the columns of S is S^T B S.
     Once the adapted basis P is checked to satisfy P^T B P = diag(d), its
-    inverse is diag(1/d) P^T B, with no elimination.
+    inverse is diag(1/d) P^T B, with no elimination, and the adapted
+    structure constants are read off the bracket support on integers (see
+    `_adapted_brackets`).
     """
     n = g.dim
     h_raw = [vector(v) for v in subalgebra]
@@ -414,20 +416,14 @@ def orthogonal_split(
         # decomposition check builds D_g on the pair's adapted algebra.
         adapted = g
     else:
-        adapted_brackets = {}
-        cols = from_adapted.columns()
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = g.bracket(cols[i], cols[j])
-                if any(br):
-                    adapted_brackets[(i, j)] = to_adapted.mat_vec(br)
+        adapted_brackets = _adapted_brackets(g, p_vectors + h_vectors, pairing, grams)
         labels = tuple(f"p{i + 1}" for i in range(m)) + tuple(f"h{j + 1}" for j in range(k))
         adapted = QuadraticLieAlgebra(f"{g.name}#adapted", labels, adapted_brackets, adapted_form)
 
     # ad-invariance makes h_perp an h-module; check it anyway
     for j in range(k):
         for i in range(m):
-            if any(adapted.bracket_basis(m + j, i)[m:]):
+            if any(t >= m for t, _ in adapted.bracket_sparse(m + j, i)):
                 raise ContractViolation("internal: [h, h_perp] leaves h_perp")
 
     return OrthogonalSplit(
@@ -440,6 +436,66 @@ def orthogonal_split(
         from_adapted=from_adapted,
         to_adapted=to_adapted,
     )
+
+
+def _adapted_brackets(
+    g: QuadraticLieAlgebra, columns: Sequence[Sequence], pairing: Matrix, grams: Sequence
+) -> BracketTable:
+    """The structure constants of g in the basis P_1..P_n of `columns`.
+
+    The coefficient of P_k in [P_i, P_j] is (P^T B)_k . [P_i, P_j] / d_k,
+    with `pairing` = P^T B and d = `grams`.  Each column is written as N_i /
+    q_i and each pairing row as M_k / w_k over its own denominator, and g's
+    structure constants as integers over their common denominator D (the
+    cached `_structure_over_integers`), so the coefficient is the integer
+    M_k . [N_i, N_j] over q_i q_j D w_k d_k.  For each i, ad(P_i) is built
+    once from the triples of ad[a]; for each j > i the bracket is scattered
+    from it and projected on the pairing rows that meet its support.  A pair
+    whose bracket is 0 is left out of the table.
+    """
+    n = g.dim
+    den, ad, _ = g._structure_over_integers()
+    cols = [_integer_terms({a: x for a, x in enumerate(col) if x}) for col in columns]
+    # pairing column r as [(k, M_kr), ...], and d_k w_k as (numerator, denominator)
+    by_row: list[list] = [[] for _ in range(n)]
+    scales = []
+    for k, d in enumerate(grams):
+        w, entries = _integer_terms({r: x for r, x in enumerate(pairing.row(k)) if x})
+        for r, x in entries:
+            by_row[r].append((k, x))
+        scales.append((w * d.numerator, d.denominator))
+    table: BracketTable = {}
+    for i, (qi, ni) in enumerate(cols):
+        # ad(P_i) by column s: {r: n} with [N_i, e_s] = sum n e_r over D
+        ad_i: dict[int, dict] = {}
+        for a, x in ni:
+            for s, r, c in ad[a]:
+                col = ad_i.setdefault(s, {})
+                col[r] = col.get(r, 0) + x * c
+        if not ad_i:
+            continue
+        for j in range(i + 1, n):
+            qj, nj = cols[j]
+            br: dict = {}
+            for s, y in nj:
+                col = ad_i.get(s)
+                if col:
+                    for r, x in col.items():
+                        br[r] = br.get(r, 0) + x * y
+            sums: dict = {}
+            for r, x in br.items():
+                if x:
+                    for k, mkr in by_row[r]:
+                        sums[k] = sums.get(k, 0) + x * mkr
+            base = qi * qj * den
+            coeffs = [ZERO] * n
+            for k, total in sums.items():
+                if total:
+                    num, dk = scales[k]
+                    coeffs[k] = Fraction(total * dk, base * num)
+            if any(coeffs):
+                table[(i, j)] = tuple(coeffs)
+    return table
 
 
 def unit(n: int, i: int) -> tuple[Fraction, ...]:

@@ -37,6 +37,10 @@ def is_zero_vector(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
 
+def _identity_rows(n: int) -> list[list[Fraction]]:
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
 class Matrix:
     """Immutable dense matrix of Fractions."""
 
@@ -56,12 +60,21 @@ class Matrix:
         self._e = rows
 
     @classmethod
+    def _built(cls, rows: tuple[tuple[Fraction, ...], ...], cols: int) -> "Matrix":
+        """A matrix from tuple rows of Fractions that this module built; nothing is re-checked."""
+        out = object.__new__(cls)
+        out.rows = len(rows)
+        out.cols = cols
+        out._e = rows
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], cols=n)
+        return cls._built(tuple(map(tuple, _identity_rows(n))), n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._built(((ZERO,) * cols,) * rows, cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
@@ -89,7 +102,9 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
+        if not self._e:
+            return Matrix.zero(self.cols, 0)
+        return Matrix._built(tuple(zip(*self._e)), self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -102,8 +117,8 @@ class Matrix:
                     for j, b in enumerate(other._e[k]):
                         if b:
                             out[j] += a * b
-            rows.append(out)
-        return Matrix(rows, cols=other.cols)
+            rows.append(tuple(out))
+        return Matrix._built(tuple(rows), other.cols)
 
     def mat_vec(self, v: Sequence) -> tuple[Fraction, ...]:
         v = vector(v)
@@ -116,7 +131,7 @@ class Matrix:
 
     def scaled(self, c) -> "Matrix":
         c = as_scalar(c)
-        return Matrix([[c * x for x in row] for row in self._e], cols=self.cols)
+        return Matrix._built(tuple(tuple(c * x for x in row) for row in self._e), self.cols)
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -178,13 +193,17 @@ def _echelon(aug: list[list[Fraction]], cols: int) -> list[int]:
         if pivot_row is None:
             continue
         aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        p = aug[r][c]
+        row = aug[r]
+        p = row[c]
         if p != 1:
-            aug[r] = [x / p for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            row = aug[r] = [x / p if x else x for x in row]
+        # only the pivot row's nonzero entries change another row
+        support = [(j, y) for j, y in enumerate(row) if y]
+        for i, other in enumerate(aug):
+            f = other[c]
+            if f and i != r:
+                for j, y in support:
+                    other[j] -= f * y
         pivots.append(c)
         r += 1
         if r == len(aug):
@@ -217,7 +236,7 @@ def solve_linear(a: Matrix, b: Sequence) -> LinearSolution | None:
 def nullspace(a: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the kernel of A, as a list of coordinate vectors."""
     if a.rows == 0:
-        return [tuple(Matrix.identity(a.cols).row(i)) for i in range(a.cols)]
+        return list(map(tuple, _identity_rows(a.cols)))
     aug = [list(a.row(i)) for i in range(a.rows)]
     pivots = _echelon(aug, a.cols)
     pivot_set = set(pivots)
@@ -254,7 +273,7 @@ def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
         raise ContractViolation("form matrix must be symmetric")
     n = b.rows
     m = [list(b.row(i)) for i in range(n)]
-    p = [list(Matrix.identity(n).row(i)) for i in range(n)]
+    p = _identity_rows(n)
 
     def swap_cols(i, j):
         for r in range(n):
@@ -266,11 +285,14 @@ def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     def add_col(dst, src, c):
         # col_dst += c * col_src, mirrored on rows to stay congruent
         for r in range(n):
-            m[r][dst] += c * m[r][src]
+            if m[r][src]:
+                m[r][dst] += c * m[r][src]
         for q in range(n):
-            m[dst][q] += c * m[src][q]
+            if m[src][q]:
+                m[dst][q] += c * m[src][q]
         for r in range(n):
-            p[r][dst] += c * p[r][src]
+            if p[r][src]:
+                p[r][dst] += c * p[r][src]
 
     for r in range(n):
         if m[r][r] == 0:
@@ -302,4 +324,4 @@ def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
                 add_col(j, r, -m[r][j] / piv)
 
     d = tuple(m[i][i] for i in range(n))
-    return Matrix(p, cols=n), d
+    return Matrix._built(tuple(map(tuple, p)), n), d

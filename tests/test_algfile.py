@@ -11,7 +11,8 @@ import pytest
 from cubicdirac import algfile
 from cubicdirac.algfile import MAX_BRACKET_TERMS, MAX_DIMENSION, emit_algebra_text, parse_algebra_text
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
-from cubicdirac.errors import AlgebraFileError, ValidationError
+from cubicdirac.errors import AlgebraFileError, ContractViolation, ValidationError
+from cubicdirac.linalg import Matrix
 
 
 def base_doc():
@@ -127,11 +128,26 @@ def test_label_count_must_match_dimension():
 def test_float_coefficients_are_rejected():
     doc = base_doc()
     doc["form"] = ["1.5", "0", "0", "1"]
-    with pytest.raises(AlgebraFileError):
+    with pytest.raises(AlgebraFileError, match=r"^form\[0\]: '1\.5' is not an exact rational 'p' or 'p/q'$"):
         parse_doc(doc)
     doc["form"] = [1.5, "0", "0", "1"]
-    with pytest.raises(AlgebraFileError):
+    with pytest.raises(AlgebraFileError, match=r"^form\[0\]: coefficient must be a rational string, got 1\.5$"):
         parse_doc(doc)
+    doc["form"] = ["1", "0", "0", 2.0]
+    with pytest.raises(AlgebraFileError, match=r"^form\[3\]: coefficient must be a rational string, got 2\.0$"):
+        parse_doc(doc)
+    doc["form"] = ["1", "0", "0", "1"]
+    doc["subalgebra"] = [[0.5, "0"]]
+    with pytest.raises(AlgebraFileError, match=r"^subalgebra\[0\]\[0\]: coefficient must be a rational string"):
+        parse_doc(doc)
+
+
+def test_the_public_matrix_constructor_still_refuses_floats():
+    """Only matrices the linalg module builds itself skip the entry check."""
+    with pytest.raises(ContractViolation):
+        Matrix([[1.5, 0], [0, 1]])
+    with pytest.raises(ContractViolation):
+        Matrix.from_columns([(1, 0), (0, 0.5)])
 
 
 def test_zero_denominator_is_rejected():

@@ -199,6 +199,30 @@ def test_compute_c(tmp_path, capsys):
     assert capsys.readouterr().out == "3/16\n"
 
 
+def test_consecutive_calls_share_the_parser_but_not_their_arguments(tmp_path, capsys):
+    """The parser is built once per process; no call sees another's arguments."""
+    pair = write_entry(tmp_path, "sl2xsl2-diagonal")
+    verify = ["verify", "--input", str(pair), "--subalgebra-from-file", "--checks", "kostant", "--report", "machine"]
+    assert cli.main(verify) == 0
+    relative = strip_times(json.loads(capsys.readouterr().out))
+    assert cli.main(["compute-c", "--input", str(pair)]) == 0
+    assert capsys.readouterr().out == "1/4\n"
+    assert cli.main(["compute-c", "--input", str(pair), "--subalgebra-from-file"]) == 0
+    assert capsys.readouterr().out == "3/16\n"
+    assert cli.main(["catalog", "list"]) == 0
+    capsys.readouterr()
+    assert cli.main(verify) == 0
+    assert strip_times(json.loads(capsys.readouterr().out)) == relative
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--checks", "kostant"])
+    assert exc.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute-c", "--input", str(pair), "--checks", "all"])
+    assert exc.value.code == 2
+
+
 def test_module_invocation_smoke(tmp_path):
     path = write_entry(tmp_path, "abelian2")
     result = subprocess.run(

@@ -468,6 +468,12 @@ def test_dv_witnesses_are_pinned(monkeypatch, fault):
         assert items[item_id] == CheckItem(item_id, witness is None, witness)
 
 
+def dv_law_items(space, v, labels):
+    """`dirac._dv_law_items` with d_v(e_a) from dirac's twisted commutator, as a context takes it."""
+    dv = [dirac.twisted_commutator(v, space.generator(a)) for a in range(space.dim)]
+    return dirac._dv_law_items(space, v, dv, labels)
+
+
 def reference_random_multivector(space, rng, terms=4):
     """A random multivector over Q: `terms` draws of a blade and num/den, |num|, den <= 9."""
     out = {}
@@ -508,7 +514,7 @@ def test_dv_items_fail_wherever_the_sampled_reference_fails(monkeypatch, name, f
     the absolute context the cohomology bundle runs on."""
     ctx = DiracContext(catalog_entry(name).algebra)
     d_v = inject_dv_fault(monkeypatch, ctx, fault)
-    got = dirac._dv_law_items(ctx.space, ctx.v, ctx.adapted.labels)
+    got = dv_law_items(ctx.space, ctx.v, ctx.adapted.labels)
     reference = reference_dv_law_items(ctx.space, ctx.v, 20240814, 100, d_v)
     for item, ref in zip(got, reference):
         assert item.item_id == ref.item_id
@@ -531,7 +537,7 @@ def test_dv_law_items_match_the_reference_over_q(monkeypatch, m):
         d_v = wrong_twist_sign if trial % 2 else twisted_commutator
         with monkeypatch.context() as patch:
             patch.setattr(dirac, "twisted_commutator", d_v)
-            got = dirac._dv_law_items(space, v, labels)
+            got = dv_law_items(space, v, labels)
         reference = reference_dv_law_items(space, v, trial, 12, d_v)
         assert [item.ok for item in got] == [item.ok for item in reference]
         assert [item.ok for item in got] == [not (trial % 2 and v.terms), True]
@@ -550,6 +556,24 @@ def test_dv_laws_stay_cheap_on_hostile_gram_entries():
     start = time.perf_counter()
     assert ctx.cohomology_check().passed
     assert time.perf_counter() - start < 1.0
+
+
+def test_hostile_construction_and_kostant_stay_cheap():
+    """The 16-dimensional abelian algebra with form entries 1/q, q of 4,000 digits.
+
+    The other hostile tests time D^2 or the cohomology bundle on a context
+    already built, so they miss a blow-up in the change of basis.  This one
+    times the context and the kostant bundle, whose c-basis-invariant item
+    builds the p_variant=1 split.  Both took about 0.35 s on a 2-vCPU VM
+    with Python 3.11; they must finish within 2 s.
+    """
+    form = hostile_form()
+    algebra = QuadraticLieAlgebra("hostile", tuple(f"x{i}" for i in range(form.rows)), {}, form)
+    start = time.perf_counter()
+    outcome = DiracContext(algebra).kostant_check()
+    assert time.perf_counter() - start < 2.0
+    assert outcome.passed
+    assert "c-basis-invariant" in {item.item_id for item in outcome.items}
 
 
 def test_passing_dv_items_carry_no_witness(contexts):

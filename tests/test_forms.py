@@ -9,6 +9,7 @@ import pytest
 
 from conftest import abelian_named_sl2, pairing, tstar_heisenberg, unit_vector
 from cubicdirac.catalog import catalog_entry, catalog_names
+from cubicdirac.clifford import Multivector
 from cubicdirac.dirac import DiracContext
 from cubicdirac.errors import ContractViolation, UnsupportedArityError
 from cubicdirac.forms import (
@@ -208,6 +209,42 @@ def test_bracket_coproduct_is_linear(sl2_ctx):
     combo = bracket_coproduct(space, g, x)
     parts = [bracket_coproduct(space, g, unit_vector(3, i)) for i in range(3)]
     assert combo == 2 * parts[0] + (-1) * parts[1] + 3 * parts[2]
+
+
+def reference_bracket_coproduct(space, algebra, x):
+    """delta(x) by the m(m-1)/2 loop: the blade {i,j} takes B(x, [e_i, e_j]) / (d_i d_j)."""
+    bx = algebra.form.mat_vec(x)
+    terms = {}
+    for i in range(space.dim):
+        for j in range(i + 1, space.dim):
+            val = sum((c * bx[k] for k, c in algebra.bracket_sparse(i, j)), Fraction(0))
+            if val:
+                terms[(1 << i) | (1 << j)] = val / (space.gram[i] * space.gram[j])
+    return Multivector(space, terms)
+
+
+@pytest.mark.parametrize(
+    "name, with_subalgebra",
+    [(name, False) for name in catalog_names()]
+    + [(name, True) for name in catalog_names() if catalog_entry(name).subalgebra]
+    + [("tstar-heisenberg", False)],
+)
+def test_bracket_coproduct_matches_the_reference(name, with_subalgebra, contexts):
+    """Unit and non-unit rational x, the relative case (m < n) included; the
+    blades come out in the reference's order, as lowest-terms Fractions."""
+    if name == "tstar-heisenberg":
+        ctx = DiracContext(tstar_heisenberg())
+    else:
+        ctx = contexts(name, with_subalgebra)
+    g, space = ctx.adapted, ctx.space
+    rng = random.Random(f"delta-{name}-{with_subalgebra}")
+    xs = [unit(g.dim, a) for a in range(g.dim)]
+    xs += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(g.dim)) for _ in range(4)]
+    for x in xs:
+        got = bracket_coproduct(space, g, x)
+        want = reference_bracket_coproduct(space, g, x)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 def test_form_of_trivector_is_alternating(sl2_ctx):
