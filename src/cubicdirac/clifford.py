@@ -17,14 +17,13 @@ which extends B to blades by Gram determinants.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
 from .linalg import Matrix, ZERO, as_scalar, vector
-from .sparse import LinearCombination, _fractions_over, _integer_terms
+from .sparse import LinearCombination, _integer_terms
 
 ONE = Fraction(1)
 # the signs of the orderings of three indices, in the order permutations() lists them
@@ -43,12 +42,14 @@ def _bits(mask: int) -> list[int]:
 class CliffordSpace:
     """An orthogonal basis with nonzero diagonal Gram entries.
 
-    Q, the product of the Gram entries' denominators, makes every Gram
-    product an integer after scaling: Q * prod_{i in mask} d_i is the
-    product of the numerators in mask and the denominators outside it.
+    A product of blades e_A e_B is +-(the product of d_i over A & B) times
+    e_{A ^ B}.  The product kernel `_overlap_sums` adds integer numerators
+    into one sum per overlap A & B, and `_scale_overlaps` multiplies each
+    sum by its overlap's Gram product, so no coefficient is ever put over
+    the product of all Gram denominators.
     """
 
-    __slots__ = ("dim", "gram", "_overlap_grams", "_gram_den", "_overlap_integers")
+    __slots__ = ("dim", "gram", "_overlap_grams")
 
     def __init__(self, gram: Sequence):
         self.gram = vector(gram)
@@ -56,8 +57,6 @@ class CliffordSpace:
         if any(d == 0 for d in self.gram):
             raise ContractViolation("Gram entries must be nonzero")
         self._overlap_grams: dict[int, Fraction] = {}
-        self._gram_den = math.prod(d.denominator for d in self.gram)
-        self._overlap_integers: dict[int, int] = {0: self._gram_den}
 
     def _gram_product(self, mask: int) -> Fraction:
         """The product of d_i over the bits of mask, kept per mask on first use."""
@@ -69,19 +68,34 @@ class CliffordSpace:
             self._overlap_grams[mask] = prod
         return prod
 
-    def _gram_integer(self, mask: int) -> int:
-        """Q times the product of d_i over the bits of mask, kept per mask on first use.
+    def _scale_overlaps(self, by_overlap: dict, den: int) -> dict:
+        """{key: c} from {overlap: {key: n}} over den: each n times the Gram product of its overlap.
 
-        That is the product of the numerators in mask and the denominators
-        outside it, so no Fraction is built.
+        The scaled numerators of the overlaps whose Gram products share a
+        denominator are added as integers, so with integer Gram entries each
+        key gets one Fraction; a key whose contributions cancel is left out.
         """
-        scaled = self._overlap_integers.get(mask)
-        if scaled is None:
-            scaled = 1
-            for i, d in enumerate(self.gram):
-                scaled *= d.numerator if mask >> i & 1 else d.denominator
-            self._overlap_integers[mask] = scaled
-        return scaled
+        by_den: dict[int, dict] = {}
+        for overlap, sums in by_overlap.items():
+            g = self._gram_product(overlap)
+            num = g.numerator
+            scaled = by_den.setdefault(g.denominator, {})
+            for key, n in sums.items():
+                scaled[key] = scaled.get(key, 0) + n * num
+        out: dict = {}
+        for den_g, sums in by_den.items():
+            den_g *= den
+            for key, n in sums.items():
+                if not n:
+                    continue
+                c = Fraction(n, den_g)
+                if key in out:
+                    c += out[key]
+                    if not c:
+                        del out[key]
+                        continue
+                out[key] = c
+        return out
 
     def zero(self) -> "Multivector":
         return Multivector(self, {})
@@ -161,17 +175,16 @@ class Multivector(LinearCombination):
     def __mul__(self, other):
         """Clifford product; scalars multiply coefficientwise.
 
-        The blade pairs multiply integer numerators in `_product_numerators`,
-        so every sum is over D_a D_b Q and becomes one Fraction per blade.
+        The blade pairs add integer numerators over D_a D_b per overlap in
+        `_overlap_sums`, and each sum is scaled by its overlap's Gram product.
         """
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
-        space = self.space
         den_a, left = _integer_terms(self.terms)
         den_b, right = _integer_terms(other.terms)
-        out = _product_numerators(space, left, right)
-        return Multivector._from_terms((space,), _fractions_over(out, den_a * den_b * space._gram_den))
+        by_overlap = _overlap_sums(left, right, False)
+        return Multivector._from_terms((self.space,), self.space._scale_overlaps(by_overlap, den_a * den_b))
 
     def __xor__(self, other: "Multivector") -> "Multivector":
         """Exterior product (use parentheses: ^ binds loosely in Python)."""
@@ -197,19 +210,6 @@ class Multivector(LinearCombination):
 
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
-
-    def grade_involution(self) -> "Multivector":
-        """The automorphism acting by (-1)^k on degree k."""
-        return Multivector(
-            self.space,
-            {m: (-c if m.bit_count() & 1 else c) for m, c in self.terms.items()},
-        )
-
-    def coefficient(self, indices: Iterable[int]) -> Fraction:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return self.terms.get(mask, ZERO)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -279,73 +279,50 @@ def twisted_commutator(v: Multivector, a: Multivector) -> Multivector:
 
     For odd v this operator is an odd derivation of the Clifford algebra and
     its square is the plain commutator with v*v.  The blade pairs run in
-    `_twisted_numerators`, over D_v D_a Q as in `Multivector.__mul__`.
+    `_overlap_sums` with the twist, over D_v D_a as in `Multivector.__mul__`.
     """
     v._check(a)
-    space = v.space
     den_v, left = _integer_terms(v.terms)
     den_a, right = _integer_terms(a.terms)
-    out = _twisted_numerators(space, left, right)
-    return Multivector._from_terms((space,), _fractions_over(out, den_v * den_a * space._gram_den))
+    by_overlap = _overlap_sums(left, right, True)
+    return Multivector._from_terms((v.space,), v.space._scale_overlaps(by_overlap, den_v * den_a))
 
 
-def _product_numerators(space: CliffordSpace, left, right) -> dict[int, int]:
-    """The Clifford product on integer numerators.
+def _overlap_sums(left, right, twisted: bool) -> dict[int, dict[int, int]]:
+    """The blade pairs of a product on integer numerators, summed per overlap.
 
-    left and right are (mask, n) pairs with numerators over D_a and D_b;
-    each blade pair adds n_a n_b times Q times the Gram product of its
-    overlap, with the sign of `_swap_prefix`, so the sums {mask: n} are over
-    D_a D_b Q.  A sum that cancels stays in the result as 0.
+    left and right are (mask, n) pairs.  The pair e_A e_B adds +-n_a n_b to
+    the sum of blade A ^ B kept under the overlap A & B, with the sign of
+    `_swap_prefix`; the result {overlap: {mask: n}} still lacks the Gram
+    product of each overlap.  A sum that cancels stays in it as 0.
+
+    With twisted, the result is that of v a - kappa(a) v for left = v and
+    right = a.  e_V e_A and kappa(e_A) e_V land on the same blade V ^ A with
+    the same overlap, with signs (-1)^sw(V,A) and (-1)^(|A| + sw(A,V)),
+    where sw(V,A) + sw(A,V) = |V||A| - |V & A|.  So a pair adds
+    2 (-1)^sw(V,A) n_v n_a when |A|(|V| + 1) + |V & A| is odd and nothing
+    otherwise: for odd V when |A & V| is odd, for even V when |A & ~V| is
+    odd.
     """
-    grams = space._overlap_integers
-    out: dict[int, int] = {}
+    by_overlap: dict[int, dict[int, int]] = {}
     for ma, na in left:
         p = _swap_prefix(ma)
+        if twisted:
+            t = ma if ma.bit_count() & 1 else ~ma
+            na *= 2
         for mb, nb in right:
+            if twisted and not (t & mb).bit_count() & 1:
+                continue
             overlap = ma & mb
-            g = grams.get(overlap)
-            if g is None:
-                g = space._gram_integer(overlap)
-            c = na * nb * g
+            sums = by_overlap.get(overlap)
+            if sums is None:
+                sums = by_overlap[overlap] = {}
             mask = ma ^ mb
             if (p & mb).bit_count() & 1:
-                out[mask] = out.get(mask, 0) - c
+                sums[mask] = sums.get(mask, 0) - na * nb
             else:
-                out[mask] = out.get(mask, 0) + c
-    return out
-
-
-def _twisted_numerators(space: CliffordSpace, left, right) -> dict[int, int]:
-    """v a - kappa(a) v on integer numerators, in one pass over the blade pairs.
-
-    e_V e_A and kappa(e_A) e_V land on the same blade V ^ A with the same
-    Gram product g over V & A, with signs (-1)^sw(V,A) and
-    (-1)^(|A| + sw(A,V)), where sw(V,A) + sw(A,V) = |V||A| - |V & A|.  So a
-    pair adds 2 (-1)^sw(V,A) g when |A|(|V| + 1) + |V & A| is odd and
-    nothing otherwise: for odd V when |A & V| is odd, for even V when
-    |A & ~V| is odd.  The sums are over D_v D_a Q, as in
-    `_product_numerators`.
-    """
-    grams = space._overlap_integers
-    out: dict[int, int] = {}
-    for mv, nv in left:
-        p = _swap_prefix(mv)
-        t = mv if mv.bit_count() & 1 else ~mv
-        nv2 = 2 * nv
-        for ma, na in right:
-            if not (t & ma).bit_count() & 1:
-                continue
-            overlap = mv & ma
-            g = grams.get(overlap)
-            if g is None:
-                g = space._gram_integer(overlap)
-            c = nv2 * na * g
-            mask = mv ^ ma
-            if (p & ma).bit_count() & 1:
-                out[mask] = out.get(mask, 0) - c
-            else:
-                out[mask] = out.get(mask, 0) + c
-    return out
+                sums[mask] = sums.get(mask, 0) + na * nb
+    return by_overlap
 
 
 def spin_lift(space: CliffordSpace, a: Matrix) -> Multivector:

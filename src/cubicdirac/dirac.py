@@ -190,15 +190,22 @@ class DiracContext:
         return [twisted_commutator(self.v, self.space.generator(a)) for a in range(self.m)]
 
     @cached_property
+    def _delta_generators(self) -> list[Multivector]:
+        """delta(X_a) = `bracket_coproduct` of each h_perp basis vector X_a.
+
+        Computed once for `first_order_witness` and `_middle_term_holds`.
+        """
+        n = self.adapted.dim
+        return [bracket_coproduct(self.space, self.adapted, unit(n, a)) for a in range(self.m)]
+
+    @cached_property
     def first_order_witness(self) -> str | None:
         """Label of the first X_a in h_perp with delta(X_a) + d_v(e_a) != 0, or None.
 
         This is the first-order mechanism of the proof: the bracket coproduct
         cancels the twisted commutator with v on every generator.
         """
-        n = self.adapted.dim
-        for a, dv_a in enumerate(self._dv_generators):
-            delta_a = bracket_coproduct(self.space, self.adapted, unit(n, a))
+        for a, (delta_a, dv_a) in enumerate(zip(self._delta_generators, self._dv_generators)):
             if not (delta_a + dv_a).is_zero():
                 return self.adapted.labels[a]
         return None
@@ -289,8 +296,7 @@ class DiracContext:
                 coeff = 1 / (self.split.p_gram[i] * self.split.p_gram[j])
                 lhs = lhs + TensorElement.from_parts(br, self.space.blade((i, j), coeff))
         rhs = TensorElement.zero(self.adapted, self.space)
-        for a in range(n):
-            delta_a = bracket_coproduct(self.space, self.adapted, unit(n, a))
+        for a, delta_a in enumerate(self._delta_generators):
             xa = (1 / self.split.p_gram[a]) * PBWElement.generator(self.adapted, a)
             rhs = rhs + TensorElement.from_parts(xa, delta_a)
         return lhs == rhs

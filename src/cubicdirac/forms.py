@@ -92,9 +92,6 @@ class MultilinearMap(LinearCombination):
         """The nonzero table entries, keyed by index tuple."""
         return self.terms
 
-    def is_alternating(self) -> bool:
-        return _is_alternating(self.terms)
-
     def __repr__(self) -> str:
         entries = ", ".join(
             f"{key}:{val}" for key, val in sorted(self.terms.items())

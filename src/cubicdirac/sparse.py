@@ -9,13 +9,13 @@ compare by identity; Clifford spaces compare by their Gram entries.
 A subclass names its carrier fields and supplies its product and repr.
 
 The product kernels run on integers: `_integer_terms` writes an operand's
-coefficients over one common denominator, the kernel multiplies and adds
-the numerators, and `_fractions_over` turns the sums back into Fractions,
-once per output key.  The Clifford kernels put every sum over the space's Q,
-the product of the Gram denominators.  The tensor product does not: it
-keeps one sum per blade overlap and scales each by that overlap's Gram
-product at the end, so D^2 never goes through Q.  The arithmetic stays
-exact.
+coefficients over one common denominator, and the kernel multiplies and adds
+the numerators.  The Chevalley-Eilenberg kernels turn their sums back into
+Fractions with `_fractions_over`, once per output key.  The Clifford
+product, the twisted commutator and the tensor product share one blade-pair
+kernel that keeps one sum per blade overlap; each sum is scaled by its
+overlap's Gram product at the end, so no product goes over the product of
+all Gram denominators.  The arithmetic stays exact.
 """
 
 from __future__ import annotations

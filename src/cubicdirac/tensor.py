@@ -6,14 +6,16 @@ its Clifford blade).  Addition, scaling, equality, hashing and the carrier
 check come from the shared LinearCombination base; TensorElement supplies
 its carrier, its product and its repr.
 
-The product is an integer kernel.  Each operand is put over its own common
-denominator, and each distinct pair of PBW monomials is normalised once per
-call, its normal forms over their lcm.  A term pair adds integer numerators
-into one sum per blade overlap; only at the end is each sum scaled by the
-Gram product of its overlap and turned into a Fraction.  So D^2 is added
-per overlap and never over Q, the product of all Gram denominators, which
-the Clifford kernels use: with large Gram denominators Q would be a huge
-integer and every coefficient would pay a huge gcd.
+The product runs on the Clifford product's integer kernel.  Each operand is
+put over its own common denominator, and each distinct pair of PBW
+monomials is normalised once per call, its normal forms over their lcm.
+The blades of each monomial pair are multiplied by `clifford._overlap_sums`,
+one sum per blade overlap, and each blade sum is spread over that pair's
+normal form; only at the end does `CliffordSpace._scale_overlaps` scale
+each sum by the Gram product of its overlap and turn it into a Fraction.
+So D^2 is never put over the product of all Gram denominators, which with
+large Gram denominators would be a huge integer that every coefficient
+pays a gcd with.
 
 The graded triple U(g) x C(h_perp) (x)bar C(h) needs no second product.  For
 an orthogonal sum, C(h_perp + h) = C(h_perp) (x)bar C(h) (Chevalley), and in
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .clifford import ONE, CliffordSpace, Multivector, _swap_prefix
+from .clifford import ONE, CliffordSpace, Multivector, _overlap_sums
 from .envelope import PBWElement, pbw_normalize
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO
@@ -69,50 +71,40 @@ class TensorElement(LinearCombination):
 
         a's coefficients are over D_a and b's over D_b; each distinct pair
         of PBW monomials is normalised once, and the normal forms are put
-        over their lcm D_m.  A term pair adds its signed integer numerators
-        into the sums of its blade overlap, so every sum is over
-        D_a D_b D_m and needs only the Gram product of its overlap to
-        become a coefficient, once per (overlap, key) at the end.
+        over their lcm D_m.  The blades of a monomial pair multiply in
+        `_overlap_sums`, and each blade sum is spread over the pair's normal
+        form, so every sum is over D_a D_b D_m and needs only the Gram
+        product of its overlap, which `CliffordSpace._scale_overlaps`
+        applies at the end.
         """
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
-        algebra = self.algebra
         den_a, left = _integer_terms(self.terms)
         den_b, right = _integer_terms(other.terms)
-        monos_b = {mb for mb, _ in other.terms}
+        blades_a: dict = {}
+        blades_b: dict = {}
+        for blades, terms in ((blades_a, left), (blades_b, right)):
+            for (mono, mask), n in terms:
+                blades.setdefault(mono, []).append((mask, n))
         den_m, normal = _integer_terms({
             (ma, mb, mono): c
-            for ma in {ma for ma, _ in self.terms}
-            for mb in monos_b
-            for mono, c in pbw_normalize(algebra, {ma + mb: ONE}).items()
+            for ma in blades_a
+            for mb in blades_b
+            for mono, c in pbw_normalize(self.algebra, {ma + mb: ONE}).items()
         })
         products: dict = {}
         for (ma, mb, mono), nm in normal:
             products.setdefault((ma, mb), []).append((mono, nm))
         by_overlap: dict[int, dict] = {}
-        for (ma, ka), na in left:
-            p = _swap_prefix(ka)
-            for (mb, kb), nb in right:
-                n = -na * nb if (p & kb).bit_count() & 1 else na * nb
-                overlap = ka & kb
-                sums = by_overlap.get(overlap)
-                if sums is None:
-                    sums = by_overlap[overlap] = {}
-                mask = ka ^ kb
-                for mono, nm in products[ma, mb]:
-                    key = (mono, mask)
-                    sums[key] = sums.get(key, 0) + n * nm
-        den = den_a * den_b * den_m
-        out: dict = {}
-        for overlap, sums in by_overlap.items():
-            g = self.space._gram_product(overlap)
-            num, den_g = g.numerator, g.denominator * den
-            for key, n in sums.items():
-                c = Fraction(n * num, den_g)
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return self._from_terms(self.carrier, {key: c for key, c in out.items() if c})
+        for (ma, mb), monos in products.items():
+            for overlap, blade_sums in _overlap_sums(blades_a[ma], blades_b[mb], False).items():
+                sums = by_overlap.setdefault(overlap, {})
+                for mask, n in blade_sums.items():
+                    for mono, nm in monos:
+                        key = (mono, mask)
+                        sums[key] = sums.get(key, 0) + n * nm
+        return self._from_terms(self.carrier, self.space._scale_overlaps(by_overlap, den_a * den_b * den_m))
 
     def u_degree_terms(self, k: int) -> dict:
         return {key: c for key, c in self.terms.items() if len(key[0]) == k}

@@ -14,6 +14,7 @@ import pytest
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
 from cubicdirac.clifford import Multivector, _swap_prefix
 from cubicdirac.errors import ContractViolation
+from cubicdirac.forms import MultilinearMap, _is_alternating
 from cubicdirac.linalg import Matrix, _echelon, rank
 from cubicdirac.suite import run_suite
 
@@ -86,6 +87,16 @@ def pairing(a: Multivector, b: Multivector) -> Fraction:
     """The extended pairing: B extended to blades by Gram determinants, diagonal here."""
     a._check(b)
     return sum((ca * b.terms.get(m, 0) * a.space._gram_product(m) for m, ca in a.terms.items()), Fraction(0))
+
+
+def grade_involution(a: Multivector) -> Multivector:
+    """kappa(a): the automorphism acting by (-1)^k on degree k."""
+    return Multivector(a.space, {m: (-c if m.bit_count() & 1 else c) for m, c in a.terms.items()})
+
+
+def is_alternating(w: MultilinearMap) -> bool:
+    """Whether w's table is alternating, as `forms._is_alternating` decides."""
+    return _is_alternating(w.terms)
 
 
 def random_basis(n: int, seed) -> Matrix:

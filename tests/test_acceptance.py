@@ -15,13 +15,15 @@ with `-s` the `acceptance ...` summary lines are printed as well.
   5 robustness        basis independence, the bracket middle term, and
                       loud rejection of degenerate or non-invariant forms
   6 cli               verify exits 0 on every built-in algebra, machine
-                      reports are deterministic, documents round-trip
+                      reports are deterministic and match the checked-in
+                      catalog_reports.json, documents round-trip
 """
 
 import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -153,7 +155,19 @@ def test_criterion_5_robustness(suite_reports):
         assert len(info.value.witness) == 3
 
 
+CATALOG_REPORTS = Path(__file__).with_name("catalog_reports.json")
+
+
 def test_criterion_6_cli(tmp_path, capsys):
+    """`verify --checks all --report machine` on each catalog entry, twice.
+
+    With `time_ms` removed, the two reports must be equal, and the first must
+    equal the entry's report in catalog_reports.json.  A change that alters
+    a report updates that file (the machine reports, time_ms removed, as
+    json.dump(..., indent=1) writes them) and says why.
+    """
+    expected = json.loads(CATALOG_REPORTS.read_text(encoding="utf-8"))
+    assert sorted(expected) == sorted(CATALOG_NAMES)
     with reported("cli"):
         for name in CATALOG_NAMES:
             entry = catalog_entry(name)
@@ -176,3 +190,4 @@ def test_criterion_6_cli(tmp_path, capsys):
                 for check in doc["checks"]:
                     check.pop("time_ms")
             assert first == second, name
+            assert first == expected[name], name
