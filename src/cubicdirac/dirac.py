@@ -357,7 +357,7 @@ class DiracContext:
         theta_{e_i} is scattered on them with the kernel `lie_action` runs.
         """
         g = b_form.algebra
-        _, ad, _ = g._structure_over_integers()
+        _, ad, _ = g._integer_structure
         _, entries = _integer_terms(b_form.terms)
         for i in range(g.dim):
             if any(_theta_scatter(entries, _ad_rows([(i, 1)], ad)).values()):
@@ -382,7 +382,7 @@ class DiracContext:
         arity-3 columns are not kept, since nothing reads them.
         theta_{e_i} delta_key scatters the rows of ad e_i over the slots.
         """
-        _, ad, preimage = g._structure_over_integers()
+        _, ad, preimage = g._integer_structure
         n = g.dim
         rows = [_ad_rows([(i, 1)], ad) for i in range(n)]
         previous: dict = {(): {}}
@@ -415,7 +415,7 @@ class DiracContext:
         zeros of the first scatter; the result is over P^2, which no zero
         test sees.
         """
-        _, _, preimage = g._structure_over_integers()
+        _, _, preimage = g._integer_structure
         for arity in (1, 2):
             for key, entries in _alternating_point_masses(g.dim, arity):
                 dw = _nonzero(_d_scatter(entries, preimage))
@@ -430,7 +430,7 @@ class DiracContext:
         its zero numerators dropped before the alternation test, since a
         zero on a key with a repeated index is no failure.
         """
-        _, _, preimage = g._structure_over_integers()
+        _, _, preimage = g._integer_structure
         for arity in (1, 2, 3):
             for key, entries in _alternating_point_masses(g.dim, arity):
                 if not _is_alternating(_nonzero(_d_scatter(entries, preimage))):

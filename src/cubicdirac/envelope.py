@@ -49,26 +49,20 @@ class PBWElement(LinearCombination):
     __slots__ = ("algebra",)
     carrier_fields = ("algebra",)
 
-    def __init__(self, algebra: QuadraticLieAlgebra, terms: dict, normalized: bool = False):
+    def __init__(self, algebra: QuadraticLieAlgebra, terms: dict):
+        """terms must already be in PBW normal form; zero coefficients are dropped."""
         self.algebra = algebra
-        if normalized:
-            self.terms = {m: c for m, c in terms.items() if c}
-        else:
-            for mono in terms:
-                for idx in mono:
-                    if not 0 <= idx < algebra.dim:
-                        raise ContractViolation("monomial index out of range")
-            self.terms = pbw_normalize(algebra, terms)
+        self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, algebra) -> "PBWElement":
-        return cls(algebra, {}, normalized=True)
+        return cls(algebra, {})
 
     @classmethod
     def scalar(cls, algebra, c) -> "PBWElement":
-        return cls(algebra, {(): as_scalar(c)}, normalized=True)
+        return cls(algebra, {(): as_scalar(c)})
 
     @classmethod
     def one(cls, algebra) -> "PBWElement":
@@ -78,12 +72,12 @@ class PBWElement(LinearCombination):
     def generator(cls, algebra, i: int) -> "PBWElement":
         if not 0 <= i < algebra.dim:
             raise ContractViolation("generator index out of range")
-        return cls(algebra, {(i,): Fraction(1)}, normalized=True)
+        return cls(algebra, {(i,): Fraction(1)})
 
     @classmethod
     def from_vector(cls, algebra, coords: Sequence) -> "PBWElement":
         (coords,) = algebra._coordinates(coords)
-        return cls(algebra, {(i,): c for i, c in enumerate(coords) if c}, normalized=True)
+        return cls(algebra, {(i,): c for i, c in enumerate(coords) if c})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -94,13 +88,7 @@ class PBWElement(LinearCombination):
             for mb, cb in other.terms.items():
                 mono = ma + mb
                 raw[mono] = raw.get(mono, ZERO) + ca * cb
-        return PBWElement(self.algebra, pbw_normalize(self.algebra, raw), normalized=True)
-
-    def degree(self) -> int:
-        """Filtration degree: longest monomial (0 for scalars, -1 for zero)."""
-        if not self.terms:
-            return -1
-        return max(len(m) for m in self.terms)
+        return PBWElement(self.algebra, pbw_normalize(self.algebra, raw))
 
     def commutator(self, other: "PBWElement") -> "PBWElement":
         return self * other - other * self

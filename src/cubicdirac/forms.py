@@ -13,10 +13,11 @@ entry into the output tuples it contributes to, so the work grows with the
 support of w, not with n^k.  d finds the pairs (x_s, x_t) whose bracket
 reaches a slot's index through the algebra's preimage index, and theta_X
 reads the rows of ad X off ad e_a for the a in the support of X, so on a
-basis vector it costs O(n + nnz(ad e_a)).  Both indexes come from
-`QuadraticLieAlgebra._structure_over_integers` and hold the structure
-constants over one common denominator; every operator adds integer
-numerators, building one Fraction per output tuple at the end.
+basis vector it costs O(n + nnz(ad e_a)).  Both indexes are read from the
+algebra's integer structure, which its constructor builds once and
+validates (`QuadraticLieAlgebra._integer_structure`), and hold the
+structure constants over one common denominator; every operator adds
+integer numerators, building one Fraction per output tuple at the end.
 
 The integer loops are private kernels that take (key, numerator) entries
 and return numerator dicts, which may hold zeros: `_d_scatter` for d,
@@ -140,9 +141,10 @@ def _ad_rows(support, ad) -> dict[int, dict[int, int]]:
     """
     rows: dict[int, dict[int, int]] = {}
     for a, xa in support:
-        for s, r, c in ad[a]:
-            row = rows.setdefault(r, {})
-            row[s] = row.get(s, 0) + xa * c
+        for s, terms in ad[a].items():
+            for r, c in terms:
+                row = rows.setdefault(r, {})
+                row[s] = row.get(s, 0) + xa * c
     return rows
 
 
@@ -178,7 +180,7 @@ def ce_differential(w: MultilinearMap) -> MultilinearMap:
     if k + 1 > MAX_ARITY:
         raise UnsupportedArityError(f"differential of arity {k} exceeds the arity cap")
     den, entries = _integer_terms(w.terms)
-    den_g, _, preimage = g._structure_over_integers()
+    den_g, _, preimage = g._integer_structure
     out = _fractions_over(_d_scatter(entries, preimage), den * den_g)
     return MultilinearMap._from_terms((g, k + 1), out)
 
@@ -188,7 +190,7 @@ def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
     g = w.algebra
     (x,) = g._coordinates(x)
     den_x, support = _integer_terms({a: xa for a, xa in enumerate(x) if xa})
-    den_g, ad, _ = g._structure_over_integers()
+    den_g, ad, _ = g._integer_structure
     den, entries = _integer_terms(w.terms)
     out = _fractions_over(_theta_scatter(entries, _ad_rows(support, ad)), den * den_x * den_g)
     return MultilinearMap._from_terms((g, w.arity), out)
@@ -234,7 +236,7 @@ def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Seq
     (x,) = algebra._coordinates(x)
     bx = algebra.form.mat_vec(x)  # B(x, e_k) = (Bx)_k, B being symmetric
     den_x, support = _integer_terms({k: b for k, b in enumerate(bx) if b})
-    den_g, _, preimage = algebra._structure_over_integers()
+    den_g, _, preimage = algebra._integer_structure
     m = space.dim
     sums: dict = {}
     for k, b in support:

@@ -2,14 +2,19 @@
 
 A quadratic Lie algebra carries a symmetric non-degenerate bilinear form B
 that is ad-invariant: B([x,y],z) + B(y,[x,z]) = 0.  Structure constants are
-given per unordered basis pair (i < j) as a coefficient vector and stored
-sparsely, per ordered pair, as the nonzero terms ((k, c), ...) of
-[e_i, e_j] = sum c e_k; the constructor validates antisymmetry conventions,
-the Jacobi identity, non-degeneracy and ad-invariance eagerly, so an
-instance is always a genuine quadratic Lie algebra.  The two identity checks
-write the structure constants, and the form, over one common denominator and
-add integer numerators over the nonzero brackets and form entries only; they
-test sums against zero, which the positive scale does not change.
+given per unordered basis pair (i < j) as a coefficient vector.  The
+constructor builds two tables from them, once, before it validates
+anything: the Fraction store of the nonzero terms ((k, c), ...) of
+[e_i, e_j] = sum c e_k per ordered pair, which brackets and PBW rewriting
+read, and the integer structure (P, ad, preimage), the same constants
+times their common denominator P, indexed by left factor and by result
+(see `_bracket_structure`).  The Jacobi identity and ad-invariance are
+checked on the integer structure, non-degeneracy on the form, so an
+instance is always a genuine quadratic Lie algebra.  The two identity
+checks add integer numerators over the nonzero brackets and form entries
+only; they test sums against zero, which the positive scale does not
+change.  The Killing form, the change of basis and the Chevalley-Eilenberg
+operators in `forms` read the same integer structure.
 
 `orthogonal_split` decomposes g = h + h_perp for a non-degenerate subalgebra
 h, produces B-orthogonal bases of both parts (over Q one cannot normalize, so
@@ -44,6 +49,7 @@ from .sparse import _integer_terms
 
 BracketTable = dict[tuple[int, int], tuple[Fraction, ...]]
 SparseBrackets = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+BracketStructure = tuple[int, tuple[dict, ...], tuple[tuple, ...]]
 
 
 def normalize_brackets(dim: int, raw: Mapping) -> BracketTable:
@@ -72,24 +78,32 @@ def _sparse_brackets(dim: int, table: BracketTable) -> SparseBrackets:
     return out
 
 
-def _integer_brackets(dim: int, sparse: SparseBrackets) -> tuple[int, list[dict]]:
-    """(P, ad) with ad[i][j] = [(k, P c), ...] for each nonzero [e_i, e_j] = sum c e_k.
+def _bracket_structure(dim: int, sparse: SparseBrackets) -> BracketStructure:
+    """(P, ad, preimage): the structure constants times their common denominator P.
 
-    P is the common denominator of the structure constants, and each ad[i]
-    lists its j in increasing order.
+    ad[a] is {s: ((r, P c), ...)} over the nonzero [e_a, e_s] = sum c e_r,
+    with s and r increasing; preimage[r] lists the same constants with r
+    fixed, as ((a, s, P c), ...) in row-major order of (a, s).
     """
     den, flat = _integer_terms(
-        {(i, j, k): c for (i, j), terms in sparse.items() for k, c in terms}
+        {(a, s, r): c for (a, s), terms in sparse.items() for r, c in terms}
     )
     ad: list[dict] = [{} for _ in range(dim)]
-    for (i, j, k), c in flat:
-        ad[i].setdefault(j, []).append((k, c))
-    return den, ad
+    preimage: list[list] = [[] for _ in range(dim)]
+    for (a, s, r), c in flat:
+        ad[a].setdefault(s, []).append((r, c))
+        preimage[r].append((a, s, c))
+    return (
+        den,
+        tuple({s: tuple(terms) for s, terms in row.items()} for row in ad),
+        tuple(map(tuple, preimage)),
+    )
 
 
-def check_jacobi(dim: int, table: BracketTable):
+def check_jacobi(structure: BracketStructure):
     """None if the Jacobi identity holds; otherwise the first failing (i,j,k)."""
-    _, ad = _integer_brackets(dim, _sparse_brackets(dim, table))
+    _, ad, _ = structure
+    dim = len(ad)
     for i in range(dim):
         ad_i = ad[i]
         for j in range(i + 1, dim):
@@ -108,7 +122,7 @@ def check_jacobi(dim: int, table: BracketTable):
     return None
 
 
-def check_ad_invariance(dim: int, table: BracketTable, form: Matrix):
+def check_ad_invariance(structure: BracketStructure, form: Matrix):
     """None if B([x,y],z) + B(y,[x,z]) = 0 on all basis triples; else (i,j,k).
 
     For each i, the sums over all (j, k) are scattered from the nonzero
@@ -117,8 +131,9 @@ def check_ad_invariance(dim: int, table: BracketTable, form: Matrix):
     column a of the form only for the a that some bracket reaches, so only
     the entries in those rows and columns are brought to integers.
     """
-    _, ad = _integer_brackets(dim, _sparse_brackets(dim, table))
-    reached = {a for ad_i in ad for terms in ad_i.values() for a, _ in terms}
+    _, ad, preimage = structure
+    dim = len(ad)
+    reached = {r for r, pairs in enumerate(preimage) if pairs}
     if not reached:
         return None
     _, entries = _integer_terms(
@@ -152,25 +167,26 @@ def check_ad_invariance(dim: int, table: BracketTable, form: Matrix):
 
 def killing_form(dim: int, table: BracketTable) -> Matrix:
     """K(x,y) = trace(ad x ad y); may be degenerate."""
-    return _killing(dim, _sparse_brackets(dim, table))
+    return _killing(_bracket_structure(dim, _sparse_brackets(dim, table)))
 
 
-def _killing(dim: int, br: SparseBrackets) -> Matrix:
-    # K(e_i, e_j) = sum_s (coefficient of e_s in [e_i, [e_j, e_s]])
-    lookup = {pair: dict(terms) for pair, terms in br.items()}
+def _killing(structure: BracketStructure) -> Matrix:
+    # K(e_i, e_j) = sum of c d over [e_j, e_s] = ... + c e_a + ... and
+    # [e_i, e_a] = ... + d e_s + ..., on numerators over P^2
+    den, ad, _ = structure
     entries = []
-    for i in range(dim):
+    for ad_i in ad:
         row = []
-        for j in range(dim):
-            t = ZERO
-            for s in range(dim):
-                for a, c in br[(j, s)]:
-                    d = lookup[(i, a)].get(s)
-                    if d:
-                        t += c * d
-            row.append(t)
+        for ad_j in ad:
+            t = 0
+            for s, terms in ad_j.items():
+                for a, c in terms:
+                    for r, d in ad_i.get(a, ()):
+                        if r == s:
+                            t += c * d
+            row.append(Fraction(t, den * den))
         entries.append(row)
-    return Matrix(entries, cols=dim)
+    return Matrix(entries, cols=len(ad))
 
 
 class QuadraticLieAlgebra:
@@ -198,8 +214,10 @@ class QuadraticLieAlgebra:
             )
             raise ValidationError("form-symmetric", witness=bad)
         self.form = form
+        self._sparse = _sparse_brackets(self.dim, table)
+        self._integer_structure = _bracket_structure(self.dim, self._sparse)
 
-        w = check_jacobi(self.dim, table)
+        w = check_jacobi(self._integer_structure)
         if w is not None:
             raise ValidationError("jacobi", witness=tuple(self.labels[a] for a in w))
         kernel = nullspace(form)
@@ -209,11 +227,9 @@ class QuadraticLieAlgebra:
                 witness=kernel[0],
                 detail="the bilinear form has a nonzero kernel vector",
             )
-        w = check_ad_invariance(self.dim, table, form)
+        w = check_ad_invariance(self._integer_structure, form)
         if w is not None:
             raise ValidationError("ad-invariance", witness=tuple(self.labels[a] for a in w))
-        self._sparse = _sparse_brackets(self.dim, table)
-        self._integer_structure = None
 
     # -- bracket and form access ------------------------------------------
 
@@ -227,26 +243,6 @@ class QuadraticLieAlgebra:
     def bracket_sparse(self, i: int, j: int):
         """[(k, coeff), ...] for [e_i, e_j]; empty tuple when the bracket vanishes."""
         return self._sparse[(i, j)]
-
-    def _structure_over_integers(self):
-        """(P, ad, preimage): the structure constants times their common denominator P.
-
-        ad[a] lists the (s, r, P c) with [e_a, e_s] = ... + c e_r + ..., and
-        preimage[r] the same triples with r fixed, as (a, s, P c).  Built on
-        first use, so algebras that never meet the Chevalley-Eilenberg
-        operators do not pay for it.
-        """
-        if self._integer_structure is None:
-            den, rows = _integer_brackets(self.dim, self._sparse)
-            ad = tuple(
-                tuple((s, r, c) for s, terms in row.items() for r, c in terms) for row in rows
-            )
-            preimage: list[list] = [[] for _ in range(self.dim)]
-            for a, row in enumerate(ad):
-                for s, r, c in row:
-                    preimage[r].append((a, s, c))
-            self._integer_structure = den, ad, tuple(map(tuple, preimage))
-        return self._integer_structure
 
     def _coordinates(self, *vectors: Sequence):
         out = tuple(map(vector, vectors))
@@ -274,18 +270,8 @@ class QuadraticLieAlgebra:
             if i < j and terms
         }
 
-    def b(self, x: Sequence, y: Sequence) -> Fraction:
-        x, y = self._coordinates(x, y)
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        total = ZERO
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.form.row(i)
-                total += xi * sum((row[j] * yj for j, yj in ys if row[j]), ZERO)
-        return total
-
     def killing(self) -> Matrix:
-        return _killing(self.dim, self._sparse)
+        return _killing(self._integer_structure)
 
     def __repr__(self) -> str:
         return f"QuadraticLieAlgebra({self.name}, dim={self.dim})"
@@ -446,15 +432,15 @@ def _adapted_brackets(
     The coefficient of P_k in [P_i, P_j] is (P^T B)_k . [P_i, P_j] / d_k,
     with `pairing` = P^T B and d = `grams`.  Each column is written as N_i /
     q_i and each pairing row as M_k / w_k over its own denominator, and g's
-    structure constants as integers over their common denominator D (the
-    cached `_structure_over_integers`), so the coefficient is the integer
+    structure constants as integers over their common denominator D (g's
+    integer structure), so the coefficient is the integer
     M_k . [N_i, N_j] over q_i q_j D w_k d_k.  For each i, ad(P_i) is built
-    once from the triples of ad[a]; for each j > i the bracket is scattered
+    once from the columns of ad[a]; for each j > i the bracket is scattered
     from it and projected on the pairing rows that meet its support.  A pair
     whose bracket is 0 is left out of the table.
     """
     n = g.dim
-    den, ad, _ = g._structure_over_integers()
+    den, ad, _ = g._integer_structure
     cols = [_integer_terms({a: x for a, x in enumerate(col) if x}) for col in columns]
     # pairing column r as [(k, M_kr), ...], and d_k w_k as (numerator, denominator)
     by_row: list[list] = [[] for _ in range(n)]
@@ -469,9 +455,10 @@ def _adapted_brackets(
         # ad(P_i) by column s: {r: n} with [N_i, e_s] = sum n e_r over D
         ad_i: dict[int, dict] = {}
         for a, x in ni:
-            for s, r, c in ad[a]:
+            for s, terms in ad[a].items():
                 col = ad_i.setdefault(s, {})
-                col[r] = col.get(r, 0) + x * c
+                for r, c in terms:
+                    col[r] = col.get(r, 0) + x * c
         if not ad_i:
             continue
         for j in range(i + 1, n):

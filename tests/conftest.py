@@ -23,6 +23,11 @@ def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(s == i)) for s in range(n))
 
 
+def form_value(g: QuadraticLieAlgebra, x, y) -> Fraction:
+    """B(x, y) = x^T B y, read off g.form."""
+    return sum((xi * c for xi, c in zip(x, g.form.mat_vec(y))), Fraction(0))
+
+
 def invert(a: Matrix) -> Matrix:
     """A^-1 by Gauss-Jordan elimination of [A | I]."""
     if a.rows != a.cols:

@@ -173,6 +173,44 @@ def test_non_invariant_form_file_is_rejected(tmp_path, capsys):
     assert "ad-invariance" in err
 
 
+SL2_KILLING_FORM = ["0", "0", "4", "0", "8", "0", "4", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "bracket_ef, form, line",
+    [
+        ([[1, "1"]], ["1", "0", "0", "0", "1", "0", "0", "0", "1"], "ad-invariance (witness: (e, e, h))"),
+        ([[0, "1"]], SL2_KILLING_FORM, "jacobi (witness: (e, h, f))"),
+    ],
+    ids=["ad-invariance", "jacobi"],
+)
+def test_validation_failure_prints_its_condition_and_witness(tmp_path, capsys, bracket_ef, form, line):
+    """sl(2) with the identity form, and with [e, f] = e under its Killing form.
+
+    The whole stderr is one line naming the condition and the witness labels.
+    """
+    doc = {
+        "format": "quadratic-lie-algebra",
+        "version": 1,
+        "name": "sl2-bad",
+        "dimension": 3,
+        "basis_labels": ["e", "h", "f"],
+        "brackets": [
+            {"i": 0, "j": 1, "terms": [[0, "-2"]]},
+            {"i": 0, "j": 2, "terms": bracket_ef},
+            {"i": 1, "j": 2, "terms": [[2, "-2"]]},
+        ],
+        "form": form,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["verify", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: validation failed: {line}\n"
+    assert captured.out == ""
+
+
 def test_failing_check_maps_to_exit_one(tmp_path, capsys, monkeypatch):
     path = write_entry(tmp_path, "abelian1")
     fake = SuiteReport(

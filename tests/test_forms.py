@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import abelian_named_sl2, is_alternating, pairing, tstar_heisenberg, unit_vector
+from conftest import abelian_named_sl2, form_value, is_alternating, pairing, tstar_heisenberg, unit_vector
 from cubicdirac.catalog import catalog_entry, catalog_names
 from cubicdirac.clifford import Multivector
 from cubicdirac.dirac import DiracContext
@@ -39,7 +39,7 @@ def basis(n):
 
 def covector(algebra, x):
     """x* = B(x, .) as an arity-1 map."""
-    return MultilinearMap(algebra, 1, {(i,): algebra.b(x, unit_vector(algebra.dim, i)) for i in range(algebra.dim)})
+    return MultilinearMap(algebra, 1, {(i,): form_value(algebra, x, unit_vector(algebra.dim, i)) for i in range(algebra.dim)})
 
 
 def value(w, key):
@@ -79,7 +79,7 @@ def test_differential_of_invariant_form(sl2):
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                expected = -sl2.b(es[i], sl2.bracket(es[j], es[k]))
+                expected = -form_value(sl2, es[i], sl2.bracket(es[j], es[k]))
                 assert value(db, (i, j, k)) == expected
     assert is_alternating(db)
 
@@ -117,7 +117,7 @@ def test_insert_first_on_covector_gives_form_value(sl2):
         for y in es:
             contracted = insert_first(y, x_star)
             assert contracted.arity == 0
-            assert value(contracted, ()) == sl2.b(x, y)
+            assert value(contracted, ()) == form_value(sl2, x, y)
 
 
 def test_insert_first_on_form_gives_covector(sl2):
@@ -199,7 +199,7 @@ def test_bracket_coproduct_defining_property(sl2_ctx):
         for i in range(3):
             for j in range(i + 1, 3):
                 wedge = space.blade((i, j))
-                assert pairing(delta, wedge) == g.b(x, g.bracket(es[i], es[j]))
+                assert pairing(delta, wedge) == form_value(g, x, g.bracket(es[i], es[j]))
 
 
 def test_bracket_coproduct_is_linear(sl2_ctx):

@@ -1,6 +1,7 @@
 """Lie algebra layer: structure validation, Killing form, orthogonal splits."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,15 @@ from conftest import (
     best_of_three,
     changed_algebra,
     changed_basis,
+    form_value,
     hostile_form,
     invert,
     random_basis,
     tstar_heisenberg,
     unit_vector,
 )
+from cubicdirac import lie
+from cubicdirac.algfile import emit_algebra_text, parse_algebra_text
 from cubicdirac.catalog import catalog_entry, catalog_names, heisenberg_brackets, sl2_brackets
 from cubicdirac.dirac import DiracContext
 from cubicdirac.envelope import casimir_element
@@ -26,7 +30,7 @@ from cubicdirac.errors import (
 )
 from cubicdirac.lie import (
     QuadraticLieAlgebra,
-    _integer_brackets,
+    _bracket_structure,
     _sparse_brackets,
     check_ad_invariance,
     check_jacobi,
@@ -42,6 +46,11 @@ from cubicdirac.sparse import _integer_terms
 @pytest.fixture(scope="module")
 def sl2():
     return catalog_entry("sl2-killing").algebra
+
+
+def structure(dim, table):
+    """The integer structure the constructor builds, from a normalized table."""
+    return _bracket_structure(dim, _sparse_brackets(dim, table))
 
 
 def test_sl2_bracket_relations(sl2):
@@ -81,13 +90,13 @@ def test_heisenberg_killing_form_is_degenerate():
 
 
 def test_jacobi_check_passes_on_sl2():
-    assert check_jacobi(3, normalize_brackets(3, sl2_brackets())) is None
+    assert check_jacobi(structure(3, normalize_brackets(3, sl2_brackets()))) is None
 
 
 def test_jacobi_check_reports_witness_on_corrupted_table():
     bad = dict(sl2_brackets())
     bad[(0, 2)] = (1, 0, 0)
-    witness = check_jacobi(3, normalize_brackets(3, bad))
+    witness = check_jacobi(structure(3, normalize_brackets(3, bad)))
     assert witness is not None
     i, j, k = witness
     assert 0 <= i < j < k < 3
@@ -104,7 +113,7 @@ def test_constructor_rejects_corrupted_jacobi():
 
 def test_ad_invariance_check_accepts_killing(sl2):
     table = sl2.bracket_table()
-    assert check_ad_invariance(3, table, sl2.form) is None
+    assert check_ad_invariance(structure(3, table), sl2.form) is None
 
 
 def test_ad_invariance_rejects_identity_form_on_sl2():
@@ -120,7 +129,7 @@ def test_ad_invariance_rejects_identity_form_on_sl2():
 
 def test_ad_invariance_witness_is_a_real_failure():
     table = normalize_brackets(3, sl2_brackets())
-    witness = check_ad_invariance(3, table, Matrix.identity(3))
+    witness = check_ad_invariance(structure(3, table), Matrix.identity(3))
     assert witness is not None
     i, j, k = witness
     b = Matrix.identity(3)
@@ -153,7 +162,7 @@ def test_split_of_double_sl2_along_diagonal():
     g = entry.algebra
     for h in split.h_vectors:
         for p in split.p_vectors:
-            assert g.b(h, p) == 0
+            assert form_value(g, h, p) == 0
     assert all(d != 0 for d in split.p_gram)
     assert all(d != 0 for d in split.h_gram)
 
@@ -227,14 +236,14 @@ def reference_orthogonal_split(g, subalgebra=(), p_variant=0):
     k = len(h_raw)
 
     def gram(vectors):
-        return Matrix([[g.b(x, y) for y in vectors] for x in vectors], cols=len(vectors))
+        return Matrix([[form_value(g, x, y) for y in vectors] for x in vectors], cols=len(vectors))
 
     def combination(coeffs, vectors):
         return tuple(sum((c * v[t] for c, v in zip(coeffs, vectors)), Fraction(0)) for t in range(n))
 
     p_h, h_gram = diagonalize_form(gram(h_raw))
     h_vectors = [combination(col, h_raw) for col in p_h.columns()]
-    complement = nullspace(Matrix([[g.b(x, unit_vector(n, s)) for s in range(n)] for x in h_raw], cols=n))
+    complement = nullspace(Matrix([[form_value(g, x, unit_vector(n, s)) for s in range(n)] for x in h_raw], cols=n))
     if p_variant and len(complement) >= 2:
         complement = list(reversed(complement))
         complement[0] = tuple(x + p_variant * y for x, y in zip(complement[0], complement[1]))
@@ -332,14 +341,10 @@ def test_split_along_a_subalgebra_relabels_an_orthogonal_basis():
     assert [item.item_id for item in ctx.h_invariance_check().items] == ["delta-commutes-with-dirac:h1"]
 
 
-def test_split_and_casimir_take_grams_as_congruences(monkeypatch):
-    """No Gram entry is one call of QuadraticLieAlgebra.b."""
+def test_split_and_casimir_take_grams_as_congruences():
+    """Every Gram is a product S^T B S: the algebra has no per-entry form method."""
     g = catalog_entry("sl3-killing").algebra
-
-    def refuse(self, x, y):
-        raise AssertionError("QuadraticLieAlgebra.b was called")
-
-    monkeypatch.setattr(QuadraticLieAlgebra, "b", refuse)
+    assert not hasattr(QuadraticLieAlgebra, "b")
     for subalgebra in ((), SL3_TRIPLE):
         split = orthogonal_split(g, subalgebra)
         casimir_element(g, split.p_vectors + split.h_vectors)
@@ -422,14 +427,24 @@ def dense_killing(dim, table):
 
 
 def assert_matches_dense(dim, table, form):
-    assert check_jacobi(dim, table) == dense_jacobi(dim, table)
-    assert check_ad_invariance(dim, table, form) == dense_ad_invariance(dim, table, form)
+    st = structure(dim, table)
+    assert check_jacobi(st) == dense_jacobi(dim, table)
+    assert check_ad_invariance(st, form) == dense_ad_invariance(dim, table, form)
     assert killing_form(dim, table) == dense_killing(dim, table)
 
 
-@pytest.mark.parametrize("name", catalog_names())
+# structure constants over 2, 4 and 8 (T*-Heisenberg) and over a larger P
+RATIONAL_ALGEBRAS = {
+    "sl3-killing-basis-5": lambda: changed_algebra("sl3-killing", 5),
+    "tstar-heisenberg-adapted": lambda: orthogonal_split(tstar_heisenberg()).adapted,
+}
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *RATIONAL_ALGEBRAS])
 def test_validation_matches_dense_reference_on_catalog(name):
-    g = catalog_entry(name).algebra
+    """The catalog, and two algebras whose common denominator P is not 1."""
+    g = RATIONAL_ALGEBRAS[name]() if name in RATIONAL_ALGEBRAS else catalog_entry(name).algebra
+    assert name not in RATIONAL_ALGEBRAS or g._integer_structure[0] > 1
     assert_matches_dense(g.dim, g.bracket_table(), g.form)
     assert g.killing() == dense_killing(g.dim, g.bracket_table())
 
@@ -450,7 +465,7 @@ def test_validation_matches_dense_reference_on_corrupted_tables(name):
                 table[(i, j)] = tuple(coeffs)
                 table = normalize_brackets(n, table)
                 assert_matches_dense(n, table, g.form)
-                failures += check_jacobi(n, table) is not None
+                failures += check_jacobi(structure(n, table)) is not None
     assert failures > 0
 
 
@@ -461,7 +476,7 @@ def test_ad_invariance_matches_dense_reference_on_a_non_symmetric_form():
     rows[0][1] += 1
     form = Matrix(rows)
     table = g.bracket_table()
-    assert check_ad_invariance(3, table, form) == dense_ad_invariance(3, table, form) == (0, 0, 2)
+    assert check_ad_invariance(structure(3, table), form) == dense_ad_invariance(3, table, form) == (0, 0, 2)
 
 
 def test_ad_invariance_witness_is_the_least_failing_pair_of_its_row():
@@ -480,7 +495,7 @@ def test_ad_invariance_witness_is_the_least_failing_pair_of_its_row():
         (j, k) for j in range(3) for k in range(3) if dense_ad_defect(3, table, form, 0, j, k) != 0
     ]
     assert failing == [(0, 1), (1, 0)]
-    assert check_ad_invariance(3, table, form) == dense_ad_invariance(3, table, form) == (0, 0, 1)
+    assert check_ad_invariance(structure(3, table), form) == dense_ad_invariance(3, table, form) == (0, 0, 1)
 
 
 def test_validation_matches_dense_reference_with_denominators_and_non_diagonal_forms():
@@ -501,8 +516,8 @@ def test_validation_matches_dense_reference_with_denominators_and_non_diagonal_f
     assert not cases[2][2].is_diagonal() and any(c.denominator > 1 for c in cases[2][2].row(0))
     witnesses = []
     for n, clean, form in cases:
-        assert check_jacobi(n, clean) is None
-        assert check_ad_invariance(n, clean, form) is None
+        assert check_jacobi(structure(n, clean)) is None
+        assert check_ad_invariance(structure(n, clean), form) is None
         positions = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
         if n == 8:
             positions = rng.sample(positions, 40)
@@ -512,16 +527,16 @@ def test_validation_matches_dense_reference_with_denominators_and_non_diagonal_f
             coeffs[k] += Fraction(1, 3)
             table[(i, j)] = tuple(coeffs)
             table = normalize_brackets(n, table)
-            witnesses.append(check_jacobi(n, table))
+            witnesses.append(check_jacobi(structure(n, table)))
             assert witnesses[-1] == dense_jacobi(n, table)
-            witnesses.append(check_ad_invariance(n, table, form))
+            witnesses.append(check_ad_invariance(structure(n, table), form))
             assert witnesses[-1] == dense_ad_invariance(n, table, form)
     n, clean, form = cases[2]
     rows = [list(form.row(r)) for r in range(n)]
     rows[2][5] += Fraction(1, 3)
     rows[5][2] += Fraction(1, 3)
     shifted = Matrix(rows)
-    witnesses.append(check_ad_invariance(n, clean, shifted))
+    witnesses.append(check_ad_invariance(structure(n, clean), shifted))
     assert witnesses[-1] == dense_ad_invariance(n, clean, shifted) is not None
     # both verdicts occur, and the failures spread over many witnesses
     assert None in witnesses and len(set(witnesses)) > 50
@@ -533,10 +548,10 @@ def test_validation_does_no_fraction_arithmetic(monkeypatch):
     On the 64-dimensional abelian algebra with the identity form and on
     every catalog entry, no Fraction is added, subtracted or multiplied.
     """
-    cases = [(64, {}, Matrix.identity(64))]
+    cases = [(structure(64, {}), Matrix.identity(64))]
     for name in catalog_names():
         g = catalog_entry(name).algebra
-        cases.append((g.dim, g.bracket_table(), g.form))
+        cases.append((g._integer_structure, g.form))
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
         def counted(self, other, _original=getattr(Fraction, name), _name=name):
@@ -547,9 +562,9 @@ def test_validation_does_no_fraction_arithmetic(monkeypatch):
     dense_ad_invariance(3, {}, Matrix.identity(3))
     assert calls, "the patched operators are not reached"
     calls.clear()
-    for n, table, form in cases:
-        assert check_jacobi(n, table) is None
-        assert check_ad_invariance(n, table, form) is None
+    for st, form in cases:
+        assert check_jacobi(st) is None
+        assert check_ad_invariance(st, form) is None
     assert calls == []
 
 
@@ -561,7 +576,7 @@ def test_validation_does_no_fraction_arithmetic(monkeypatch):
 
 
 def reference_check_ad_invariance(dim, table, form):
-    _, ad = _integer_brackets(dim, _sparse_brackets(dim, table))
+    _, ad, _ = structure(dim, table)
     _, entries = _integer_terms(
         {(a, k): b for a in range(dim) for k, b in enumerate(form.row(a)) if b}
     )
@@ -593,9 +608,10 @@ def test_ad_invariance_stays_cheap_on_hostile_form_entries():
     the q that the reference builds.
     """
     form = hostile_form()
-    assert check_ad_invariance(16, {}, form) is None
+    empty = structure(16, {})
+    assert check_ad_invariance(empty, form) is None
     assert reference_check_ad_invariance(16, {}, form) is None
-    fast = best_of_three(lambda: check_ad_invariance(16, {}, form))
+    fast = best_of_three(lambda: check_ad_invariance(empty, form))
     assert fast <= best_of_three(lambda: reference_check_ad_invariance(16, {}, form)) / 5
 
 
@@ -609,13 +625,14 @@ def test_ad_invariance_matches_the_reference_on_perturbed_form_entries():
     witnesses = []
     for g in algebras:
         n, table = g.dim, g.bracket_table()
-        assert check_ad_invariance(n, table, g.form) is reference_check_ad_invariance(n, table, g.form) is None
+        st = g._integer_structure
+        assert check_ad_invariance(st, g.form) is reference_check_ad_invariance(n, table, g.form) is None
         for a in range(n):
             for k in range(n):
                 rows = [list(g.form.row(r)) for r in range(n)]
                 rows[a][k] += Fraction(1, 3)
                 form = Matrix(rows)
-                witnesses.append(check_ad_invariance(n, table, form))
+                witnesses.append(check_ad_invariance(st, form))
                 assert witnesses[-1] == reference_check_ad_invariance(n, table, form)
     assert None in witnesses and len(set(witnesses)) > 20
 
@@ -640,7 +657,7 @@ def test_bracket_preimage_lists_every_pair_reaching_a_basis_vector():
     dens = []
     for g in (catalog_entry("sl2xsl2-diagonal").algebra, orthogonal_split(tstar_heisenberg()).adapted):
         table = g.bracket_table()
-        den, _, preimage = g._structure_over_integers()
+        den, _, preimage = g._integer_structure
         dens.append(den)
         for r in range(g.dim):
             expected = tuple(
@@ -653,15 +670,35 @@ def test_bracket_preimage_lists_every_pair_reaching_a_basis_vector():
     assert dens[1] > 1
 
 
+def test_each_bracket_table_is_built_once_per_algebra(monkeypatch):
+    """Parsing sl(3) builds the Fraction store and the integer structure once
+    each; a split along an sl(2) triple builds each once more, for the
+    adapted algebra.  Validation, the Killing form and the change of basis
+    read what the constructors built."""
+    text = emit_algebra_text(catalog_entry("sl3-killing").algebra)
+    counts = Counter()
+    for name in ("_sparse_brackets", "_bracket_structure"):
+
+        def counted(*args, _original=getattr(lie, name), _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(lie, name, counted)
+    g, _ = parse_algebra_text(text)
+    g.killing()
+    assert counts == {"_sparse_brackets": 1, "_bracket_structure": 1}
+    split = orthogonal_split(g, SL3_TRIPLE)
+    split.adapted.killing()
+    assert counts == {"_sparse_brackets": 2, "_bracket_structure": 2}
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda g: g.bracket((1, 0, 0, 5), (0, 1, 0)),
         lambda g: g.bracket((1, 0, 0), (0, 1)),
-        lambda g: g.b((1, 0, 0, 5), (0, 0, 1)),
-        lambda g: g.b((1, 0, 0), (0, 0, 1, 5)),
     ],
-    ids=["bracket-long", "bracket-short", "b-long", "b-long-second"],
+    ids=["bracket-long", "bracket-short"],
 )
 def test_bracket_and_form_reject_a_wrong_coordinate_length(sl2, call):
     with pytest.raises(ContractViolation, match="coordinate length does not match the algebra"):
