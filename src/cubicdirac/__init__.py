@@ -39,8 +39,6 @@ from .forms import (
 from .lie import (
     OrthogonalSplit,
     QuadraticLieAlgebra,
-    check_ad_invariance,
-    check_jacobi,
     killing_form,
     orthogonal_split,
     subalgebra_action,
@@ -77,8 +75,6 @@ __all__ = [
     "catalog_entry",
     "catalog_names",
     "ce_differential",
-    "check_ad_invariance",
-    "check_jacobi",
     "diagonalize_form",
     "emit_algebra_text",
     "form_of_trivector",

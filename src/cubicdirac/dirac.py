@@ -54,7 +54,7 @@ from .lie import (
     subalgebra_action,
     unit,
 )
-from .linalg import ZERO
+from .linalg import ZERO, vector
 from .sparse import _integer_terms
 from .tensor import TensorElement, TripleTensorElement
 
@@ -94,7 +94,7 @@ class DiracContext:
         p_variant: int = 0,
     ):
         self.algebra = algebra
-        self.subalgebra = tuple(tuple(Fraction(c) for c in v) for v in subalgebra)
+        self.subalgebra = tuple(map(vector, subalgebra))
         self.p_variant = p_variant
         self.split = orthogonal_split(algebra, self.subalgebra, p_variant)
         self.adapted = self.split.adapted
@@ -109,6 +109,7 @@ class DiracContext:
         self._embeddings: dict[int, TensorElement] = {}
         self._delta_casimir: TensorElement | None = None
         self._residual: TensorElement | None = None
+        self._absolute: DiracContext | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -141,11 +142,8 @@ class DiracContext:
 
     def diagonal_embedding(self, j: int) -> TensorElement:
         """Delta(Y_j) = Y_j (x) 1 + 1 (x) lift(nu(Y_j)) for the j-th h vector."""
-        if not 0 <= j < self.k:
-            raise ContractViolation("subalgebra basis index out of range")
         if j not in self._embeddings:
-            nu = subalgebra_action(self.split, self.split.h_vectors[j])
-            lift = spin_lift(self.space, nu)
+            lift = spin_lift(self.space, subalgebra_action(self.split, j))
             yj = PBWElement.generator(self.adapted, self.m + j)
             self._embeddings[j] = TensorElement.from_parts(
                 yj, self.space.one()
@@ -180,6 +178,26 @@ class DiracContext:
         if not r.is_scalar_multiple_of_one():
             return None
         return r.scalar_coefficient()
+
+    @property
+    def absolute(self) -> "DiracContext":
+        """The context of g with h = 0 in this context's adapted basis, for
+        the cohomology and decomposition checks.
+
+        Itself when h = 0 (not stored, which would make a reference cycle);
+        otherwise the context of the adapted algebra, built once.  Its form
+        is diagonal, so its split keeps the basis and labels.
+        """
+        if self.k == 0:
+            return self
+        if self._absolute is None:
+            self._absolute = DiracContext(self.adapted)
+        return self._absolute
+
+    @cached_property
+    def _v_square(self) -> Multivector:
+        """v^2, computed once for the kostant check and the dv-* laws."""
+        return self.v * self.v
 
     @cached_property
     def _dv_generators(self) -> list[Multivector]:
@@ -246,7 +264,7 @@ class DiracContext:
             values["c"] = c
 
         if self.k == 0:
-            v2 = self.v * self.v
+            v2 = self._v_square
             items.append(
                 CheckItem(
                     "v-square-scalar",
@@ -322,7 +340,9 @@ class DiracContext:
         """The differential-geometry identity chain, run on g with h = 0.
 
         The chain lives on the full algebra (forms take arguments anywhere in
-        g), so a context with a subalgebra delegates to the absolute one.
+        g), so a context with a subalgebra runs it on its `absolute` context,
+        in the h-adapted basis: a failing witness of a pair names the labels
+        p1.., h1.. of that basis.
 
         The items that depend on v are `dB-equals-2v` and
         `delta-plus-dv-vanishes`.  `dv-derivation-law` and
@@ -330,7 +350,7 @@ class DiracContext:
         every odd v, so they check the product, kappa and the twisted
         commutator, not v; both run on the generators (see `_dv_law_items`).
         """
-        ctx = self if self.k == 0 else DiracContext(self.algebra)
+        ctx = self.absolute
         g = ctx.adapted
         items: list[CheckItem] = []
 
@@ -341,13 +361,12 @@ class DiracContext:
 
         items.append(self._theta_b_item(b_form))
         items.append(self._cartan_item(g))
-        items.append(self._d_squared_item(g))
-        items.append(self._alternating_stability_item(g))
+        items.extend(self._d_items(g))
 
         witness = ctx.first_order_witness
         items.append(CheckItem("delta-plus-dv-vanishes", witness is None, witness))
 
-        items.extend(_dv_law_items(ctx.space, ctx.v, ctx._dv_generators, g.labels))
+        items.extend(_dv_law_items(ctx.space, ctx.v, ctx._v_square, ctx._dv_generators, g.labels))
         return CheckOutcome("cohomology", tuple(items))
 
     def _theta_b_item(self, b_form: MultilinearMap) -> CheckItem:
@@ -407,35 +426,31 @@ class DiracContext:
             previous = columns
         return CheckItem("cartan-formula", True)
 
-    def _d_squared_item(self, g: QuadraticLieAlgebra) -> CheckItem:
-        """d^2 = 0 on all arity-1 maps and on alternating arity-2 maps.
+    def _d_items(self, g: QuadraticLieAlgebra) -> tuple[CheckItem, CheckItem]:
+        """`d-squared-zero` and `d-preserves-alternating`, in one pass over point masses.
 
-        d is scattered twice on the integer entries of each alternating
-        point mass, with the kernel `ce_differential` runs, dropping the
-        zeros of the first scatter; the result is over P^2, which no zero
-        test sees.
+        d^2 = 0 is checked on the alternating point masses of arity 1 and 2,
+        and d maps alternating forms to alternating forms on those of arity
+        1..3.  d of each point mass is scattered once on integers, with the
+        kernel `ce_differential` runs, and its zero numerators dropped: a
+        zero on a key with a repeated index is no failure of alternation,
+        and the second scatter, over P^2, is tested for zero only.  Each
+        item keeps its first failing key, in order of arity, then key.
         """
         _, _, preimage = g._integer_structure
-        for arity in (1, 2):
-            for key, entries in _alternating_point_masses(g.dim, arity):
-                dw = _nonzero(_d_scatter(entries, preimage))
-                if any(_d_scatter(dw.items(), preimage).values()):
-                    return CheckItem("d-squared-zero", False, _key_witness(arity, key))
-        return CheckItem("d-squared-zero", True)
-
-    def _alternating_stability_item(self, g: QuadraticLieAlgebra) -> CheckItem:
-        """d maps alternating forms of arity <= 3 to alternating forms.
-
-        d of each alternating point mass is scattered once on integers and
-        its zero numerators dropped before the alternation test, since a
-        zero on a key with a repeated index is no failure.
-        """
-        _, _, preimage = g._integer_structure
-        for arity in (1, 2, 3):
-            for key, entries in _alternating_point_masses(g.dim, arity):
-                if not _is_alternating(_nonzero(_d_scatter(entries, preimage))):
-                    return CheckItem("d-preserves-alternating", False, _key_witness(arity, key))
-        return CheckItem("d-preserves-alternating", True)
+        squared = alternating = None
+        for arity, key, entries in _alternating_point_masses(g.dim, 3):
+            dw = _nonzero(_d_scatter(entries, preimage))
+            if squared is None and arity < 3 and any(_d_scatter(dw.items(), preimage).values()):
+                squared = _key_witness(arity, key)
+            if alternating is None and not _is_alternating(dw):
+                alternating = _key_witness(arity, key)
+            if squared is not None and alternating is not None:
+                break
+        return (
+            CheckItem("d-squared-zero", squared is None, squared),
+            CheckItem("d-preserves-alternating", alternating is None, alternating),
+        )
 
     def decomposition_check(self) -> CheckOutcome:
         """The graded-tensor decomposition of the absolute operator.
@@ -449,7 +464,7 @@ class DiracContext:
         if self.k == 0:
             raise ContractViolation("the decomposition check needs a nonzero subalgebra")
         ctx_h = DiracContext(self.h_algebra)
-        ctx_g = DiracContext(self.adapted)
+        ctx_g = self.absolute
         space = ctx_g.space
         if space.gram != self.space.gram + ctx_h.space.gram:
             raise ContractViolation("internal: C(g) is not C(h_perp) (x)bar C(h) on concatenated blades")
@@ -529,17 +544,20 @@ def _nonzero(numerators: dict) -> dict:
     return {key: n for key, n in numerators.items() if n}
 
 
-def _alternating_point_masses(n: int, arity: int):
-    """(key, entries) for each increasing key of `arity` indices below n, in lexicographic order.
+def _alternating_point_masses(n: int, max_arity: int):
+    """(arity, key, entries) for each increasing key of indices below n.
 
-    The entries [(ordering, sign), ...] are the alternating form that is 1
-    on key: each ordering of key with the sign of its permutation.
+    Arities run from 1 to max_arity, and the keys of one arity in
+    lexicographic order.  The entries [(ordering, sign), ...] are the
+    alternating form that is 1 on key: each ordering of key with the sign
+    of its permutation.
     """
-    signed = [
-        (p, (-1) ** sum(a > b for a, b in combinations(p, 2))) for p in permutations(range(arity))
-    ]
-    for key in combinations(range(n), arity):
-        yield key, [(tuple(key[s] for s in p), sign) for p, sign in signed]
+    for arity in range(1, max_arity + 1):
+        signed = [
+            (p, (-1) ** sum(a > b for a, b in combinations(p, 2))) for p in permutations(range(arity))
+        ]
+        for key in combinations(range(n), arity):
+            yield arity, key, [(tuple(key[s] for s in p), sign) for p, sign in signed]
 
 
 def _key_witness(arity: int, key: tuple) -> str:
@@ -547,11 +565,11 @@ def _key_witness(arity: int, key: tuple) -> str:
 
 
 def _dv_law_items(
-    space: CliffordSpace, v: Multivector, dv: Sequence[Multivector], labels: Sequence[str]
+    space: CliffordSpace, v: Multivector, v2: Multivector, dv: Sequence[Multivector], labels: Sequence[str]
 ) -> tuple[CheckItem, CheckItem]:
     """`dv-derivation-law` and `dv-square-is-v2-bracket` on the generators e_a of C(h_perp).
 
-    d_v = `twisted_commutator(v, .)`, and dv[a] = d_v(e_a).  The derivation law
+    d_v = `twisted_commutator(v, .)`, v2 = v^2, and dv[a] = d_v(e_a).  The derivation law
     d_v(e_i e_j) = d_v(e_i) e_j - e_i d_v(e_j) (kappa(e_i) = -e_i) is
     checked on every ordered pair i, j, i = j included; the square law
     d_v(d_v(e_a)) = v^2 e_a - e_a v^2 on every a.  For odd v both sides of
@@ -567,7 +585,6 @@ def _dv_law_items(
             break
     derivation = CheckItem("dv-derivation-law", witness is None, witness)
 
-    v2 = v * v
     witness = None
     for a, e in enumerate(gens):
         if twisted_commutator(v, dv[a]) != v2 * e - e * v2:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
-from .linalg import ZERO, Matrix, as_scalar
+from .linalg import ZERO, as_scalar
 from .sparse import LinearCombination
 
 Monomial = tuple[int, ...]
@@ -108,32 +108,14 @@ class PBWElement(LinearCombination):
         return " + ".join(bits)
 
 
-def casimir_element(algebra: QuadraticLieAlgebra, basis_vectors: Sequence[Sequence] | None = None) -> PBWElement:
-    """Casimir sum(X_i X^i) for a B-orthogonal basis; X^i = X_i / B(X_i, X_i).
+def casimir_element(algebra: QuadraticLieAlgebra) -> PBWElement:
+    """Casimir sum(X_i X^i) of an algebra whose basis is B-orthogonal.
 
-    With no basis given, the algebra's own basis is used and must already be
-    B-orthogonal.  A non-orthogonal basis is rejected: the dual-basis formula
-    below is only valid when the Gram matrix, S^T B S for the basis columns
-    S, is diagonal.
+    With d the diagonal of the form, X^i = X_i / d_i and X_i X_i is already
+    in PBW order, so Omega = sum (1/d_i) X_i X_i needs no product.  A form
+    that is not diagonal is rejected: the dual-basis formula needs an
+    orthogonal basis, which `orthogonal_split` provides.
     """
-    n = algebra.dim
-    if basis_vectors is None:
-        if not algebra.form.is_diagonal():
-            raise ContractViolation("default basis is not orthogonal; pass one explicitly")
-        basis_vectors = Matrix.identity(n).columns()
-    vecs = algebra._coordinates(*basis_vectors)
-    if len(vecs) != n:
-        raise ContractViolation("orthogonal basis must have full dimension")
-    s = Matrix.from_columns(vecs, rows=n)
-    gram = s.transpose() @ algebra.form @ s
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram.entry(i, j) != 0:
-                raise ContractViolation(f"basis vectors {i} and {j} are not orthogonal")
-    omega = PBWElement.zero(algebra)
-    for vi, d in zip(vecs, gram.diagonal()):
-        if d == 0:
-            raise ContractViolation("basis vector is isotropic")
-        x = PBWElement.from_vector(algebra, vi)
-        omega = omega + (1 / d) * (x * x)
-    return omega
+    if not algebra.form.is_diagonal():
+        raise ContractViolation("the basis is not orthogonal; take the adapted algebra of a split")
+    return PBWElement(algebra, {(i, i): 1 / d for i, d in enumerate(algebra.form.diagonal())})

@@ -284,9 +284,11 @@ class OrthogonalSplit:
     p_vectors / h_vectors hold the orthogonalized bases in ambient
     coordinates; p_gram / h_gram are the corresponding diagonal Gram entries.
     `adapted` is the same Lie algebra re-expressed in the basis
-    (p_1..p_m, h_1..h_k), where the form is diag(p_gram + h_gram).
-    from_adapted maps adapted coordinates to ambient ones (its columns are the
-    adapted basis vectors); to_adapted is its inverse.
+    (p_1..p_m, h_1..h_k), where the form is diag(p_gram + h_gram), and
+    everything built on the split reads it there: Y_j is the basis vector
+    m + j.  from_adapted maps adapted coordinates to ambient ones (its
+    columns are the adapted basis vectors); no inverse is kept, since
+    nothing maps ambient coordinates back.
     """
 
     ambient: QuadraticLieAlgebra
@@ -296,7 +298,6 @@ class OrthogonalSplit:
     h_gram: tuple[Fraction, ...]
     adapted: QuadraticLieAlgebra
     from_adapted: Matrix
-    to_adapted: Matrix
 
     @property
     def p_dim(self) -> int:
@@ -342,10 +343,10 @@ def orthogonal_split(
     basis-independence checks rely on.
 
     Every Gram is a congruence: the Gram of the columns of S is S^T B S.
-    Once the adapted basis P is checked to satisfy P^T B P = diag(d), its
-    inverse is diag(1/d) P^T B, with no elimination, and the adapted
-    structure constants are read off the bracket support on integers (see
-    `_adapted_brackets`).
+    Once the adapted basis P is checked to satisfy P^T B P = diag(d), the
+    adapted structure constants are read off the bracket support on
+    integers, projected with the rows of P^T B over d (see
+    `_adapted_brackets`); the inverse of P is never formed.
     """
     n = g.dim
     h_raw = [vector(v) for v in subalgebra]
@@ -392,9 +393,6 @@ def orthogonal_split(
     pairing = from_adapted.transpose() @ g.form
     if pairing @ from_adapted != adapted_form:
         raise ContractViolation("internal: adapted form mismatch")
-    to_adapted = Matrix(
-        [[x / d if x else ZERO for x in pairing.row(i)] for i, d in enumerate(grams)], cols=n
-    )
 
     if not h_vectors and from_adapted == Matrix.identity(n):
         # A context built on an adapted algebra keeps its basis and labels,
@@ -420,7 +418,6 @@ def orthogonal_split(
         h_gram=h_gram,
         adapted=adapted,
         from_adapted=from_adapted,
-        to_adapted=to_adapted,
     )
 
 
@@ -489,23 +486,22 @@ def unit(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1) if s == i else ZERO for s in range(n))
 
 
-def subalgebra_action(split: OrthogonalSplit, y_ambient: Sequence) -> Matrix:
-    """Matrix of ad(y) restricted to h_perp, in the orthogonal p-basis.
+def subalgebra_action(split: OrthogonalSplit, j: int) -> Matrix:
+    """nu(Y_j): the matrix of ad(Y_j) restricted to h_perp, in the orthogonal p-basis.
 
-    y must lie in the span of the subalgebra.  `orthogonal_split` has checked
-    that [h, h_perp] lies in h_perp; that the result lies in so of the
-    diagonal Gram is checked by `spin_lift`, which takes it.
+    Y_j is the j-th orthogonal basis vector of h, the adapted basis vector
+    m + j, so column i is the bracket [Y_j, X_i] read off the adapted
+    algebra.  `orthogonal_split` has checked that [h, h_perp] lies in
+    h_perp; that the result lies in so of the diagonal Gram is checked by
+    `spin_lift`, which takes it.
     """
-    y_ad = split.to_adapted.mat_vec(vector(y_ambient))
+    if not 0 <= j < split.h_dim:
+        raise ContractViolation("subalgebra basis index out of range")
     m = split.p_dim
-    if any(y_ad[:m]):
-        raise ContractViolation("vector is not in the subalgebra span")
     cols = []
     for i in range(m):
         acc = [ZERO] * m
-        for j, c in enumerate(y_ad[m:]):
-            if c:
-                for t, b in split.adapted.bracket_sparse(m + j, i):
-                    acc[t] += c * b
+        for t, b in split.adapted.bracket_sparse(m + j, i):
+            acc[t] = b
         cols.append(tuple(acc))
     return Matrix.from_columns(cols, rows=m)

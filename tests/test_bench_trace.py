@@ -11,7 +11,7 @@ check that it counts the layers and undoes every patch.
 import importlib.util
 from pathlib import Path
 
-from cubicdirac import catalog_entry, dirac, emit_algebra_text, forms, parse_algebra_text
+from cubicdirac import catalog_entry, cli, dirac, emit_algebra_text, forms, parse_algebra_text
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -91,11 +91,13 @@ PINNED_COUNTS = {
     # the pair products and the graded triple products; the squared
     # consequence reads the squares the residuals took.  The tensor
     # product normalises each distinct pair of PBW monomials once per
-    # call, which the pbw_normalize calls count
+    # call, which the pbw_normalize calls count; the three contexts read
+    # their Casimirs off their diagonal forms, with no PBW product
     ("decomposition_check", True): {
         "tensor.TensorElement.__mul__": (15, 161, 0, 47),
         "tensor.TripleTensorElement.__mul__": (2, 42, 0, 42),
-        "envelope.pbw_normalize": (149,),
+        "envelope.pbw_normalize": (134,),
+        "envelope.PBWElement.__mul__": (0,),
     },
     # one kostant check on sl2xsl2-diagonal (absolute, m = 6): delta(X_a)
     # once per generator, which the context keeps for
@@ -105,10 +107,12 @@ PINNED_COUNTS = {
     },
     # one kostant check on sl2xsl2-diagonal over its diagonal sl(2): D^2
     # and the squares of the diagonal embeddings, with no triple product
+    # and no PBW product
     ("kostant_check", True): {
         "tensor.TensorElement.__mul__": (8, 78, 0, 42),
         "tensor.TripleTensorElement.__mul__": (0, 0, 0, 0),
-        "envelope.pbw_normalize": (54,),
+        "envelope.pbw_normalize": (42,),
+        "envelope.PBWElement.__mul__": (0,),
     },
 }
 
@@ -135,3 +139,29 @@ def test_cohomology_kernels_keep_their_traced_names_and_work():
             for name, pin in expected.items()
         }
         assert counts == expected, check
+
+
+def test_a_pair_builds_one_absolute_context(tmp_path, capsys):
+    """`verify --checks all --subalgebra-from-file` on sl2xsl2-diagonal.
+
+    Four contexts, four splits and four validated algebras: the pair, its
+    variant basis for c-basis-invariant, h alone, and the absolute context
+    on the pair's adapted algebra, which the cohomology and decomposition
+    checks share.  Its split keeps the diagonal basis, so it validates no
+    algebra; the fourth is the one the document is parsed into.
+    """
+    entry = catalog_entry("sl2xsl2-diagonal")
+    path = tmp_path / "pair.json"
+    path.write_text(emit_algebra_text(entry.algebra, entry.subalgebra))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["verify", "--input", str(path), "--checks", "all", "--subalgebra-from-file"])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().out
+    counts = {
+        name: tracer.stats[name]["calls"]
+        for name in ("dirac.DiracContext.__init__", "lie.orthogonal_split", "lie.QuadraticLieAlgebra.__init__")
+    }
+    assert counts == dict.fromkeys(counts, 4)

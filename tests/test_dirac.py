@@ -289,6 +289,29 @@ def test_abelian_with_one_dimensional_subalgebra():
     assert outcome.values["c_rel"] == 0
 
 
+@pytest.mark.parametrize("inexact", [float, str])
+def test_context_rejects_inexact_subalgebra_vectors(inexact):
+    """A subalgebra given as floats or strings is refused, as the split refuses it."""
+    entry = catalog_entry("sl2xsl2-diagonal")
+    vectors = [tuple(inexact(c) for c in v) for v in entry.subalgebra]
+    with pytest.raises(ContractViolation, match="exact rational"):
+        DiracContext(entry.algebra, vectors)
+
+
+def test_a_pair_has_one_absolute_context_in_its_adapted_basis():
+    """The cohomology and decomposition checks of a pair share one context
+    with h = 0, built on the pair's adapted algebra, so a failing witness
+    names the labels p1.., h1..; without h the context is its own."""
+    entry = catalog_entry("sl2xsl2-diagonal")
+    ctx = DiracContext(entry.algebra, entry.subalgebra)
+    absolute = ctx.absolute
+    assert absolute.k == 0 and absolute.adapted is ctx.adapted
+    assert absolute.adapted.labels == ("p1", "p2", "p3", "h1", "h2", "h3")
+    assert ctx.cohomology_check().passed and ctx.decomposition_check().passed
+    assert ctx.absolute is absolute
+    assert absolute.absolute is absolute
+
+
 def test_decomposition_requires_a_subalgebra(contexts):
     with pytest.raises(ContractViolation):
         contexts("sl2-killing").decomposition_check()
@@ -315,7 +338,7 @@ def test_decomposition_fails_without_the_spin_lift(monkeypatch):
 
 def transport(source_ctx, target_ctx):
     """Rewrite source's Dirac element in target's adapted basis."""
-    move = target_ctx.split.to_adapted @ source_ctx.split.from_adapted
+    move = invert(target_ctx.split.from_adapted) @ source_ctx.split.from_adapted
     cols = move.columns()
     g = target_ctx.adapted
     space = target_ctx.space
@@ -471,7 +494,7 @@ def test_dv_witnesses_are_pinned(monkeypatch, fault):
 def dv_law_items(space, v, labels):
     """`dirac._dv_law_items` with d_v(e_a) from dirac's twisted commutator, as a context takes it."""
     dv = [dirac.twisted_commutator(v, space.generator(a)) for a in range(space.dim)]
-    return dirac._dv_law_items(space, v, dv, labels)
+    return dirac._dv_law_items(space, v, v * v, dv, labels)
 
 
 def reference_random_multivector(space, rng, terms=4):
@@ -762,10 +785,11 @@ def test_cartan_item_fails_under_each_kernel_fault(monkeypatch, name, kernel):
 
 # -- d-squared-zero and d-preserves-alternating against the public operators ----
 #
-# Both items scatter d on the integer entries of alternating point masses
-# with the kernel `ce_differential` runs.  These are their previous
-# bodies, which build each point mass as a MultilinearMap and apply the
-# public operator over Q, kept here as the references they must agree with.
+# Both items come from one pass that scatters d on the integer entries of
+# each alternating point mass with the kernel `ce_differential` runs.  These
+# are their previous bodies, which build each point mass as a MultilinearMap
+# and apply the public operator over Q, kept here as the references they
+# must agree with.
 
 
 def reference_d_squared_item(g):
@@ -803,10 +827,8 @@ def reference_alternating_item(g):
 
 
 def d_items_and_references(ctx, g):
-    return (
-        (ctx._d_squared_item(g), reference_d_squared_item(g)),
-        (ctx._alternating_stability_item(g), reference_alternating_item(g)),
-    )
+    """Each item of the one pass over point masses, with its reference."""
+    return tuple(zip(ctx._d_items(g), (reference_d_squared_item(g), reference_alternating_item(g))))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -919,6 +941,6 @@ def test_d_items_use_no_public_operator_and_build_no_fraction(monkeypatch):
     monkeypatch.setattr(MultilinearMap, "__init__", forbidden)
     monkeypatch.setattr(LinearCombination, "__add__", forbidden)
     monkeypatch.setattr(Fraction, "__new__", forbidden)
-    items = (ctx._d_squared_item(g), ctx._alternating_stability_item(g))
+    items = ctx._d_items(g)
     monkeypatch.undo()
     assert items == (CheckItem("d-squared-zero", True), CheckItem("d-preserves-alternating", True))

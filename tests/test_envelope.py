@@ -10,7 +10,6 @@ from cubicdirac.catalog import catalog_entry
 from cubicdirac.envelope import PBWElement, casimir_element
 from cubicdirac.errors import ContractViolation
 from cubicdirac.lie import QuadraticLieAlgebra, orthogonal_split
-from cubicdirac.linalg import Matrix
 
 
 @pytest.fixture(scope="module")
@@ -101,45 +100,30 @@ def test_casimir_needs_an_orthogonal_basis(sl2):
         casimir_element(sl2)
 
 
-def test_casimir_names_the_first_failing_basis_pair(sl2):
-    """The Gram is read whole, but the errors name the first (i, j) in pair order."""
-    units = [unit_vector(3, i) for i in range(3)]
-    with pytest.raises(ContractViolation, match="basis vectors 0 and 2 are not orthogonal"):
-        casimir_element(sl2, units)
-    with pytest.raises(ContractViolation, match="isotropic"):
-        casimir_element(sl2, [(0, 0, 0), *orthogonal_split(sl2).p_vectors[1:]])
-    with pytest.raises(ContractViolation, match="full dimension"):
-        casimir_element(sl2, units[:2])
-    with pytest.raises(ContractViolation, match="coordinate length"):
-        casimir_element(sl2, [(1, 0), (0, 1), (1, 1)])
-
-
-def test_casimir_is_basis_independent(sl2):
-    basis_a = orthogonal_split(sl2).p_vectors
-    basis_b = orthogonal_split(sl2, (), p_variant=1).p_vectors
-    assert basis_a != basis_b
-    omega_a = casimir_element(sl2, basis_a)
-    omega_b = casimir_element(sl2, basis_b)
-    assert omega_a == omega_b
+def test_casimir_is_the_dual_basis_sum_of_squares(sl2):
+    """Omega = sum X_i X^i with X^i = X_i / d_i, the products taken in U(g)."""
+    adapted = orthogonal_split(sl2).adapted
+    expected = PBWElement.zero(adapted)
+    for i, d in enumerate(adapted.form.diagonal()):
+        expected = expected + (1 / d) * (gen(adapted, i) * gen(adapted, i))
+    assert casimir_element(adapted) == expected
 
 
 def test_casimir_is_central(sl2):
-    omega = casimir_element(sl2, orthogonal_split(sl2).p_vectors)
+    adapted = orthogonal_split(sl2).adapted
+    omega = casimir_element(adapted)
     for i in range(3):
-        x = gen(sl2, i)
+        x = gen(adapted, i)
         assert omega * x == x * omega
 
 
 def test_casimir_halves_when_form_doubles(sl2):
+    adapted = orthogonal_split(sl2).adapted
     doubled = QuadraticLieAlgebra(
-        "sl2-doubled",
-        sl2.labels,
-        {pair: coeffs for pair, coeffs in sl2.bracket_table().items()},
-        sl2.form.scaled(Fraction(2)),
+        "sl2-doubled", adapted.labels, adapted.bracket_table(), adapted.form.scaled(Fraction(2))
     )
-    basis = orthogonal_split(sl2).p_vectors
-    omega = casimir_element(sl2, basis)
-    omega_doubled = casimir_element(doubled, basis)
+    omega = casimir_element(adapted)
+    omega_doubled = casimir_element(doubled)
     assert omega_doubled.terms == {m: c / 2 for m, c in omega.terms.items()}
 
 
