@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Sequence
 
 from .clifford import (
@@ -38,11 +38,11 @@ from .clifford import (
 from .envelope import PBWElement, casimir_element
 from .errors import ContractViolation
 from .forms import (
+    _ORDERINGS,
     MultilinearMap,
     _ad_rows,
+    _canonical_part,
     _d_scatter,
-    _iota_buckets,
-    _is_alternating,
     _theta_scatter,
     bracket_coproduct,
     ce_differential,
@@ -228,8 +228,17 @@ class DiracContext:
                 return self.adapted.labels[a]
         return None
 
+    @cached_property
     def _variant_context(self) -> "DiracContext":
+        """The context of the same g and h split in the next variant basis,
+        for `c-basis-invariant`; built once."""
         return DiracContext(self.algebra, self.subalgebra, p_variant=self.p_variant + 1)
+
+    @cached_property
+    def _h_context(self) -> "DiracContext":
+        """The context of h with no subalgebra, for the decomposition check;
+        built once."""
+        return DiracContext(self.h_algebra)
 
     # -- checks --------------------------------------------------------------
 
@@ -289,7 +298,7 @@ class DiracContext:
             )
 
         if scalar_ok:
-            alt = self._variant_context()
+            alt = self._variant_context
             r2 = alt.residual()
             invariant = r2.is_scalar_multiple_of_one() and r2.scalar_coefficient() == c
             items.append(
@@ -391,19 +400,28 @@ class DiracContext:
         exhaustive verification for arities 1..3, with X over the unit
         vectors of g.
 
-        Every (arity, key, X) is compared, in that loop order, on integer
-        numerators over P, the structure constants' common denominator, with
-        the kernels the public operators run.  d of each point mass delta_key
-        is scattered once: iota_{e_i} of it is its bucket with first index
-        i.  iota_{e_i} delta_key is delta_{key[1:]} when key[0] = i and zero
-        otherwise, so d iota_{e_i} delta_key is d of a point mass of the
-        previous arity, kept in a cache that lives for this call; the
-        arity-3 columns are not kept, since nothing reads them.
-        theta_{e_i} delta_key scatters the rows of ad e_i over the slots.
+        Every (arity, key, X) is compared on integer numerators over P, the
+        structure constants' common denominator, with the kernels the public
+        operators run.  For each key the comparisons for all X = e_i are one
+        table over (arity + 1)-tuples (i, rest), the difference of the two
+        sides at rest:
+          - iota_{e_i} d delta_key is the part of d delta_key with first
+            index i, so the table starts from d delta_key;
+          - iota_{e_i} delta_key is delta_{key[1:]} when key[0] = i and zero
+            otherwise, so d of it is the column of key[1:] in the previous
+            arity, kept for this call (the arity-3 columns are not kept,
+            since nothing reads them), added under the prefix key[0];
+          - theta_{e_i} delta_key puts row key[pos] of ad e_i in each slot
+            pos; `acting[r]` lists those rows' entries (i, s, c) for all i.
+        The item fails at the first key, in order of arity, then key, whose
+        table holds a nonzero entry, and names the least i among them.
         """
         _, ad, preimage = g._integer_structure
         n = g.dim
-        rows = [_ad_rows([(i, 1)], ad) for i in range(n)]
+        acting: list[list] = [[] for _ in range(n)]
+        for i in range(n):
+            for r, row in _ad_rows([(i, 1)], ad).items():
+                acting[r].extend((i, s, c) for s, c in row.items())
         previous: dict = {(): {}}
         for arity in range(1, 4):
             columns: dict = {}
@@ -411,18 +429,21 @@ class DiracContext:
                 dw = _d_scatter([(key, 1)], preimage)
                 if arity < 3:
                     columns[key] = dw
-                buckets = _iota_buckets(dw.items())
-                for i in range(n):
-                    lhs = buckets.get(i, {})
-                    if key[0] == i:
-                        lhs = dict(lhs)
-                        for rest, val in previous[key[1:]].items():
-                            lhs[rest] = lhs.get(rest, 0) + val
-                    rhs = _theta_scatter([(key, 1)], rows[i])
-                    if lhs != rhs and _nonzero(lhs) != _nonzero(rhs):
-                        return CheckItem(
-                            "cartan-formula", False, f"arity {arity} key {key} X={g.labels[i]}"
-                        )
+                    table = dict(dw)
+                else:
+                    table = dw
+                first = (key[0],)
+                for rest, val in previous[key[1:]].items():
+                    idx = first + rest
+                    table[idx] = table.get(idx, 0) + val
+                for pos, r in enumerate(key):
+                    head, tail = key[:pos], key[pos + 1 :]
+                    for i, s, c in acting[r]:
+                        idx = (i,) + head + (s,) + tail
+                        table[idx] = table.get(idx, 0) - c
+                if any(table.values()):
+                    i = min(idx[0] for idx, val in table.items() if val)
+                    return CheckItem("cartan-formula", False, f"arity {arity} key {key} X={g.labels[i]}")
             previous = columns
         return CheckItem("cartan-formula", True)
 
@@ -432,21 +453,45 @@ class DiracContext:
         d^2 = 0 is checked on the alternating point masses of arity 1 and 2,
         and d maps alternating forms to alternating forms on those of arity
         1..3.  d of each point mass is scattered once on integers, with the
-        kernel `ce_differential` runs, and its zero numerators dropped: a
-        zero on a key with a repeated index is no failure of alternation,
-        and the second scatter, over P^2, is tested for zero only.  Each
-        item keeps its first failing key, in order of arity, then key.
+        kernel `ce_differential` runs, its zero numerators dropped (a zero
+        on a key with a repeated index is no failure of alternation), and
+        only its canonical part kept: its entries on increasing keys, or
+        None when it is not alternating.  The arities run from 3 down, so
+        the columns of arity + 1 are there when a mass of arity is reached.
+
+        When d w is alternating, it is the sum over increasing keys K of
+        (d w)[K] times the alternating point mass on K, so d(d w) is the same
+        combination of those masses' columns.  When every such column is
+        alternating, so is the sum, and it is zero exactly when its part on
+        increasing keys, the combination of the canonical parts, is.
+        Otherwise d(d w) is scattered directly, over P^2, and tested for
+        zero.  Each item names its least failing (arity, key).
         """
         _, _, preimage = g._integer_structure
         squared = alternating = None
-        for arity, key, entries in _alternating_point_masses(g.dim, 3):
-            dw = _nonzero(_d_scatter(entries, preimage))
-            if squared is None and arity < 3 and any(_d_scatter(dw.items(), preimage).values()):
-                squared = _key_witness(arity, key)
-            if alternating is None and not _is_alternating(dw):
-                alternating = _key_witness(arity, key)
-            if squared is not None and alternating is not None:
-                break
+        canonical: dict = {}
+        for arity in (3, 2, 1):
+            fails_squared = fails_alternating = None
+            columns = canonical
+            canonical = {}
+            for key, entries in _alternating_point_masses(g.dim, arity):
+                dw = _nonzero(_d_scatter(entries, preimage))
+                part = canonical[key] = _canonical_part(dw)
+                if part is None:
+                    fails_alternating = fails_alternating or _key_witness(arity, key)
+                if arity == 3 or fails_squared:
+                    continue
+                if part is not None and all(columns[k] is not None for k in part):
+                    total: dict = {}
+                    for k, c in part.items():
+                        for idx, val in columns[k].items():
+                            total[idx] = total.get(idx, 0) + c * val
+                else:
+                    total = _d_scatter(dw.items(), preimage)
+                if any(total.values()):
+                    fails_squared = _key_witness(arity, key)
+            squared = fails_squared or squared
+            alternating = fails_alternating or alternating
         return (
             CheckItem("d-squared-zero", squared is None, squared),
             CheckItem("d-preserves-alternating", alternating is None, alternating),
@@ -463,7 +508,7 @@ class DiracContext:
         """
         if self.k == 0:
             raise ContractViolation("the decomposition check needs a nonzero subalgebra")
-        ctx_h = DiracContext(self.h_algebra)
+        ctx_h = self._h_context
         ctx_g = self.absolute
         space = ctx_g.space
         if space.gram != self.space.gram + ctx_h.space.gram:
@@ -544,20 +589,16 @@ def _nonzero(numerators: dict) -> dict:
     return {key: n for key, n in numerators.items() if n}
 
 
-def _alternating_point_masses(n: int, max_arity: int):
-    """(arity, key, entries) for each increasing key of indices below n.
+def _alternating_point_masses(n: int, arity: int):
+    """(key, entries) for each increasing key of `arity` indices below n, in
+    lexicographic order.
 
-    Arities run from 1 to max_arity, and the keys of one arity in
-    lexicographic order.  The entries [(ordering, sign), ...] are the
-    alternating form that is 1 on key: each ordering of key with the sign
-    of its permutation.
+    The entries [(ordering, sign), ...] are the alternating form that is 1
+    on key: each ordering of key with the sign of its permutation, key first.
     """
-    for arity in range(1, max_arity + 1):
-        signed = [
-            (p, (-1) ** sum(a > b for a, b in combinations(p, 2))) for p in permutations(range(arity))
-        ]
-        for key in combinations(range(n), arity):
-            yield arity, key, [(tuple(key[s] for s in p), sign) for p, sign in signed]
+    orderings = _ORDERINGS[arity]
+    for key in combinations(range(n), arity):
+        yield key, [(key, 1)] + [(get(key), sign) for get, sign in orderings]
 
 
 def _key_witness(arity: int, key: tuple) -> str:

@@ -24,8 +24,11 @@ and return numerator dicts, which may hold zeros: `_d_scatter` for d,
 `_ad_rows` and `_theta_scatter` for theta_X, and `_iota_buckets`, which
 groups entries by their first index, for iota_X.  A public operator puts
 its operands over integers, runs its kernels and turns the sums back into
-Fractions.  The cartan-formula check in `dirac` runs the same kernels on
-point masses, so a fault in any of them fails that check too.
+Fractions.  The cartan-formula check in `dirac` runs `_d_scatter` and
+`_ad_rows` on point masses, so a fault in either fails that check too; it
+reads iota of a point mass off its key, so `insert_first` is the one reader
+of `_iota_buckets`.  The d items in `dirac` run `_d_scatter` and test its
+columns with `_canonical_part`, the alternation test.
 
 d raises arity by one and is capped so results stay within arity 4.  On
 alternating maps these are the usual Lie-algebra-cohomology operators with
@@ -37,7 +40,8 @@ arity) come from the shared LinearCombination base.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from operator import itemgetter, lt
 from typing import Mapping, Sequence
 
 from .clifford import _ORDERING_SIGNS, CliffordSpace, Multivector
@@ -100,21 +104,58 @@ class MultilinearMap(LinearCombination):
         return f"MultilinearMap(arity={self.arity}, {{{entries}}})"
 
 
-def _is_alternating(terms: Mapping) -> bool:
-    """Whether a table {key: value} of ints or Fractions is alternating.
+def _orderings(k: int) -> list:
+    """(itemgetter, sign) for each ordering of k slots but the identity: the
+    getter reorders a k-tuple, the sign is that of the permutation."""
+    return [
+        (itemgetter(*p), (-1) ** sum(a > b for a, b in combinations(p, 2)))
+        for p in list(permutations(range(k)))[1:]
+    ]
 
-    No stored key repeats an index, and swapping two adjacent slots negates
-    the value.  A stored zero counts, so a table that may hold zeros (the
-    kernels' numerator dicts) drops them first.
+
+_ORDERINGS = [_orderings(k) for k in range(MAX_ARITY + 1)]
+
+
+def _canonical_part(terms: Mapping) -> dict | None:
+    """The nonzero entries of a table {key: value} on increasing keys, or None
+    when the table is not alternating.
+
+    The keys are of one arity k.  Each nonzero entry on an increasing key is
+    compared with its k! - 1 other orderings, which must hold the value
+    times the sign of the ordering; the table is alternating when they all
+    do and no other nonzero entry is stored, that is when the nonzero
+    entries number k! times the increasing keys that hold one.  A stored
+    zero on a repeated index fails the test, and one on distinct indices
+    does not, unless an ordering of its key holds a nonzero value; so a
+    table that may hold zeros (the kernels' numerator dicts) drops them
+    first.
     """
+    if not terms:
+        return {}
+    orderings = _ORDERINGS[len(next(iter(terms)))]
+    canonical: dict = {}
+    nonzero = 0
     for key, val in terms.items():
-        if len(set(key)) != len(key):
-            return False
-        for s in range(len(key) - 1):
-            swapped = key[:s] + (key[s + 1], key[s]) + key[s + 2 :]
-            if terms.get(swapped, 0) != -val:
-                return False
-    return True
+        if not val:
+            if len(set(key)) != len(key):
+                return None
+            continue
+        nonzero += 1
+        if all(map(lt, key, key[1:])):
+            canonical[key] = val
+            for get, sign in orderings:
+                if terms.get(get(key)) != sign * val:
+                    return None
+    if nonzero != len(canonical) * (len(orderings) + 1):
+        return None
+    return canonical
+
+
+def _is_alternating(terms: Mapping) -> bool:
+    """Whether a table {key: value} of ints or Fractions, keys of one arity,
+    is alternating: no stored key repeats an index, and swapping two slots
+    negates the value (see `_canonical_part`)."""
+    return _canonical_part(terms) is not None
 
 
 def _d_scatter(entries, preimage) -> dict:
@@ -123,14 +164,20 @@ def _d_scatter(entries, preimage) -> dict:
     The result is over the entries' denominator times P; it may hold zeros.
     """
     out: dict = {}
+    get = out.get
     for key, val in entries:
         for pos, r in enumerate(key):
+            row = preimage[r]
+            if not row:
+                continue
             tail = key[pos + 1 :]
-            for a, b, c in preimage[r]:
-                cv = c * val
-                for s in range(pos + 1):
-                    idx = key[:s] + (a,) + key[s:pos] + (b,) + tail
-                    out[idx] = out.get(idx, 0) + (-cv if s & 1 else cv)
+            scaled = [(a, b, c * val) for a, b, c in row]
+            negated = [(a, b, -cv) for a, b, cv in scaled] if pos else ()
+            for s in range(pos + 1):
+                head, mid = key[:s], key[s:pos]
+                for a, b, cv in negated if s & 1 else scaled:
+                    idx = head + (a,) + mid + (b,) + tail
+                    out[idx] = get(idx, 0) + cv
     return out
 
 

@@ -13,9 +13,12 @@ values frozen into the assertions:
 
 import random
 import re
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -310,6 +313,27 @@ def test_a_pair_has_one_absolute_context_in_its_adapted_basis():
     assert ctx.cohomology_check().passed and ctx.decomposition_check().passed
     assert ctx.absolute is absolute
     assert absolute.absolute is absolute
+
+
+def test_a_second_check_builds_no_further_context(monkeypatch):
+    """kostant_check's variant context and decomposition_check's context of
+    h are built once per context, as `absolute` is: the first calls build
+    those three, and repeating both checks builds none."""
+    entry = catalog_entry("sl2xsl2-diagonal")
+    ctx = DiracContext(entry.algebra, entry.subalgebra)
+    built = []
+    init = DiracContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiracContext, "__init__", counting_init)
+    first = ctx.kostant_check(), ctx.decomposition_check()
+    assert len(built) == 3
+    assert (ctx.kostant_check(), ctx.decomposition_check()) == first
+    assert len(built) == 3
+    assert all(outcome.passed for outcome in first)
 
 
 def test_decomposition_requires_a_subalgebra(contexts):
@@ -648,7 +672,7 @@ def test_theta_b_item_matches_lie_action(monkeypatch, name, broken):
 # -- cartan-formula against the public operators --------------------------------
 #
 # `_cartan_item` compares integer numerators from the operators' shared
-# kernels and reuses d of each point mass.  This is its previous body,
+# kernels, all X of a point mass in one table.  This is an earlier body,
 # which evaluates every (arity, key, X) through the public operators over
 # Q, kept here as the reference it must agree with.
 
@@ -750,28 +774,22 @@ def doubled_theta_entry(original):
     return rows
 
 
-def iota_keeping_the_first_index(original):
-    return lambda entries: {
-        a: {(a, *rest): n for rest, n in bucket.items()} for a, bucket in original(entries).items()
-    }
-
-
 KERNEL_FAULTS = {
     "_d_scatter": negated_d,
     "_ad_rows": doubled_theta_entry,
-    "_iota_buckets": iota_keeping_the_first_index,
 }
 
 
 @pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
 @pytest.mark.parametrize("kernel", KERNEL_FAULTS)
 def test_cartan_item_fails_under_each_kernel_fault(monkeypatch, name, kernel):
-    """A fault in a kernel the public operators share fails cartan-formula.
+    """A fault in a kernel the public operators share fails cartan-formula,
+    with the reference's witness.
 
     The fault is bound in forms, where the public operators read it, and
-    in dirac, where the cartan item does.  The witness may differ from the
-    reference's: the item reads iota of a point mass off its key instead
-    of calling the iota kernel on it.
+    in dirac, where the cartan item does.  The item reads iota of a point
+    mass off its key and calls no iota kernel, so the fault of that kernel
+    is caught through `insert_first` (`test_forms`).
     """
     ctx = fresh_context(name)
     g = ctx.adapted
@@ -779,17 +797,18 @@ def test_cartan_item_fails_under_each_kernel_fault(monkeypatch, name, kernel):
     monkeypatch.setattr(forms, kernel, faulty)
     monkeypatch.setattr(dirac, kernel, faulty)
     item = ctx._cartan_item(g)
-    assert not item.ok
+    assert not item.ok and item == reference_cartan_item(g)
     assert re.fullmatch(r"arity [12] key \(.*\) X=\S+", item.witness)
 
 
 # -- d-squared-zero and d-preserves-alternating against the public operators ----
 #
 # Both items come from one pass that scatters d on the integer entries of
-# each alternating point mass with the kernel `ce_differential` runs.  These
-# are their previous bodies, which build each point mass as a MultilinearMap
-# and apply the public operator over Q, kept here as the references they
-# must agree with.
+# each alternating point mass with the kernel `ce_differential` runs, and
+# read d^2 = 0 off the canonical parts of those columns.  These are earlier
+# bodies, which build each point mass as a MultilinearMap and apply the
+# public operator twice over Q, kept here as the references they must agree
+# with.
 
 
 def reference_d_squared_item(g):
@@ -878,6 +897,48 @@ def test_d_items_match_the_references_on_a_shifted_structure_constant(name):
     assert len(witnesses) > 1
 
 
+def counting(original, calls):
+    """`original`, counting each call under the name of the function that made it."""
+
+    def scatter(entries, preimage):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return original(entries, preimage)
+
+    return scatter
+
+
+def test_d_squared_zero_fails_on_a_bracket_that_breaks_jacobi(monkeypatch):
+    """On sl(3), one structure constant c_ab^r shifted by P after validation,
+    and c_ba^r by -P with it, for the first pair (a, b) of each preimage row r.
+
+    The bracket stays antisymmetric, so d keeps forms alternating and every
+    column of d has a canonical part: d^2 = 0 is read off those parts alone,
+    with no second scatter, and it fails where Jacobi does, with the
+    reference's witness.
+    """
+    ctx = fresh_context("sl3-killing")
+    g = ctx.adapted
+    den, ad, preimage = g._integer_structure
+    calls = Counter()
+    monkeypatch.setattr(dirac, "_d_scatter", counting(forms._d_scatter, calls))
+    witnesses = set()
+    for r, row in enumerate(preimage):
+        if not row:
+            continue
+        a, b, _ = row[0]
+        shift = {(a, b): den, (b, a): -den}
+        corrupted = list(preimage)
+        corrupted[r] = tuple((i, j, c + shift.get((i, j), 0)) for i, j, c in row)
+        g._integer_structure = den, ad, tuple(corrupted)
+        calls.clear()
+        squared, alternating = d_items_and_references(ctx, g)
+        assert squared[0] == squared[1] and alternating[0] == alternating[1] and alternating[0].ok
+        assert calls == {"_d_items": comb(g.dim, 1) + comb(g.dim, 2) + comb(g.dim, 3)}
+        if not squared[0].ok:
+            witnesses.add(squared[0].witness)
+    assert len(witnesses) > 1
+
+
 def d_repeating_the_last_index_above(arity, original):
     """d that also adds each entry's value on its key with the last index
     repeated, for keys of more than `arity` indices: exact up to `arity`."""
@@ -915,6 +976,44 @@ def test_d_items_match_the_references_on_a_d_that_fails_past_an_arity(monkeypatc
             assert item == reference
             arities.append(failing_arity(item))
         assert arities == [exact_up_to, exact_up_to + 1]
+
+
+def test_cohomology_scatters_d_once_per_point_mass(monkeypatch):
+    """On sl2xsl2-diagonal (n = 6) cartan-formula scatters d once on each of
+    its 6 + 36 + 216 point masses and the d items once on each of the
+    6 + 15 + 20 alternating ones, with no second scatter: every column is
+    alternating, so d^2 = 0 is read off their canonical parts.  A d that is
+    not alternating past arity 2 sends the first 2-form to the direct second
+    scatter, which fails it, so no other 2-form is tried; both items still
+    equal their references."""
+    ctx = fresh_context("sl2xsl2-diagonal")
+    g = ctx.adapted
+    calls = Counter()
+    monkeypatch.setattr(dirac, "_d_scatter", counting(forms._d_scatter, calls))
+    assert ctx.cohomology_check().passed
+    assert calls == {"_cartan_item": 258, "_d_items": 41}
+
+    calls.clear()
+    faulty = d_repeating_the_last_index_above(2, forms._d_scatter)
+    monkeypatch.setattr(forms, "_d_scatter", faulty)
+    monkeypatch.setattr(dirac, "_d_scatter", counting(faulty, calls))
+    for item, reference in d_items_and_references(ctx, g):
+        assert item == reference and not item.ok
+    assert calls == {"_d_items": 41 + 1}
+
+
+@pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
+@pytest.mark.parametrize("kernel", KERNEL_FAULTS)
+def test_d_items_match_the_references_under_each_kernel_fault(monkeypatch, name, kernel):
+    """A negated d still squares to zero and keeps forms alternating, and the
+    d items read no ad row, so both pass under each fault, as the references do."""
+    ctx = fresh_context(name)
+    g = ctx.adapted
+    faulty = KERNEL_FAULTS[kernel](getattr(forms, kernel))
+    monkeypatch.setattr(forms, kernel, faulty)
+    monkeypatch.setattr(dirac, kernel, faulty)
+    for item, reference in d_items_and_references(ctx, g):
+        assert item == reference and item.ok
 
 
 def test_a_stored_zero_on_a_repeated_index_is_not_alternating(contexts):

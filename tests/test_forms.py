@@ -3,11 +3,14 @@
 import functools
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import abelian_named_sl2, form_value, is_alternating, pairing, tstar_heisenberg, unit_vector
+from cubicdirac import forms
 from cubicdirac.catalog import catalog_entry, catalog_names
 from cubicdirac.clifford import Multivector
 from cubicdirac.dirac import DiracContext
@@ -186,6 +189,62 @@ def test_is_alternating_detects_symmetry(sl2):
     assert is_alternating(w)
     diag = MultilinearMap(sl2, 2, {(1, 1): Fraction(1)})
     assert not is_alternating(diag)
+
+
+# -- the alternation test against its adjacent-swap body -------------------------
+#
+# `forms._canonical_part` compares the orderings of each increasing key and
+# counts the nonzero entries.  This is the earlier body of `_is_alternating`,
+# which swaps adjacent slots of every stored key, kept as the reference.
+
+
+def adjacent_swap_is_alternating(terms):
+    for key, val in terms.items():
+        if len(set(key)) != len(key):
+            return False
+        for s in range(len(key) - 1):
+            swapped = key[:s] + (key[s + 1], key[s]) + key[s + 2 :]
+            if terms.get(swapped, 0) != -val:
+                return False
+    return True
+
+
+SCALARS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+NONZERO = SCALARS.filter(bool)
+
+
+@st.composite
+def tables(draw):
+    """A table of arity 1..4 over n <= 5 indices: an alternating one, then up
+    to three edits, each one entry perturbed, set to a stored zero, dropped
+    (a missing ordering) or added on any key, repeated indices included."""
+    arity, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    signed = [(p, (-1) ** sum(a > b for a, b in combinations(p, 2))) for p in permutations(range(arity))]
+    table = {}
+    for key in draw(st.lists(st.sampled_from(list(combinations(range(n), arity)) or [None]), unique=True)):
+        if key is not None:
+            val = draw(NONZERO)
+            table.update({tuple(key[s] for s in p): sign * val for p, sign in signed})
+    for edit in draw(st.lists(st.sampled_from(("perturb", "zero", "drop", "add")), max_size=3)):
+        if edit == "add" or not table:
+            key = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity)))
+            table[key] = draw(SCALARS)
+        else:
+            key = draw(st.sampled_from(sorted(table)))
+            if edit == "drop":
+                del table[key]
+            else:
+                table[key] = 0 if edit == "zero" else table[key] + draw(NONZERO)
+    return table
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(tables())
+def test_canonical_part_agrees_with_the_adjacent_swap_test(table):
+    canonical = forms._canonical_part(table)
+    assert (canonical is not None) == adjacent_swap_is_alternating(table) == forms._is_alternating(table)
+    if canonical is not None:
+        assert canonical == {key: val for key, val in table.items() if val and list(key) == sorted(set(key))}
 
 
 def test_bracket_coproduct_defining_property(sl2_ctx):
@@ -371,6 +430,29 @@ def test_scatter_operators_match_the_dense_reference(name):
             for got, want in results:
                 assert got.terms == want.terms
                 assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def iota_keeping_the_first_index(original):
+    """The iota kernel with each bucket keyed by the whole key instead of key[1:]."""
+    return lambda entries: {
+        a: {(a, *rest): n for rest, n in bucket.items()} for a, bucket in original(entries).items()
+    }
+
+
+@pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
+def test_insert_first_fails_under_the_iota_kernel_fault(monkeypatch, name):
+    """`insert_first` is the one reader of `_iota_buckets`: with the fault
+    bound in forms, iota_{e_i} of every point mass of arity 1 or 2 with first
+    index i disagrees with the dense reference, which it matches without."""
+    g = catalog_entry(name).algebra
+    cases = [
+        (unit(g.dim, key[0]), MultilinearMap(g, arity, {key: 1}))
+        for arity in (1, 2)
+        for key in product(range(g.dim), repeat=arity)
+    ]
+    assert all(insert_first(x, w).terms == dense_insert_first(x, w).terms for x, w in cases)
+    monkeypatch.setattr(forms, "_iota_buckets", iota_keeping_the_first_index(forms._iota_buckets))
+    assert all(insert_first(x, w).terms != dense_insert_first(x, w).terms for x, w in cases)
 
 
 def test_differential_matches_the_dense_reference_on_every_sl3_point_mass():
