@@ -156,12 +156,6 @@ def _swap_prefix(ma: int) -> int:
     return p
 
 
-def _blade_wedge(ma: int, mb: int) -> tuple[int, int] | None:
-    if ma & mb:
-        return None
-    return (-1 if (_swap_prefix(ma) & mb).bit_count() & 1 else 1), ma | mb
-
-
 class Multivector(LinearCombination):
     """Element of the Clifford algebra on ordered-blade coordinates."""
 
@@ -187,21 +181,13 @@ class Multivector(LinearCombination):
         return Multivector._from_terms((self.space,), self.space._scale_overlaps(by_overlap, den_a * den_b))
 
     def __xor__(self, other: "Multivector") -> "Multivector":
-        """Exterior product (use parentheses: ^ binds loosely in Python)."""
+        """Exterior product (use parentheses: ^ binds loosely in Python): the
+        blade pairs of the Clifford product with no overlap."""
         self._check(other)
-        out: dict[int, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                hit = _blade_wedge(ma, mb)
-                if hit is None:
-                    continue
-                sign, mask = hit
-                acc = out.get(mask, ZERO) + sign * ca * cb
-                if acc:
-                    out[mask] = acc
-                elif mask in out:
-                    del out[mask]
-        return Multivector(self.space, out)
+        den_a, left = _integer_terms(self.terms)
+        den_b, right = _integer_terms(other.terms)
+        disjoint = _overlap_sums(left, right, False).get(0, {})
+        return Multivector._from_terms((self.space,), self.space._scale_overlaps({0: disjoint}, den_a * den_b))
 
     # -- grading -----------------------------------------------------------
 

@@ -13,9 +13,11 @@ vectors, all with diagonal Gram).  In that basis it constructs
   - the Casimir of g and the diagonal embedding
     Delta(y) = y (x) 1 + 1 (x) lift(nu(y)) for y in h.
 
-Each check method returns a CheckOutcome listing every asserted identity
-with a pass flag and, on failure, a witness string; checks never raise on a
-mathematical failure, only on misuse.
+Each check method returns a CheckOutcome listing every asserted identity;
+an identity passes exactly when its item carries no witness, and a failing
+item always carries one that says what it saw.  An item that compares two
+term tables names their least differing key, `<key>: <lhs> vs <rhs>`.
+Checks never raise on a mathematical failure, only on misuse.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Sequence
 from .clifford import (
     CliffordSpace,
     Multivector,
+    _bits,
     is_scalar,
     multivector_from_trilinear,
     scalar_part,
@@ -63,11 +66,24 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class CheckItem:
-    """One asserted identity: an id, a pass flag, a witness when failing."""
+    """One asserted identity: an id and, when it fails, the witness of the failure.
+
+    The item passes exactly when it has no witness, so no item can fail
+    without saying what it saw.
+    """
 
     item_id: str
-    ok: bool
     witness: str | None = None
+
+    def __post_init__(self):
+        if self.witness is not None and not (isinstance(self.witness, str) and self.witness):
+            raise ContractViolation(
+                f"item {self.item_id}: a witness is None or a non-empty string, not {self.witness!r}"
+            )
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -211,7 +227,7 @@ class DiracContext:
     def _delta_generators(self) -> list[Multivector]:
         """delta(X_a) = `bracket_coproduct` of each h_perp basis vector X_a.
 
-        Computed once for `first_order_witness` and `_middle_term_holds`.
+        Computed once for `first_order_witness` and `_middle_term_witness`.
         """
         n = self.adapted.dim
         return [bracket_coproduct(self.space, self.adapted, unit(n, a)) for a in range(self.m)]
@@ -245,73 +261,48 @@ class DiracContext:
     def kostant_check(self) -> CheckOutcome:
         """Scalar residual, with the first-order mechanism and, for h = 0,
         the v^2 cross-checks and the middle-term rearrangement."""
-        items: list[CheckItem] = []
-
-        witness = self.first_order_witness
-        items.append(CheckItem("first-order-cancellation", witness is None, witness))
-
+        labels = self.adapted.labels
+        items = [CheckItem("first-order-cancellation", self.first_order_witness)]
         r = self.residual()
-        linear = r.u_degree_terms(1)
-        items.append(
-            CheckItem(
-                "residual-linear-terms-vanish",
-                not linear,
-                None if not linear else f"{len(linear)} surviving degree-1 terms",
-            )
-        )
-        scalar_ok = r.is_scalar_multiple_of_one()
-        items.append(
-            CheckItem(
-                "residual-scalar",
-                scalar_ok,
-                None if scalar_ok else f"{len(r.terms)} surviving terms",
-            )
-        )
-        values: dict[str, Fraction] = {}
+        off_scalar = _non_scalar_witness(r, labels)
+        items += [
+            CheckItem("residual-linear-terms-vanish", _first_difference(r.u_degree_terms(1), {}, labels)),
+            CheckItem("residual-scalar", off_scalar),
+        ]
         c = r.scalar_coefficient()
-        if scalar_ok:
-            values["c"] = c
+        values: dict[str, Fraction] = {"c": c} if off_scalar is None else {}
 
         if self.k == 0:
             v2 = self._v_square
-            items.append(
-                CheckItem(
-                    "v-square-scalar",
-                    is_scalar(v2),
-                    None if is_scalar(v2) else f"degrees {sorted(v2.degrees())}",
-                )
-            )
+            v2_scalar = is_scalar(v2)
+            items.append(CheckItem("v-square-scalar", None if v2_scalar else f"degrees {sorted(v2.degrees())}"))
             # The generators generate C(h_perp), so commuting with each of
             # them is commuting with every element.
-            witness = None
-            for i in range(self.m):
-                gen = self.space.generator(i)
-                if v2 * gen != gen * v2:
-                    witness = self.adapted.labels[i]
-                    break
-            items.append(CheckItem("v-square-central", witness is None, witness))
-            two_route = scalar_ok and is_scalar(v2) and scalar_part(v2) == c
-            items.append(CheckItem("v-square-equals-c", two_route))
+            gens = map(self.space.generator, range(self.m))
+            central = next((labels[i] for i, e in enumerate(gens) if v2 * e != e * v2), None)
+            equal = v2_scalar and off_scalar is None and scalar_part(v2) == c
+            v2_text = scalar_part(v2) if v2_scalar else "not scalar"
+            c_text = c if off_scalar is None else "not scalar"
+            items += [
+                CheckItem("v-square-central", central),
+                CheckItem("v-square-equals-c", None if equal else f"v^2 = {v2_text}, c = {c_text}"),
+                CheckItem("middle-term-identity", self._middle_term_witness()),
+            ]
             values["v_square"] = scalar_part(v2)
-            items.append(
-                CheckItem("middle-term-identity", self._middle_term_holds())
-            )
 
-        if scalar_ok:
+        if off_scalar is None:
             alt = self._variant_context
             r2 = alt.residual()
-            invariant = r2.is_scalar_multiple_of_one() and r2.scalar_coefficient() == c
-            items.append(
-                CheckItem(
-                    "c-basis-invariant",
-                    invariant,
-                    None if invariant else f"variant basis gives {r2.scalar_coefficient()}",
-                )
-            )
+            witness = _non_scalar_witness(r2, alt.adapted.labels)
+            if witness is not None:
+                witness = f"variant basis: {witness}"
+            elif r2.scalar_coefficient() != c:
+                witness = f"variant basis gives {r2.scalar_coefficient()}"
+            items.append(CheckItem("c-basis-invariant", witness))
 
         return CheckOutcome("kostant", tuple(items), values)
 
-    def _middle_term_holds(self) -> bool:
+    def _middle_term_witness(self) -> str | None:
         """sum_{i<j} [X_i,X_j] (x) X^i X^j  =  sum_k X_k (x) delta(X^k), h = 0."""
         n = self.adapted.dim
         lhs = TensorElement.zero(self.adapted, self.space)
@@ -326,24 +317,23 @@ class DiracContext:
         for a, delta_a in enumerate(self._delta_generators):
             xa = (1 / self.split.p_gram[a]) * PBWElement.generator(self.adapted, a)
             rhs = rhs + TensorElement.from_parts(xa, delta_a)
-        return lhs == rhs
+        return _first_difference(lhs.terms, rhs.terms, self.adapted.labels)
 
     def h_invariance_check(self) -> CheckOutcome:
         """[Delta(y), D] = 0 for every orthogonal basis vector y of h."""
-        items = []
         if self.k == 0:
-            items.append(CheckItem("h-invariance-vacuous", True))
-        for j in range(self.k):
-            com = self.diagonal_embedding(j).commutator(self.dirac)
-            label = self.adapted.labels[self.m + j]
-            items.append(
+            return CheckOutcome("invariance", (CheckItem("h-invariance-vacuous"),))
+        labels = self.adapted.labels
+        return CheckOutcome(
+            "invariance",
+            tuple(
                 CheckItem(
-                    f"delta-commutes-with-dirac:{label}",
-                    com.is_zero(),
-                    None if com.is_zero() else f"{len(com.terms)} surviving terms",
+                    f"delta-commutes-with-dirac:{labels[self.m + j]}",
+                    _first_difference(self.diagonal_embedding(j).commutator(self.dirac).terms, {}, labels),
                 )
-            )
-        return CheckOutcome("invariance", tuple(items))
+                for j in range(self.k)
+            ),
+        )
 
     def cohomology_check(self) -> CheckOutcome:
         """The differential-geometry identity chain, run on g with h = 0.
@@ -361,22 +351,21 @@ class DiracContext:
         """
         ctx = self.absolute
         g = ctx.adapted
-        items: list[CheckItem] = []
 
         b_form = MultilinearMap.from_matrix(g, g.form)
-        items.append(
-            CheckItem("dB-equals-2v", ce_differential(b_form) == 2 * form_of_trivector(g, ctx.v))
+        two_v = 2 * form_of_trivector(g, ctx.v)
+        db_2v = _first_difference(ce_differential(b_form).terms, two_v.terms, g.labels)
+        return CheckOutcome(
+            "cohomology",
+            (
+                CheckItem("dB-equals-2v", db_2v),
+                self._theta_b_item(b_form),
+                self._cartan_item(g),
+                *self._d_items(g),
+                CheckItem("delta-plus-dv-vanishes", ctx.first_order_witness),
+                *_dv_law_items(ctx.space, ctx.v, ctx._v_square, ctx._dv_generators, g.labels),
+            ),
         )
-
-        items.append(self._theta_b_item(b_form))
-        items.append(self._cartan_item(g))
-        items.extend(self._d_items(g))
-
-        witness = ctx.first_order_witness
-        items.append(CheckItem("delta-plus-dv-vanishes", witness is None, witness))
-
-        items.extend(_dv_law_items(ctx.space, ctx.v, ctx._v_square, ctx._dv_generators, g.labels))
-        return CheckOutcome("cohomology", tuple(items))
 
     def _theta_b_item(self, b_form: MultilinearMap) -> CheckItem:
         """theta_X B = 0 for X over the unit vectors of g, the invariance of B.
@@ -387,10 +376,8 @@ class DiracContext:
         g = b_form.algebra
         _, ad, _ = g._integer_structure
         _, entries = _integer_terms(b_form.terms)
-        for i in range(g.dim):
-            if any(_theta_scatter(entries, _ad_rows([(i, 1)], ad)).values()):
-                return CheckItem("theta-B-vanishes", False, g.labels[i])
-        return CheckItem("theta-B-vanishes", True)
+        moved = (i for i in range(g.dim) if any(_theta_scatter(entries, _ad_rows([(i, 1)], ad)).values()))
+        return CheckItem("theta-B-vanishes", next((g.labels[i] for i in moved), None))
 
     def _cartan_item(self, g: QuadraticLieAlgebra) -> CheckItem:
         """iota_X d + d iota_X = theta_X on every point-mass form of arity <= 3.
@@ -443,9 +430,9 @@ class DiracContext:
                         table[idx] = table.get(idx, 0) - c
                 if any(table.values()):
                     i = min(idx[0] for idx, val in table.items() if val)
-                    return CheckItem("cartan-formula", False, f"arity {arity} key {key} X={g.labels[i]}")
+                    return CheckItem("cartan-formula", f"arity {arity} key {key} X={g.labels[i]}")
             previous = columns
-        return CheckItem("cartan-formula", True)
+        return CheckItem("cartan-formula")
 
     def _d_items(self, g: QuadraticLieAlgebra) -> tuple[CheckItem, CheckItem]:
         """`d-squared-zero` and `d-preserves-alternating`, in one pass over point masses.
@@ -492,10 +479,7 @@ class DiracContext:
                     fails_squared = _key_witness(arity, key)
             squared = fails_squared or squared
             alternating = fails_alternating or alternating
-        return (
-            CheckItem("d-squared-zero", squared is None, squared),
-            CheckItem("d-preserves-alternating", alternating is None, alternating),
-        )
+        return CheckItem("d-squared-zero", squared), CheckItem("d-preserves-alternating", alternating)
 
     def decomposition_check(self) -> CheckOutcome:
         """The graded-tensor decomposition of the absolute operator.
@@ -524,40 +508,22 @@ class DiracContext:
         a3 = over_g(self.dirac)
         b3 = self._embed_h_tensor(ctx_h.dirac, space)
 
-        items = []
-        ident = dg3 == a3 + b3
-        items.append(
-            CheckItem(
-                "decomposition-identity",
-                ident,
-                None if ident else f"{len((dg3 - (a3 + b3)).terms)} mismatched terms",
-            )
-        )
-        anti = (a3 * b3 + b3 * a3).is_zero()
-        items.append(CheckItem("components-anticommute", anti))
+        labels = self.adapted.labels
+        items = [
+            CheckItem("decomposition-identity", _first_difference(dg3.terms, (a3 + b3).terms, labels)),
+            CheckItem("components-anticommute", _first_difference((a3 * b3 + b3 * a3).terms, {}, labels)),
+        ]
         # the squares the residuals took: D_g^2 over C(g) is the product
         # dg3 * dg3, and D_{g/h}^2 over C(h_perp) the product a3 * a3
-        squared = over_g(self._dirac_square) == (
-            over_g(ctx_g._dirac_square) - self._embed_h_tensor(ctx_h._dirac_square, space)
-        )
-        items.append(CheckItem("squared-consequence", squared))
+        lhs = over_g(self._dirac_square)
+        rhs = over_g(ctx_g._dirac_square) - self._embed_h_tensor(ctx_h._dirac_square, space)
+        items.append(CheckItem("squared-consequence", _first_difference(lhs.terms, rhs.terms, labels)))
 
-        values: dict[str, Fraction] = {}
-        c_rel, c_g, c_h = self.c_value(), ctx_g.c_value(), ctx_h.c_value()
-        additive = c_rel is not None and c_g is not None and c_h is not None and c_rel == c_g - c_h
-        if c_g is not None:
-            values["c_g"] = c_g
-        if c_h is not None:
-            values["c_h"] = c_h
-        if c_rel is not None:
-            values["c_rel"] = c_rel
-        items.append(
-            CheckItem(
-                "c-additivity",
-                additive,
-                None if additive else f"c_rel={c_rel} c_g={c_g} c_h={c_h}",
-            )
-        )
+        c = {"c_g": ctx_g.c_value(), "c_h": ctx_h.c_value(), "c_rel": self.c_value()}
+        values = {key: val for key, val in c.items() if val is not None}
+        additive = len(values) == 3 and values["c_rel"] == values["c_g"] - values["c_h"]
+        witness = None if additive else f"c_rel={c['c_rel']} c_g={c['c_g']} c_h={c['c_h']}"
+        items.append(CheckItem("c-additivity", witness))
         return CheckOutcome("decomposition", tuple(items), values)
 
     # -- decomposition plumbing ----------------------------------------------
@@ -618,17 +584,41 @@ def _dv_law_items(
     agreeing everywhere.  A witness names the failing generators' labels.
     """
     gens = [space.generator(a) for a in range(space.dim)]
+    pairs = product(enumerate(gens), repeat=2)
+    broken = ((i, j) for (i, a), (j, b) in pairs if twisted_commutator(v, a * b) != dv[i] * b - a * dv[j])
+    derivation = next((f"a={labels[i]} b={labels[j]}" for i, j in broken), None)
+    unequal = (a for a, e in enumerate(gens) if twisted_commutator(v, dv[a]) != v2 * e - e * v2)
+    square = next((labels[a] for a in unequal), None)
+    return CheckItem("dv-derivation-law", derivation), CheckItem("dv-square-is-v2-bracket", square)
 
-    witness = None
-    for (i, a), (j, b) in product(enumerate(gens), repeat=2):
-        if twisted_commutator(v, a * b) != dv[i] * b - a * dv[j]:
-            witness = f"a={labels[i]} b={labels[j]}"
-            break
-    derivation = CheckItem("dv-derivation-law", witness is None, witness)
 
-    witness = None
-    for a, e in enumerate(gens):
-        if twisted_commutator(v, dv[a]) != v2 * e - e * v2:
-            witness = labels[a]
-            break
-    return derivation, CheckItem("dv-square-is-v2-bracket", witness is None, witness)
+def _non_scalar_witness(t: TensorElement, labels: Sequence[str]) -> str | None:
+    """The first term of t off 1 (x) 1, or None when t is a scalar multiple of 1."""
+    return _first_difference({key: c for key, c in t.terms.items() if key != ((), 0)}, {}, labels)
+
+
+def _first_difference(lhs: dict, rhs: dict, labels: Sequence[str]) -> str | None:
+    """None when the term tables lhs and rhs are equal; otherwise their least
+    differing key in sorted order with both coefficients, `<key>: <lhs> vs <rhs>`.
+
+    The key is written in the adapted basis labels by its shape: a tensor key
+    (PBW monomial, blade mask) as `X1*X2 (x) p1^p3`, a blade mask as
+    `p1^p3`, an index tuple as `p1,p2,p3`, with `1` for an empty monomial
+    or blade.  The blade bits of C(h_perp) and of C(g) are the first
+    adapted basis vectors, so the labels name both.
+    """
+    if lhs == rhs:
+        return None
+    # the tables hold no zero coefficient, so unequal tables differ on a key
+    key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+
+    def blade(mask: int) -> str:
+        return "^".join(labels[i] for i in _bits(mask)) or "1"
+
+    if isinstance(key, int):
+        text = blade(key)
+    elif key and isinstance(key[0], tuple):
+        text = f"{'*'.join(labels[i] for i in key[0]) or '1'} (x) {blade(key[1])}"
+    else:
+        text = ",".join(labels[i] for i in key)
+    return f"{text}: {lhs.get(key, ZERO)} vs {rhs.get(key, ZERO)}"

@@ -76,9 +76,7 @@ def render_text(report: SuiteReport) -> str:
         status = "pass" if outcome.passed else "FAIL"
         lines.append(f"check {outcome.check_id}: {status} [{ms} ms]")
         for item in outcome.items:
-            mark = "pass" if item.ok else "FAIL"
-            suffix = f"  <- {item.witness}" if (not item.ok and item.witness) else ""
-            lines.append(f"  {item.item_id}: {mark}{suffix}")
+            lines.append(f"  {item.item_id}: " + ("pass" if item.witness is None else f"FAIL  <- {item.witness}"))
         if outcome.values:
             pairs = ", ".join(f"{k} = {v}" for k, v in outcome.values.items())
             lines.append(f"  values: {pairs}")
@@ -106,8 +104,9 @@ def render_machine(report: SuiteReport) -> str:
             "status": "pass" if outcome.passed else "fail",
             "time_ms": ms,
             "items": [
-                {"id": item.item_id, "status": "pass" if item.ok else "fail"}
-                | ({"witness": item.witness} if (not item.ok and item.witness) else {})
+                {"id": item.item_id, "status": "pass"}
+                if item.witness is None
+                else {"id": item.item_id, "status": "fail", "witness": item.witness}
                 for item in outcome.items
             ],
             "values": {key: str(val) for key, val in outcome.values.items()},

@@ -218,14 +218,14 @@ def test_failing_check_maps_to_exit_one(tmp_path, capsys, monkeypatch):
         dimension=1,
         subalgebra_dimension=0,
         outcomes=(
-            (CheckOutcome("kostant", (CheckItem("residual-scalar", False, "w"),), {}), 1),
+            (CheckOutcome("kostant", (CheckItem("residual-scalar", "w"),), {}), 1),
         ),
     )
     monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: fake)
     code = cli.main(["verify", "--input", str(path)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL" in out
+    assert "  residual-scalar: FAIL  <- w" in out
 
 
 def test_compute_c(tmp_path, capsys):

@@ -341,23 +341,46 @@ def test_decomposition_requires_a_subalgebra(contexts):
         contexts("sl2-killing").decomposition_check()
 
 
-def test_decomposition_fails_without_the_spin_lift(monkeypatch):
-    """With Delta(y) = y (x) 1, the spin lift dropped, the decomposition breaks.
+def test_a_check_item_passes_exactly_when_it_has_no_witness():
+    """A failing item cannot be built without a witness: a pass flag in the
+    witness's place and an empty witness are refused."""
+    assert CheckItem("x").ok
+    assert not CheckItem("x", "w").ok
+    for witness in (True, False, ""):
+        with pytest.raises(ContractViolation):
+            CheckItem("x", witness)
 
-    The identity's witness counts the terms of
-    D_g - (D_{g/h} (x)bar 1 + (Delta (x)bar 1)(D_h)); the relative residual
-    is no longer a scalar, so c_rel is missing.
-    """
-    monkeypatch.setattr(dirac, "spin_lift", lambda space, nu: space.zero())
-    entry = catalog_entry("sl2xsl2-diagonal")
-    outcome = DiracContext(entry.algebra, entry.subalgebra).decomposition_check()
-    assert [(item.item_id, item.ok, item.witness) for item in outcome.items] == [
-        ("decomposition-identity", False, "3 mismatched terms"),
-        ("components-anticommute", False, None),
-        ("squared-consequence", False, None),
-        ("c-additivity", False, "c_rel=None c_g=1/4 c_h=1/16"),
-    ]
-    assert outcome.values == {"c_g": Fraction(1, 4), "c_h": Fraction(1, 16)}
+
+def test_first_difference_names_the_least_differing_key_by_its_shape():
+    """Sorted key order, not insertion order; an absent key reads as 0."""
+    labels = ("p1", "p2", "p3", "h1")
+    first = dirac._first_difference
+    assert first({(0, 1): Fraction(1)}, {(0, 1): Fraction(1)}, labels) is None
+    lhs = {((2,), 0b1001): Fraction(1, 2), ((0, 0), 0): Fraction(3)}
+    rhs = {((0, 0), 0): Fraction(3), ((1,), 0b1000): Fraction(-1)}
+    assert first(lhs, rhs, labels) == "p2 (x) h1: 0 vs -1"
+    assert first({((), 0): Fraction(1)}, {}, labels) == "1 (x) 1: 1 vs 0"
+    assert first({((0, 1), 0b1): Fraction(1)}, {}, labels) == "p1*p2 (x) p1: 1 vs 0"
+    assert first({0b101: Fraction(2)}, {}, labels) == "p1^p3: 2 vs 0"
+    assert first({(2, 0, 3): Fraction(-8)}, {(2, 0, 3): Fraction(-16)}, labels) == "p3,p1,h1: -8 vs -16"
+
+
+def test_c_basis_invariant_names_what_the_variant_basis_gives():
+    """A variant residual that is not scalar is named by its first term, not
+    read as a value of c; a scalar one that differs is named by its value."""
+    entry = catalog_entry("sl2-killing")
+    ctx = DiracContext(entry.algebra)
+    variant = DiracContext(entry.algebra, p_variant=1)
+    variant.v = 2 * variant.v
+    variant.dirac = variant._build_dirac()
+    ctx.__dict__["_variant_context"] = variant
+    items = items_by_id(ctx.kostant_check())
+    assert items["residual-scalar"].ok
+    assert items["c-basis-invariant"].witness == "variant basis: p1 (x) p2^p3: -1/16 vs 0"
+
+    ctx = DiracContext(entry.algebra)
+    ctx.__dict__["_variant_context"] = DiracContext(catalog_entry("sl2-killing-half").algebra)
+    assert items_by_id(ctx.kostant_check())["c-basis-invariant"].witness == "variant basis gives 1/4"
 
 
 def transport(source_ctx, target_ctx):
@@ -512,7 +535,7 @@ def test_dv_witnesses_are_pinned(monkeypatch, fault):
     inject_dv_fault(monkeypatch, ctx, fault)
     items = items_by_id(ctx.cohomology_check())
     for item_id, witness in DV_WITNESSES[fault].items():
-        assert items[item_id] == CheckItem(item_id, witness is None, witness)
+        assert items[item_id] == CheckItem(item_id, witness)
 
 
 def dv_law_items(space, v, labels):
@@ -544,14 +567,14 @@ def reference_dv_law_items(space, v, seed, samples, d_v=twisted_commutator):
         if d_v(v, a * b) != d_v(v, a) * b + grade_involution(a) * d_v(v, b):
             witness = f"seed {seed} a={a!r} b={b!r}"
             break
-    derivation = CheckItem("dv-derivation-law", witness is None, witness)
+    derivation = CheckItem("dv-derivation-law", witness)
     witness = None
     for _ in range(samples):
         a = reference_random_multivector(space, rng)
         if d_v(v, d_v(v, a)) != v2 * a - a * v2:
             witness = f"seed {seed} a={a!r}"
             break
-    return derivation, CheckItem("dv-square-is-v2-bracket", witness is None, witness)
+    return derivation, CheckItem("dv-square-is-v2-bracket", witness)
 
 
 @pytest.mark.parametrize("fault", ("none", *DV_WITNESSES))
@@ -637,8 +660,8 @@ def reference_theta_b_item(g):
     b_form = MultilinearMap.from_matrix(g, g.form)
     for i in range(g.dim):
         if not lie_action(unit_vector(g.dim, i), b_form).is_zero():
-            return CheckItem("theta-B-vanishes", False, g.labels[i])
-    return CheckItem("theta-B-vanishes", True)
+            return CheckItem("theta-B-vanishes", g.labels[i])
+    return CheckItem("theta-B-vanishes")
 
 
 def first_slot_only(entries, rows):
@@ -686,8 +709,8 @@ def reference_cartan_item(g):
             for i, x in enumerate(basis):
                 lhs = insert_first(x, dw) + ce_differential(insert_first(x, w))
                 if lhs != lie_action(x, w):
-                    return CheckItem("cartan-formula", False, f"arity {arity} key {key} X={g.labels[i]}")
-    return CheckItem("cartan-formula", True)
+                    return CheckItem("cartan-formula", f"arity {arity} key {key} X={g.labels[i]}")
+    return CheckItem("cartan-formula")
 
 
 def fresh_context(name):
@@ -700,7 +723,7 @@ def fresh_context(name):
 def test_cartan_item_matches_the_reference_on_the_catalog(contexts, name):
     g = contexts(name).adapted
     item = contexts(name)._cartan_item(g)
-    assert item == reference_cartan_item(g) == CheckItem("cartan-formula", True)
+    assert item == reference_cartan_item(g) == CheckItem("cartan-formula")
 
 
 def test_cartan_item_matches_the_reference_in_a_rational_basis():
@@ -710,7 +733,7 @@ def test_cartan_item_matches_the_reference_in_a_rational_basis():
     den, _, _ = g._integer_structure
     assert den > 1
     item = ctx._cartan_item(g)
-    assert item == reference_cartan_item(g) == CheckItem("cartan-formula", True)
+    assert item == reference_cartan_item(g) == CheckItem("cartan-formula")
 
 
 @pytest.mark.parametrize("name", ["sl2-killing", "sl2xsl2-diagonal", "sl3-killing"])
@@ -753,7 +776,7 @@ def test_cartan_item_uses_no_public_operator_and_builds_no_fraction(monkeypatch)
     monkeypatch.setattr(Fraction, "__new__", forbidden)
     item = ctx._cartan_item(g)
     monkeypatch.undo()
-    assert item == CheckItem("cartan-formula", True)
+    assert item == CheckItem("cartan-formula")
 
 
 def negated_d(original):
@@ -816,13 +839,13 @@ def reference_d_squared_item(g):
     for i in range(n):
         w = MultilinearMap(g, 1, {(i,): 1})
         if not ce_differential(ce_differential(w)).is_zero():
-            return CheckItem("d-squared-zero", False, f"arity 1 key ({i},)")
+            return CheckItem("d-squared-zero", f"arity 1 key ({i},)")
     for i in range(n):
         for j in range(i + 1, n):
             w = MultilinearMap(g, 2, {(i, j): 1, (j, i): -1})
             if not ce_differential(ce_differential(w)).is_zero():
-                return CheckItem("d-squared-zero", False, f"arity 2 key ({i},{j})")
-    return CheckItem("d-squared-zero", True)
+                return CheckItem("d-squared-zero", f"arity 2 key ({i},{j})")
+    return CheckItem("d-squared-zero")
 
 
 def reference_alternating_item(g):
@@ -830,19 +853,19 @@ def reference_alternating_item(g):
     for i in range(n):
         w = MultilinearMap(g, 1, {(i,): 1})
         if not is_alternating(ce_differential(w)):
-            return CheckItem("d-preserves-alternating", False, f"arity 1 key ({i},)")
+            return CheckItem("d-preserves-alternating", f"arity 1 key ({i},)")
     for i in range(n):
         for j in range(i + 1, n):
             w = MultilinearMap(g, 2, {(i, j): 1, (j, i): -1})
             if not is_alternating(ce_differential(w)):
-                return CheckItem("d-preserves-alternating", False, f"arity 2 key ({i},{j})")
+                return CheckItem("d-preserves-alternating", f"arity 2 key ({i},{j})")
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 triple = {(i, j, k): 1, (j, k, i): 1, (k, i, j): 1, (j, i, k): -1, (i, k, j): -1, (k, j, i): -1}
                 if not is_alternating(ce_differential(MultilinearMap(g, 3, triple))):
-                    return CheckItem("d-preserves-alternating", False, f"arity 3 key ({i},{j},{k})")
-    return CheckItem("d-preserves-alternating", True)
+                    return CheckItem("d-preserves-alternating", f"arity 3 key ({i},{j},{k})")
+    return CheckItem("d-preserves-alternating")
 
 
 def d_items_and_references(ctx, g):
@@ -1042,4 +1065,4 @@ def test_d_items_use_no_public_operator_and_build_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", forbidden)
     items = ctx._d_items(g)
     monkeypatch.undo()
-    assert items == (CheckItem("d-squared-zero", True), CheckItem("d-preserves-alternating", True))
+    assert items == (CheckItem("d-squared-zero"), CheckItem("d-preserves-alternating"))
