@@ -225,15 +225,8 @@ def multivector_from_trilinear(space: CliffordSpace, table: Mapping[tuple[int, i
     <.,.> is the extended pairing, B extended to blades by Gram determinants.
 
     t is the table {(i, j, k): t(e_i, e_j, e_k)}; absent triples read as
-    zero.  t must be alternating, which is verified on its support: a nonzero
-    entry has three distinct indices, and each of its six orderings carries
-    it with the ordering's sign.  An absent triple has no nonzero ordering,
-    so this is the check on all m^3 triples.  The six orderings are compared
-    for the first key of each orbit in sorted order only: once they carry
-    that key's value with their signs, every other key of the orbit passes
-    too, so the first failure is the same as when every key is checked.
-    The blade e_i^e_j^e_k pairs with itself to d_i d_j d_k, so v has
-    t(i, j, k) / (d_i d_j d_k) on it.
+    zero.  Its nonzero entries are written over one common denominator, and
+    `_multivector_from_numerators` checks that t is alternating and builds v.
     """
     m = space.dim
     values = {}
@@ -243,21 +236,54 @@ def multivector_from_trilinear(space: CliffordSpace, table: Mapping[tuple[int, i
         val = as_scalar(raw)
         if val:
             values[key] = val
+    den, numerators = _integer_terms(values)
+    return _multivector_from_numerators(space, dict(numerators), den, (ONE,) * m)
+
+
+def _multivector_from_numerators(
+    space: CliffordSpace, numerators: dict[tuple[int, int, int], int], den: int, weights: Sequence[Fraction]
+) -> Multivector:
+    """The v of `multivector_from_trilinear` for t(i, j, k) = w_i n_ijk / den.
+
+    numerators holds the nonzero n_ijk, keyed by three indices below the
+    space's dimension, and w = weights has one nonzero entry per index, so
+    that the fundamental form t(X_i, X_j, X_k) = -d_i c_jk^i / 2 is passed
+    as its structure-constant numerators with w = d.  t must be alternating,
+    which is verified on its support: a nonzero entry has three distinct
+    indices, and each of its six orderings carries it with the ordering's
+    sign, which is compared on integers, w_a n_abc against sign w_i n_ijk
+    with each w cross-multiplied by the other's denominator.  An absent
+    triple has no nonzero ordering, so this is the check on all m^3
+    triples.  The six orderings are compared for the first key of each
+    orbit in sorted order only: once they carry that key's value with their
+    signs, every other key of the orbit passes too, so the first failure is
+    the same as when every key is checked.  The blade e_i^e_j^e_k pairs with
+    itself to d_i d_j d_k, so v has t(i, j, k) / (d_i d_j d_k) =
+    (w_i / d_i) n_ijk / (den d_j d_k) on it: one Fraction per orbit.
+    """
+    gram = space.gram
+    w = [(x.numerator, x.denominator) for x in weights]
+    ratios = [x / d for x, d in zip(weights, gram)]
     terms = {}
     checked = set()
-    for key, val in sorted(values.items()):
+    for key, n in sorted(numerators.items()):
         mask = (1 << key[0]) | (1 << key[1]) | (1 << key[2])
         if mask in checked:
             continue
         if mask.bit_count() != 3:
             raise ContractViolation(f"trilinear map not alternating at {key}")
+        i, j, k = key  # the first key of its orbit in sorted order is increasing
+        wi, qi = w[i]
         for order, sign in zip(permutations(key), _ORDERING_SIGNS):
-            if values.get(order, ZERO) != sign * val:
+            wa, qa = w[order[0]]
+            if wa * numerators.get(order, 0) * qi != sign * wi * n * qa:
                 raise ContractViolation(f"trilinear map not alternating at {order}")
         checked.add(mask)
-        i, j, k = key  # the first key of its orbit in sorted order is increasing
-        terms[mask] = val / (space.gram[i] * space.gram[j] * space.gram[k])
-    return Multivector(space, terms)
+        r, dj, dk = ratios[i], gram[j], gram[k]
+        terms[mask] = Fraction(
+            n * r.numerator * dj.denominator * dk.denominator, den * r.denominator * dj.numerator * dk.numerator
+        )
+    return Multivector._from_terms((space,), terms)
 
 
 def twisted_commutator(v: Multivector, a: Multivector) -> Multivector:

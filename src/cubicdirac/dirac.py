@@ -32,8 +32,8 @@ from .clifford import (
     CliffordSpace,
     Multivector,
     _bits,
+    _multivector_from_numerators,
     is_scalar,
-    multivector_from_trilinear,
     scalar_part,
     spin_lift,
     twisted_commutator,
@@ -60,8 +60,6 @@ from .lie import (
 from .linalg import ZERO, vector
 from .sparse import _integer_terms
 from .tensor import TensorElement, TripleTensorElement
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,8 @@ class DiracContext:
         self.k = self.split.h_dim
         self.space = CliffordSpace(self.split.p_gram)
 
-        self.v = multivector_from_trilinear(self.space, self._fundamental_table())
+        numerators, den = self._fundamental_numerators()
+        self.v = _multivector_from_numerators(self.space, numerators, den, self.split.p_gram)
         self.casimir = casimir_element(self.adapted)
         self.dirac = self._build_dirac()
 
@@ -129,28 +128,27 @@ class DiracContext:
 
     # -- construction ------------------------------------------------------
 
-    def _fundamental_table(self) -> dict[tuple[int, int, int], Fraction]:
-        """t(X_i, X_j, X_k) = -1/2 B(X_i, [X_j, X_k]) = -1/2 d_i c_jk^i on the h_perp basis.
+    def _fundamental_numerators(self) -> tuple[dict[tuple[int, int, int], int], int]:
+        """t(X_i, X_j, X_k) = -1/2 B(X_i, [X_j, X_k]) = -1/2 d_i c_jk^i on the h_perp basis, as
+        ({(i, j, k): n}, den) with t = d_i n / den.
 
-        Scattered from the nonzero brackets [X_j, X_k], j, k < m, keeping
-        the terms on h_perp (i < m).
+        Scattered from the adapted algebra's integer structure: with
+        c_jk^i = N / P there, n = -N over den = 2P, for the nonzero brackets
+        [X_j, X_k], j, k < m, keeping the terms on h_perp (i < m).
         """
         m = self.m
-        gram = self.split.p_gram
-        return {
-            (i, j, k): -HALF * gram[i] * c
-            for j in range(m)
-            for k in range(m)
-            for i, c in self.adapted.bracket_sparse(j, k)
-            if i < m
+        den, ad, _ = self.adapted._integer_structure
+        numerators = {
+            (i, j, k): -n for j in range(m) for k, terms in ad[j].items() if k < m for i, n in terms if i < m
         }
+        return numerators, 2 * den
 
     def _build_dirac(self) -> TensorElement:
-        d = TensorElement.from_parts(PBWElement.one(self.adapted), self.v)
-        for i in range(self.m):
-            xi = (1 / self.split.p_gram[i]) * PBWElement.generator(self.adapted, i)
-            d = d + TensorElement.from_parts(xi, self.space.generator(i))
-        return d
+        """D = sum_i (1/d_i) X_i (x) e_i + 1 (x) v, written as one term table."""
+        terms = {((), mask): c for mask, c in self.v.terms.items()}
+        for i, d in enumerate(self.split.p_gram):
+            terms[(i,), 1 << i] = 1 / d
+        return TensorElement._from_terms((self.adapted, self.space), terms)
 
     @cached_property
     def h_algebra(self) -> QuadraticLieAlgebra:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -343,10 +344,13 @@ def orthogonal_split(
     basis-independence checks rely on.
 
     Every Gram is a congruence: the Gram of the columns of S is S^T B S.
-    Once the adapted basis P is checked to satisfy P^T B P = diag(d), the
-    adapted structure constants are read off the bracket support on
-    integers, projected with the rows of P^T B over d (see
-    `_adapted_brackets`); the inverse of P is never formed.
+    With h = 0 and no reshape the complement basis is the unit vectors, so
+    the form is diagonalized as it stands.  The adapted basis P is checked
+    to satisfy P^T B P = diag(d) on integers, each column of P and each row
+    of P^T B over its own denominator (see `_pairing_rows`), and the adapted
+    structure constants are read off the bracket support on integers,
+    projected with the same rows over d (see `_adapted_brackets`); the
+    inverse of P is never formed.
     """
     n = g.dim
     h_raw = [vector(v) for v in subalgebra]
@@ -354,45 +358,55 @@ def orthogonal_split(
         if len(v) != n:
             raise ContractViolation("subalgebra vector length does not match the algebra")
     k = len(h_raw)
+    reshape = p_variant and n - k >= 2
 
-    hmat = Matrix.from_columns(h_raw, rows=n)
-    if rank(hmat) != k:
-        raise NotASubalgebraError("subalgebra vectors are linearly dependent")
-    for i in range(k):
-        for j in range(i + 1, k):
-            br = g.bracket(h_raw[i], h_raw[j])
-            if solve_linear(hmat, br) is None:
-                raise NotASubalgebraError("not closed under the bracket", witness=(i, j))
-    # row i is x -> B(h_i, x), so h_perp is its kernel
-    pairing_rows = hmat.transpose() @ g.form
-    try:
-        p_h, h_gram = diagonalize_form(pairing_rows @ hmat)
-    except DegenerateFormError as exc:
-        raise DegenerateFormError(
-            "the form restricted to the subalgebra is degenerate",
-            witness=exc.witness,
-        ) from exc
-    h_vectors = (hmat @ p_h).columns()
-    complement = nullspace(pairing_rows)
+    h_vectors: list = []
+    h_gram: tuple = ()
+    if k:
+        hmat = Matrix.from_columns(h_raw, rows=n)
+        if rank(hmat) != k:
+            raise NotASubalgebraError("subalgebra vectors are linearly dependent")
+        for i in range(k):
+            for j in range(i + 1, k):
+                br = g.bracket(h_raw[i], h_raw[j])
+                if solve_linear(hmat, br) is None:
+                    raise NotASubalgebraError("not closed under the bracket", witness=(i, j))
+        # row i is x -> B(h_i, x), so h_perp is its kernel
+        pairing_rows = hmat.transpose() @ g.form
+        try:
+            p_h, h_gram = diagonalize_form(pairing_rows @ hmat)
+        except DegenerateFormError as exc:
+            raise DegenerateFormError(
+                "the form restricted to the subalgebra is degenerate",
+                witness=exc.witness,
+            ) from exc
+        h_vectors = (hmat @ p_h).columns()
 
-    if p_variant and len(complement) >= 2:
-        complement = list(reversed(complement))
-        complement[0] = tuple(x + p_variant * y for x, y in zip(complement[0], complement[1]))
+    if k or reshape:
+        complement = nullspace(pairing_rows) if k else [unit(n, i) for i in range(n)]
+        if reshape:
+            complement = list(reversed(complement))
+            complement[0] = tuple(x + p_variant * y for x, y in zip(complement[0], complement[1]))
+        cmat = Matrix.from_columns(complement, rows=n)
+        p_p, p_gram = diagonalize_form(cmat.transpose() @ g.form @ cmat)
+        p_vectors = (cmat @ p_p).columns()
+        from_adapted = Matrix.from_columns(p_vectors + h_vectors, rows=n)
+    else:
+        # h_perp is g, in the basis of unit vectors, whose Gram is the form
+        from_adapted, p_gram = diagonalize_form(g.form)
+        p_vectors = from_adapted.columns()
+    m = len(p_vectors)
 
-    m = len(complement)
-    cmat = Matrix.from_columns(complement, rows=n)
-    p_p, p_gram = diagonalize_form(cmat.transpose() @ g.form @ cmat)
-    p_vectors = (cmat @ p_p).columns()
-
-    from_adapted = Matrix.from_columns(p_vectors + h_vectors, rows=n)
     grams = p_gram + h_gram
-    adapted_form = Matrix(
-        [[grams[i] if i == j else ZERO for j in range(n)] for i in range(n)], cols=n
-    )
+    cols = [_integer_terms({a: x for a, x in enumerate(col) if x}) for col in p_vectors + h_vectors]
+    rows = _pairing_rows(g.form, cols)
+    # (P^T B P)_at = M_a . N_t / (w_a q_t) is d_a at t = a and 0 elsewhere;
     # the off-diagonal entries include every B(h_j, p_i) = 0
-    pairing = from_adapted.transpose() @ g.form
-    if pairing @ from_adapted != adapted_form:
-        raise ContractViolation("internal: adapted form mismatch")
+    for a, ((w, row), d) in enumerate(zip(rows, grams)):
+        for t, (q, col) in enumerate(cols):
+            total = sum(row.get(s, 0) * x for s, x in col)
+            if total * d.denominator != (d.numerator * w * q if t == a else 0):
+                raise ContractViolation("internal: adapted form mismatch")
 
     if not h_vectors and from_adapted == Matrix.identity(n):
         # A context built on an adapted algebra keeps its basis and labels,
@@ -400,8 +414,11 @@ def orthogonal_split(
         # decomposition check builds D_g on the pair's adapted algebra.
         adapted = g
     else:
-        adapted_brackets = _adapted_brackets(g, p_vectors + h_vectors, pairing, grams)
+        adapted_brackets = _adapted_brackets(g, cols, rows, grams)
         labels = tuple(f"p{i + 1}" for i in range(m)) + tuple(f"h{j + 1}" for j in range(k))
+        adapted_form = Matrix(
+            [[grams[i] if i == j else ZERO for j in range(n)] for i in range(n)], cols=n
+        )
         adapted = QuadraticLieAlgebra(f"{g.name}#adapted", labels, adapted_brackets, adapted_form)
 
     # ad-invariance makes h_perp an h-module; check it anyway
@@ -421,30 +438,59 @@ def orthogonal_split(
     )
 
 
+def _pairing_rows(form: Matrix, cols: Sequence[tuple[int, list]]) -> list[tuple[int, dict]]:
+    """The rows of P^T B on integers: row k as (w_k, {s: M_ks}), (P^T B)_ks = M_ks / w_k.
+
+    Column k of P is given as (q_k, [(r, N_kr), ...]), N_k / q_k.  Each row
+    r of B that some column reaches is written once over its own
+    denominator, R_r / b_r, so row k is sum_r N_kr (L / b_r) R_r over
+    q_k L, L the lcm of the b_r of its column, and is then divided by the
+    gcd of its numerators and w_k: w_k is the least common denominator of
+    the row.  Nothing is put over the denominators of all form entries.
+    """
+    b_rows: dict[int, tuple[int, list]] = {}
+    out = []
+    for q, col in cols:
+        lcd = 1
+        for r, _ in col:
+            if r not in b_rows:
+                b_rows[r] = _integer_terms({s: x for s, x in enumerate(form.row(r)) if x})
+            lcd = lcm(lcd, b_rows[r][0])
+        row: dict = {}
+        for r, x in col:
+            b, entries = b_rows[r]
+            x *= lcd // b
+            for s, y in entries:
+                row[s] = row.get(s, 0) + x * y
+        w = q * lcd
+        common = gcd(w, *row.values())
+        out.append((w // common, {s: y // common for s, y in row.items() if y}))
+    return out
+
+
 def _adapted_brackets(
-    g: QuadraticLieAlgebra, columns: Sequence[Sequence], pairing: Matrix, grams: Sequence
+    g: QuadraticLieAlgebra, cols: Sequence[tuple[int, list]], rows: Sequence[tuple[int, dict]], grams: Sequence
 ) -> BracketTable:
-    """The structure constants of g in the basis P_1..P_n of `columns`.
+    """The structure constants of g in the basis P_1..P_n given by `cols`.
 
     The coefficient of P_k in [P_i, P_j] is (P^T B)_k . [P_i, P_j] / d_k,
-    with `pairing` = P^T B and d = `grams`.  Each column is written as N_i /
-    q_i and each pairing row as M_k / w_k over its own denominator, and g's
-    structure constants as integers over their common denominator D (g's
-    integer structure), so the coefficient is the integer
-    M_k . [N_i, N_j] over q_i q_j D w_k d_k.  For each i, ad(P_i) is built
-    once from the columns of ad[a]; for each j > i the bracket is scattered
-    from it and projected on the pairing rows that meet its support.  A pair
-    whose bracket is 0 is left out of the table.
+    with d = `grams`.  Each column is given as N_i / q_i and each row of
+    P^T B as M_k / w_k, both over their own denominators (`rows` is
+    `_pairing_rows(g.form, cols)`), and g's structure constants are
+    integers over their common denominator D (g's integer structure), so
+    the coefficient is the integer M_k . [N_i, N_j] over q_i q_j D w_k d_k.
+    For each i, ad(P_i) is built once from the columns of ad[a]; for each
+    j > i the bracket is scattered from it and projected on the rows of
+    P^T B that meet its support.  A pair whose bracket is 0 is left out of
+    the table.
     """
     n = g.dim
     den, ad, _ = g._integer_structure
-    cols = [_integer_terms({a: x for a, x in enumerate(col) if x}) for col in columns]
-    # pairing column r as [(k, M_kr), ...], and d_k w_k as (numerator, denominator)
+    # column r of P^T B as [(k, M_kr), ...], and d_k w_k as (numerator, denominator)
     by_row: list[list] = [[] for _ in range(n)]
     scales = []
-    for k, d in enumerate(grams):
-        w, entries = _integer_terms({r: x for r, x in enumerate(pairing.row(k)) if x})
-        for r, x in entries:
+    for k, ((w, row), d) in enumerate(zip(rows, grams)):
+        for r, x in row.items():
             by_row[r].append((k, x))
         scales.append((w * d.numerator, d.denominator))
     table: BracketTable = {}

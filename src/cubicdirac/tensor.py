@@ -8,7 +8,9 @@ its carrier, its product and its repr.
 
 The product runs on the Clifford product's integer kernel.  Each operand is
 put over its own common denominator, and each distinct pair of PBW
-monomials is normalised once per call, its normal forms over their lcm.
+monomials is normalised once per call, its normal forms over their lcm; a
+pair whose concatenation is already in PBW order is its own normal form and
+is not rewritten.
 The blades of each monomial pair are multiplied by `clifford._overlap_sums`,
 one sum per blade overlap, and each blade sum is spread over that pair's
 normal form; only at the end does `CliffordSpace._scale_overlaps` scale
@@ -91,7 +93,7 @@ class TensorElement(LinearCombination):
             (ma, mb, mono): c
             for ma in blades_a
             for mb in blades_b
-            for mono, c in pbw_normalize(self.algebra, {ma + mb: ONE}).items()
+            for mono, c in _normal_form(self.algebra, ma, mb)
         })
         products: dict = {}
         for (ma, mb, mono), nm in normal:
@@ -133,6 +135,17 @@ class TensorElement(LinearCombination):
             )
             bits.append(f"{c}*[{u} (x) {blade}]")
         return " + ".join(bits)
+
+
+def _normal_form(algebra: QuadraticLieAlgebra, ma: tuple, mb: tuple):
+    """The PBW normal form of the monomial ma mb as (monomial, coefficient) pairs.
+
+    When the concatenation is already in PBW order (ma or mb empty, or
+    ma[-1] <= mb[0]) it is its own normal form, and nothing is rewritten.
+    """
+    if ma and mb and ma[-1] > mb[0]:
+        return pbw_normalize(algebra, {ma + mb: ONE}).items()
+    return ((ma + mb, ONE),)
 
 
 class TripleTensorElement(TensorElement):

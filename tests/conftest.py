@@ -139,6 +139,15 @@ def changed_algebra(name: str, seed: int) -> QuadraticLieAlgebra:
     return QuadraticLieAlgebra(f"{name}-basis-{seed}", g.labels, table, form)
 
 
+def hostile_changed_algebra(name: str, seed: int) -> QuadraticLieAlgebra:
+    """Catalog entry `name` in the basis of changed_basis(g, seed), its form
+    scaled by 1/q for q of 4,000 digits drawn from random.Random(f"hostile-{name}")."""
+    g = catalog_entry(name).algebra
+    table, form = changed_basis(g, seed)
+    q = random.Random(f"hostile-{name}").randrange(10**3999, 10**4000)
+    return QuadraticLieAlgebra(f"{name}-hostile", g.labels, table, form.scaled(Fraction(1, q)))
+
+
 def hostile_form(n=16, digits=4000, seed=16):
     """A diagonal n x n form with entries 1/q, for distinct seeded q of `digits` digits."""
     rng = random.Random(seed)

@@ -9,8 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import best_of_three, blade_clifford, changed_basis, contract, grade_involution, pairing
-from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
+from conftest import (
+    best_of_three,
+    blade_clifford,
+    changed_algebra,
+    changed_basis,
+    contract,
+    grade_involution,
+    hostile_changed_algebra,
+    pairing,
+)
+from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, catalog_names
 from cubicdirac.clifford import (
     CliffordSpace,
     Multivector,
@@ -469,6 +478,32 @@ def test_trilinear_checks_each_orbit_once_with_the_same_first_failure():
         if isinstance(got, str):
             failures.add(got)
     assert len(failures) > 20
+
+
+V_CASES = {
+    **{
+        f"{name}-variant-{variant}": (lambda contexts, name=name, variant=variant: contexts(name, variant=variant))
+        for name in catalog_names()
+        for variant in (0, 1)
+    },
+    "sl3-killing-basis-5": lambda contexts: DiracContext(changed_algebra("sl3-killing", 5)),
+    "sl3-killing-hostile": lambda contexts: DiracContext(hostile_changed_algebra("sl3-killing", 5)),
+}
+
+
+@pytest.mark.parametrize("case", V_CASES)
+def test_v_is_the_reference_reconstruction_of_the_dense_three_form(contexts, case):
+    """The context's v, built on integers from the adapted structure constants,
+    against the reference reconstruction of -1/2 d_i [X_j, X_k]_i read
+    densely on all m^3 triples.  The hostile case is sl(3) in a rational
+    basis with its form scaled by 1/q, q of 4,000 digits."""
+    ctx = V_CASES[case](contexts)
+    gram = ctx.split.p_gram
+    table = {
+        (i, j, k): -Fraction(1, 2) * gram[i] * ctx.adapted.bracket_basis(j, k)[i]
+        for i, j, k in itertools.product(range(ctx.m), repeat=3)
+    }
+    assert ctx.v == reference_multivector_from_trilinear(ctx.space, table)
 
 
 @pytest.mark.parametrize("key", [(0, 1, 3), (-1, 0, 1), (0, 1), (0, 1, 2, 0), "012", (0, 1, 1.0)])

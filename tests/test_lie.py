@@ -355,6 +355,52 @@ def test_split_and_casimir_take_grams_as_congruences():
         assert omega.terms == {(i, i): 1 / d for i, d in enumerate(grams)}
 
 
+@pytest.mark.parametrize(
+    "subalgebra, perturbed_call",
+    [((), 0), (SL3_TRIPLE, 0), (SL3_TRIPLE, 1)],
+    ids=["h=0", "triple-h-basis", "triple-complement-basis"],
+)
+def test_split_refuses_a_basis_that_does_not_diagonalize_the_form(monkeypatch, subalgebra, perturbed_call):
+    """P^T B P = diag(d) is checked on integers: a diagonalizing P with one
+    entry moved, for h = 0 or for either Gram of the sl(3) triple, is refused."""
+    g = catalog_entry("sl3-killing").algebra
+    calls = []
+
+    def perturbed(b, _original=lie.diagonalize_form):
+        p, d = _original(b)
+        calls.append(b)
+        if len(calls) - 1 == perturbed_call:
+            rows = [list(row) for row in (p.row(i) for i in range(p.rows))]
+            rows[0][0] += 1
+            p = Matrix(rows)
+        return p, d
+
+    monkeypatch.setattr(lie, "diagonalize_form", perturbed)
+    with pytest.raises(ContractViolation, match="internal: adapted form mismatch"):
+        orthogonal_split(g, subalgebra)
+    assert len(calls) > perturbed_call
+
+
+def test_split_with_no_subalgebra_takes_no_matrix_product(monkeypatch):
+    """With h = 0 the complement basis is the unit vectors: the form is
+    diagonalized as it stands, and the congruence check and the adapted
+    brackets run on integers.  The sl(3) triple, by contrast, takes its
+    Grams as matrix products."""
+    algebras = [catalog_entry(name).algebra for name in catalog_names()] + [changed_algebra("sl3-killing", 5)]
+    calls = []
+
+    def counted(self, other, _original=Matrix.__matmul__):
+        calls.append((self.rows, other.cols))
+        return _original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    for g in algebras:
+        orthogonal_split(g)
+    assert calls == []
+    orthogonal_split(catalog_entry("sl3-killing").algebra, SL3_TRIPLE)
+    assert calls
+
+
 # -- dense reference for validation -------------------------------------------
 #
 # The structure-constant walks above read a sparse store; these are the dense

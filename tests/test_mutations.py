@@ -2,9 +2,9 @@
 
 Each fault is injected with monkeypatch, and the whole suite runs on
 sl2-killing, sl2-killing-half and sl2xsl2-diagonal, the last both as the pair
-and with no subalgebra.  Every fault must fail some item; every failing item
-must carry a non-empty witness, and both renderers must show it.  The
-witnesses of two faults are pinned.
+and with no subalgebra.  Every fault must fail some item, unless a guard
+refuses it first; every failing item must carry a non-empty witness, and
+both renderers must show it.  The witnesses of two faults are pinned.
 """
 
 import json
@@ -13,11 +13,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import grade_involution
-from cubicdirac import dirac
+from cubicdirac import dirac, lie
 from cubicdirac.catalog import catalog_entry
-from cubicdirac.clifford import multivector_from_trilinear
+from cubicdirac.clifford import CliffordSpace, _multivector_from_numerators
 from cubicdirac.dirac import DiracContext
 from cubicdirac.envelope import PBWElement
+from cubicdirac.errors import ContractViolation
+from cubicdirac.lie import QuadraticLieAlgebra
 from cubicdirac.suite import render_machine, render_text, run_suite
 from cubicdirac.tensor import TensorElement
 
@@ -37,17 +39,55 @@ def dirac_with_lower_indices(self):
     return d
 
 
-def doubled_v(space, table):
-    return 2 * multivector_from_trilinear(space, table)
+def doubled_v(space, numerators, den, weights):
+    return 2 * _multivector_from_numerators(space, numerators, den, weights)
+
+
+def first_gram_doubled(gram):
+    """The Clifford space of h_perp with its first Gram entry doubled; the
+    split's Gram entries, which D and the weights of t read, stay as they are."""
+    return CliffordSpace((2 * gram[0], *gram[1:]))
+
+
+VALIDATED_INIT = QuadraticLieAlgebra.__init__
+
+
+def init_with_one_constant_doubled(self, *args):
+    """Validate the algebra, then double the first nonzero structure constant
+    of its integer structure, which v and the cohomology kernels read; the
+    Fraction store, which PBW rewriting and so D^2 read, stays as it is."""
+    VALIDATED_INIT(self, *args)
+    sparse = dict(self._sparse)
+    pair = next((pair for pair, terms in sparse.items() if terms), None)
+    if pair is not None:
+        (k, c), *rest = sparse[pair]
+        sparse[pair] = ((k, 2 * c), *rest)
+        sparse[pair[::-1]] = tuple((t, -x) for t, x in sparse[pair])
+        self._integer_structure = lie._bracket_structure(self.dim, sparse)
 
 
 # fault -> the (owner, attribute, replacement) patches that put it in
 FAULTS = {
-    "v-doubled": [(dirac, "multivector_from_trilinear", doubled_v)],
-    "v-zero": [(dirac, "multivector_from_trilinear", lambda space, t: space.zero())],
+    "v-doubled": [(dirac, "_multivector_from_numerators", doubled_v)],
+    "v-zero": [(dirac, "_multivector_from_numerators", lambda space, *table: space.zero())],
     "spin-lift-dropped": [(dirac, "spin_lift", lambda space, nu: space.zero())],
     "twist-sign-dropped": [(dirac, "twisted_commutator", lambda v, a: v * a + grade_involution(a) * v)],
     "lower-index-in-D": [(DiracContext, "_build_dirac", dirac_with_lower_indices)],
+    "gram-entry-scaled": [(dirac, "CliffordSpace", first_gram_doubled)],
+    "structure-constant-changed": [(QuadraticLieAlgebra, "__init__", init_with_one_constant_doubled)],
+}
+
+
+# faults that a guard refuses with ContractViolation on every case, so that no
+# item fails under them, and the start of the guard's message:
+#   - bracket_coproduct compares the space's Gram entries with the adapted
+#     form before first-order-cancellation can compare anything;
+#   - v's alternation check sees t(X_k, X_i, X_j) doubled and t(X_i, X_j, X_k)
+#     not, since t is read off the integer structure and a single changed
+#     constant breaks ad-invariance.
+REFUSED = {
+    "gram-entry-scaled": "space Gram does not match the algebra form",
+    "structure-constant-changed": "trilinear map not alternating at",
 }
 
 
@@ -64,7 +104,7 @@ def failing_items(report):
     return [(outcome.check_id, item) for outcome, _ in report.outcomes for item in outcome.items if not item.ok]
 
 
-@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("fault", [fault for fault in FAULTS if fault not in REFUSED])
 def test_every_fault_fails_an_item_and_every_failing_item_shows_its_witness(monkeypatch, fault):
     failed = []
     for case in CASES:
@@ -84,6 +124,13 @@ def test_every_fault_fails_an_item_and_every_failing_item_shows_its_witness(monk
         passing = [key for key, item in machine.items() if item["status"] == "pass"]
         assert all("witness" not in machine[key] for key in passing), case
     assert failed, fault
+
+
+@pytest.mark.parametrize("fault", REFUSED)
+def test_guarded_faults_are_refused_on_every_case(monkeypatch, fault):
+    for case in CASES:
+        with pytest.raises(ContractViolation, match=REFUSED[fault]):
+            faulted_report(monkeypatch, fault, case)
 
 
 # (fault, case) -> the failing items (check, item, witness) in report order,
