@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
 from .linalg import Matrix, ZERO, as_scalar, vector
-from .sparse import LinearCombination, _integer_terms
+from .sparse import LinearCombination, _fractions_over, _integer_terms
 
 ONE = Fraction(1)
 # the signs of the orderings of three indices, in the order permutations() lists them
@@ -49,7 +49,7 @@ class CliffordSpace:
     the product of all Gram denominators.
     """
 
-    __slots__ = ("dim", "gram", "_overlap_grams")
+    __slots__ = ("dim", "gram", "_overlap_grams", "_integral")
 
     def __init__(self, gram: Sequence):
         self.gram = vector(gram)
@@ -57,6 +57,7 @@ class CliffordSpace:
         if any(d == 0 for d in self.gram):
             raise ContractViolation("Gram entries must be nonzero")
         self._overlap_grams: dict[int, Fraction] = {}
+        self._integral = all(d.denominator == 1 for d in self.gram)
 
     def _gram_product(self, mask: int) -> Fraction:
         """The product of d_i over the bits of mask, kept per mask on first use."""
@@ -72,9 +73,19 @@ class CliffordSpace:
         """{key: c} from {overlap: {key: n}} over den: each n times the Gram product of its overlap.
 
         The scaled numerators of the overlaps whose Gram products share a
-        denominator are added as integers, so with integer Gram entries each
-        key gets one Fraction; a key whose contributions cancel is left out.
+        denominator are added as integers, so with integer Gram entries,
+        where every overlap shares denominator 1, the numerators go straight
+        into one table and each key gets one Fraction; a key whose
+        contributions cancel is left out.
         """
+        if self._integral:
+            out: dict = {}
+            get = out.get
+            for overlap, sums in by_overlap.items():
+                num = self._gram_product(overlap).numerator
+                for key, n in sums.items():
+                    out[key] = get(key, 0) + n * num
+            return _fractions_over(out, den)
         by_den: dict[int, dict] = {}
         for overlap, sums in by_overlap.items():
             g = self._gram_product(overlap)

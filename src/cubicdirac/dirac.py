@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Sequence
 
 from .clifford import (
@@ -337,9 +337,15 @@ class DiracContext:
         """The differential-geometry identity chain, run on g with h = 0.
 
         The chain lives on the full algebra (forms take arguments anywhere in
-        g), so a context with a subalgebra runs it on its `absolute` context,
-        in the h-adapted basis: a failing witness of a pair names the labels
-        p1.., h1.. of that basis.
+        g).  The four laws that do not read v, `theta-B-vanishes`,
+        `cartan-formula`, `d-squared-zero` and `d-preserves-alternating`,
+        hold in every basis, and point masses of any basis span all
+        multilinear maps, so they run on the input algebra as validated:
+        its structure constants stay as sparse as it gave them, and a
+        failing witness names its labels.  The items that read v need the
+        orthogonal basis v is built in, so a context with a subalgebra runs
+        them on its `absolute` context, in the h-adapted basis, and their
+        witnesses name the labels p1.., h1.. of that basis.
 
         The items that depend on v are `dB-equals-2v` and
         `delta-plus-dv-vanishes`.  `dv-derivation-law` and
@@ -353,32 +359,34 @@ class DiracContext:
         b_form = MultilinearMap.from_matrix(g, g.form)
         two_v = 2 * form_of_trivector(g, ctx.v)
         db_2v = _first_difference(ce_differential(b_form).terms, two_v.terms, g.labels)
+        cartan, alternating = self._cartan_item(self.algebra)
         return CheckOutcome(
             "cohomology",
             (
                 CheckItem("dB-equals-2v", db_2v),
-                self._theta_b_item(b_form),
-                self._cartan_item(g),
-                *self._d_items(g),
+                self._theta_b_item(self.algebra),
+                cartan,
+                *self._d_items(self.algebra, alternating),
                 CheckItem("delta-plus-dv-vanishes", ctx.first_order_witness),
                 *_dv_law_items(ctx.space, ctx.v, ctx._v_square, ctx._dv_generators, g.labels),
             ),
         )
 
-    def _theta_b_item(self, b_form: MultilinearMap) -> CheckItem:
+    def _theta_b_item(self, g: QuadraticLieAlgebra) -> CheckItem:
         """theta_X B = 0 for X over the unit vectors of g, the invariance of B.
 
-        The form's entries are brought to integer numerators once, and
-        theta_{e_i} is scattered on them with the kernel `lie_action` runs.
+        The form's nonzero entries are brought to integer numerators once,
+        and theta_{e_i} is scattered on them with the kernel `lie_action` runs.
         """
-        g = b_form.algebra
         _, ad, _ = g._integer_structure
-        _, entries = _integer_terms(b_form.terms)
+        form = {(i, j): c for i in range(g.dim) for j, c in enumerate(g.form.row(i)) if c}
+        _, entries = _integer_terms(form)
         moved = (i for i in range(g.dim) if any(_theta_scatter(entries, _ad_rows([(i, 1)], ad)).values()))
         return CheckItem("theta-B-vanishes", next((g.labels[i] for i in moved), None))
 
-    def _cartan_item(self, g: QuadraticLieAlgebra) -> CheckItem:
-        """iota_X d + d iota_X = theta_X on every point-mass form of arity <= 3.
+    def _cartan_item(self, g: QuadraticLieAlgebra) -> tuple[CheckItem, dict]:
+        """iota_X d + d iota_X = theta_X on every point-mass form of arity <= 3,
+        with the columns of d on the alternating point masses.
 
         Point-mass (single-entry) tables span the whole space of multilinear
         maps and every operator involved is linear in the form, so this is an
@@ -391,15 +399,26 @@ class DiracContext:
         table over (arity + 1)-tuples (i, rest), the difference of the two
         sides at rest:
           - iota_{e_i} d delta_key is the part of d delta_key with first
-            index i, so the table starts from d delta_key;
+            index i, so the table starts from d delta_key, the key's column;
           - iota_{e_i} delta_key is delta_{key[1:]} when key[0] = i and zero
             otherwise, so d of it is the column of key[1:] in the previous
-            arity, kept for this call (the arity-3 columns are not kept,
-            since nothing reads them), added under the prefix key[0];
+            arity, kept for this call, added under the prefix key[0];
           - theta_{e_i} delta_key puts row key[pos] of ad e_i in each slot
             pos; `acting[r]` lists those rows' entries (i, s, c) for all i.
-        The item fails at the first key, in order of arity, then key, whose
+        The item fails at the least key, in order of arity, then key, whose
         table holds a nonzero entry, and names the least i among them.
+
+        Arity 3 runs one orbit of keys under reordering at a time, so no
+        more than one orbit's columns are held: the orbits come in the order
+        of their sorted keys, every key of an orbit is at least its sorted
+        key, and so no orbit past the least failing key can hold a lesser one.
+
+        Every point mass is scattered, also past a failure, because the
+        columns serve `_d_items` too: d of each alternating point mass is
+        the signed sum of the columns of its orderings, returned under its
+        increasing key, as its nonzero numerators at arity 1 and 2, and at
+        arity 3 as only their canonical part (see `_d_items`), which is all
+        that is read of them.
         """
         _, ad, preimage = g._integer_structure
         n = g.dim
@@ -407,42 +426,67 @@ class DiracContext:
         for i in range(n):
             for r, row in _ad_rows([(i, 1)], ad).items():
                 acting[r].extend((i, s, c) for s, c in row.items())
+
+        def least_moved(key: tuple, table: dict, previous: dict) -> int | None:
+            """The least i whose comparison fails on key, the table being d delta_key."""
+            first = (key[0],)
+            for rest, val in previous[key[1:]].items():
+                idx = first + rest
+                table[idx] = table.get(idx, 0) + val
+            for pos, r in enumerate(key):
+                head, tail = key[:pos], key[pos + 1 :]
+                for i, s, c in acting[r]:
+                    idx = (i,) + head + (s,) + tail
+                    table[idx] = table.get(idx, 0) - c
+            return min((idx[0] for idx, val in table.items() if val), default=None)
+
+        fails = None  # the least failing (arity, key, i)
+        alternating: dict = {}
         previous: dict = {(): {}}
-        for arity in range(1, 4):
+        for arity in (1, 2):
             columns: dict = {}
             for key in product(range(n), repeat=arity):
-                dw = _d_scatter([(key, 1)], preimage)
-                if arity < 3:
-                    columns[key] = dw
-                    table = dict(dw)
-                else:
-                    table = dw
-                first = (key[0],)
-                for rest, val in previous[key[1:]].items():
-                    idx = first + rest
-                    table[idx] = table.get(idx, 0) + val
-                for pos, r in enumerate(key):
-                    head, tail = key[:pos], key[pos + 1 :]
-                    for i, s, c in acting[r]:
-                        idx = (i,) + head + (s,) + tail
-                        table[idx] = table.get(idx, 0) - c
-                if any(table.values()):
-                    i = min(idx[0] for idx, val in table.items() if val)
-                    return CheckItem("cartan-formula", f"arity {arity} key {key} X={g.labels[i]}")
+                dw = columns[key] = _d_scatter([(key, 1)], preimage)
+                if fails is None:
+                    i = least_moved(key, dict(dw), previous)
+                    if i is not None:
+                        fails = arity, key, i
+            for key in combinations(range(n), arity):
+                alternating[key] = _signed_sum(columns, _alternating_entries(key))
             previous = columns
-        return CheckItem("cartan-formula")
+        for orbit in combinations_with_replacement(range(n), 3):
+            keys = sorted(set(permutations(orbit)))
+            columns = {}
+            for key in keys:
+                columns[key] = _d_scatter([(key, 1)], preimage)
+            if len(keys) == 6:
+                alternating[orbit] = _canonical_part(_signed_sum(columns, _alternating_entries(orbit)))
+            if fails is None or (fails[0] == 3 and orbit < fails[1]):
+                for key in keys:
+                    if fails is not None and key > fails[1]:
+                        break
+                    i = least_moved(key, columns[key], previous)
+                    if i is not None:
+                        fails = 3, key, i
+                        break
+        if fails is None:
+            return CheckItem("cartan-formula"), alternating
+        arity, key, i = fails
+        return CheckItem("cartan-formula", f"arity {arity} key {key} X={g.labels[i]}"), alternating
 
-    def _d_items(self, g: QuadraticLieAlgebra) -> tuple[CheckItem, CheckItem]:
+    def _d_items(self, g: QuadraticLieAlgebra, alternating: dict) -> tuple[CheckItem, CheckItem]:
         """`d-squared-zero` and `d-preserves-alternating`, in one pass over point masses.
 
         d^2 = 0 is checked on the alternating point masses of arity 1 and 2,
         and d maps alternating forms to alternating forms on those of arity
-        1..3.  d of each point mass is scattered once on integers, with the
-        kernel `ce_differential` runs, its zero numerators dropped (a zero
-        on a key with a repeated index is no failure of alternation), and
-        only its canonical part kept: its entries on increasing keys, or
-        None when it is not alternating.  The arities run from 3 down, so
-        the columns of arity + 1 are there when a mass of arity is reached.
+        1..3.  d of each of them is read off `alternating`, the columns
+        `_cartan_item` returns, so d is scattered once per ordered point
+        mass for both checks.  A column holds no zero numerator (a zero on
+        a key with a repeated index is no failure of alternation), and its
+        canonical part is taken: its entries on increasing keys, or None
+        when it is not alternating.  The arities run from 3 down, so the
+        canonical parts of arity + 1 are there when a mass of arity is
+        reached.
 
         When d w is alternating, it is the sum over increasing keys K of
         (d w)[K] times the alternating point mass on K, so d(d w) is the same
@@ -453,15 +497,16 @@ class DiracContext:
         zero.  Each item names its least failing (arity, key).
         """
         _, _, preimage = g._integer_structure
-        squared = alternating = None
+        squared = not_alternating = None
         canonical: dict = {}
         for arity in (3, 2, 1):
             fails_squared = fails_alternating = None
             columns = canonical
             canonical = {}
-            for key, entries in _alternating_point_masses(g.dim, arity):
-                dw = _nonzero(_d_scatter(entries, preimage))
-                part = canonical[key] = _canonical_part(dw)
+            for key in combinations(range(g.dim), arity):
+                dw = alternating[key]
+                # at arity 3 the dict holds the canonical part itself
+                part = canonical[key] = dw if arity == 3 else _canonical_part(dw)
                 if part is None:
                     fails_alternating = fails_alternating or _key_witness(arity, key)
                 if arity == 3 or fails_squared:
@@ -476,8 +521,8 @@ class DiracContext:
                 if any(total.values()):
                     fails_squared = _key_witness(arity, key)
             squared = fails_squared or squared
-            alternating = fails_alternating or alternating
-        return CheckItem("d-squared-zero", squared), CheckItem("d-preserves-alternating", alternating)
+            not_alternating = fails_alternating or not_alternating
+        return CheckItem("d-squared-zero", squared), CheckItem("d-preserves-alternating", not_alternating)
 
     def decomposition_check(self) -> CheckOutcome:
         """The graded-tensor decomposition of the absolute operator.
@@ -553,16 +598,25 @@ def _nonzero(numerators: dict) -> dict:
     return {key: n for key, n in numerators.items() if n}
 
 
-def _alternating_point_masses(n: int, arity: int):
-    """(key, entries) for each increasing key of `arity` indices below n, in
-    lexicographic order.
+def _alternating_entries(key: tuple) -> list:
+    """[(ordering, sign), ...]: the alternating form that is 1 on the
+    increasing key, each ordering of key with the sign of its permutation,
+    key first."""
+    return [(key, 1)] + [(get(key), sign) for get, sign in _ORDERINGS[len(key)]]
 
-    The entries [(ordering, sign), ...] are the alternating form that is 1
-    on key: each ordering of key with the sign of its permutation, key first.
-    """
-    orderings = _ORDERINGS[arity]
-    for key in combinations(range(n), arity):
-        yield key, [(key, 1)] + [(get(key), sign) for get, sign in orderings]
+
+def _signed_sum(columns: dict, entries) -> dict:
+    """The nonzero entries of the sum of sign * columns[key] over the (key, sign) entries."""
+    out: dict = {}
+    get = out.get
+    for key, sign in entries:
+        if sign > 0:
+            for idx, val in columns[key].items():
+                out[idx] = get(idx, 0) + val
+        else:
+            for idx, val in columns[key].items():
+                out[idx] = get(idx, 0) - val
+    return _nonzero(out)
 
 
 def _key_witness(arity: int, key: tuple) -> str:

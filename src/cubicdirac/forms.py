@@ -27,8 +27,9 @@ its operands over integers, runs its kernels and turns the sums back into
 Fractions.  The cartan-formula check in `dirac` runs `_d_scatter` and
 `_ad_rows` on point masses, so a fault in either fails that check too; it
 reads iota of a point mass off its key, so `insert_first` is the one reader
-of `_iota_buckets`.  The d items in `dirac` run `_d_scatter` and test its
-columns with `_canonical_part`, the alternation test.
+of `_iota_buckets`.  The d items in `dirac` read d of the alternating
+point masses off the cartan check's columns and test them with
+`_canonical_part`, the alternation test.
 
 d raises arity by one and is capped so results stay within arity 4.  On
 alternating maps these are the usual Lie-algebra-cohomology operators with

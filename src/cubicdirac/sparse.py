@@ -46,8 +46,19 @@ class LinearCombination:
     def carrier(self) -> tuple:
         return tuple(getattr(self, name) for name in self.carrier_fields)
 
+    def _same_carrier(self, other) -> bool:
+        """Whether other has this type and carrier, compared field by field
+        with no tuple built; a field that is the same object is equal at once."""
+        if type(other) is not type(self):
+            return False
+        for name in self.carrier_fields:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and mine != theirs:
+                return False
+        return True
+
     def _check(self, other: "LinearCombination"):
-        if type(other) is not type(self) or self.carrier != other.carrier:
+        if not self._same_carrier(other):
             raise ContractViolation(f"{type(self).__name__} operands live on different carriers")
 
     def __add__(self, other):
@@ -81,7 +92,7 @@ class LinearCombination:
         return self._from_terms(self.carrier, terms)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.carrier == other.carrier and self.terms == other.terms
+        return self._same_carrier(other) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.carrier, tuple(sorted(self.terms.items()))))

@@ -18,11 +18,18 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb
 
 import pytest
 
-from conftest import changed_algebra, grade_involution, hostile_form, invert, is_alternating, unit_vector
+from conftest import (
+    changed_algebra,
+    grade_involution,
+    hostile_form,
+    invert,
+    is_alternating,
+    tstar_heisenberg,
+    unit_vector,
+)
 from cubicdirac import dirac, forms
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
 from cubicdirac.clifford import CliffordSpace, Multivector, twisted_commutator
@@ -706,7 +713,7 @@ def test_theta_b_item_matches_lie_action(monkeypatch, name, broken):
     if broken:
         monkeypatch.setattr(dirac, "_theta_scatter", first_slot_only)
         monkeypatch.setattr(forms, "_theta_scatter", first_slot_only)
-    item = ctx._theta_b_item(MultilinearMap.from_matrix(g, g.form))
+    item = ctx._theta_b_item(g)
     assert item == reference_theta_b_item(g)
     assert item.ok == (not broken or name.startswith("abelian"))
 
@@ -741,7 +748,7 @@ def fresh_context(name):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_cartan_item_matches_the_reference_on_the_catalog(contexts, name):
     g = contexts(name).adapted
-    item = contexts(name)._cartan_item(g)
+    item, _ = contexts(name)._cartan_item(g)
     assert item == reference_cartan_item(g) == CheckItem("cartan-formula")
 
 
@@ -751,7 +758,7 @@ def test_cartan_item_matches_the_reference_in_a_rational_basis():
     g = ctx.adapted
     den, _, _ = g._integer_structure
     assert den > 1
-    item = ctx._cartan_item(g)
+    item, _ = ctx._cartan_item(g)
     assert item == reference_cartan_item(g) == CheckItem("cartan-formula")
 
 
@@ -774,7 +781,7 @@ def test_cartan_item_matches_the_reference_on_a_corrupted_ad_entry(name):
         corrupted = list(ad)
         corrupted[a] = {**ad[a], s: terms[:-1] + ((r, c + den),)}
         g._integer_structure = den, tuple(corrupted), preimage
-        item = ctx._cartan_item(g)
+        item, _ = ctx._cartan_item(g)
         assert item == reference_cartan_item(g)
         assert not item.ok and item.witness is not None
         witnesses.add(item.witness)
@@ -793,7 +800,7 @@ def test_cartan_item_uses_no_public_operator_and_builds_no_fraction(monkeypatch)
         monkeypatch.setattr(dirac, name, forbidden, raising=False)
     monkeypatch.setattr(LinearCombination, "__add__", forbidden)
     monkeypatch.setattr(Fraction, "__new__", forbidden)
-    item = ctx._cartan_item(g)
+    item, _ = ctx._cartan_item(g)
     monkeypatch.undo()
     assert item == CheckItem("cartan-formula")
 
@@ -838,16 +845,47 @@ def test_cartan_item_fails_under_each_kernel_fault(monkeypatch, name, kernel):
     faulty = KERNEL_FAULTS[kernel](getattr(forms, kernel))
     monkeypatch.setattr(forms, kernel, faulty)
     monkeypatch.setattr(dirac, kernel, faulty)
-    item = ctx._cartan_item(g)
+    item, _ = ctx._cartan_item(g)
     assert not item.ok and item == reference_cartan_item(g)
     assert re.fullmatch(r"arity [12] key \(.*\) X=\S+", item.witness)
 
 
+def d_failing_on(keys, original):
+    """d that also adds each entry's value on its key followed by its first
+    index, for the keys in `keys` only."""
+
+    def scatter(entries, preimage):
+        entries = list(entries)
+        out = original(entries, preimage)
+        for key, val in entries:
+            if key in keys:
+                idx = key + key[:1]
+                out[idx] = out.get(idx, 0) + val
+        return out
+
+    return scatter
+
+
+def test_cartan_item_names_the_least_failing_key_across_orbits(monkeypatch):
+    """Arity 3 runs orbit by orbit.  With d wrong on (2, 1, 0) and (0, 2, 2)
+    only, the orbit of (0, 1, 2) fails first, but (0, 2, 2), in a later
+    orbit, is the lesser key, and the item names it, as the reference does."""
+    ctx = fresh_context("sl2xsl2-diagonal")
+    g = ctx.algebra
+    faulty = d_failing_on({(2, 1, 0), (0, 2, 2)}, forms._d_scatter)
+    monkeypatch.setattr(forms, "_d_scatter", faulty)
+    monkeypatch.setattr(dirac, "_d_scatter", faulty)
+    item, _ = ctx._cartan_item(g)
+    assert item == reference_cartan_item(g)
+    assert item.witness == f"arity 3 key (0, 2, 2) X={g.labels[0]}"
+
+
 # -- d-squared-zero and d-preserves-alternating against the public operators ----
 #
-# Both items come from one pass that scatters d on the integer entries of
-# each alternating point mass with the kernel `ce_differential` runs, and
-# read d^2 = 0 off the canonical parts of those columns.  These are earlier
+# Both items come from one pass over the columns of d on the alternating
+# point masses, which cartan-formula sums from its scatters with the kernel
+# `ce_differential` runs, and read d^2 = 0 off the canonical parts of those
+# columns.  These are earlier
 # bodies, which build each point mass as a MultilinearMap and apply the
 # public operator twice over Q, kept here as the references they must agree
 # with.
@@ -887,9 +925,14 @@ def reference_alternating_item(g):
     return CheckItem("d-preserves-alternating")
 
 
+def d_references(g):
+    return reference_d_squared_item(g), reference_alternating_item(g)
+
+
 def d_items_and_references(ctx, g):
     """Each item of the one pass over point masses, with its reference."""
-    return tuple(zip(ctx._d_items(g), (reference_d_squared_item(g), reference_alternating_item(g))))
+    _, alternating = ctx._cartan_item(g)
+    return tuple(zip(ctx._d_items(g, alternating), d_references(g)))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -955,8 +998,8 @@ def test_d_squared_zero_fails_on_a_bracket_that_breaks_jacobi(monkeypatch):
 
     The bracket stays antisymmetric, so d keeps forms alternating and every
     column of d has a canonical part: d^2 = 0 is read off those parts alone,
-    with no second scatter, and it fails where Jacobi does, with the
-    reference's witness.
+    with no scatter beyond cartan-formula's one per ordered point mass, and
+    it fails where Jacobi does, with the reference's witness.
     """
     ctx = fresh_context("sl3-killing")
     g = ctx.adapted
@@ -975,7 +1018,7 @@ def test_d_squared_zero_fails_on_a_bracket_that_breaks_jacobi(monkeypatch):
         calls.clear()
         squared, alternating = d_items_and_references(ctx, g)
         assert squared[0] == squared[1] and alternating[0] == alternating[1] and alternating[0].ok
-        assert calls == {"_d_items": comb(g.dim, 1) + comb(g.dim, 2) + comb(g.dim, 3)}
+        assert calls == {"_cartan_item": g.dim + g.dim**2 + g.dim**3}
         if not squared[0].ok:
             witnesses.add(squared[0].witness)
     assert len(witnesses) > 1
@@ -1022,26 +1065,29 @@ def test_d_items_match_the_references_on_a_d_that_fails_past_an_arity(monkeypatc
 
 def test_cohomology_scatters_d_once_per_point_mass(monkeypatch):
     """On sl2xsl2-diagonal (n = 6) cartan-formula scatters d once on each of
-    its 6 + 36 + 216 point masses and the d items once on each of the
-    6 + 15 + 20 alternating ones, with no second scatter: every column is
-    alternating, so d^2 = 0 is read off their canonical parts.  A d that is
-    not alternating past arity 2 sends the first 2-form to the direct second
-    scatter, which fails it, so no other 2-form is tried; both items still
-    equal their references."""
+    its 6 + 36 + 216 point masses, and the d items read the columns of the
+    6 + 15 + 20 alternating ones off those, with no scatter of their own:
+    every column is alternating, so d^2 = 0 is read off their canonical
+    parts.  A d that is not alternating past arity 2 fails cartan-formula at
+    arity 3, which still scatters every point mass for the d items, and
+    sends the first 2-form to the direct second scatter, which fails it, so
+    no other 2-form is tried; both items still equal their references."""
     ctx = fresh_context("sl2xsl2-diagonal")
-    g = ctx.adapted
+    g = ctx.algebra
     calls = Counter()
     monkeypatch.setattr(dirac, "_d_scatter", counting(forms._d_scatter, calls))
     assert ctx.cohomology_check().passed
-    assert calls == {"_cartan_item": 258, "_d_items": 41}
+    assert calls == {"_cartan_item": 258}
 
     calls.clear()
     faulty = d_repeating_the_last_index_above(2, forms._d_scatter)
     monkeypatch.setattr(forms, "_d_scatter", faulty)
     monkeypatch.setattr(dirac, "_d_scatter", counting(faulty, calls))
-    for item, reference in d_items_and_references(ctx, g):
-        assert item == reference and not item.ok
-    assert calls == {"_d_items": 41 + 1}
+    items = items_by_id(ctx.cohomology_check())
+    assert not items["cartan-formula"].ok
+    for item_id, reference in zip(("d-squared-zero", "d-preserves-alternating"), d_references(g)):
+        assert items[item_id] == reference and not reference.ok
+    assert calls == {"_cartan_item": 258, "_d_items": 1}
 
 
 @pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
@@ -1082,6 +1128,93 @@ def test_d_items_use_no_public_operator_and_build_no_fraction(monkeypatch):
     monkeypatch.setattr(MultilinearMap, "__init__", forbidden)
     monkeypatch.setattr(LinearCombination, "__add__", forbidden)
     monkeypatch.setattr(Fraction, "__new__", forbidden)
-    items = ctx._d_items(g)
+    items = ctx._d_items(g, ctx._cartan_item(g)[1])
     monkeypatch.undo()
     assert items == (CheckItem("d-squared-zero"), CheckItem("d-preserves-alternating"))
+
+
+# -- the basis the v-free laws run in ---------------------------------------------
+#
+# theta-B-vanishes, cartan-formula and the d items do not read v, and hold
+# in every basis, so cohomology_check runs them on the input algebra as
+# validated, not on the orthogonal adapted basis, where a split form fills
+# in the structure constants.
+
+
+V_FREE_ITEMS = ("_theta_b_item", "_cartan_item", "_d_items")
+
+
+@pytest.mark.parametrize("case", ("pair", "split form"))
+def test_cohomology_runs_the_v_free_laws_on_the_input_algebra(monkeypatch, case):
+    if case == "pair":
+        entry = catalog_entry("sl2xsl2-diagonal")
+        ctx = DiracContext(entry.algebra, entry.subalgebra)
+    else:
+        ctx = DiracContext(tstar_heisenberg())
+    seen = {}
+    for name in V_FREE_ITEMS:
+        original = getattr(DiracContext, name)
+
+        def recording(self, g, *args, name=name, original=original):
+            seen.setdefault(name, []).append(g)
+            return original(self, g, *args)
+
+        monkeypatch.setattr(DiracContext, name, recording)
+    assert ctx.cohomology_check().passed
+    assert ctx.absolute.adapted is not ctx.algebra
+    assert {name: [g is ctx.algebra for g in gs] for name, gs in seen.items()} == dict.fromkeys(V_FREE_ITEMS, [True])
+
+
+# cartan-formula's witness on T*Heisenberg under each kernel fault: in the
+# input basis, with the input's labels; in the adapted basis it would read
+# `arity 1 key (0,) X=p3`.
+TSTAR_CARTAN_WITNESSES = {
+    "_d_scatter": "arity 1 key (2,) X=x",
+    "_ad_rows": "arity 1 key (2,) X=x",
+}
+
+
+@pytest.mark.parametrize("kernel", KERNEL_FAULTS)
+def test_cartan_witness_names_the_input_labels(monkeypatch, kernel):
+    ctx = DiracContext(tstar_heisenberg())
+    faulty = KERNEL_FAULTS[kernel](getattr(forms, kernel))
+    monkeypatch.setattr(forms, kernel, faulty)
+    monkeypatch.setattr(dirac, kernel, faulty)
+    item = items_by_id(ctx.cohomology_check())["cartan-formula"]
+    assert item == CheckItem("cartan-formula", TSTAR_CARTAN_WITNESSES[kernel])
+    assert item == reference_cartan_item(ctx.algebra)
+    assert ctx.algebra.labels == ("x", "y", "z", "x*", "y*", "z*")
+
+
+@pytest.mark.parametrize("name", ("tstar-heisenberg", *CATALOG_NAMES))
+def test_v_free_items_match_the_references_on_the_input_algebra(name):
+    g = tstar_heisenberg() if name == "tstar-heisenberg" else catalog_entry(name).algebra
+    ctx = DiracContext(g)
+    assert ctx._theta_b_item(g) == reference_theta_b_item(g)
+    assert ctx._cartan_item(g)[0] == reference_cartan_item(g) == CheckItem("cartan-formula")
+    for item, reference in d_items_and_references(ctx, g):
+        assert item == reference and item.ok
+
+
+def test_v_free_items_match_the_references_on_a_rational_input_basis():
+    """sl(3) in a seeded basis, as given: structure constants with denominators."""
+    g = changed_algebra("sl3-killing", 5)
+    den, _, _ = g._integer_structure
+    assert den > 1
+    ctx = DiracContext(g)
+    assert ctx._cartan_item(g)[0] == reference_cartan_item(g) == CheckItem("cartan-formula")
+    for item, reference in d_items_and_references(ctx, g):
+        assert item == reference and item.ok
+
+
+def test_split_form_fills_in_the_adapted_structure_constants():
+    """The reason for the input basis: T*Heisenberg has 6 nonzero structure
+    constants c_ab^r as given (3 brackets, both orders) and 48 in its
+    orthogonal adapted basis."""
+    ctx = DiracContext(tstar_heisenberg())
+
+    def nonzero_constants(g):
+        _, ad, _ = g._integer_structure
+        return sum(len(terms) for row in ad for terms in row.values())
+
+    assert (nonzero_constants(ctx.algebra), nonzero_constants(ctx.adapted)) == (6, 48)
