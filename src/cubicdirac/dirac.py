@@ -38,7 +38,7 @@ from .clifford import (
     spin_lift,
     twisted_commutator,
 )
-from .envelope import PBWElement, casimir_element
+from .envelope import PBWElement
 from .errors import ContractViolation
 from .forms import (
     _ORDERINGS,
@@ -99,26 +99,38 @@ class CheckOutcome:
 
 
 class DiracContext:
-    """g, an optional h, one adapted basis, and the cached operator data."""
+    """g, an optional h, one adapted basis, and the cached operator data.
 
-    def __init__(
-        self,
-        algebra: QuadraticLieAlgebra,
-        subalgebra: Sequence[Sequence] = (),
-        p_variant: int = 0,
-    ):
+    The data live on a block (lo, m, k) of the adapted basis: m p indices
+    from lo, then k h indices.  A context of g and h splits once and takes
+    (0, m, k); its `absolute` context is (0, n, 0) and its context of h
+    (m, k, 0) of the same adapted algebra, so their elements mix with its own.
+    """
+
+    def __init__(self, algebra: QuadraticLieAlgebra, subalgebra: Sequence[Sequence] = (), p_variant: int = 0):
         self.algebra = algebra
         self.subalgebra = tuple(map(vector, subalgebra))
         self.p_variant = p_variant
         self.split = orthogonal_split(algebra, self.subalgebra, p_variant)
-        self.adapted = self.split.adapted
-        self.m = self.split.p_dim
-        self.k = self.split.h_dim
-        self.space = CliffordSpace(self.split.p_gram)
+        self._build(self.split.adapted, 0, self.split.p_dim, self.split.h_dim)
+
+    @classmethod
+    def _block(cls, adapted: QuadraticLieAlgebra, lo: int, m: int) -> "DiracContext":
+        """The context of the block (lo, m, 0) of an adapted algebra: h = 0, no split."""
+        ctx = cls.__new__(cls)
+        ctx._build(adapted, lo, m, 0)
+        return ctx
+
+    def _build(self, adapted: QuadraticLieAlgebra, lo: int, m: int, k: int):
+        self.adapted = adapted
+        self._lo, self.m, self.k = lo, m, k
+        self._gram = adapted.form.diagonal()[lo : lo + m + k]
+        self.space = CliffordSpace(self._gram[:m])
 
         numerators, den = self._fundamental_numerators()
-        self.v = _multivector_from_numerators(self.space, numerators, den, self.split.p_gram)
-        self.casimir = casimir_element(self.adapted)
+        self.v = _multivector_from_numerators(self.space, numerators, den, self._gram[:m])
+        # Omega = sum (1/d_i) X_i X_i over the block, X_i X_i being in PBW order
+        self.casimir = PBWElement(adapted, {(lo + i, lo + i): 1 / d for i, d in enumerate(self._gram)})
         self.dirac = self._build_dirac()
 
         self._embeddings: dict[int, TensorElement] = {}
@@ -129,30 +141,25 @@ class DiracContext:
     # -- construction ------------------------------------------------------
 
     def _fundamental_numerators(self) -> tuple[dict[tuple[int, int, int], int], int]:
-        """t(X_i, X_j, X_k) = -1/2 B(X_i, [X_j, X_k]) = -1/2 d_i c_jk^i on the h_perp basis, as
-        ({(i, j, k): n}, den) with t = d_i n / den.
+        """t(X_i, X_j, X_k) = -1/2 B(X_i, [X_j, X_k]) = -1/2 d_i c_jk^i on the block's
+        p indices, as ({(i, j, k): n}, den) with t = d_i n / den, i, j, k counted from lo.
 
         Scattered from the adapted algebra's integer structure: with
         c_jk^i = N / P there, n = -N over den = 2P, for the nonzero brackets
-        [X_j, X_k], j, k < m, keeping the terms on h_perp (i < m).
+        [X_j, X_k] of the block's p indices, keeping the terms on them.
         """
-        m = self.m
+        lo, block = self._lo, range(self._lo, self._lo + self.m)
         den, ad, _ = self.adapted._integer_structure
-        numerators = {
-            (i, j, k): -n for j in range(m) for k, terms in ad[j].items() if k < m for i, n in terms if i < m
-        }
-        return numerators, 2 * den
+        brackets = ((j, k, terms) for j in block for k, terms in ad[j].items() if k in block)
+        triples = ((i, j, k, n) for j, k, terms in brackets for i, n in terms if i in block)
+        return {(i - lo, j - lo, k - lo): -n for i, j, k, n in triples}, 2 * den
 
     def _build_dirac(self) -> TensorElement:
         """D = sum_i (1/d_i) X_i (x) e_i + 1 (x) v, written as one term table."""
         terms = {((), mask): c for mask, c in self.v.terms.items()}
-        for i, d in enumerate(self.split.p_gram):
-            terms[(i,), 1 << i] = 1 / d
+        for a in range(self.m):
+            terms[(self._lo + a,), 1 << a] = 1 / self._gram[a]
         return TensorElement._from_terms((self.adapted, self.space), terms)
-
-    @cached_property
-    def h_algebra(self) -> QuadraticLieAlgebra:
-        return self.split.subalgebra_as_algebra()
 
     def diagonal_embedding(self, j: int) -> TensorElement:
         """Delta(Y_j) = Y_j (x) 1 + 1 (x) lift(nu(Y_j)) for the j-th h vector."""
@@ -170,7 +177,7 @@ class DiracContext:
             acc = TensorElement.zero(self.adapted, self.space)
             for j in range(self.k):
                 dj = self.diagonal_embedding(j)
-                acc = acc + (1 / self.split.h_gram[j]) * (dj * dj)
+                acc = acc + (1 / self._gram[self.m + j]) * (dj * dj)
             self._delta_casimir = acc
         return self._delta_casimir
 
@@ -199,13 +206,12 @@ class DiracContext:
         the cohomology and decomposition checks.
 
         Itself when h = 0 (not stored, which would make a reference cycle);
-        otherwise the context of the adapted algebra, built once.  Its form
-        is diagonal, so its split keeps the basis and labels.
+        otherwise the block (0, n, 0) of the adapted algebra, built once.
         """
         if self.k == 0:
             return self
         if self._absolute is None:
-            self._absolute = DiracContext(self.adapted)
+            self._absolute = DiracContext._block(self.adapted, 0, self.adapted.dim)
         return self._absolute
 
     @cached_property
@@ -250,9 +256,10 @@ class DiracContext:
 
     @cached_property
     def _h_context(self) -> "DiracContext":
-        """The context of h with no subalgebra, for the decomposition check;
-        built once."""
-        return DiracContext(self.h_algebra)
+        """The block (m, k, 0): h with no subalgebra, for the decomposition
+        check, built once.  D_h = sum (1/e_j) Y_{m+j} (x) f_j + 1 (x) v_h
+        lies in U(adapted) (x) C(h)."""
+        return DiracContext._block(self.adapted, self.m, self.k)
 
     # -- checks --------------------------------------------------------------
 
@@ -301,21 +308,21 @@ class DiracContext:
         return CheckOutcome("kostant", tuple(items), values)
 
     def _middle_term_witness(self) -> str | None:
-        """sum_{i<j} [X_i,X_j] (x) X^i X^j  =  sum_k X_k (x) delta(X^k), h = 0."""
-        n = self.adapted.dim
-        lhs = TensorElement.zero(self.adapted, self.space)
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = PBWElement.from_vector(self.adapted, self.adapted.bracket_basis(i, j))
-                if br.is_zero():
-                    continue
-                coeff = 1 / (self.split.p_gram[i] * self.split.p_gram[j])
-                lhs = lhs + TensorElement.from_parts(br, self.space.blade((i, j), coeff))
-        rhs = TensorElement.zero(self.adapted, self.space)
-        for a, delta_a in enumerate(self._delta_generators):
-            xa = (1 / self.split.p_gram[a]) * PBWElement.generator(self.adapted, a)
-            rhs = rhs + TensorElement.from_parts(xa, delta_a)
-        return _first_difference(lhs.terms, rhs.terms, self.adapted.labels)
+        """sum_{i<j} [X_i,X_j] (x) X^i X^j  =  sum_k X_k (x) delta(X^k), h = 0.
+
+        Both sides are written as term tables over the block, as D is."""
+        lo, gram = self._lo, self._gram
+        lhs = {
+            ((t,), (1 << i) | (1 << j)): c / (gram[i] * gram[j])
+            for i, j in combinations(range(self.m), 2)
+            for t, c in self.adapted.bracket_sparse(lo + i, lo + j)
+        }
+        rhs = {
+            ((lo + a,), mask): c / gram[a]
+            for a, delta_a in enumerate(self._delta_generators)
+            for mask, c in delta_a.terms.items()
+        }
+        return _first_difference(lhs, rhs, self.adapted.labels)
 
     def h_invariance_check(self) -> CheckOutcome:
         """[Delta(y), D] = 0 for every orthogonal basis vector y of h."""
@@ -538,12 +545,10 @@ class DiracContext:
         ctx_h = self._h_context
         ctx_g = self.absolute
         space = ctx_g.space
-        if space.gram != self.space.gram + ctx_h.space.gram:
-            raise ContractViolation("internal: C(g) is not C(h_perp) (x)bar C(h) on concatenated blades")
 
-        # h_perp blades are the low m bits of a C(g) blade, so D_g and
-        # D_{g/h} (x)bar 1, and their squares, keep their terms over the
-        # concatenated space.
+        # C(h_perp) and C(h) are C(g) on slices of one Gram, h_perp on the low
+        # m bits of a C(g) blade, so D_g and D_{g/h} (x)bar 1, and their
+        # squares, keep their terms over the concatenated space.
         def over_g(t: TensorElement) -> TripleTensorElement:
             return TripleTensorElement(self.adapted, space, t.terms)
 
@@ -574,8 +579,9 @@ class DiracContext:
     def _embed_h_tensor(self, t: TensorElement, space: CliffordSpace) -> TripleTensorElement:
         """(Delta (x)bar 1) applied to an element of U(h) (x) C(h), over C(g).
 
-        PBW monomials over h map multiplicatively through the diagonal
-        embedding into U(g) (x) C(h_perp), whose blades are the low m bits.
+        PBW monomials on h's adapted indices m..m+k-1 map multiplicatively
+        through the diagonal embedding into U(g) (x) C(h_perp), whose blades
+        are the low m bits.
         The h blade goes on the high bits, hmask << m: it follows the h_perp
         blade in ascending order, so the concatenation carries no sign.
         """
@@ -584,8 +590,8 @@ class DiracContext:
         for (mono, hmask), c in t.terms.items():
             if mono not in images:
                 acc = TensorElement.one(self.adapted, self.space)
-                for j in mono:
-                    acc = acc * self.diagonal_embedding(j)
+                for i in mono:
+                    acc = acc * self.diagonal_embedding(i - self.m)
                 images[mono] = acc
             high = hmask << self.m
             for (umono, pmask), ci in images[mono].terms.items():

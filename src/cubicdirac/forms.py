@@ -152,13 +152,6 @@ def _canonical_part(terms: Mapping) -> dict | None:
     return canonical
 
 
-def _is_alternating(terms: Mapping) -> bool:
-    """Whether a table {key: value} of ints or Fractions, keys of one arity,
-    is alternating: no stored key repeats an index, and swapping two slots
-    negates the value (see `_canonical_part`)."""
-    return _canonical_part(terms) is not None
-
-
 def _d_scatter(entries, preimage) -> dict:
     """Numerators of d w from the (key, n) entries of w and the preimage index.
 

@@ -316,12 +316,8 @@ class OrthogonalSplit:
         brackets = {}
         for i in range(k):
             for j in range(i + 1, k):
-                full = self.adapted.bracket_basis(m + i, m + j)
-                if any(full[:m]):
-                    raise NotASubalgebraError(
-                        "subalgebra bracket leaks into the complement", witness=(i, j)
-                    )
-                brackets[(i, j)] = full[m:]
+                # `orthogonal_split` has checked that [h, h] lies in h
+                brackets[(i, j)] = self.adapted.bracket_basis(m + i, m + j)[m:]
         form = Matrix(
             [[self.h_gram[i] if i == j else ZERO for j in range(k)] for i in range(k)],
             cols=k,
@@ -409,9 +405,9 @@ def orthogonal_split(
                 raise ContractViolation("internal: adapted form mismatch")
 
     if not h_vectors and from_adapted == Matrix.identity(n):
-        # A context built on an adapted algebra keeps its basis and labels,
-        # so its elements mix with those of the context it came from: the
-        # decomposition check builds D_g on the pair's adapted algebra.
+        # The form is diagonal in the given basis, so g is its own adapted
+        # algebra: it is not validated a second time, and the reports keep
+        # the input's labels.
         adapted = g
     else:
         adapted_brackets = _adapted_brackets(g, cols, rows, grams)
@@ -421,11 +417,13 @@ def orthogonal_split(
         )
         adapted = QuadraticLieAlgebra(f"{g.name}#adapted", labels, adapted_brackets, adapted_form)
 
-    # ad-invariance makes h_perp an h-module; check it anyway
-    for j in range(k):
-        for i in range(m):
-            if any(t >= m for t, _ in adapted.bracket_sparse(m + j, i)):
-                raise ContractViolation("internal: [h, h_perp] leaves h_perp")
+    # closure and ad-invariance keep [h, h] in h and [h, h_perp] in h_perp
+    # in the adapted basis; check both anyway, where the blocks are made
+    for j in range(m, n):
+        for i in range(n):
+            if any((t < m) != (i < m) for t, _ in adapted.bracket_sparse(j, i)):
+                part = "h_perp" if i < m else "h"
+                raise ContractViolation(f"internal: [h, {part}] leaves {part}")
 
     return OrthogonalSplit(
         ambient=g,

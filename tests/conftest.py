@@ -14,7 +14,7 @@ import pytest
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
 from cubicdirac.clifford import Multivector, _swap_prefix
 from cubicdirac.errors import ContractViolation
-from cubicdirac.forms import MultilinearMap, _is_alternating
+from cubicdirac.forms import MultilinearMap, _canonical_part
 from cubicdirac.linalg import Matrix, _echelon, rank
 from cubicdirac.suite import run_suite
 
@@ -100,8 +100,8 @@ def grade_involution(a: Multivector) -> Multivector:
 
 
 def is_alternating(w: MultilinearMap) -> bool:
-    """Whether w's table is alternating, as `forms._is_alternating` decides."""
-    return _is_alternating(w.terms)
+    """Whether w's table is alternating, as `forms._canonical_part` decides."""
+    return _canonical_part(w.terms) is not None
 
 
 def random_basis(n: int, seed) -> Matrix:

@@ -128,13 +128,14 @@ def test_c_is_the_trace_formula_on_the_catalog(contexts, name):
     ctx = contexts(name, with_subalgebra=bool(entry.subalgebra))
     expected = trace_formula_c(entry.algebra)
     if ctx.k:
-        expected -= trace_formula_c(ctx.h_algebra)
+        expected -= trace_formula_c(ctx.split.subalgebra_as_algebra())
     assert ctx.c_value() == expected
 
 
 def test_c_is_the_trace_formula_on_the_sl3_triple(sl3_triple_context):
     ctx = sl3_triple_context
-    assert ctx.c_value() == trace_formula_c(ctx.algebra) - trace_formula_c(ctx.h_algebra) == Fraction(1, 4)
+    h = ctx.split.subalgebra_as_algebra()
+    assert ctx.c_value() == trace_formula_c(ctx.algebra) - trace_formula_c(h) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("name, seed", [("sl2-killing", 4), ("sl2-killing", 5), ("sl3-killing", 6)])
@@ -323,22 +324,48 @@ def test_a_pair_has_one_absolute_context_in_its_adapted_basis():
     assert absolute.absolute is absolute
 
 
+@pytest.mark.parametrize("name", ("sl2xsl2-diagonal", "sl3-sl2-triple"))
+def test_the_absolute_and_h_contexts_are_blocks_of_the_pair_basis(name, sl3_triple_context):
+    """g with h = 0 and h alone are the index blocks (0, n, 0) and (m, k, 0)
+    of the pair's adapted algebra: D_g and D_h are built on its generators,
+    and C(g) is C(h_perp) followed by C(h), on one Gram."""
+    if name == "sl3-sl2-triple":
+        ctx = sl3_triple_context
+    else:
+        entry = catalog_entry(name)
+        ctx = DiracContext(entry.algebra, entry.subalgebra)
+    g, h = ctx.absolute, ctx._h_context
+    assert g.adapted is ctx.adapted and h.adapted is ctx.adapted
+    m, k = ctx.m, ctx.k
+    assert (g.m, g.k, h.m, h.k) == (m + k, 0, k, 0)
+    assert g.space.gram == ctx.space.gram + h.space.gram
+    assert {i for mono, _ in h.dirac.terms for i in mono} == set(range(m, m + k))
+    assert {i for mono, _ in g.dirac.terms for i in mono} == set(range(m + k))
+    assert all(len(mono) <= 1 for mono, _ in h.dirac.terms)
+
+
 def test_a_second_check_builds_no_further_context(monkeypatch):
     """kostant_check's variant context and decomposition_check's context of
     h are built once per context, as `absolute` is: the first calls build
-    those three, and repeating both checks builds none."""
+    those three, the variant by a split and the other two as blocks, and
+    repeating both checks builds none."""
     entry = catalog_entry("sl2xsl2-diagonal")
     ctx = DiracContext(entry.algebra, entry.subalgebra)
     built = []
-    init = DiracContext.__init__
+    init, block = DiracContext.__init__, DiracContext._block
 
     def counting_init(self, *args, **kwargs):
-        built.append(args)
+        built.append(("split", args))
         init(self, *args, **kwargs)
 
+    def counting_block(*args):
+        built.append(("block", args))
+        return block(*args)
+
     monkeypatch.setattr(DiracContext, "__init__", counting_init)
+    monkeypatch.setattr(DiracContext, "_block", counting_block)
     first = ctx.kostant_check(), ctx.decomposition_check()
-    assert len(built) == 3
+    assert sorted(kind for kind, _ in built) == ["block", "block", "split"]
     assert (ctx.kostant_check(), ctx.decomposition_check()) == first
     assert len(built) == 3
     assert all(outcome.passed for outcome in first)
@@ -1107,13 +1134,13 @@ def test_d_items_match_the_references_under_each_kernel_fault(monkeypatch, name,
 def test_a_stored_zero_on_a_repeated_index_is_not_alternating(contexts):
     """The kernel keeps zeros: d of e^0 ^ e^1 on sl(2) holds one on a
     repeated index, which fails the alternation test until it is dropped."""
-    assert not forms._is_alternating({(1, 1): 0})
+    assert forms._canonical_part({(1, 1): 0}) is None
     g = contexts("sl2-killing").adapted
     _, _, preimage = g._integer_structure
     raw = forms._d_scatter([((0, 1), 1), ((1, 0), -1)], preimage)
     assert any(n == 0 and len(set(key)) < 3 for key, n in raw.items())
-    assert not forms._is_alternating(raw)
-    assert forms._is_alternating({key: n for key, n in raw.items() if n})
+    assert forms._canonical_part(raw) is None
+    assert forms._canonical_part({key: n for key, n in raw.items() if n}) is not None
 
 
 def test_d_items_use_no_public_operator_and_build_no_fraction(monkeypatch):

@@ -179,6 +179,31 @@ def test_split_keeps_complement_bracket_closed_into_itself():
             assert all(out[m + s] == 0 for s in range(split.h_dim))
 
 
+@pytest.mark.parametrize(
+    "pair, target, message",
+    [((3, 4), 0, r"\[h, h\] leaves h"), ((3, 0), 3, r"\[h, h_perp\] leaves h_perp")],
+    ids=["h-h", "h-h_perp"],
+)
+def test_split_refuses_an_adapted_bracket_that_leaves_its_block(monkeypatch, pair, target, message):
+    """[h, h] in h and [h, h_perp] in h_perp are checked where the blocks are
+    made: an adapted bracket of sl2 + sl2 that gains a term outside its block
+    after validation, [h1, h2] on p1 or [h1, p1] on h1, is refused."""
+    entry = catalog_entry("sl2xsl2-diagonal")
+    validated = lie.QuadraticLieAlgebra
+
+    def perturbed(*args):
+        adapted = validated(*args)
+        sparse = dict(adapted._sparse)
+        sparse[pair] += ((target, Fraction(1)),)
+        sparse[pair[::-1]] = tuple((t, -c) for t, c in sparse[pair])
+        adapted._sparse = sparse
+        return adapted
+
+    monkeypatch.setattr(lie, "QuadraticLieAlgebra", perturbed)
+    with pytest.raises(ContractViolation, match=message):
+        orthogonal_split(entry.algebra, entry.subalgebra)
+
+
 def test_split_rejects_degenerate_restriction():
     sl2 = catalog_entry("sl2-killing").algebra
     with pytest.raises(DegenerateFormError):

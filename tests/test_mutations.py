@@ -4,7 +4,9 @@ Each fault is injected with monkeypatch, and the whole suite runs on
 sl2-killing, sl2-killing-half and sl2xsl2-diagonal, the last both as the pair
 and with no subalgebra.  Every fault must fail some item, unless a guard
 refuses it first; every failing item must carry a non-empty witness, and
-both renderers must show it.  The witnesses of two faults are pinned.
+both renderers must show it.  The witnesses of two faults are pinned, and so
+is one fault that reaches each of the items that only v's perturbations and
+a doubled bracket coproduct make fail.
 """
 
 import json
@@ -19,6 +21,7 @@ from cubicdirac.clifford import CliffordSpace, _multivector_from_numerators
 from cubicdirac.dirac import DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
+from cubicdirac.forms import bracket_coproduct
 from cubicdirac.lie import QuadraticLieAlgebra
 from cubicdirac.suite import render_machine, render_text, run_suite
 from cubicdirac.tensor import TensorElement
@@ -32,10 +35,15 @@ CASES = {
 
 
 def dirac_with_lower_indices(self):
-    """D = sum_i X_i (x) e_i + 1 (x) v: X_i where the dual basis X^i = X_i / d_i belongs."""
+    """D = sum_i X_i (x) e_i + 1 (x) v: X_i where the dual basis X^i = X_i / d_i belongs.
+
+    X_i is the generator of the context's block, lo + i, so that the fault
+    also reaches D_h, whose p indices are the adapted indices of h.
+    """
     d = TensorElement.from_parts(PBWElement.one(self.adapted), self.v)
     for i in range(self.m):
-        d = d + TensorElement.from_parts(PBWElement.generator(self.adapted, i), self.space.generator(i))
+        x = PBWElement.generator(self.adapted, self._lo + i)
+        d = d + TensorElement.from_parts(x, self.space.generator(i))
     return d
 
 
@@ -43,9 +51,29 @@ def doubled_v(space, numerators, den, weights):
     return 2 * _multivector_from_numerators(space, numerators, den, weights)
 
 
+def negated_v(space, numerators, den, weights):
+    return -_multivector_from_numerators(space, numerators, den, weights)
+
+
+def v_plus_blade(*indices):
+    """v plus the blade on indices: e1^e2 makes v neither odd nor even, and
+    e1^e2^e3 keeps it a 3-vector, one that is not a multiple of v once the
+    third exterior power has more than one dimension."""
+
+    def fault(space, numerators, den, weights):
+        return _multivector_from_numerators(space, numerators, den, weights) + space.blade(indices)
+
+    return fault
+
+
+def doubled_coproduct(space, algebra, x):
+    return 2 * bracket_coproduct(space, algebra, x)
+
+
 def first_gram_doubled(gram):
     """The Clifford space of h_perp with its first Gram entry doubled; the
-    split's Gram entries, which D and the weights of t read, stay as they are."""
+    adapted form's Gram entries, which D and the weights of t read, stay as
+    they are."""
     return CliffordSpace((2 * gram[0], *gram[1:]))
 
 
@@ -70,6 +98,10 @@ def init_with_one_constant_doubled(self, *args):
 FAULTS = {
     "v-doubled": [(dirac, "_multivector_from_numerators", doubled_v)],
     "v-zero": [(dirac, "_multivector_from_numerators", lambda space, *table: space.zero())],
+    "v-negated": [(dirac, "_multivector_from_numerators", negated_v)],
+    "v-plus-e1e2e3": [(dirac, "_multivector_from_numerators", v_plus_blade(0, 1, 2))],
+    "v-plus-e1e2": [(dirac, "_multivector_from_numerators", v_plus_blade(0, 1))],
+    "coproduct-doubled": [(dirac, "bracket_coproduct", doubled_coproduct)],
     "spin-lift-dropped": [(dirac, "spin_lift", lambda space, nu: space.zero())],
     "twist-sign-dropped": [(dirac, "twisted_commutator", lambda v, a: v * a + grade_involution(a) * v)],
     "lower-index-in-D": [(DiracContext, "_build_dirac", dirac_with_lower_indices)],
@@ -178,3 +210,24 @@ def test_failing_witnesses_are_pinned(monkeypatch, fault, case):
     items, values = PINNED[fault, case]
     assert [(check_id, item.item_id, item.witness) for check_id, item in failing_items(report)] == items
     assert {outcome.check_id: outcome.values for outcome, _ in report.outcomes} == values
+
+
+# item -> a (fault, case) under which it fails, and its witness there
+REACHED = {
+    "v-square-scalar": ("v-plus-e1e2e3", "sl2xsl2-diagonal", "degrees [0, 4]"),
+    "v-square-central": ("v-plus-e1e2e3", "sl2xsl2-diagonal", "p1"),
+    "dv-square-is-v2-bracket": ("v-plus-e1e2", "sl2-killing", "p3"),
+    "middle-term-identity": ("coproduct-doubled", "sl2-killing", "p1 (x) p2^p3: -1/16 vs -1/8"),
+}
+
+
+@pytest.mark.parametrize("item_id", REACHED)
+def test_the_v_square_and_middle_term_items_fail_under_a_fault(monkeypatch, item_id):
+    """A 3-vector added to v that is not a multiple of it makes v^2 neither
+    scalar nor central on sl2 + sl2; on sl(2), whose third exterior power is
+    a line, it only rescales v.  An even blade added to v breaks the square
+    law of d_v.  delta doubled breaks the middle term, which reads the Gram
+    entries and delta, not v or D."""
+    fault, case, witness = REACHED[item_id]
+    report = faulted_report(monkeypatch, fault, case)
+    assert {item.item_id: item.witness for _, item in failing_items(report)}[item_id] == witness
