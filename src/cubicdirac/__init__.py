@@ -19,7 +19,7 @@ from .clifford import (
     twisted_commutator,
 )
 from .dirac import CheckItem, CheckOutcome, DiracContext
-from .envelope import PBWElement, casimir_element
+from .envelope import PBWElement
 from .errors import (
     AlgebraFileError,
     ContractViolation,
@@ -71,7 +71,6 @@ __all__ = [
     "UnsupportedArityError",
     "ValidationError",
     "bracket_coproduct",
-    "casimir_element",
     "catalog_entry",
     "catalog_names",
     "ce_differential",

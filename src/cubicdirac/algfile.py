@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import AlgebraFileError
 from .lie import QuadraticLieAlgebra
-from .linalg import Matrix
+from .linalg import ZERO, Matrix
 
 FORMAT_NAME = "quadratic-lie-algebra"
 FORMAT_VERSION = 1
@@ -45,19 +45,24 @@ MAX_DIMENSION = 64
 # summing over bracket terms, so a dense table is refused before any
 # coefficient is parsed
 MAX_BRACKET_TERMS = MAX_DIMENSION * MAX_DIMENSION
-RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 _REQUIRED_KEYS = ("format", "version", "name", "dimension", "basis_labels", "brackets", "form")
 _OPTIONAL_KEYS = ("subalgebra", "field")
 
 
 def _coefficient(raw, where: str) -> Fraction:
+    """The Fraction of a coefficient string, built from the parts its one regex match found."""
     if not isinstance(raw, str):
         raise AlgebraFileError(f"{where}: coefficient must be a rational string, got {raw!r}")
-    if not RATIONAL_RE.fullmatch(raw):
+    if raw == "0":
+        return ZERO
+    match = RATIONAL_RE.fullmatch(raw)
+    if not match:
         raise AlgebraFileError(f"{where}: {raw!r} is not an exact rational 'p' or 'p/q'")
+    p, q = match.groups()
     try:
-        return Fraction(raw)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except ValueError as exc:  # Python's limit on the digits of an int read from a string
         raise AlgebraFileError(
             f"{where}: coefficient of {len(raw)} characters exceeds the limit of "
@@ -148,7 +153,7 @@ def parse_algebra_text(text: str):
         terms = record["terms"]
         if not isinstance(terms, list):
             raise AlgebraFileError(f"{where}.terms must be a list")
-        coeffs = [Fraction(0)] * dim
+        coeffs = [ZERO] * dim
         seen = set()
         for tpos, term in enumerate(terms):
             twhere = f"{where}.terms[{tpos}]"

@@ -13,12 +13,17 @@ plus contraction,
 which encodes the defining relation x y + y x = 2 B(x, y).  The contraction
 iota(x) is the transpose of wedging by x for the extended pairing <.,.>,
 which extends B to blades by Gram determinants.
+
+Products run on integer numerators, one sum per blade overlap, and each
+output key becomes one Fraction over the lcm of the Gram denominators of
+the overlaps that reach it (`CliffordSpace._scale_overlaps`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
@@ -43,10 +48,12 @@ class CliffordSpace:
     """An orthogonal basis with nonzero diagonal Gram entries.
 
     A product of blades e_A e_B is +-(the product of d_i over A & B) times
-    e_{A ^ B}.  The product kernel `_overlap_sums` adds integer numerators
-    into one sum per overlap A & B, and `_scale_overlaps` multiplies each
-    sum by its overlap's Gram product, so no coefficient is ever put over
-    the product of all Gram denominators.
+    e_{A ^ B}.  The product kernels (`_overlap_sums`, and the tensor
+    product's blade-pair loop) add integer numerators into one sum per
+    overlap A & B, and `_scale_overlaps` multiplies each sum by its
+    overlap's Gram product, each key over the lcm of the denominators that
+    reach it, so no coefficient is ever put over the product or the lcm of
+    all Gram denominators.
     """
 
     __slots__ = ("dim", "gram", "_overlap_grams", "_integral")
@@ -60,23 +67,27 @@ class CliffordSpace:
         self._integral = all(d.denominator == 1 for d in self.gram)
 
     def _gram_product(self, mask: int) -> Fraction:
-        """The product of d_i over the bits of mask, kept per mask on first use."""
+        """The product of d_i over the bits of mask, kept per mask on first use;
+        numerators and denominators are multiplied as integers, and reduced once."""
         prod = self._overlap_grams.get(mask)
         if prod is None:
-            prod = ONE
+            num = den = 1
             for i in _bits(mask):
-                prod *= self.gram[i]
-            self._overlap_grams[mask] = prod
+                num *= self.gram[i].numerator
+                den *= self.gram[i].denominator
+            prod = self._overlap_grams[mask] = Fraction(num, den)
         return prod
 
     def _scale_overlaps(self, by_overlap: dict, den: int) -> dict:
         """{key: c} from {overlap: {key: n}} over den: each n times the Gram product of its overlap.
 
-        The scaled numerators of the overlaps whose Gram products share a
-        denominator are added as integers, so with integer Gram entries,
-        where every overlap shares denominator 1, the numerators go straight
-        into one table and each key gets one Fraction; a key whose
-        contributions cancel is left out.
+        Each key is kept as an integer numerator over the lcm of the Gram
+        denominators that have reached it so far, so its contributions are
+        integer adds, lifted only when a new denominator raises that lcm,
+        and it gets one Fraction at the end; no key is put over the lcm of
+        all the overlaps' denominators.  A key whose contributions cancel is
+        left out.  With integer Gram entries every denominator is 1, and the
+        numerators go straight into one table.
         """
         if self._integral:
             out: dict = {}
@@ -86,27 +97,28 @@ class CliffordSpace:
                 for key, n in sums.items():
                     out[key] = get(key, 0) + n * num
             return _fractions_over(out, den)
-        by_den: dict[int, dict] = {}
+        # key -> [lcm of the denominators that reached it, numerator over it]
+        acc: dict = {}
         for overlap, sums in by_overlap.items():
             g = self._gram_product(overlap)
-            num = g.numerator
-            scaled = by_den.setdefault(g.denominator, {})
-            for key, n in sums.items():
-                scaled[key] = scaled.get(key, 0) + n * num
-        out: dict = {}
-        for den_g, sums in by_den.items():
-            den_g *= den
+            num, d = g.numerator, g.denominator
             for key, n in sums.items():
                 if not n:
                     continue
-                c = Fraction(n, den_g)
-                if key in out:
-                    c += out[key]
-                    if not c:
-                        del out[key]
-                        continue
-                out[key] = c
-        return out
+                slot = acc.get(key)
+                if slot is None:
+                    acc[key] = [d, n * num]
+                    continue
+                common = slot[0]
+                if common == d:
+                    slot[1] += n * num
+                elif common % d == 0:
+                    slot[1] += n * num * (common // d)
+                else:
+                    wider = lcm(common, d)
+                    slot[0] = wider
+                    slot[1] = slot[1] * (wider // common) + n * num * (wider // d)
+        return {key: Fraction(n, common * den) for key, (common, n) in acc.items() if n}
 
     def zero(self) -> "Multivector":
         return Multivector(self, {})

@@ -5,42 +5,71 @@ i1 <= ... <= ik in a fixed basis order.  Products are normalized by the
 rewriting rule X_j X_i -> X_i X_j + [X_j, X_i] for j > i, which terminates
 because each step lowers (degree, inversion count) lexicographically; by the
 PBW theorem the normal form does not depend on the rewrite order.
+
+The rewriting runs on integers (`_pbw_rewrite`): it reads the brackets off
+the algebra's integer structure, whose constants are numerators over P, and
+tracks how many brackets each term has taken, so that a term of depth e is
+a numerator over P^e.  The normal form comes out over P^E, E the greatest
+such depth, with no Fraction built.  `pbw_normalize` is its Fraction face, and
+the tensor product calls the integer rewriter directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ContractViolation
-from .lie import QuadraticLieAlgebra
+from .lie import BracketStructure, QuadraticLieAlgebra
 from .linalg import ZERO, as_scalar
-from .sparse import LinearCombination
+from .sparse import LinearCombination, _fractions_over, _integer_terms
 
 Monomial = tuple[int, ...]
 
 
-def pbw_normalize(algebra: QuadraticLieAlgebra, raw: dict) -> dict:
-    out: dict[Monomial, Fraction] = {}
-    stack = [(tuple(m), as_scalar(c)) for m, c in raw.items()]
+def _pbw_rewrite(structure: BracketStructure, raw) -> tuple[int, dict]:
+    """(E, {monomial: N}): the normal form of sum n m over the (monomial m,
+    integer n) in raw, each coefficient N / P^E.
+
+    P is the structure's common denominator and E the most brackets taken
+    by a term that reached normal form; the numerators of the terms that
+    took e brackets are lifted by P^(E - e).  Keys whose numerators cancel
+    are left out.
+    """
+    den, ad, _ = structure
+    by_depth: list[dict] = [{}]
+    stack = [(mono, n, 0) for mono, n in raw]
     while stack:
-        mono, coeff = stack.pop()
-        if not coeff:
+        mono, n, depth = stack.pop()
+        if not n:
             continue
         for t in range(len(mono) - 1):
             if mono[t] > mono[t + 1]:
                 j, i = mono[t], mono[t + 1]
-                stack.append((mono[:t] + (i, j) + mono[t + 2 :], coeff))
-                for k, c in algebra.bracket_sparse(j, i):
-                    stack.append((mono[:t] + (k,) + mono[t + 2 :], coeff * c))
+                head, tail = mono[:t], mono[t + 2 :]
+                stack.append((head + (i, j) + tail, n, depth))
+                for k, c in ad[j].get(i, ()):
+                    stack.append((head + (k,) + tail, n * c, depth + 1))
                 break
         else:
-            acc = out.get(mono, ZERO) + coeff
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-    return out
+            while depth >= len(by_depth):
+                by_depth.append({})
+            terms = by_depth[depth]
+            terms[mono] = terms.get(mono, 0) + n
+    top = len(by_depth) - 1
+    out: dict = {}
+    for depth, terms in enumerate(by_depth):
+        lift = den ** (top - depth)
+        for mono, n in terms.items():
+            out[mono] = out.get(mono, 0) + n * lift
+    return top, {mono: n for mono, n in out.items() if n}
+
+
+def pbw_normalize(algebra: QuadraticLieAlgebra, raw: dict) -> dict:
+    """The PBW normal form of {monomial: coefficient}, as {monomial: Fraction}."""
+    den, terms = _integer_terms({tuple(m): as_scalar(c) for m, c in raw.items()})
+    structure = algebra._integer_structure
+    depth, out = _pbw_rewrite(structure, terms)
+    return _fractions_over(out, den * structure[0] ** depth)
 
 
 class PBWElement(LinearCombination):
@@ -74,11 +103,6 @@ class PBWElement(LinearCombination):
             raise ContractViolation("generator index out of range")
         return cls(algebra, {(i,): Fraction(1)})
 
-    @classmethod
-    def from_vector(cls, algebra, coords: Sequence) -> "PBWElement":
-        (coords,) = algebra._coordinates(coords)
-        return cls(algebra, {(i,): c for i, c in enumerate(coords) if c})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
@@ -107,15 +131,3 @@ class PBWElement(LinearCombination):
             bits.append(word if c == 1 else f"{c}*{word}")
         return " + ".join(bits)
 
-
-def casimir_element(algebra: QuadraticLieAlgebra) -> PBWElement:
-    """Casimir sum(X_i X^i) of an algebra whose basis is B-orthogonal.
-
-    With d the diagonal of the form, X^i = X_i / d_i and X_i X_i is already
-    in PBW order, so Omega = sum (1/d_i) X_i X_i needs no product.  A form
-    that is not diagonal is rejected: the dual-basis formula needs an
-    orthogonal basis, which `orthogonal_split` provides.
-    """
-    if not algebra.form.is_diagonal():
-        raise ContractViolation("the basis is not orthogonal; take the adapted algebra of a split")
-    return PBWElement(algebra, {(i, i): 1 / d for i, d in enumerate(algebra.form.diagonal())})

@@ -3,18 +3,18 @@
 A quadratic Lie algebra carries a symmetric non-degenerate bilinear form B
 that is ad-invariant: B([x,y],z) + B(y,[x,z]) = 0.  Structure constants are
 given per unordered basis pair (i < j) as a coefficient vector.  The
-constructor builds two tables from them, once, before it validates
-anything: the Fraction store of the nonzero terms ((k, c), ...) of
-[e_i, e_j] = sum c e_k per ordered pair, which brackets and PBW rewriting
-read, and the integer structure (P, ad, preimage), the same constants
-times their common denominator P, indexed by left factor and by result
-(see `_bracket_structure`).  The Jacobi identity and ad-invariance are
-checked on the integer structure, non-degeneracy on the form, so an
-instance is always a genuine quadratic Lie algebra.  The two identity
-checks add integer numerators over the nonzero brackets and form entries
-only; they test sums against zero, which the positive scale does not
-change.  The Killing form, the change of basis and the Chevalley-Eilenberg
-operators in `forms` read the same integer structure.
+constructor builds one table from them, once, before it validates
+anything: the integer structure (P, ad, preimage), the constants times
+their common denominator P, indexed by left factor and by result (see
+`_bracket_structure`).  Everything reads it: `bracket_sparse` reads a
+bracket off ad over P, PBW rewriting (`envelope`) rewrites on it, and the
+Killing form, the change of basis and the Chevalley-Eilenberg operators in
+`forms` use it as it is.  The Jacobi identity and ad-invariance are checked
+on it, and non-degeneracy by diagonalizing the form, whose (P, d) the split
+with h = 0 reuses, so an instance is always a genuine quadratic Lie algebra.
+The two identity checks add integer numerators over the nonzero brackets
+and form entries only; they test sums against zero, which the positive
+scale does not change.
 
 `orthogonal_split` decomposes g = h + h_perp for a non-degenerate subalgebra
 h, produces B-orthogonal bases of both parts (over Q one cannot normalize, so
@@ -49,7 +49,6 @@ from .linalg import (
 from .sparse import _integer_terms
 
 BracketTable = dict[tuple[int, int], tuple[Fraction, ...]]
-SparseBrackets = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 BracketStructure = tuple[int, tuple[dict, ...], tuple[tuple, ...]]
 
 
@@ -69,29 +68,17 @@ def normalize_brackets(dim: int, raw: Mapping) -> BracketTable:
     return table
 
 
-def _sparse_brackets(dim: int, table: BracketTable) -> SparseBrackets:
-    """{(i, j): ((k, c), ...)} for every ordered pair; () where [e_i, e_j] = 0."""
-    out: SparseBrackets = {(i, j): () for i in range(dim) for j in range(dim)}
-    for (i, j), coeffs in table.items():
-        terms = tuple((k, c) for k, c in enumerate(coeffs) if c)
-        out[(i, j)] = terms
-        out[(j, i)] = tuple((k, -c) for k, c in terms)
-    return out
+def _bracket_structure(dim: int, den: int, entries: Sequence[tuple[tuple[int, int, int], int]]) -> BracketStructure:
+    """(P, ad, preimage): the structure constants times their common denominator P = den.
 
-
-def _bracket_structure(dim: int, sparse: SparseBrackets) -> BracketStructure:
-    """(P, ad, preimage): the structure constants times their common denominator P.
-
-    ad[a] is {s: ((r, P c), ...)} over the nonzero [e_a, e_s] = sum c e_r,
+    entries lists the nonzero ((a, s, r), n) with [e_a, e_s] = sum (n / P) e_r
+    for every ordered pair, sorted by (a, s, r).  ad[a] is {s: ((r, n), ...)}
     with s and r increasing; preimage[r] lists the same constants with r
-    fixed, as ((a, s, P c), ...) in row-major order of (a, s).
+    fixed, as ((a, s, n), ...) in row-major order of (a, s).
     """
-    den, flat = _integer_terms(
-        {(a, s, r): c for (a, s), terms in sparse.items() for r, c in terms}
-    )
     ad: list[dict] = [{} for _ in range(dim)]
     preimage: list[list] = [[] for _ in range(dim)]
-    for (a, s, r), c in flat:
+    for (a, s, r), c in entries:
         ad[a].setdefault(s, []).append((r, c))
         preimage[r].append((a, s, c))
     return (
@@ -99,6 +86,19 @@ def _bracket_structure(dim: int, sparse: SparseBrackets) -> BracketStructure:
         tuple({s: tuple(terms) for s, terms in row.items()} for row in ad),
         tuple(map(tuple, preimage)),
     )
+
+
+def _table_structure(dim: int, table: BracketTable) -> BracketStructure:
+    """The integer structure of a normalized table, over the least common denominator."""
+    constants = {}
+    for (i, j), coeffs in table.items():
+        for r, c in enumerate(coeffs):
+            if c:
+                constants[i, j, r] = c
+                constants[j, i, r] = -c
+    den, entries = _integer_terms(constants)
+    entries.sort()
+    return _bracket_structure(dim, den, entries)
 
 
 def check_jacobi(structure: BracketStructure):
@@ -168,7 +168,7 @@ def check_ad_invariance(structure: BracketStructure, form: Matrix):
 
 def killing_form(dim: int, table: BracketTable) -> Matrix:
     """K(x,y) = trace(ad x ad y); may be degenerate."""
-    return _killing(_bracket_structure(dim, _sparse_brackets(dim, table)))
+    return _killing(_table_structure(dim, table))
 
 
 def _killing(structure: BracketStructure) -> Matrix:
@@ -193,7 +193,7 @@ def _killing(structure: BracketStructure) -> Matrix:
 class QuadraticLieAlgebra:
     """A validated quadratic Lie algebra given by structure constants."""
 
-    __slots__ = ("name", "dim", "labels", "form", "_sparse", "_integer_structure")
+    __slots__ = ("name", "dim", "labels", "form", "_integer_structure", "_diagonal_form")
 
     def __init__(self, name: str, labels: Sequence[str], brackets: Mapping, form: Matrix):
         self.name = name
@@ -215,20 +215,44 @@ class QuadraticLieAlgebra:
             )
             raise ValidationError("form-symmetric", witness=bad)
         self.form = form
-        self._sparse = _sparse_brackets(self.dim, table)
-        self._integer_structure = _bracket_structure(self.dim, self._sparse)
+        self._integer_structure = _table_structure(self.dim, table)
+        self._validate()
 
+    @classmethod
+    def _from_structure(cls, name: str, labels: Sequence[str], structure: BracketStructure, grams: Sequence):
+        """The algebra with integer structure `structure` and form diag(grams).
+
+        It is validated as the constructor validates a table; the
+        elimination that tests non-degeneracy has nothing to eliminate on a
+        diagonal form, and reads the diagonal as its d.
+        """
+        self = cls.__new__(cls)
+        self.name, self.labels, self.dim = name, tuple(labels), len(labels)
+        n = self.dim
+        self.form = Matrix._built(tuple(tuple(grams[i] if i == j else ZERO for j in range(n)) for i in range(n)), n)
+        self._integer_structure = structure
+        self._validate()
+        return self
+
+    def _validate(self):
+        """Jacobi, non-degeneracy and ad-invariance, in that order.
+
+        Non-degeneracy is the congruence diagonalization of the form, which
+        `orthogonal_split` reuses for h = 0; only a degenerate form pays for
+        the kernel vector of its witness.
+        """
         w = check_jacobi(self._integer_structure)
         if w is not None:
             raise ValidationError("jacobi", witness=tuple(self.labels[a] for a in w))
-        kernel = nullspace(form)
-        if kernel:
+        try:
+            self._diagonal_form = diagonalize_form(self.form)
+        except DegenerateFormError as exc:
             raise ValidationError(
                 "form-non-degenerate",
-                witness=kernel[0],
+                witness=exc.witness,
                 detail="the bilinear form has a nonzero kernel vector",
-            )
-        w = check_ad_invariance(self._integer_structure, form)
+            ) from None
+        w = check_ad_invariance(self._integer_structure, self.form)
         if w is not None:
             raise ValidationError("ad-invariance", witness=tuple(self.labels[a] for a in w))
 
@@ -242,8 +266,9 @@ class QuadraticLieAlgebra:
         return tuple(out)
 
     def bracket_sparse(self, i: int, j: int):
-        """[(k, coeff), ...] for [e_i, e_j]; empty tuple when the bracket vanishes."""
-        return self._sparse[(i, j)]
+        """[(k, coeff), ...] for [e_i, e_j], read off the integer structure; () when it vanishes."""
+        den, ad, _ = self._integer_structure
+        return tuple((k, Fraction(c, den)) for k, c in ad[i].get(j, ()))
 
     def _coordinates(self, *vectors: Sequence):
         out = tuple(map(vector, vectors))
@@ -254,22 +279,20 @@ class QuadraticLieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         x, y = self._coordinates(x, y)
+        den, ad, _ = self._integer_structure
         out = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if xi:
                 for j, yj in enumerate(y):
                     if yj:
                         factor = xi * yj
-                        for k, c in self._sparse[(i, j)]:
+                        for k, c in ad[i].get(j, ()):
                             out[k] += factor * c
-        return tuple(out)
+        return tuple(c / den for c in out)
 
     def bracket_table(self) -> BracketTable:
-        return {
-            (i, j): self.bracket_basis(i, j)
-            for (i, j), terms in self._sparse.items()
-            if i < j and terms
-        }
+        _, ad, _ = self._integer_structure
+        return {(i, j): self.bracket_basis(i, j) for i, row in enumerate(ad) for j in row if i < j}
 
     def killing(self) -> Matrix:
         return _killing(self._integer_structure)
@@ -341,12 +364,13 @@ def orthogonal_split(
 
     Every Gram is a congruence: the Gram of the columns of S is S^T B S.
     With h = 0 and no reshape the complement basis is the unit vectors, so
-    the form is diagonalized as it stands.  The adapted basis P is checked
-    to satisfy P^T B P = diag(d) on integers, each column of P and each row
-    of P^T B over its own denominator (see `_pairing_rows`), and the adapted
-    structure constants are read off the bracket support on integers,
-    projected with the same rows over d (see `_adapted_brackets`); the
-    inverse of P is never formed.
+    the diagonalization of the form that validated g is taken as it is.
+    The adapted basis P is checked to satisfy P^T B P = diag(d) on
+    integers, each column of P and each row of P^T B over its own
+    denominator (see `_pairing_rows`), and the adapted algebra's integer
+    structure is read off the bracket support on integers, projected with
+    the same rows over d (see `_adapted_structure`), and validated with no
+    Fraction table built; the inverse of P is never formed.
     """
     n = g.dim
     h_raw = [vector(v) for v in subalgebra]
@@ -388,8 +412,9 @@ def orthogonal_split(
         p_vectors = (cmat @ p_p).columns()
         from_adapted = Matrix.from_columns(p_vectors + h_vectors, rows=n)
     else:
-        # h_perp is g, in the basis of unit vectors, whose Gram is the form
-        from_adapted, p_gram = diagonalize_form(g.form)
+        # h_perp is g, in the basis of unit vectors, whose Gram is the form,
+        # diagonalized once when g was validated
+        from_adapted, p_gram = g._diagonal_form
         p_vectors = from_adapted.columns()
     m = len(p_vectors)
 
@@ -410,18 +435,16 @@ def orthogonal_split(
         # the input's labels.
         adapted = g
     else:
-        adapted_brackets = _adapted_brackets(g, cols, rows, grams)
         labels = tuple(f"p{i + 1}" for i in range(m)) + tuple(f"h{j + 1}" for j in range(k))
-        adapted_form = Matrix(
-            [[grams[i] if i == j else ZERO for j in range(n)] for i in range(n)], cols=n
-        )
-        adapted = QuadraticLieAlgebra(f"{g.name}#adapted", labels, adapted_brackets, adapted_form)
+        structure = _adapted_structure(g, cols, rows, grams)
+        adapted = QuadraticLieAlgebra._from_structure(f"{g.name}#adapted", labels, structure, grams)
 
     # closure and ad-invariance keep [h, h] in h and [h, h_perp] in h_perp
     # in the adapted basis; check both anyway, where the blocks are made
+    _, ad, _ = adapted._integer_structure
     for j in range(m, n):
-        for i in range(n):
-            if any((t < m) != (i < m) for t, _ in adapted.bracket_sparse(j, i)):
+        for i, terms in ad[j].items():
+            if any((t < m) != (i < m) for t, _ in terms):
                 part = "h_perp" if i < m else "h"
                 raise ContractViolation(f"internal: [h, {part}] leaves {part}")
 
@@ -466,33 +489,38 @@ def _pairing_rows(form: Matrix, cols: Sequence[tuple[int, list]]) -> list[tuple[
     return out
 
 
-def _adapted_brackets(
+def _adapted_structure(
     g: QuadraticLieAlgebra, cols: Sequence[tuple[int, list]], rows: Sequence[tuple[int, dict]], grams: Sequence
-) -> BracketTable:
-    """The structure constants of g in the basis P_1..P_n given by `cols`.
+) -> BracketStructure:
+    """The integer structure of g in the basis P_1..P_n given by `cols`.
 
     The coefficient of P_k in [P_i, P_j] is (P^T B)_k . [P_i, P_j] / d_k,
     with d = `grams`.  Each column is given as N_i / q_i and each row of
     P^T B as M_k / w_k, both over their own denominators (`rows` is
     `_pairing_rows(g.form, cols)`), and g's structure constants are
     integers over their common denominator D (g's integer structure), so
-    the coefficient is the integer M_k . [N_i, N_j] over q_i q_j D w_k d_k.
-    For each i, ad(P_i) is built once from the columns of ad[a]; for each
-    j > i the bracket is scattered from it and projected on the rows of
-    P^T B that meet its support.  A pair whose bracket is 0 is left out of
-    the table.
+    the coefficient is the integer M_k . [N_i, N_j] times r_k = 1 / (w_k d_k)
+    over q_i q_j D.  For each i, ad(P_i) is built once from the columns of
+    ad[a]; for each j > i the bracket is scattered from it and projected on
+    the rows of P^T B that meet its support.  Every coefficient is written
+    over Q = L^2 D R, L the lcm of the q_i and R that of the denominators
+    of the r_k, and the numerators and Q are divided by their gcd, which
+    leaves Q the least common denominator, as for a table.
     """
     n = g.dim
     den, ad, _ = g._integer_structure
-    # column r of P^T B as [(k, M_kr), ...], and d_k w_k as (numerator, denominator)
+    # column r of P^T B as [(k, M_kr), ...]
     by_row: list[list] = [[] for _ in range(n)]
-    scales = []
-    for k, ((w, row), d) in enumerate(zip(rows, grams)):
+    for k, (_, row) in enumerate(rows):
         for r, x in row.items():
             by_row[r].append((k, x))
-        scales.append((w * d.numerator, d.denominator))
-    table: BracketTable = {}
-    for i, (qi, ni) in enumerate(cols):
+    ratios = [Fraction(d.denominator, w * d.numerator) for (w, _), d in zip(rows, grams)]
+    lq = lcm(*(q for q, _ in cols))
+    lr = lcm(*(r.denominator for r in ratios))
+    col_scale = [lq // q for q, _ in cols]
+    row_scale = [r.numerator * (lr // r.denominator) for r in ratios]
+    entries = []
+    for i, (_, ni) in enumerate(cols):
         # ad(P_i) by column s: {r: n} with [N_i, e_s] = sum n e_r over D
         ad_i: dict[int, dict] = {}
         for a, x in ni:
@@ -503,9 +531,8 @@ def _adapted_brackets(
         if not ad_i:
             continue
         for j in range(i + 1, n):
-            qj, nj = cols[j]
             br: dict = {}
-            for s, y in nj:
+            for s, y in cols[j][1]:
                 col = ad_i.get(s)
                 if col:
                     for r, x in col.items():
@@ -515,15 +542,15 @@ def _adapted_brackets(
                 if x:
                     for k, mkr in by_row[r]:
                         sums[k] = sums.get(k, 0) + x * mkr
-            base = qi * qj * den
-            coeffs = [ZERO] * n
+            scale = col_scale[i] * col_scale[j]
             for k, total in sums.items():
                 if total:
-                    num, dk = scales[k]
-                    coeffs[k] = Fraction(total * dk, base * num)
-            if any(coeffs):
-                table[(i, j)] = tuple(coeffs)
-    return table
+                    c = total * scale * row_scale[k]
+                    entries += [((i, j, k), c), ((j, i, k), -c)]
+    common = lq * lq * den * lr
+    divisor = gcd(common, *(c for _, c in entries))
+    entries.sort()
+    return _bracket_structure(n, common // divisor, [(key, c // divisor) for key, c in entries])
 
 
 def unit(n: int, i: int) -> tuple[Fraction, ...]:

@@ -10,12 +10,13 @@ A subclass names its carrier fields and supplies its product and repr.
 
 The product kernels run on integers: `_integer_terms` writes an operand's
 coefficients over one common denominator, and the kernel multiplies and adds
-the numerators.  The Chevalley-Eilenberg kernels turn their sums back into
-Fractions with `_fractions_over`, once per output key.  The Clifford
-product, the twisted commutator and the tensor product share one blade-pair
-kernel that keeps one sum per blade overlap; each sum is scaled by its
-overlap's Gram product at the end, so no product goes over the product of
-all Gram denominators.  The arithmetic stays exact.
+the numerators.  The Chevalley-Eilenberg kernels and PBW rewriting turn their
+sums back into Fractions with `_fractions_over`, once per output key.  The
+Clifford product, the twisted commutator and the tensor product keep one
+sum per blade overlap; each sum is scaled by its overlap's Gram product at
+the end, each key over the lcm of the Gram denominators that reach it, so
+no product goes over the product or the lcm of all Gram denominators.  The
+arithmetic stays exact.
 """
 
 from __future__ import annotations

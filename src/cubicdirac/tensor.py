@@ -6,18 +6,19 @@ its Clifford blade).  Addition, scaling, equality, hashing and the carrier
 check come from the shared LinearCombination base; TensorElement supplies
 its carrier, its product and its repr.
 
-The product runs on the Clifford product's integer kernel.  Each operand is
-put over its own common denominator, and each distinct pair of PBW
-monomials is normalised once per call, its normal forms over their lcm; a
-pair whose concatenation is already in PBW order is its own normal form and
-is not rewritten.
-The blades of each monomial pair are multiplied by `clifford._overlap_sums`,
-one sum per blade overlap, and each blade sum is spread over that pair's
-normal form; only at the end does `CliffordSpace._scale_overlaps` scale
-each sum by the Gram product of its overlap and turn it into a Fraction.
-So D^2 is never put over the product of all Gram denominators, which with
-large Gram denominators would be a huge integer that every coefficient
-pays a gcd with.
+The product runs on integers.  Each operand is put over its own common
+denominator, and each distinct pair of PBW monomials is normalised once per
+call by the integer rewriter that reads the algebra's one bracket table
+(`envelope._pbw_rewrite`; a pair of generators is read off it directly), its
+normal form over a power of the table's denominator P; a pair whose
+concatenation is already in PBW order is its own normal form and is not
+rewritten.  Every blade pair of a monomial pair adds straight into the sum
+of its blade overlap, one sum per overlap, and only at the end does
+`CliffordSpace._scale_overlaps` scale each sum by the Gram product of its
+overlap, putting each key over the lcm of the Gram denominators that reach
+it and turning it into one Fraction.  So D^2 is never put over the product,
+or the lcm, of all Gram denominators, which with large Gram denominators
+would be a huge integer that every coefficient pays a gcd with.
 
 The graded triple U(g) x C(h_perp) (x)bar C(h) needs no second product.  For
 an orthogonal sum, C(h_perp + h) = C(h_perp) (x)bar C(h) (Chevalley), and in
@@ -34,8 +35,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .clifford import ONE, CliffordSpace, Multivector, _overlap_sums
-from .envelope import PBWElement, pbw_normalize
+from .clifford import CliffordSpace, Multivector, _swap_prefix
+from .envelope import PBWElement, _pbw_rewrite
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO
 from .sparse import LinearCombination, _integer_terms
@@ -71,13 +72,14 @@ class TensorElement(LinearCombination):
     def __mul__(self, other):
         """Super tensor product; scalars multiply coefficientwise.
 
-        a's coefficients are over D_a and b's over D_b; each distinct pair
-        of PBW monomials is normalised once, and the normal forms are put
-        over their lcm D_m.  The blades of a monomial pair multiply in
-        `_overlap_sums`, and each blade sum is spread over the pair's normal
-        form, so every sum is over D_a D_b D_m and needs only the Gram
-        product of its overlap, which `CliffordSpace._scale_overlaps`
-        applies at the end.
+        a's coefficients are over D_a and b's over D_b.  Each distinct pair
+        of PBW monomials is normalised once on integers, its normal form
+        over P^e for the algebra's denominator P (see `_normal_form`), and
+        all of them are lifted to P^E, E the greatest e.  Every blade pair
+        of a monomial pair adds its signed numerator product, times each
+        term of the pair's normal form, straight into the sum of its blade
+        overlap, over D_a D_b P^E; `CliffordSpace._scale_overlaps` applies
+        each overlap's Gram product at the end.
         """
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
@@ -86,27 +88,32 @@ class TensorElement(LinearCombination):
         den_b, right = _integer_terms(other.terms)
         blades_a: dict = {}
         blades_b: dict = {}
-        for blades, terms in ((blades_a, left), (blades_b, right)):
-            for (mono, mask), n in terms:
-                blades.setdefault(mono, []).append((mask, n))
-        den_m, normal = _integer_terms({
-            (ma, mb, mono): c
-            for ma in blades_a
-            for mb in blades_b
-            for mono, c in _normal_form(self.algebra, ma, mb)
-        })
-        products: dict = {}
-        for (ma, mb, mono), nm in normal:
-            products.setdefault((ma, mb), []).append((mono, nm))
+        for (mono, mask), n in left:
+            blades_a.setdefault(mono, []).append((mask, n, _swap_prefix(mask)))
+        for (mono, mask), n in right:
+            blades_b.setdefault(mono, []).append((mask, n))
+        structure = self.algebra._integer_structure
+        normal = [(ma, mb, *_normal_form(structure, ma, mb)) for ma in blades_a for mb in blades_b]
+        top = max((depth for _, _, depth, _ in normal), default=0)
         by_overlap: dict[int, dict] = {}
-        for (ma, mb), monos in products.items():
-            for overlap, blade_sums in _overlap_sums(blades_a[ma], blades_b[mb], False).items():
-                sums = by_overlap.setdefault(overlap, {})
-                for mask, n in blade_sums.items():
+        for ma, mb, depth, monos in normal:
+            if depth < top:
+                lift = structure[0] ** (top - depth)
+                monos = [(mono, n * lift) for mono, n in monos]
+            right_blades = blades_b[mb]
+            for mask_a, na, p in blades_a[ma]:
+                for mask_b, nb in right_blades:
+                    overlap = mask_a & mask_b
+                    sums = by_overlap.get(overlap)
+                    if sums is None:
+                        sums = by_overlap[overlap] = {}
+                    mask = mask_a ^ mask_b
+                    n = -na * nb if (p & mask_b).bit_count() & 1 else na * nb
                     for mono, nm in monos:
                         key = (mono, mask)
                         sums[key] = sums.get(key, 0) + n * nm
-        return self._from_terms(self.carrier, self.space._scale_overlaps(by_overlap, den_a * den_b * den_m))
+        den = den_a * den_b * structure[0] ** top
+        return self._from_terms(self.carrier, self.space._scale_overlaps(by_overlap, den))
 
     def u_degree_terms(self, k: int) -> dict:
         return {key: c for key, c in self.terms.items() if len(key[0]) == k}
@@ -137,15 +144,25 @@ class TensorElement(LinearCombination):
         return " + ".join(bits)
 
 
-def _normal_form(algebra: QuadraticLieAlgebra, ma: tuple, mb: tuple):
-    """The PBW normal form of the monomial ma mb as (monomial, coefficient) pairs.
+def _normal_form(structure, ma: tuple, mb: tuple) -> tuple[int, tuple]:
+    """The PBW normal form of the monomial ma mb as (e, ((monomial, N), ...)), each coefficient N / P^e.
 
     When the concatenation is already in PBW order (ma or mb empty, or
     ma[-1] <= mb[0]) it is its own normal form, and nothing is rewritten.
+    Two generators X_j X_i, j > i, are X_i X_j + [X_j, X_i], read off ad
+    over P; longer monomials go through `envelope._pbw_rewrite`.
     """
-    if ma and mb and ma[-1] > mb[0]:
-        return pbw_normalize(algebra, {ma + mb: ONE}).items()
-    return ((ma + mb, ONE),)
+    if not (ma and mb and ma[-1] > mb[0]):
+        return 0, ((ma + mb, 1),)
+    den, ad, _ = structure
+    if len(ma) == len(mb) == 1:
+        terms = ad[ma[0]].get(mb[0])
+        swapped = mb + ma
+        if not terms:
+            return 0, ((swapped, 1),)
+        return 1, ((swapped, den), *(((k,), c) for k, c in terms))
+    depth, out = _pbw_rewrite(structure, ((ma + mb, 1),))
+    return depth, tuple(out.items())
 
 
 class TripleTensorElement(TensorElement):

@@ -13,9 +13,10 @@ import pytest
 
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
 from cubicdirac.clifford import Multivector, _swap_prefix
+from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
 from cubicdirac.forms import MultilinearMap, _canonical_part
-from cubicdirac.linalg import Matrix, _echelon, rank
+from cubicdirac.linalg import ZERO, Matrix, _echelon, as_scalar, rank
 from cubicdirac.suite import run_suite
 
 
@@ -59,6 +60,53 @@ def tstar_heisenberg() -> QuadraticLieAlgebra:
     brackets = {(0, 1): (0, 0, 1, 0, 0, 0), (0, 5): (0, 0, 0, 0, -1, 0), (1, 5): (0, 0, 0, 1, 0, 0)}
     form = Matrix([[int(abs(i - j) == 3) for j in range(n)] for i in range(n)], cols=n)
     return QuadraticLieAlgebra("tstar-heisenberg", ("x", "y", "z", "x*", "y*", "z*"), brackets, form)
+
+
+def reference_pbw_normalize(algebra: QuadraticLieAlgebra, raw: dict) -> dict:
+    """The PBW normal form by Fraction arithmetic, reading each bracket through `bracket_sparse`.
+
+    This is the body `envelope.pbw_normalize` had before the rewriting ran
+    on integers; the integer rewriter is compared with it.
+    """
+    out: dict = {}
+    stack = [(tuple(m), as_scalar(c)) for m, c in raw.items()]
+    while stack:
+        mono, coeff = stack.pop()
+        if not coeff:
+            continue
+        for t in range(len(mono) - 1):
+            if mono[t] > mono[t + 1]:
+                j, i = mono[t], mono[t + 1]
+                stack.append((mono[:t] + (i, j) + mono[t + 2 :], coeff))
+                for k, c in algebra.bracket_sparse(j, i):
+                    stack.append((mono[:t] + (k,) + mono[t + 2 :], coeff * c))
+                break
+        else:
+            acc = out.get(mono, ZERO) + coeff
+            if acc:
+                out[mono] = acc
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+def pbw_from_vector(algebra: QuadraticLieAlgebra, coords) -> PBWElement:
+    """The degree-1 element of U(g) with the given coordinates."""
+    (coords,) = algebra._coordinates(coords)
+    return PBWElement(algebra, {(i,): c for i, c in enumerate(coords) if c})
+
+
+def casimir_element(algebra: QuadraticLieAlgebra) -> PBWElement:
+    """Casimir sum(X_i X^i) of an algebra whose basis is B-orthogonal.
+
+    With d the diagonal of the form, X^i = X_i / d_i and X_i X_i is already
+    in PBW order, so Omega = sum (1/d_i) X_i X_i needs no product.  A form
+    that is not diagonal is rejected: the dual-basis formula needs an
+    orthogonal basis, which `orthogonal_split` provides.
+    """
+    if not algebra.form.is_diagonal():
+        raise ContractViolation("the basis is not orthogonal; take the adapted algebra of a split")
+    return PBWElement(algebra, {(i, i): 1 / d for i, d in enumerate(algebra.form.diagonal())})
 
 
 def blade_clifford(space, ma: int, mb: int):

@@ -91,14 +91,13 @@ PINNED_COUNTS = {
     # the pair products and the graded triple products; the squared
     # consequence reads the squares the residuals took.  The tensor
     # product normalises each distinct pair of PBW monomials once per
-    # call, except the pairs already in PBW order, which are their own
-    # normal form; the pbw_normalize calls count the rest.  The three
-    # contexts read their Casimirs off their diagonal forms, with no PBW
-    # product
+    # call on integers, with the private rewriter that pbw_normalize
+    # wraps, so pbw_normalize itself is not called.  The three contexts
+    # read their Casimirs off their diagonal forms, with no PBW product
     ("decomposition_check", True): {
         "tensor.TensorElement.__mul__": (15, 161, 0, 47),
         "tensor.TripleTensorElement.__mul__": (2, 42, 0, 42),
-        "envelope.pbw_normalize": (30,),
+        "envelope.pbw_normalize": (0,),
         "envelope.PBWElement.__mul__": (0,),
     },
     # one kostant check on sl2xsl2-diagonal (absolute, m = 6): delta(X_a)
@@ -113,7 +112,7 @@ PINNED_COUNTS = {
     ("kostant_check", True): {
         "tensor.TensorElement.__mul__": (8, 78, 0, 42),
         "tensor.TripleTensorElement.__mul__": (0, 0, 0, 0),
-        "envelope.pbw_normalize": (6,),
+        "envelope.pbw_normalize": (0,),
         "envelope.PBWElement.__mul__": (0,),
     },
 }
@@ -147,8 +146,10 @@ def test_a_pair_builds_one_absolute_context(tmp_path, capsys):
     """`verify --checks all --subalgebra-from-file` on sl2xsl2-diagonal.
 
     Two contexts are built and split, the pair and its variant basis for
-    c-basis-invariant, and three algebras are validated: the one the
-    document is parsed into and the two adapted ones.  The absolute context,
+    c-basis-invariant, and three algebras are validated, each with one
+    Jacobi check: the one the document is parsed into, through the
+    constructor, and the two adapted ones, built from their integer
+    structures with no table and no constructor call.  The absolute context,
     which the cohomology and decomposition checks share, and the context of
     h are index blocks of the pair's adapted algebra, with no split and no
     algebra of their own.
@@ -165,10 +166,18 @@ def test_a_pair_builds_one_absolute_context(tmp_path, capsys):
     assert code == 0, capsys.readouterr().out
     counts = {
         name: tracer.stats[name]["calls"]
-        for name in ("dirac.DiracContext.__init__", "lie.orthogonal_split", "lie.QuadraticLieAlgebra.__init__")
+        for name in (
+            "dirac.DiracContext.__init__",
+            "lie.orthogonal_split",
+            "lie.QuadraticLieAlgebra.__init__",
+            "lie.check_jacobi",
+            "lie.check_ad_invariance",
+        )
     }
     assert counts == {
         "dirac.DiracContext.__init__": 2,
         "lie.orthogonal_split": 2,
-        "lie.QuadraticLieAlgebra.__init__": 3,
+        "lie.QuadraticLieAlgebra.__init__": 1,
+        "lie.check_jacobi": 3,
+        "lie.check_ad_invariance": 3,
     }

@@ -27,6 +27,7 @@ from conftest import (
     hostile_form,
     invert,
     is_alternating,
+    pbw_from_vector,
     tstar_heisenberg,
     unit_vector,
 )
@@ -64,7 +65,7 @@ def oracle_square(ctx):
     total = TensorElement.from_parts(ctx.casimir, space.one())
     for i in range(ctx.m):
         for j in range(i + 1, ctx.m):
-            br = PBWElement.from_vector(g, g.bracket_basis(i, j))
+            br = pbw_from_vector(g, g.bracket_basis(i, j))
             blade = space.blade((i, j), Fraction(1) / (gram[i] * gram[j]))
             total = total + TensorElement.from_parts(br, blade)
     for i in range(ctx.m):
@@ -217,7 +218,7 @@ def test_middle_term_identity_directly(contexts):
     lhs = TensorElement.zero(g, space)
     for i in range(3):
         for j in range(i + 1, 3):
-            br = PBWElement.from_vector(g, g.bracket_basis(i, j))
+            br = pbw_from_vector(g, g.bracket_basis(i, j))
             lhs = lhs + TensorElement.from_parts(br, space.blade((i, j), Fraction(1) / (gram[i] * gram[j])))
     rhs = TensorElement.zero(g, space)
     for a in range(3):
@@ -428,7 +429,7 @@ def transport(source_ctx, target_ctx):
     for (mono, mask), coeff in source_ctx.dirac.terms.items():
         u = PBWElement.one(g)
         for index in mono:
-            u = u * PBWElement.from_vector(g, cols[index])
+            u = u * pbw_from_vector(g, cols[index])
         c = space.one()
         for i in range(space.dim):
             if mask >> i & 1:

@@ -1,13 +1,23 @@
-"""Universal enveloping algebra in PBW normal form, plus Casimir elements."""
+"""Universal enveloping algebra in PBW normal form, plus the Casimir and degree-1 oracles of conftest."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import abelian_named_sl2, unit_vector
-from cubicdirac.catalog import catalog_entry
-from cubicdirac.envelope import PBWElement, casimir_element
+from conftest import (
+    abelian_named_sl2,
+    casimir_element,
+    changed_algebra,
+    pbw_from_vector,
+    reference_pbw_normalize,
+    tstar_heisenberg,
+    unit_vector,
+)
+from cubicdirac.catalog import catalog_entry, catalog_names
+from cubicdirac.envelope import PBWElement, _pbw_rewrite, pbw_normalize
 from cubicdirac.errors import ContractViolation
 from cubicdirac.lie import QuadraticLieAlgebra, orthogonal_split
 
@@ -139,7 +149,40 @@ def test_elements_of_different_algebras_do_not_mix(sl2, abelian2):
 
 
 def test_from_vector(sl2):
-    x = PBWElement.from_vector(sl2, unit_vector(3, 0))
+    x = pbw_from_vector(sl2, unit_vector(3, 0))
     assert x == gen(sl2, 0)
-    combo = PBWElement.from_vector(sl2, (Fraction(2), Fraction(0), Fraction(-1)))
+    combo = pbw_from_vector(sl2, (Fraction(2), Fraction(0), Fraction(-1)))
     assert combo == 2 * gen(sl2, 0) - gen(sl2, 2)
+
+
+# the catalog, T*-Heisenberg (constants over 1 in a split form) and sl(3) in a
+# seeded rational basis, whose structure constants are dense and over P > 1
+REWRITE_ALGEBRAS = [catalog_entry(name).algebra for name in catalog_names()] + [
+    tstar_heisenberg(),
+    changed_algebra("sl3-killing", 3),
+]
+
+
+@st.composite
+def monomial_sums(draw):
+    """(algebra, {monomial: coefficient}): up to three monomials of degree at most 4."""
+    g = draw(st.sampled_from(REWRITE_ALGEBRAS))
+    monomials = st.lists(st.integers(0, g.dim - 1), max_size=4).map(tuple)
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    return g, draw(st.dictionaries(monomials, coefficients, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(monomial_sums())
+def test_the_integer_rewriter_is_the_fraction_rewriter(case):
+    """pbw_normalize, the Fraction face of the integer rewriter, against the
+    Fraction rewriting it replaced; and each monomial alone, whose normal
+    form the rewriter returns over P^E."""
+    g, raw = case
+    assert pbw_normalize(g, raw) == reference_pbw_normalize(g, raw)
+    den = g._integer_structure[0]
+    for mono in raw:
+        depth, out = _pbw_rewrite(g._integer_structure, [(mono, 1)])
+        expected = reference_pbw_normalize(g, {mono: 1})
+        assert {m: Fraction(n, den**depth) for m, n in out.items()} == expected
+        assert depth <= max(len(mono) - 1, 0)

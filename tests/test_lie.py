@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     best_of_three,
+    casimir_element,
     changed_algebra,
     changed_basis,
     form_value,
@@ -21,7 +22,6 @@ from cubicdirac import lie
 from cubicdirac.algfile import emit_algebra_text, parse_algebra_text
 from cubicdirac.catalog import catalog_entry, catalog_names, heisenberg_brackets, sl2_brackets
 from cubicdirac.dirac import DiracContext
-from cubicdirac.envelope import casimir_element
 from cubicdirac.errors import (
     ContractViolation,
     DegenerateFormError,
@@ -30,8 +30,7 @@ from cubicdirac.errors import (
 )
 from cubicdirac.lie import (
     QuadraticLieAlgebra,
-    _bracket_structure,
-    _sparse_brackets,
+    _table_structure,
     check_ad_invariance,
     check_jacobi,
     killing_form,
@@ -50,7 +49,7 @@ def sl2():
 
 def structure(dim, table):
     """The integer structure the constructor builds, from a normalized table."""
-    return _bracket_structure(dim, _sparse_brackets(dim, table))
+    return _table_structure(dim, table)
 
 
 def test_sl2_bracket_relations(sl2):
@@ -189,17 +188,19 @@ def test_split_refuses_an_adapted_bracket_that_leaves_its_block(monkeypatch, pai
     made: an adapted bracket of sl2 + sl2 that gains a term outside its block
     after validation, [h1, h2] on p1 or [h1, p1] on h1, is refused."""
     entry = catalog_entry("sl2xsl2-diagonal")
-    validated = lie.QuadraticLieAlgebra
+    validated = QuadraticLieAlgebra._from_structure.__func__
 
-    def perturbed(*args):
-        adapted = validated(*args)
-        sparse = dict(adapted._sparse)
-        sparse[pair] += ((target, Fraction(1)),)
-        sparse[pair[::-1]] = tuple((t, -c) for t, c in sparse[pair])
-        adapted._sparse = sparse
+    def perturbed(cls, *args):
+        adapted = validated(cls, *args)
+        den, ad, preimage = adapted._integer_structure
+        ad = [dict(row) for row in ad]
+        i, j = pair
+        ad[i][j] = ad[i].get(j, ()) + ((target, den),)
+        ad[j][i] = ad[j].get(i, ()) + ((target, -den),)
+        adapted._integer_structure = den, tuple(ad), preimage
         return adapted
 
-    monkeypatch.setattr(lie, "QuadraticLieAlgebra", perturbed)
+    monkeypatch.setattr(QuadraticLieAlgebra, "_from_structure", classmethod(perturbed))
     with pytest.raises(ContractViolation, match=message):
         orthogonal_split(entry.algebra, entry.subalgebra)
 
@@ -311,8 +312,8 @@ def assert_split_is_the_reference(g, subalgebra=(), p_variant=0):
     got, ref = split.adapted, want["adapted"]
     assert (got is g) == (ref is g)
     assert (got.name, got.labels, got.form) == (ref.name, ref.labels, ref.form)
-    assert got._sparse == ref._sparse
-    assert all(type(c) is Fraction and c for terms in got._sparse.values() for _, c in terms)
+    assert got._integer_structure == ref._integer_structure
+    assert got.bracket_table() == ref.bracket_table()
 
 
 @pytest.mark.parametrize(
@@ -387,7 +388,9 @@ def test_split_and_casimir_take_grams_as_congruences():
 )
 def test_split_refuses_a_basis_that_does_not_diagonalize_the_form(monkeypatch, subalgebra, perturbed_call):
     """P^T B P = diag(d) is checked on integers: a diagonalizing P with one
-    entry moved, for h = 0 or for either Gram of the sl(3) triple, is refused."""
+    entry moved, for h = 0 or for either Gram of the sl(3) triple, is refused.
+    With h = 0 the split takes the diagonalization that validated g, so
+    there g is built under the patch."""
     g = catalog_entry("sl3-killing").algebra
     calls = []
 
@@ -401,6 +404,8 @@ def test_split_refuses_a_basis_that_does_not_diagonalize_the_form(monkeypatch, s
         return p, d
 
     monkeypatch.setattr(lie, "diagonalize_form", perturbed)
+    if not subalgebra:
+        g = QuadraticLieAlgebra(g.name, g.labels, g.bracket_table(), g.form)
     with pytest.raises(ContractViolation, match="internal: adapted form mismatch"):
         orthogonal_split(g, subalgebra)
     assert len(calls) > perturbed_call
@@ -746,13 +751,13 @@ def test_bracket_preimage_lists_every_pair_reaching_a_basis_vector():
 
 
 def test_each_bracket_table_is_built_once_per_algebra(monkeypatch):
-    """Parsing sl(3) builds the Fraction store and the integer structure once
-    each; a split along an sl(2) triple builds each once more, for the
-    adapted algebra.  Validation, the Killing form and the change of basis
-    read what the constructors built."""
+    """Parsing sl(3) builds its one table, the integer structure, once from
+    the parsed table; a split along an sl(2) triple builds the adapted
+    algebra's once more, from integers, with no table.  Validation, the
+    Killing form and the change of basis read what was built."""
     text = emit_algebra_text(catalog_entry("sl3-killing").algebra)
     counts = Counter()
-    for name in ("_sparse_brackets", "_bracket_structure"):
+    for name in ("_table_structure", "_bracket_structure"):
 
         def counted(*args, _original=getattr(lie, name), _name=name):
             counts[_name] += 1
@@ -761,10 +766,10 @@ def test_each_bracket_table_is_built_once_per_algebra(monkeypatch):
         monkeypatch.setattr(lie, name, counted)
     g, _ = parse_algebra_text(text)
     g.killing()
-    assert counts == {"_sparse_brackets": 1, "_bracket_structure": 1}
+    assert counts == {"_table_structure": 1, "_bracket_structure": 1}
     split = orthogonal_split(g, SL3_TRIPLE)
     split.adapted.killing()
-    assert counts == {"_sparse_brackets": 2, "_bracket_structure": 2}
+    assert counts == {"_table_structure": 1, "_bracket_structure": 2}
 
 
 @pytest.mark.parametrize(

@@ -7,20 +7,30 @@ the h generator is bit 2, and compare the merged product with the
 two-factor product and its Koszul sign.
 
 The product itself is an integer kernel; `reference_tensor_mul` keeps the
-Fraction product it replaced, one PBW normalisation per term pair, and the
-kernel is compared with it on seeded operands.
+Fraction product it replaced, one PBW normalisation per term pair by the
+Fraction rewriter `conftest.reference_pbw_normalize`, and the kernel is
+compared with it on seeded operands.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import abelian_named_sl2, best_of_three, blade_clifford, changed_algebra, hostile_form
+from conftest import (
+    abelian_named_sl2,
+    best_of_three,
+    blade_clifford,
+    changed_algebra,
+    hostile_changed_algebra,
+    hostile_form,
+    reference_pbw_normalize,
+)
 from cubicdirac.catalog import catalog_entry
 from cubicdirac.clifford import CliffordSpace
 from cubicdirac.dirac import DiracContext
-from cubicdirac.envelope import PBWElement, pbw_normalize
+from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
 from cubicdirac.lie import QuadraticLieAlgebra
 from cubicdirac.linalg import ZERO
@@ -28,7 +38,7 @@ from cubicdirac.tensor import TensorElement, TripleTensorElement
 
 
 def _mono_mul(algebra, ma, mb) -> dict:
-    return pbw_normalize(algebra, {ma + mb: Fraction(1)})
+    return reference_pbw_normalize(algebra, {ma + mb: Fraction(1)})
 
 
 def reference_tensor_mul(a, b):
@@ -386,3 +396,24 @@ def test_hostile_numbers_stay_cheap():
     assert square == reference_tensor_mul(d, d)
     assert ctx.c_value() == 0
     assert best_of_three(lambda: d * d) <= 2 * best_of_three(lambda: reference_tensor_mul(d, d))
+
+
+def test_hostile_non_abelian_square_stays_cheap():
+    """D^2 on sl(3) in a rational basis with its form scaled by 1/q, q of
+    4,000 digits: the Gram denominators carry q, and the brackets rewrite.
+
+    Each key is put over the lcm of the Gram denominators that reach it,
+    not over the lcm of all of them; the kernel must equal the reference
+    and take at most twice its time (one run each, the reference taking
+    several seconds).
+    """
+    ctx = DiracContext(hostile_changed_algebra("sl3-killing", 5))
+    d = ctx.dirac
+    start = time.perf_counter()
+    square = d * d
+    kernel_s = time.perf_counter() - start
+    start = time.perf_counter()
+    reference = reference_tensor_mul(d, d)
+    reference_s = time.perf_counter() - start
+    assert square == reference
+    assert kernel_s <= 2 * reference_s
