@@ -15,7 +15,6 @@ from .clifford import (
     is_scalar,
     multivector_from_trilinear,
     scalar_part,
-    spin_lift,
     twisted_commutator,
 )
 from .dirac import CheckItem, CheckOutcome, DiracContext
@@ -33,16 +32,8 @@ from .forms import (
     bracket_coproduct,
     ce_differential,
     form_of_trivector,
-    insert_first,
-    lie_action,
 )
-from .lie import (
-    OrthogonalSplit,
-    QuadraticLieAlgebra,
-    killing_form,
-    orthogonal_split,
-    subalgebra_action,
-)
+from .lie import OrthogonalSplit, QuadraticLieAlgebra, killing_form, orthogonal_split
 from .linalg import Matrix, diagonalize_form, nullspace, solve_linear
 from .suite import SuiteReport, render_machine, render_text, run_suite
 from .tensor import TensorElement, TripleTensorElement
@@ -77,10 +68,8 @@ __all__ = [
     "diagonalize_form",
     "emit_algebra_text",
     "form_of_trivector",
-    "insert_first",
     "is_scalar",
     "killing_form",
-    "lie_action",
     "multivector_from_trilinear",
     "nullspace",
     "orthogonal_split",
@@ -90,8 +79,6 @@ __all__ = [
     "run_suite",
     "scalar_part",
     "solve_linear",
-    "spin_lift",
-    "subalgebra_action",
     "twisted_commutator",
     "__version__",
 ]

@@ -17,6 +17,10 @@ which extends B to blades by Gram determinants.
 Products run on integer numerators, one sum per blade overlap, and each
 output key becomes one Fraction over the lcm of the Gram denominators of
 the overlaps that reach it (`CliffordSpace._scale_overlaps`).
+
+The degree-2 elements the operator needs are built elsewhere, in closed
+form: the bracket coproduct delta(x) in `forms`, and the spin lift of
+ad y on h_perp, y in h, which `dirac` reads off it as -1/2 delta(y).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
-from .linalg import Matrix, ZERO, as_scalar, vector
+from .linalg import ZERO, as_scalar, vector
 from .sparse import LinearCombination, _fractions_over, _integer_terms
 
 ONE = Fraction(1)
@@ -358,30 +362,3 @@ def _overlap_sums(left, right, twisted: bool) -> dict[int, dict[int, int]]:
             else:
                 sums[mask] = sums.get(mask, 0) + na * nb
     return by_overlap
-
-
-def spin_lift(space: CliffordSpace, a: Matrix) -> Multivector:
-    """The degree-2 Clifford element alpha with [alpha, x] = A x on degree 1.
-
-    A must be in so of the Gram (Gram * A antisymmetric).  Since
-    [e_i e_j, e_l] = 2 d_l (delta_jl e_i - delta_il e_j), the element is
-    alpha = sum_{i<j} A_ij / (2 d_j) e_i e_j: its commutator with e_l has
-    A_il on e_i for i < l, and -2 d_l A_li / (2 d_i) = A_il for i > l by
-    the so condition.  alpha is re-verified on every generator.
-    """
-    m = space.dim
-    if a.rows != m or a.cols != m:
-        raise ContractViolation("matrix shape does not match the space")
-    for i in range(m):
-        for j in range(m):
-            if space.gram[i] * a.entry(i, j) != -space.gram[j] * a.entry(j, i):
-                raise ContractViolation("matrix is not in so of the Gram")
-    alpha = Multivector(
-        space,
-        {(1 << i) | (1 << j): a.entry(i, j) / (2 * space.gram[j]) for i in range(m) for j in range(i + 1, m)},
-    )
-    for l in range(m):
-        gen = space.generator(l)
-        if alpha * gen - gen * alpha != space.vector(a.column(l)):
-            raise ContractViolation("internal: spin lift failed re-verification")
-    return alpha

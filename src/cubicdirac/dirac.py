@@ -11,7 +11,9 @@ vectors, all with diagonal Gram).  In that basis it constructs
     X^i = X_i / d_i replaces the orthonormal basis that does not exist
     over Q),
   - the Casimir of g and the diagonal embedding
-    Delta(y) = y (x) 1 + 1 (x) lift(nu(y)) for y in h.
+    Delta(y) = y (x) 1 + 1 (x) alpha(y) for y in h, where alpha(y), the
+    spin lift of nu(y) = ad y on h_perp, is -1/2 delta(y), delta the
+    bracket coproduct.
 
 Each check method returns a CheckOutcome listing every asserted identity;
 an identity passes exactly when its item carries no witness, and a failing
@@ -35,7 +37,6 @@ from .clifford import (
     _multivector_from_numerators,
     is_scalar,
     scalar_part,
-    spin_lift,
     twisted_commutator,
 )
 from .envelope import PBWElement
@@ -51,12 +52,7 @@ from .forms import (
     ce_differential,
     form_of_trivector,
 )
-from .lie import (
-    QuadraticLieAlgebra,
-    orthogonal_split,
-    subalgebra_action,
-    unit,
-)
+from .lie import QuadraticLieAlgebra, orthogonal_split, unit
 from .linalg import ZERO, vector
 from .sparse import _integer_terms
 from .tensor import TensorElement, TripleTensorElement
@@ -162,13 +158,23 @@ class DiracContext:
         return TensorElement._from_terms((self.adapted, self.space), terms)
 
     def diagonal_embedding(self, j: int) -> TensorElement:
-        """Delta(Y_j) = Y_j (x) 1 + 1 (x) lift(nu(Y_j)) for the j-th h vector."""
+        """Delta(Y_j) = Y_j (x) 1 + 1 (x) alpha(Y_j) for the j-th h vector, as one term table.
+
+        alpha(Y) is the spin lift of nu(Y) = ad Y on h_perp, nu(Y)_il the
+        X_i coordinate of [Y, X_l]: the element
+        sum_{i<l} nu(Y)_il / (2 d_l) e_i e_l of C(h_perp).  It is
+        -1/2 delta(Y): ad-invariance gives B(Y, [X_i, X_l]) = -d_i nu(Y)_il,
+        and delta(Y) has B(Y, [X_i, X_l]) / (d_i d_l) on e_i e_l.  This needs
+        [h, h_perp] in h_perp, which `orthogonal_split` checks, and an
+        ad-invariant form, which every adapted algebra is validated for.
+        """
+        if not 0 <= j < self.k:
+            raise ContractViolation("subalgebra basis index out of range")
         if j not in self._embeddings:
-            lift = spin_lift(self.space, subalgebra_action(self.split, j))
-            yj = PBWElement.generator(self.adapted, self.m + j)
-            self._embeddings[j] = TensorElement.from_parts(
-                yj, self.space.one()
-            ) + TensorElement.from_parts(PBWElement.one(self.adapted), lift)
+            delta = bracket_coproduct(self.space, self.adapted, unit(self.adapted.dim, self.m + j))
+            terms = {((self.m + j,), 0): Fraction(1)}
+            terms.update((((), mask), -c / 2) for mask, c in delta.terms.items())
+            self._embeddings[j] = TensorElement._from_terms((self.adapted, self.space), terms)
         return self._embeddings[j]
 
     def delta_casimir(self) -> TensorElement:
@@ -211,7 +217,10 @@ class DiracContext:
         if self.k == 0:
             return self
         if self._absolute is None:
-            self._absolute = DiracContext._block(self.adapted, 0, self.adapted.dim)
+            ctx = self._absolute = DiracContext._block(self.adapted, 0, self.adapted.dim)
+            # g with h = 0: the v-free laws run on the input algebra, and
+            # c-basis-invariant splits it in the root's next variant basis
+            ctx.algebra, ctx.subalgebra, ctx.p_variant = self.algebra, (), self.p_variant
         return self._absolute
 
     @cached_property
@@ -383,7 +392,8 @@ class DiracContext:
         """theta_X B = 0 for X over the unit vectors of g, the invariance of B.
 
         The form's nonzero entries are brought to integer numerators once,
-        and theta_{e_i} is scattered on them with the kernel `lie_action` runs.
+        and theta_{e_i} is scattered on them with the kernels `_ad_rows` and
+        `_theta_scatter`.
         """
         _, ad, _ = g._integer_structure
         form = {(i, j): c for i in range(g.dim) for j, c in enumerate(g.form.row(i)) if c}

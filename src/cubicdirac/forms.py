@@ -2,13 +2,13 @@
 
 A MultilinearMap of arity k is a table over all n^k basis index tuples (no
 symmetry compression; only nonzero entries are physically stored, reads
-default to zero).  The three operators below are the coordinate formulas
+default to zero).  The Chevalley-Eilenberg operators are the coordinate
+formulas
 
   (d w)(x_0..x_k)     = sum_{s<t} (-1)^s w(x_0.. x_s-hat .. [x_s,x_t]@t .. x_k)
   (theta_X w)(x_1..x_k) = sum_s w(x_1 .. [X, x_s] .. x_k)
-  (iota_X w)(...)       = w(X, ...)
 
-read backwards: each one walks the nonzero entries of w and scatters every
+read backwards: each walks the nonzero entries of w and scatters every
 entry into the output tuples it contributes to, so the work grows with the
 support of w, not with n^k.  d finds the pairs (x_s, x_t) whose bracket
 reaches a slot's index through the algebra's preimage index, and theta_X
@@ -16,23 +16,22 @@ reads the rows of ad X off ad e_a for the a in the support of X, so on a
 basis vector it costs O(n + nnz(ad e_a)).  Both indexes are read from the
 algebra's integer structure, which its constructor builds once and
 validates (`QuadraticLieAlgebra._integer_structure`), and hold the
-structure constants over one common denominator; every operator adds
-integer numerators, building one Fraction per output tuple at the end.
+structure constants over one common denominator; the kernels add integer
+numerators.
 
 The integer loops are private kernels that take (key, numerator) entries
 and return numerator dicts, which may hold zeros: `_d_scatter` for d,
-`_ad_rows` and `_theta_scatter` for theta_X, and `_iota_buckets`, which
-groups entries by their first index, for iota_X.  A public operator puts
-its operands over integers, runs its kernels and turns the sums back into
-Fractions.  The cartan-formula check in `dirac` runs `_d_scatter` and
-`_ad_rows` on point masses, so a fault in either fails that check too; it
-reads iota of a point mass off its key, so `insert_first` is the one reader
-of `_iota_buckets`.  The d items in `dirac` read d of the alternating
-point masses off the cartan check's columns and test them with
-`_canonical_part`, the alternation test.
+`_ad_rows` and `_theta_scatter` for theta_X.  `ce_differential`, the one
+public operator, puts its operand over integers, runs `_d_scatter` and
+builds one Fraction per output tuple.  The cohomology items in `dirac` run
+the kernels directly: cartan-formula runs `_d_scatter` and `_ad_rows` on
+point masses and reads iota of a point mass off its key, theta-B-vanishes
+runs `_ad_rows` and `_theta_scatter` on the form, and the d items read d of
+the alternating point masses off the cartan check's columns and test them
+with `_canonical_part`, the alternation test.
 
 d raises arity by one and is capped so results stay within arity 4.  On
-alternating maps these are the usual Lie-algebra-cohomology operators with
+alternating maps d is the usual Lie-algebra-cohomology differential with
 trivial coefficients; d of a 0-form is zero.  A map's table is its `terms`;
 addition, scaling, equality and the carrier check (the algebra and the
 arity) come from the shared LinearCombination base.
@@ -203,17 +202,6 @@ def _theta_scatter(entries, rows) -> dict:
     return out
 
 
-def _iota_buckets(entries) -> dict[int, dict]:
-    """{a: {rest: n}}: the (key, n) entries grouped by key[0] = a, keyed by key[1:].
-
-    iota_X w is the sum over a of X's coordinate a times bucket a.
-    """
-    out: dict[int, dict] = {}
-    for key, val in entries:
-        out.setdefault(key[0], {})[key[1:]] = val
-    return out
-
-
 def ce_differential(w: MultilinearMap) -> MultilinearMap:
     """The coboundary; raises arity by one (input arity at most 3)."""
     g = w.algebra
@@ -224,38 +212,6 @@ def ce_differential(w: MultilinearMap) -> MultilinearMap:
     den_g, _, preimage = g._integer_structure
     out = _fractions_over(_d_scatter(entries, preimage), den * den_g)
     return MultilinearMap._from_terms((g, k + 1), out)
-
-
-def lie_action(x: Sequence, w: MultilinearMap) -> MultilinearMap:
-    """theta_X w: the natural action, inserting [X, .] slot by slot."""
-    g = w.algebra
-    (x,) = g._coordinates(x)
-    den_x, support = _integer_terms({a: xa for a, xa in enumerate(x) if xa})
-    den_g, ad, _ = g._integer_structure
-    den, entries = _integer_terms(w.terms)
-    out = _fractions_over(_theta_scatter(entries, _ad_rows(support, ad)), den * den_x * den_g)
-    return MultilinearMap._from_terms((g, w.arity), out)
-
-
-def insert_first(x: Sequence, w: MultilinearMap) -> MultilinearMap:
-    """iota_X w = w(X, ...); defined for arity >= 1."""
-    if w.arity == 0:
-        raise ContractViolation("cannot contract an arity-0 map")
-    g = w.algebra
-    (x,) = g._coordinates(x)
-    # only the entries whose first index is in the support of X, and only
-    # the coordinates of X they read, are brought to integers
-    picked = {key: val for key, val in w.terms.items() if x[key[0]]}
-    if not picked:
-        return MultilinearMap._from_terms((g, w.arity - 1), {})
-    den_x, coords = _integer_terms({key[0]: x[key[0]] for key in picked})
-    den, entries = _integer_terms(picked)
-    buckets = _iota_buckets(entries)
-    out: dict = {}
-    for a, xa in coords:
-        for rest, val in buckets[a].items():
-            out[rest] = out.get(rest, 0) + xa * val
-    return MultilinearMap._from_terms((g, w.arity - 1), _fractions_over(out, den * den_x))
 
 
 def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Sequence) -> Multivector:

@@ -20,7 +20,10 @@ scale does not change.
 h, produces B-orthogonal bases of both parts (over Q one cannot normalize, so
 the diagonal Gram entries d_i replace unit lengths), and re-expresses the
 whole algebra in the adapted basis (h_perp vectors first, then h vectors)
-where B is diagonal.
+where B is diagonal.  It checks there that [h, h] stays in h and
+[h, h_perp] in h_perp; with ad-invariance, that is what lets `dirac` read
+the spin lift of ad y on h_perp, y in h, off the bracket coproduct, with
+no matrix of ad y.
 """
 
 from __future__ import annotations
@@ -555,24 +558,3 @@ def _adapted_structure(
 
 def unit(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1) if s == i else ZERO for s in range(n))
-
-
-def subalgebra_action(split: OrthogonalSplit, j: int) -> Matrix:
-    """nu(Y_j): the matrix of ad(Y_j) restricted to h_perp, in the orthogonal p-basis.
-
-    Y_j is the j-th orthogonal basis vector of h, the adapted basis vector
-    m + j, so column i is the bracket [Y_j, X_i] read off the adapted
-    algebra.  `orthogonal_split` has checked that [h, h_perp] lies in
-    h_perp; that the result lies in so of the diagonal Gram is checked by
-    `spin_lift`, which takes it.
-    """
-    if not 0 <= j < split.h_dim:
-        raise ContractViolation("subalgebra basis index out of range")
-    m = split.p_dim
-    cols = []
-    for i in range(m):
-        acc = [ZERO] * m
-        for t, b in split.adapted.bracket_sparse(m + j, i):
-            acc[t] = b
-        cols.append(tuple(acc))
-    return Matrix.from_columns(cols, rows=m)

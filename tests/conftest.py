@@ -3,6 +3,11 @@
 The larger algebras (dimension 8, Clifford dimension 256) are expensive
 enough that reconstructing them per test would dominate the run; the caches
 hand out the same immutable objects everywhere.
+
+The module also keeps the reference oracles the package is compared with,
+most of them bodies the package once had: the Fraction PBW rewriter, the
+Casimir, the matrix nu(Y) of ad Y on h_perp with its spin lift, and the
+operators theta_X and iota_X.
 """
 
 import random
@@ -11,17 +16,23 @@ from fractions import Fraction
 
 import pytest
 
-from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry
-from cubicdirac.clifford import Multivector, _swap_prefix
+from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, forms
+from cubicdirac.clifford import CliffordSpace, Multivector, _swap_prefix
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
 from cubicdirac.forms import MultilinearMap, _canonical_part
+from cubicdirac.lie import OrthogonalSplit
 from cubicdirac.linalg import ZERO, Matrix, _echelon, as_scalar, rank
+from cubicdirac.sparse import _fractions_over, _integer_terms
 from cubicdirac.suite import run_suite
 
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(s == i)) for s in range(n))
+
+
+# the sl(2) triple e12, h1, f12 of catalog sl(3)
+SL3_TRIPLE = (unit_vector(8, 0), unit_vector(8, 3), unit_vector(8, 5))
 
 
 def form_value(g: QuadraticLieAlgebra, x, y) -> Fraction:
@@ -109,6 +120,104 @@ def casimir_element(algebra: QuadraticLieAlgebra) -> PBWElement:
     return PBWElement(algebra, {(i, i): 1 / d for i, d in enumerate(algebra.form.diagonal())})
 
 
+def subalgebra_action(split: OrthogonalSplit, j: int) -> Matrix:
+    """nu(Y_j): the matrix of ad(Y_j) restricted to h_perp, in the orthogonal p-basis.
+
+    Y_j is the j-th orthogonal basis vector of h, the adapted basis vector
+    m + j, so column i is the bracket [Y_j, X_i] read off the adapted
+    algebra.  `orthogonal_split` has checked that [h, h_perp] lies in
+    h_perp; that the result lies in so of the diagonal Gram is checked by
+    `spin_lift`, which takes it.  With `spin_lift` it is the reference for
+    the lift `DiracContext.diagonal_embedding` reads off the bracket
+    coproduct.
+    """
+    if not 0 <= j < split.h_dim:
+        raise ContractViolation("subalgebra basis index out of range")
+    m = split.p_dim
+    cols = []
+    for i in range(m):
+        acc = [ZERO] * m
+        for t, b in split.adapted.bracket_sparse(m + j, i):
+            acc[t] = b
+        cols.append(tuple(acc))
+    return Matrix.from_columns(cols, rows=m)
+
+
+def spin_lift(space: CliffordSpace, a: Matrix) -> Multivector:
+    """The degree-2 Clifford element alpha with [alpha, x] = A x on degree 1.
+
+    A must be in so of the Gram (Gram * A antisymmetric).  Since
+    [e_i e_j, e_l] = 2 d_l (delta_jl e_i - delta_il e_j), the element is
+    alpha = sum_{i<j} A_ij / (2 d_j) e_i e_j: its commutator with e_l has
+    A_il on e_i for i < l, and -2 d_l A_li / (2 d_i) = A_il for i > l by
+    the so condition.  alpha is re-verified on every generator.
+    """
+    m = space.dim
+    if a.rows != m or a.cols != m:
+        raise ContractViolation("matrix shape does not match the space")
+    for i in range(m):
+        for j in range(m):
+            if space.gram[i] * a.entry(i, j) != -space.gram[j] * a.entry(j, i):
+                raise ContractViolation("matrix is not in so of the Gram")
+    alpha = Multivector(
+        space,
+        {(1 << i) | (1 << j): a.entry(i, j) / (2 * space.gram[j]) for i in range(m) for j in range(i + 1, m)},
+    )
+    for l in range(m):
+        gen = space.generator(l)
+        if alpha * gen - gen * alpha != space.vector(a.column(l)):
+            raise ContractViolation("internal: spin lift failed re-verification")
+    return alpha
+
+
+def lie_action(x, w: MultilinearMap) -> MultilinearMap:
+    """theta_X w: the natural action, inserting [X, .] slot by slot.
+
+    It runs the theta kernels the cohomology items run, `forms._ad_rows`
+    and `forms._theta_scatter`, read off the module at each call so that a
+    fault patched into `forms` reaches it too.
+    """
+    g = w.algebra
+    (x,) = g._coordinates(x)
+    den_x, support = _integer_terms({a: xa for a, xa in enumerate(x) if xa})
+    den_g, ad, _ = g._integer_structure
+    den, entries = _integer_terms(w.terms)
+    out = _fractions_over(forms._theta_scatter(entries, forms._ad_rows(support, ad)), den * den_x * den_g)
+    return MultilinearMap._from_terms((g, w.arity), out)
+
+
+def _iota_buckets(entries) -> dict[int, dict]:
+    """{a: {rest: n}}: the (key, n) entries grouped by key[0] = a, keyed by key[1:].
+
+    iota_X w is the sum over a of X's coordinate a times bucket a.
+    """
+    out: dict[int, dict] = {}
+    for key, val in entries:
+        out.setdefault(key[0], {})[key[1:]] = val
+    return out
+
+
+def insert_first(x, w: MultilinearMap) -> MultilinearMap:
+    """iota_X w = w(X, ...); defined for arity >= 1.  The one reader of `_iota_buckets`."""
+    if w.arity == 0:
+        raise ContractViolation("cannot contract an arity-0 map")
+    g = w.algebra
+    (x,) = g._coordinates(x)
+    # only the entries whose first index is in the support of X, and only
+    # the coordinates of X they read, are brought to integers
+    picked = {key: val for key, val in w.terms.items() if x[key[0]]}
+    if not picked:
+        return MultilinearMap._from_terms((g, w.arity - 1), {})
+    den_x, coords = _integer_terms({key[0]: x[key[0]] for key in picked})
+    den, entries = _integer_terms(picked)
+    buckets = _iota_buckets(entries)
+    out: dict = {}
+    for a, xa in coords:
+        for rest, val in buckets[a].items():
+            out[rest] = out.get(rest, 0) + xa * val
+    return MultilinearMap._from_terms((g, w.arity - 1), _fractions_over(out, den * den_x))
+
+
 def blade_clifford(space, ma: int, mb: int):
     """e_A e_B = +-(the Gram product of A & B) e_{A ^ B}, with the sign the product kernels take."""
     coeff = space._gram_product(ma & mb)
@@ -187,6 +296,12 @@ def changed_algebra(name: str, seed: int) -> QuadraticLieAlgebra:
     return QuadraticLieAlgebra(f"{name}-basis-{seed}", g.labels, table, form)
 
 
+def moved_subalgebra(subalgebra, seed: int) -> tuple:
+    """A catalog entry's subalgebra vectors in the basis of changed_algebra(name, seed)."""
+    inverse = invert(random_basis(len(subalgebra[0]), seed))
+    return tuple(inverse.mat_vec(v) for v in subalgebra)
+
+
 def hostile_changed_algebra(name: str, seed: int) -> QuadraticLieAlgebra:
     """Catalog entry `name` in the basis of changed_basis(g, seed), its form
     scaled by 1/q for q of 4,000 digits drawn from random.Random(f"hostile-{name}")."""
@@ -245,6 +360,4 @@ def suite_reports():
 @pytest.fixture(scope="session")
 def sl3_triple_context():
     """sl(3) split along an sl(2) triple: the non-symmetric relative case."""
-    entry = catalog_entry("sl3-killing")
-    sub = (unit_vector(8, 0), unit_vector(8, 3), unit_vector(8, 5))
-    return DiracContext(entry.algebra, sub)
+    return DiracContext(catalog_entry("sl3-killing").algebra, SL3_TRIPLE)

@@ -18,6 +18,7 @@ from conftest import (
     grade_involution,
     hostile_changed_algebra,
     pairing,
+    spin_lift,
 )
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, catalog_names
 from cubicdirac.clifford import (
@@ -27,7 +28,6 @@ from cubicdirac.clifford import (
     is_scalar,
     multivector_from_trilinear,
     scalar_part,
-    spin_lift,
     twisted_commutator,
 )
 from cubicdirac.errors import ContractViolation

@@ -25,9 +25,14 @@ from conftest import (
     changed_algebra,
     grade_involution,
     hostile_form,
+    insert_first,
     invert,
     is_alternating,
+    lie_action,
+    moved_subalgebra,
     pbw_from_vector,
+    spin_lift,
+    subalgebra_action,
     tstar_heisenberg,
     unit_vector,
 )
@@ -37,8 +42,8 @@ from cubicdirac.clifford import CliffordSpace, Multivector, twisted_commutator
 from cubicdirac.dirac import CheckItem, DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
-from cubicdirac.forms import MultilinearMap, bracket_coproduct, ce_differential, insert_first, lie_action
-from cubicdirac.lie import QuadraticLieAlgebra
+from cubicdirac.forms import MultilinearMap, bracket_coproduct, ce_differential
+from cubicdirac.lie import QuadraticLieAlgebra, unit
 from cubicdirac.sparse import LinearCombination
 from cubicdirac.tensor import TensorElement
 
@@ -475,6 +480,46 @@ def test_delta_respects_the_casimir_route(contexts):
     assert total == ctx.delta_casimir()
 
 
+@pytest.mark.parametrize("case", ("sl2xsl2-diagonal", "sl3-sl2-triple", "sl2xsl2-diagonal-basis-3"))
+def test_the_lift_in_delta_is_the_spin_lift_of_nu_and_minus_half_delta(contexts, sl3_triple_context, case):
+    """Delta(Y_j) = Y_j (x) 1 + 1 (x) alpha(Y_j), where alpha(Y_j) is the spin
+    lift of the matrix nu(Y_j) of ad Y_j on h_perp (the conftest oracles,
+    which re-check the lift by Clifford products on every generator) and is
+    -1/2 delta(Y_j): on the symmetric pair, on the non-symmetric sl(3) over
+    its sl(2) triple, and on the pair in a rational basis."""
+    if case == "sl3-sl2-triple":
+        ctx = sl3_triple_context
+    elif case == "sl2xsl2-diagonal":
+        ctx = contexts(case, with_subalgebra=True)
+    else:
+        subalgebra = moved_subalgebra(catalog_entry("sl2xsl2-diagonal").subalgebra, 3)
+        ctx = DiracContext(changed_algebra("sl2xsl2-diagonal", 3), subalgebra)
+    one = PBWElement.one(ctx.adapted)
+    for j in range(ctx.k):
+        alpha = spin_lift(ctx.space, subalgebra_action(ctx.split, j))
+        assert alpha.terms
+        assert alpha == Fraction(-1, 2) * bracket_coproduct(ctx.space, ctx.adapted, unit(ctx.adapted.dim, ctx.m + j))
+        y = PBWElement.generator(ctx.adapted, ctx.m + j)
+        want = TensorElement.from_parts(y, ctx.space.one()) + TensorElement.from_parts(one, alpha)
+        assert ctx.diagonal_embedding(j) == want
+
+
+@pytest.mark.parametrize("name", ("sl2xsl2-diagonal", "sl3-sl2-triple"))
+def test_the_absolute_context_of_a_pair_runs_every_check(contexts, sl3_triple_context, name):
+    """The absolute context of a pair is g with h = 0: it carries the input
+    algebra, no subalgebra and the pair's variant, so its kostant, cohomology
+    and invariance checks pass, and its c is that of g on its own."""
+    ctx = sl3_triple_context if name == "sl3-sl2-triple" else contexts(name, with_subalgebra=True)
+    absolute = ctx.absolute
+    assert absolute.algebra is ctx.algebra
+    assert (absolute.subalgebra, absolute.p_variant) == ((), ctx.p_variant)
+    for check in (absolute.kostant_check, absolute.cohomology_check, absolute.h_invariance_check):
+        assert check().passed, check
+    assert absolute.c_value() == DiracContext(ctx.algebra).c_value()
+    if name == "sl2xsl2-diagonal":
+        assert absolute.c_value() == Fraction(1, 4)
+
+
 def test_scale_coherence_two_routes(contexts):
     """c is recomputed per form; no closed-form scaling law is assumed."""
     for name in ("sl2-killing", "sl2-killing-neg", "sl2-killing-half"):
@@ -823,9 +868,9 @@ def test_cartan_item_uses_no_public_operator_and_builds_no_fraction(monkeypatch)
     def forbidden(*args, **kwargs):
         raise AssertionError("cartan-formula reached a public operator or built a Fraction")
 
-    for name in ("ce_differential", "lie_action", "insert_first"):
-        monkeypatch.setattr(forms, name, forbidden)
-        monkeypatch.setattr(dirac, name, forbidden, raising=False)
+    # the package's one public operator; theta_X and iota_X are oracles in conftest
+    monkeypatch.setattr(forms, "ce_differential", forbidden)
+    monkeypatch.setattr(dirac, "ce_differential", forbidden)
     monkeypatch.setattr(LinearCombination, "__add__", forbidden)
     monkeypatch.setattr(Fraction, "__new__", forbidden)
     item, _ = ctx._cartan_item(g)

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abelian_named_sl2, form_value, is_alternating, pairing, tstar_heisenberg, unit_vector
+import conftest
+from conftest import (
+    abelian_named_sl2,
+    form_value,
+    insert_first,
+    is_alternating,
+    lie_action,
+    pairing,
+    tstar_heisenberg,
+    unit_vector,
+)
 from cubicdirac import forms
 from cubicdirac.catalog import catalog_entry, catalog_names
 from cubicdirac.clifford import Multivector
@@ -20,8 +30,6 @@ from cubicdirac.forms import (
     bracket_coproduct,
     ce_differential,
     form_of_trivector,
-    insert_first,
-    lie_action,
 )
 from cubicdirac.lie import orthogonal_split, unit
 
@@ -335,7 +343,8 @@ def test_operators_reject_a_wrong_coordinate_length(sl2, call):
 #
 # The gather form of d, theta_X and iota_X: every output tuple is evaluated
 # from the coordinate formula.  It costs n^(k+1) tuples whatever the input,
-# so it lives here as an oracle for the scatter operators in the package.
+# so it lives here as an oracle for the scatter operators: d in the package,
+# and theta_X and iota_X as conftest keeps them.
 # d is gathered once per algebra and arity as a matrix, so the sweep over the
 # 584 point masses of sl3 evaluates each output tuple once, not 584 times.
 
@@ -441,9 +450,10 @@ def iota_keeping_the_first_index(original):
 
 @pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
 def test_insert_first_fails_under_the_iota_kernel_fault(monkeypatch, name):
-    """`insert_first` is the one reader of `_iota_buckets`: with the fault
-    bound in forms, iota_{e_i} of every point mass of arity 1 or 2 with first
-    index i disagrees with the dense reference, which it matches without."""
+    """`insert_first` is the one reader of `_iota_buckets`, both kept in
+    conftest as oracles: with the fault bound there, iota_{e_i} of every
+    point mass of arity 1 or 2 with first index i disagrees with the dense
+    reference, which it matches without."""
     g = catalog_entry(name).algebra
     cases = [
         (unit(g.dim, key[0]), MultilinearMap(g, arity, {key: 1}))
@@ -451,7 +461,7 @@ def test_insert_first_fails_under_the_iota_kernel_fault(monkeypatch, name):
         for key in product(range(g.dim), repeat=arity)
     ]
     assert all(insert_first(x, w).terms == dense_insert_first(x, w).terms for x, w in cases)
-    monkeypatch.setattr(forms, "_iota_buckets", iota_keeping_the_first_index(forms._iota_buckets))
+    monkeypatch.setattr(conftest, "_iota_buckets", iota_keeping_the_first_index(conftest._iota_buckets))
     assert all(insert_first(x, w).terms != dense_insert_first(x, w).terms for x, w in cases)
 
 

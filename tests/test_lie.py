@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    SL3_TRIPLE,
     best_of_three,
     casimir_element,
     changed_algebra,
@@ -15,6 +16,7 @@ from conftest import (
     hostile_form,
     invert,
     random_basis,
+    subalgebra_action,
     tstar_heisenberg,
     unit_vector,
 )
@@ -36,7 +38,6 @@ from cubicdirac.lie import (
     killing_form,
     normalize_brackets,
     orthogonal_split,
-    subalgebra_action,
 )
 from cubicdirac.linalg import Matrix, diagonalize_form, nullspace, vector
 from cubicdirac.sparse import _integer_terms
@@ -256,8 +257,6 @@ def test_p_variant_produces_a_genuinely_different_basis():
 # as congruences S^T B S and reads the adapted structure constants off the
 # bracket support on integers, with no inverse; the two must agree field by
 # field.
-
-SL3_TRIPLE = (unit_vector(8, 0), unit_vector(8, 3), unit_vector(8, 5))
 
 
 def reference_orthogonal_split(g, subalgebra=(), p_variant=0):

@@ -4,7 +4,7 @@ Each fault is injected with monkeypatch, and the whole suite runs on
 sl2-killing, sl2-killing-half and sl2xsl2-diagonal, the last both as the pair
 and with no subalgebra.  Every fault must fail some item, unless a guard
 refuses it first; every failing item must carry a non-empty witness, and
-both renderers must show it.  The witnesses of two faults are pinned, and so
+both renderers must show it.  The witnesses of three faults are pinned, and so
 is one fault that reaches each of the items that only v's perturbations and
 a doubled bracket coproduct make fail.
 """
@@ -70,6 +70,15 @@ def doubled_coproduct(space, algebra, x):
     return 2 * bracket_coproduct(space, algebra, x)
 
 
+DIAGONAL_EMBEDDING = DiracContext.diagonal_embedding
+
+
+def embedding_without_lift(self, j):
+    """Delta(Y_j) with its spin lift, the part in 1 (x) C(h_perp), dropped: Y_j (x) 1."""
+    terms = DIAGONAL_EMBEDDING(self, j).terms
+    return TensorElement._from_terms((self.adapted, self.space), {key: c for key, c in terms.items() if key[0]})
+
+
 def first_gram_doubled(gram):
     """The Clifford space of h_perp with its first Gram entry doubled; the
     adapted form's Gram entries, which D and the weights of t read, stay as
@@ -117,7 +126,7 @@ FAULTS = {
     "v-plus-e1e2e3": [(dirac, "_multivector_from_numerators", v_plus_blade(0, 1, 2))],
     "v-plus-e1e2": [(dirac, "_multivector_from_numerators", v_plus_blade(0, 1))],
     "coproduct-doubled": [(dirac, "bracket_coproduct", doubled_coproduct)],
-    "spin-lift-dropped": [(dirac, "spin_lift", lambda space, nu: space.zero())],
+    "spin-lift-dropped": [(DiracContext, "diagonal_embedding", embedding_without_lift)],
     "twist-sign-dropped": [(dirac, "twisted_commutator", lambda v, a: v * a + grade_involution(a) * v)],
     "lower-index-in-D": [(DiracContext, "_build_dirac", dirac_with_lower_indices)],
     "gram-entry-scaled": [(dirac, "CliffordSpace", first_gram_doubled)],
@@ -206,6 +215,26 @@ PINNED = {
             "invariance": {},
         },
     ),
+    ("coproduct-doubled", "sl2xsl2-diagonal-pair"): (
+        [
+            ("kostant", "residual-linear-terms-vanish", "h1 (x) p2^p3: 1/64 vs 0"),
+            ("kostant", "residual-scalar", "h1 (x) p2^p3: 1/64 vs 0"),
+            ("cohomology", "delta-plus-dv-vanishes", "p1"),
+            ("decomposition", "decomposition-identity", "1 (x) p2^p3^h1: 1/128 vs 1/64"),
+            ("decomposition", "components-anticommute", "p1 (x) p3^h2: -1/64 vs 0"),
+            ("decomposition", "squared-consequence", "1 (x) 1: 0 vs -9/16"),
+            ("decomposition", "c-additivity", "c_rel=None c_g=1/4 c_h=1/16"),
+            ("invariance", "delta-commutes-with-dirac:h1", "p2 (x) p3: -1/4 vs 0"),
+            ("invariance", "delta-commutes-with-dirac:h2", "p1 (x) p3: 1/4 vs 0"),
+            ("invariance", "delta-commutes-with-dirac:h3", "p1 (x) p2: 1/16 vs 0"),
+        ],
+        {
+            "kostant": {},
+            "cohomology": {},
+            "decomposition": {"c_g": Fraction(1, 4), "c_h": Fraction(1, 16)},
+            "invariance": {},
+        },
+    ),
     ("v-doubled", "sl2-killing"): (
         [
             ("kostant", "first-order-cancellation", "p1"),
@@ -223,8 +252,12 @@ PINNED = {
 @pytest.mark.parametrize("fault, case", PINNED, ids=[fault for fault, _ in PINNED])
 def test_failing_witnesses_are_pinned(monkeypatch, fault, case):
     """The spin lift dropped breaks the pair's residual, its decomposition and
-    its invariance, and leaves the cohomology of g, which has no h; v doubled
-    breaks the items that read v, and dB against 2v shows the factor 2."""
+    its invariance, and leaves the cohomology of g, which has no h.  delta
+    doubled doubles the lift, which is -1/2 delta(y), so it breaks the same
+    items, and delta-plus-dv-vanishes on g; on this symmetric pair
+    [h_perp, h_perp] lies in h, so delta(X_a) is 0 in C(h_perp) and
+    first-order-cancellation holds.  v doubled breaks
+    the items that read v, and dB against 2v shows the factor 2."""
     report = faulted_report(monkeypatch, fault, case)
     items, values = PINNED[fault, case]
     assert [(check_id, item.item_id, item.witness) for check_id, item in failing_items(report)] == items
