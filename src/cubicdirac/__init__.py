@@ -9,14 +9,7 @@ the defining identities exactly, with zero tolerance.
 
 from .algfile import emit_algebra_text, parse_algebra_text
 from .catalog import CatalogEntry, catalog_entry, catalog_names
-from .clifford import (
-    CliffordSpace,
-    Multivector,
-    is_scalar,
-    multivector_from_trilinear,
-    scalar_part,
-    twisted_commutator,
-)
+from .clifford import CliffordSpace, Multivector, is_scalar, scalar_part, twisted_commutator
 from .dirac import CheckItem, CheckOutcome, DiracContext
 from .envelope import PBWElement
 from .errors import (
@@ -24,15 +17,9 @@ from .errors import (
     ContractViolation,
     DegenerateFormError,
     NotASubalgebraError,
-    UnsupportedArityError,
     ValidationError,
 )
-from .forms import (
-    MultilinearMap,
-    bracket_coproduct,
-    ce_differential,
-    form_of_trivector,
-)
+from .forms import bracket_coproduct
 from .lie import OrthogonalSplit, QuadraticLieAlgebra, killing_form, orthogonal_split
 from .linalg import Matrix, diagonalize_form, nullspace, solve_linear
 from .suite import SuiteReport, render_machine, render_text, run_suite
@@ -50,7 +37,6 @@ __all__ = [
     "DegenerateFormError",
     "DiracContext",
     "Matrix",
-    "MultilinearMap",
     "Multivector",
     "NotASubalgebraError",
     "OrthogonalSplit",
@@ -59,18 +45,14 @@ __all__ = [
     "SuiteReport",
     "TensorElement",
     "TripleTensorElement",
-    "UnsupportedArityError",
     "ValidationError",
     "bracket_coproduct",
     "catalog_entry",
     "catalog_names",
-    "ce_differential",
     "diagonalize_form",
     "emit_algebra_text",
-    "form_of_trivector",
     "is_scalar",
     "killing_form",
-    "multivector_from_trilinear",
     "nullspace",
     "orthogonal_split",
     "parse_algebra_text",

@@ -26,7 +26,6 @@ from .errors import (
     ContractViolation,
     DegenerateFormError,
     NotASubalgebraError,
-    UnsupportedArityError,
     ValidationError,
 )
 from .suite import render_machine, render_text, run_suite
@@ -36,7 +35,6 @@ _INPUT_ERRORS = (
     ContractViolation,
     DegenerateFormError,
     NotASubalgebraError,
-    UnsupportedArityError,
     ValidationError,
     OSError,
 )

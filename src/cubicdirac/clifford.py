@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractViolation
 from .linalg import ZERO, as_scalar, vector
@@ -218,9 +218,6 @@ class Multivector(LinearCombination):
 
     # -- grading -----------------------------------------------------------
 
-    def degree_part(self, k: int) -> "Multivector":
-        return Multivector(self.space, {m: c for m, c in self.terms.items() if m.bit_count() == k})
-
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
 
@@ -246,35 +243,16 @@ def is_scalar(a: Multivector) -> bool:
     return all(m == 0 for m in a.terms)
 
 
-def multivector_from_trilinear(space: CliffordSpace, table: Mapping[tuple[int, int, int], object]) -> Multivector:
-    """The unique degree-3 multivector v with <v, x^y^z> = t(x,y,z).
-
-    <.,.> is the extended pairing, B extended to blades by Gram determinants.
-
-    t is the table {(i, j, k): t(e_i, e_j, e_k)}; absent triples read as
-    zero.  Its nonzero entries are written over one common denominator, and
-    `_multivector_from_numerators` checks that t is alternating and builds v.
-    """
-    m = space.dim
-    values = {}
-    for key, raw in table.items():
-        if not (isinstance(key, tuple) and len(key) == 3 and all(isinstance(i, int) and 0 <= i < m for i in key)):
-            raise ContractViolation(f"trilinear key {key!r} is not three indices below {m}")
-        val = as_scalar(raw)
-        if val:
-            values[key] = val
-    den, numerators = _integer_terms(values)
-    return _multivector_from_numerators(space, dict(numerators), den, (ONE,) * m)
-
-
 def _multivector_from_numerators(
     space: CliffordSpace, numerators: dict[tuple[int, int, int], int], den: int, weights: Sequence[Fraction]
 ) -> Multivector:
-    """The v of `multivector_from_trilinear` for t(i, j, k) = w_i n_ijk / den.
+    """The unique degree-3 multivector v with <v, x^y^z> = t(x, y, z), for
+    t(e_i, e_j, e_k) = w_i n_ijk / den.
 
-    numerators holds the nonzero n_ijk, keyed by three indices below the
-    space's dimension, and w = weights has one nonzero entry per index, so
-    that the fundamental form t(X_i, X_j, X_k) = -d_i c_jk^i / 2 is passed
+    <.,.> is the extended pairing, B extended to blades by Gram
+    determinants.  numerators holds the nonzero n_ijk, keyed by three
+    indices below the space's dimension, and w = weights has one nonzero
+    entry per index, so that the fundamental form t(X_i, X_j, X_k) = -d_i c_jk^i / 2 is passed
     as its structure-constant numerators with w = d.  t must be alternating,
     which is verified on its support: a nonzero entry has three distinct
     indices, and each of its six orderings carries it with the ordering's

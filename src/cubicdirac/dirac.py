@@ -41,20 +41,10 @@ from .clifford import (
 )
 from .envelope import PBWElement
 from .errors import ContractViolation
-from .forms import (
-    _ORDERINGS,
-    MultilinearMap,
-    _ad_rows,
-    _canonical_part,
-    _d_scatter,
-    _theta_scatter,
-    bracket_coproduct,
-    ce_differential,
-    form_of_trivector,
-)
+from .forms import _ORDERINGS, _ad_rows, _canonical_part, _d_scatter, _theta_scatter, bracket_coproduct
 from .lie import QuadraticLieAlgebra, orthogonal_split, unit
 from .linalg import ZERO, vector
-from .sparse import _integer_terms
+from .sparse import _fractions_over, _integer_terms
 from .tensor import TensorElement, TripleTensorElement
 
 
@@ -361,7 +351,8 @@ class DiracContext:
         failing witness names its labels.  The items that read v need the
         orthogonal basis v is built in, so a context with a subalgebra runs
         them on its `absolute` context, in the h-adapted basis, and their
-        witnesses name the labels p1.., h1.. of that basis.
+        witnesses name the labels p1.., h1.. of that basis.  Every form item
+        runs on the integer kernels of `forms` and builds no map object.
 
         The items that depend on v are `dB-equals-2v` and
         `delta-plus-dv-vanishes`.  `dv-derivation-law` and
@@ -370,34 +361,48 @@ class DiracContext:
         commutator, not v; both run on the generators (see `_dv_law_items`).
         """
         ctx = self.absolute
-        g = ctx.adapted
-
-        b_form = MultilinearMap.from_matrix(g, g.form)
-        two_v = 2 * form_of_trivector(g, ctx.v)
-        db_2v = _first_difference(ce_differential(b_form).terms, two_v.terms, g.labels)
         cartan, alternating = self._cartan_item(self.algebra)
         return CheckOutcome(
             "cohomology",
             (
-                CheckItem("dB-equals-2v", db_2v),
+                ctx._db_item(),
                 self._theta_b_item(self.algebra),
                 cartan,
                 *self._d_items(self.algebra, alternating),
                 CheckItem("delta-plus-dv-vanishes", ctx.first_order_witness),
-                *_dv_law_items(ctx.space, ctx.v, ctx._v_square, ctx._dv_generators, g.labels),
+                *_dv_law_items(ctx.space, ctx.v, ctx._v_square, ctx._dv_generators, ctx.adapted.labels),
             ),
         )
+
+    def _db_item(self) -> CheckItem:
+        """dB = 2<v, .^.^.> as two tables over index triples, h = 0.
+
+        d B is `_d_scatter` on the form's integer entries, over their
+        denominator times P.  A degree-3 blade c e_i^e_j^e_k of v pairs with
+        e_p^e_q^e_r to sign(p, q, r) c d_i d_j d_k when (p, q, r) orders
+        {i, j, k}, and to 0 otherwise, so 2<v, .> is read off v's degree-3
+        terms.  v is read as built, so a fault in it reaches this item.
+        """
+        g = self.adapted
+        den, entries = _form_entries(g)
+        den_g, _, preimage = g._integer_structure
+        db = _fractions_over(_d_scatter(entries, preimage), den * den_g)
+        two_v = {
+            key: sign * 2 * c * self.space._gram_product(mask)
+            for mask, c in self.v.terms.items()
+            if mask.bit_count() == 3
+            for key, sign in _alternating_entries(tuple(_bits(mask)))
+        }
+        return CheckItem("dB-equals-2v", _first_difference(db, two_v, g.labels))
 
     def _theta_b_item(self, g: QuadraticLieAlgebra) -> CheckItem:
         """theta_X B = 0 for X over the unit vectors of g, the invariance of B.
 
-        The form's nonzero entries are brought to integer numerators once,
-        and theta_{e_i} is scattered on them with the kernels `_ad_rows` and
-        `_theta_scatter`.
+        theta_{e_i} is scattered on the form's integer entries with the
+        kernels `_ad_rows` and `_theta_scatter`.
         """
         _, ad, _ = g._integer_structure
-        form = {(i, j): c for i in range(g.dim) for j, c in enumerate(g.form.row(i)) if c}
-        _, entries = _integer_terms(form)
+        _, entries = _form_entries(g)
         moved = (i for i in range(g.dim) if any(_theta_scatter(entries, _ad_rows([(i, 1)], ad)).values()))
         return CheckItem("theta-B-vanishes", next((g.labels[i] for i in moved), None))
 
@@ -608,6 +613,11 @@ class DiracContext:
                 key = (umono, pmask | high)
                 out[key] = out.get(key, ZERO) + c * ci
         return TripleTensorElement(self.adapted, space, out)
+
+
+def _form_entries(g: QuadraticLieAlgebra) -> tuple[int, list]:
+    """The form's nonzero entries B_ij as `_integer_terms` gives them: (den, [((i, j), n), ...])."""
+    return _integer_terms({(i, j): c for i in range(g.dim) for j, c in enumerate(g.form.row(i)) if c})
 
 
 def _nonzero(numerators: dict) -> dict:

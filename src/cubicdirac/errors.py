@@ -37,10 +37,6 @@ class NotASubalgebraError(ValueError):
         self.witness = witness
 
 
-class UnsupportedArityError(ValueError):
-    """A multilinear-map operation was asked for an arity beyond the cap."""
-
-
 class ValidationError(ValueError):
     """Structured validation failure: the first violated condition plus a witness."""
 

@@ -1,9 +1,9 @@
-"""Multilinear maps on a Lie algebra and the Chevalley-Eilenberg operators.
+"""The Chevalley-Eilenberg kernels and the bracket coproduct.
 
-A MultilinearMap of arity k is a table over all n^k basis index tuples (no
-symmetry compression; only nonzero entries are physically stored, reads
-default to zero).  The Chevalley-Eilenberg operators are the coordinate
-formulas
+A multilinear map of arity k on a Lie algebra is a table over the n^k basis
+index tuples; the kernels take its nonzero entries only, as (key, n) pairs
+over one common denominator.  The Chevalley-Eilenberg operators are the
+coordinate formulas
 
   (d w)(x_0..x_k)     = sum_{s<t} (-1)^s w(x_0.. x_s-hat .. [x_s,x_t]@t .. x_k)
   (theta_X w)(x_1..x_k) = sum_s w(x_1 .. [X, x_s] .. x_k)
@@ -17,24 +17,19 @@ basis vector it costs O(n + nnz(ad e_a)).  Both indexes are read from the
 algebra's integer structure, which its constructor builds once and
 validates (`QuadraticLieAlgebra._integer_structure`), and hold the
 structure constants over one common denominator; the kernels add integer
-numerators.
+numerators and return numerator dicts, which may hold zeros: `_d_scatter`
+for d, `_ad_rows` and `_theta_scatter` for theta_X.  On alternating maps d
+is the usual Lie-algebra-cohomology differential with trivial
+coefficients; d of a 0-form is zero.
 
-The integer loops are private kernels that take (key, numerator) entries
-and return numerator dicts, which may hold zeros: `_d_scatter` for d,
-`_ad_rows` and `_theta_scatter` for theta_X.  `ce_differential`, the one
-public operator, puts its operand over integers, runs `_d_scatter` and
-builds one Fraction per output tuple.  The cohomology items in `dirac` run
-the kernels directly: cartan-formula runs `_d_scatter` and `_ad_rows` on
-point masses and reads iota of a point mass off its key, theta-B-vanishes
-runs `_ad_rows` and `_theta_scatter` on the form, and the d items read d of
-the alternating point masses off the cartan check's columns and test them
-with `_canonical_part`, the alternation test.
-
-d raises arity by one and is capped so results stay within arity 4.  On
-alternating maps d is the usual Lie-algebra-cohomology differential with
-trivial coefficients; d of a 0-form is zero.  A map's table is its `terms`;
-addition, scaling, equality and the carrier check (the algebra and the
-arity) come from the shared LinearCombination base.
+The cohomology items in `dirac` are the kernels' callers, and the package
+has no public map type and no public operator on maps: dB-equals-2v runs
+`_d_scatter` on the form's entries, theta-B-vanishes runs `_ad_rows` and
+`_theta_scatter` on them, cartan-formula runs `_d_scatter` and `_ad_rows`
+on point masses and reads iota of a point mass off its key, and the d
+items read d of the alternating point masses off the cartan check's
+columns and test them with `_canonical_part`, the alternation test, which
+knows the orderings of up to four slots, the most d of a 3-form reaches.
 """
 
 from __future__ import annotations
@@ -44,64 +39,10 @@ from itertools import combinations, permutations
 from operator import itemgetter, lt
 from typing import Mapping, Sequence
 
-from .clifford import _ORDERING_SIGNS, CliffordSpace, Multivector
-from .errors import ContractViolation, UnsupportedArityError
+from .clifford import CliffordSpace, Multivector
+from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
-from .linalg import as_scalar
-from .sparse import LinearCombination, _fractions_over, _integer_terms
-
-MAX_ARITY = 4
-
-
-class MultilinearMap(LinearCombination):
-    __slots__ = ("algebra", "arity")
-    carrier_fields = ("algebra", "arity")
-
-    def __init__(self, algebra: QuadraticLieAlgebra, arity: int, values: Mapping):
-        if not 0 <= arity <= MAX_ARITY:
-            raise UnsupportedArityError(f"arity {arity} outside 0..{MAX_ARITY}")
-        self.algebra = algebra
-        self.arity = arity
-        table = {}
-        for key, val in values.items():
-            key = tuple(key)
-            if len(key) != arity:
-                raise ContractViolation("index tuple length does not match arity")
-            if any(not 0 <= i < algebra.dim for i in key):
-                raise ContractViolation("index out of range")
-            val = as_scalar(val)
-            if val:
-                table[key] = val
-        self.terms = table
-
-    @classmethod
-    def zero(cls, algebra, arity: int) -> "MultilinearMap":
-        return cls(algebra, arity, {})
-
-    @classmethod
-    def from_matrix(cls, algebra, mat) -> "MultilinearMap":
-        if mat.rows != algebra.dim or mat.cols != algebra.dim:
-            raise ContractViolation("matrix shape does not match the algebra")
-        return cls(
-            algebra,
-            2,
-            {
-                (i, j): mat.entry(i, j)
-                for i in range(algebra.dim)
-                for j in range(algebra.dim)
-            },
-        )
-
-    @property
-    def values(self) -> dict:
-        """The nonzero table entries, keyed by index tuple."""
-        return self.terms
-
-    def __repr__(self) -> str:
-        entries = ", ".join(
-            f"{key}:{val}" for key, val in sorted(self.terms.items())
-        )
-        return f"MultilinearMap(arity={self.arity}, {{{entries}}})"
+from .sparse import _integer_terms
 
 
 def _orderings(k: int) -> list:
@@ -113,7 +54,7 @@ def _orderings(k: int) -> list:
     ]
 
 
-_ORDERINGS = [_orderings(k) for k in range(MAX_ARITY + 1)]
+_ORDERINGS = [_orderings(k) for k in range(5)]
 
 
 def _canonical_part(terms: Mapping) -> dict | None:
@@ -202,18 +143,6 @@ def _theta_scatter(entries, rows) -> dict:
     return out
 
 
-def ce_differential(w: MultilinearMap) -> MultilinearMap:
-    """The coboundary; raises arity by one (input arity at most 3)."""
-    g = w.algebra
-    k = w.arity
-    if k + 1 > MAX_ARITY:
-        raise UnsupportedArityError(f"differential of arity {k} exceeds the arity cap")
-    den, entries = _integer_terms(w.terms)
-    den_g, _, preimage = g._integer_structure
-    out = _fractions_over(_d_scatter(entries, preimage), den * den_g)
-    return MultilinearMap._from_terms((g, k + 1), out)
-
-
 def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Sequence) -> Multivector:
     """The degree-2 multivector delta(x) with <delta(x), y^z> = B(x,[y,z]), <.,.> the extended pairing.
 
@@ -248,20 +177,3 @@ def bracket_coproduct(space: CliffordSpace, algebra: QuadraticLieAlgebra, x: Seq
             terms[(1 << i) | (1 << j)] = Fraction(total * dd.denominator, den * dd.numerator)
     return Multivector._from_terms((space,), terms)
 
-
-def form_of_trivector(algebra: QuadraticLieAlgebra, v: Multivector) -> MultilinearMap:
-    """Read a degree-3 multivector back as the arity-3 map <v, .^.^.> of the extended pairing.
-
-    A degree-3 blade c e_i^e_j^e_k (i < j < k) pairs with e_p^e_q^e_r to
-    sign(p, q, r) c d_i d_j d_k when (p, q, r) orders {i, j, k}, else to 0.
-    """
-    space = v.space
-    if space.dim != algebra.dim:
-        raise ContractViolation("multivector space does not match the algebra")
-    out = {}
-    for mask, c in v.degree_part(3).terms.items():
-        i, j, k = (t for t in range(space.dim) if mask >> t & 1)
-        val = c * space.gram[i] * space.gram[j] * space.gram[k]
-        for idx, sign in zip(permutations((i, j, k)), _ORDERING_SIGNS):
-            out[idx] = sign * val
-    return MultilinearMap._from_terms((algebra, 3), out)

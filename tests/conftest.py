@@ -6,24 +6,26 @@ hand out the same immutable objects everywhere.
 
 The module also keeps the reference oracles the package is compared with,
 most of them bodies the package once had: the Fraction PBW rewriter, the
-Casimir, the matrix nu(Y) of ad Y on h_perp with its spin lift, and the
-operators theta_X and iota_X.
+Casimir, the matrix nu(Y) of ad Y on h_perp with its spin lift, the
+multilinear map type with the operators d, theta_X and iota_X on it, the
+3-form <v, .^.^.> of a 3-vector, and the Fraction face of the v kernel.
 """
 
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, forms
-from cubicdirac.clifford import CliffordSpace, Multivector, _swap_prefix
+from cubicdirac.clifford import CliffordSpace, Multivector, _multivector_from_numerators, _swap_prefix
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
-from cubicdirac.forms import MultilinearMap, _canonical_part
+from cubicdirac.forms import _canonical_part
 from cubicdirac.lie import OrthogonalSplit
 from cubicdirac.linalg import ZERO, Matrix, _echelon, as_scalar, rank
-from cubicdirac.sparse import _fractions_over, _integer_terms
+from cubicdirac.sparse import LinearCombination, _fractions_over, _integer_terms
 from cubicdirac.suite import run_suite
 
 
@@ -168,6 +170,64 @@ def spin_lift(space: CliffordSpace, a: Matrix) -> Multivector:
         if alpha * gen - gen * alpha != space.vector(a.column(l)):
             raise ContractViolation("internal: spin lift failed re-verification")
     return alpha
+
+
+class MultilinearMap(LinearCombination):
+    """A map of arity k on an algebra as its nonzero entries {index tuple: Fraction}.
+
+    The map type the package had before its cohomology items ran on
+    integer kernels; the oracles below take and return it, and maps of
+    different algebras or arities do not mix.
+    """
+
+    __slots__ = ("algebra", "arity")
+    carrier_fields = ("algebra", "arity")
+
+    def __init__(self, algebra: QuadraticLieAlgebra, arity: int, values):
+        self.algebra = algebra
+        self.arity = arity
+        self.terms = {tuple(key): as_scalar(val) for key, val in values.items() if val}
+
+    @classmethod
+    def from_matrix(cls, algebra: QuadraticLieAlgebra, mat: Matrix) -> "MultilinearMap":
+        return cls(algebra, 2, {(i, j): mat.entry(i, j) for i in range(mat.rows) for j in range(mat.cols)})
+
+
+def kernel_differential(w: MultilinearMap) -> MultilinearMap:
+    """d w through the kernel `forms._d_scatter`, read off the module at each
+    call so that a fault patched into forms reaches it, over the algebra's
+    integer structure, so that a corrupted preimage index reaches it too.
+
+    It is the path the cohomology items take, and the d their references
+    share with them.  The reference d itself is compared with is the
+    gather form `test_forms.dense_differential`.
+    """
+    g = w.algebra
+    den, entries = _integer_terms(w.terms)
+    den_g, _, preimage = g._integer_structure
+    out = _fractions_over(forms._d_scatter(entries, preimage), den * den_g)
+    return MultilinearMap._from_terms((g, w.arity + 1), out)
+
+
+def form_of_trivector(algebra: QuadraticLieAlgebra, v: Multivector) -> MultilinearMap:
+    """<v, .^.^.> as an arity-3 map: `pairing(v, e_i^e_j^e_k)` on each
+    increasing triple, spread over its orderings with their signs."""
+    space = v.space
+    out = {}
+    for triple in combinations(range(space.dim), 3):
+        val = pairing(v, space.blade(triple))
+        for order in permutations(triple):
+            out[order] = (-1) ** sum(a > b for a, b in combinations(order, 2)) * val
+    return MultilinearMap(algebra, 3, out)
+
+
+def multivector_from_trilinear(space: CliffordSpace, table: dict) -> Multivector:
+    """The degree-3 v with <v, x^y^z> = t(x, y, z) for the table
+    t = {(i, j, k): value}: its nonzero entries over one common denominator,
+    through the kernel `_multivector_from_numerators` with unit weights,
+    which checks that t is alternating."""
+    den, numerators = _integer_terms({key: as_scalar(val) for key, val in table.items() if val})
+    return _multivector_from_numerators(space, dict(numerators), den, (Fraction(1),) * space.dim)
 
 
 def lie_action(x, w: MultilinearMap) -> MultilinearMap:

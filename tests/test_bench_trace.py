@@ -11,7 +11,7 @@ check that it counts the layers and undoes every patch.
 import importlib.util
 from pathlib import Path
 
-from cubicdirac import catalog_entry, cli, dirac, emit_algebra_text, forms, parse_algebra_text
+from cubicdirac import catalog_entry, cli, dirac, emit_algebra_text, parse_algebra_text
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -31,14 +31,12 @@ def test_tracer_counts_the_layers_and_restores_the_package():
         entry = catalog_entry("sl2xsl2-diagonal")
         ctx = dirac.DiracContext(entry.algebra, entry.subalgebra)
         assert ctx.decomposition_check().passed
-        g = ctx.adapted
-        forms.ce_differential(forms.MultilinearMap.from_matrix(g, g.form))
     finally:
         tracer.uninstall()
     for name in (
         "tensor.TensorElement.__mul__",
         "tensor.TripleTensorElement.__mul__",
-        "forms.ce_differential",
+        "forms.bracket_coproduct",
     ):
         assert tracer.stats[name]["calls"] > 0, name
     assert patches
@@ -71,20 +69,19 @@ FIELDS = ("calls", "pairs", "terms_in", "terms_out")
 PINNED_COUNTS = {
     # one cohomology check on sl2xsl2-diagonal (absolute, m = 6): the
     # Clifford product, the twisted commutator (calls only: it makes no
-    # Clifford product of its own) and the Chevalley-Eilenberg
-    # differential.  The twisted commutators are d_v e_a once per generator,
-    # which the context keeps for delta-plus-dv-vanishes and the dv-* laws,
-    # and 36 + 6 for the laws (d_v(e_i e_j), d_v d_v e_a); the products
-    # are 3 per ordered pair for the derivation law, v^2, and 2 per
-    # generator for the square law.
-    # cartan-formula, d-squared-zero, d-preserves-alternating and
-    # theta-B-vanishes run the operators' kernels, not the operators, so
-    # what is left of the forms is dB; theta_X and iota_X are not in the
-    # package (conftest keeps them as oracles)
+    # Clifford product of its own) and the bracket coproduct.  The twisted
+    # commutators are d_v e_a once per generator, which the context keeps
+    # for delta-plus-dv-vanishes and the dv-* laws, and 36 + 6 for the laws
+    # (d_v(e_i e_j), d_v d_v e_a); the products are 3 per ordered pair for
+    # the derivation law, v^2, and 2 per generator for the square law;
+    # delta(X_a) is taken once per generator for delta-plus-dv-vanishes.
+    # The five form items run the Chevalley-Eilenberg kernels, which the
+    # tracer does not wrap; the package has no operator on maps (conftest
+    # keeps d, theta_X and iota_X as oracles)
     ("cohomology_check", False): {
         "clifford.Multivector.__mul__": (121, 124, 0, 121),
         "clifford.twisted_commutator": (48,),
-        "forms.ce_differential": (1, 0, 6, 12),
+        "forms.bracket_coproduct": (6,),
     },
     # one decomposition check on sl2xsl2-diagonal over its diagonal sl(2):
     # the pair products and the graded triple products; the squared
@@ -120,9 +117,9 @@ PINNED_COUNTS = {
 def test_cohomology_kernels_keep_their_traced_names_and_work():
     """Exact work counts of traced checks on sl2xsl2-diagonal.
 
-    The product kernels and the Chevalley-Eilenberg differential must
-    still run under the names the tracer wraps, and do the same work: the
-    same calls, term pairs and sizes in and out.  A pin lists a prefix of
+    The product kernels and the bracket coproduct must still run under the
+    names the tracer wraps, and do the same work: the same calls, term
+    pairs and sizes in and out.  A pin lists a prefix of
     (calls, pairs, terms_in, terms_out).
     """
     entry = catalog_entry("sl2xsl2-diagonal")

@@ -11,6 +11,7 @@ values frozen into the assertions:
   * an sl(2) triple inside sl(3): constants 1/3, 1/12, 1/4
 """
 
+import inspect
 import random
 import re
 import sys
@@ -22,12 +23,14 @@ from itertools import product
 import pytest
 
 from conftest import (
+    MultilinearMap,
     changed_algebra,
     grade_involution,
     hostile_form,
     insert_first,
     invert,
     is_alternating,
+    kernel_differential,
     lie_action,
     moved_subalgebra,
     pbw_from_vector,
@@ -42,7 +45,7 @@ from cubicdirac.clifford import CliffordSpace, Multivector, twisted_commutator
 from cubicdirac.dirac import CheckItem, DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
-from cubicdirac.forms import MultilinearMap, bracket_coproduct, ce_differential
+from cubicdirac.forms import bracket_coproduct
 from cubicdirac.lie import QuadraticLieAlgebra, unit
 from cubicdirac.sparse import LinearCombination
 from cubicdirac.tensor import TensorElement
@@ -755,7 +758,7 @@ def test_passing_dv_items_carry_no_witness(contexts):
 
 
 def reference_theta_b_item(g):
-    """theta-B-vanishes through the public lie_action, one call per basis vector."""
+    """theta-B-vanishes through the oracle lie_action, one call per basis vector."""
     b_form = MultilinearMap.from_matrix(g, g.form)
     for i in range(g.dim):
         if not lie_action(unit_vector(g.dim, i), b_form).is_zero():
@@ -791,12 +794,13 @@ def test_theta_b_item_matches_lie_action(monkeypatch, name, broken):
     assert item.ok == (not broken or name.startswith("abelian"))
 
 
-# -- cartan-formula against the public operators --------------------------------
+# -- cartan-formula against the operators on maps ------------------------------
 #
 # `_cartan_item` compares integer numerators from the operators' shared
 # kernels, all X of a point mass in one table.  This is an earlier body,
-# which evaluates every (arity, key, X) through the public operators over
-# Q, kept here as the reference it must agree with.
+# which evaluates every (arity, key, X) through the operators on maps over
+# Q (conftest's oracles, which read the kernels off forms at each call),
+# kept here as the reference it must agree with.
 
 
 def reference_cartan_item(g):
@@ -804,9 +808,9 @@ def reference_cartan_item(g):
     for arity in range(1, 4):
         for key in product(range(len(basis)), repeat=arity):
             w = MultilinearMap(g, arity, {key: 1})
-            dw = ce_differential(w)
+            dw = kernel_differential(w)
             for i, x in enumerate(basis):
-                lhs = insert_first(x, dw) + ce_differential(insert_first(x, w))
+                lhs = insert_first(x, dw) + kernel_differential(insert_first(x, w))
                 if lhs != lie_action(x, w):
                     return CheckItem("cartan-formula", f"arity {arity} key {key} X={g.labels[i]}")
     return CheckItem("cartan-formula")
@@ -861,6 +865,23 @@ def test_cartan_item_matches_the_reference_on_a_corrupted_ad_entry(name):
     assert len(witnesses) > 1
 
 
+def forbid_the_public_forms(monkeypatch, forbidden):
+    """Bind `forbidden` for every public function of forms, in forms and in dirac.
+
+    bracket_coproduct is the only one: the operators on maps left the
+    package with the map type, and conftest keeps them as oracles.
+    """
+    public = [
+        name
+        for name, obj in vars(forms).items()
+        if inspect.isfunction(obj) and obj.__module__ == forms.__name__ and not name.startswith("_")
+    ]
+    assert public == ["bracket_coproduct"]
+    for name in public:
+        monkeypatch.setattr(forms, name, forbidden)
+        monkeypatch.setattr(dirac, name, forbidden)
+
+
 def test_cartan_item_uses_no_public_operator_and_builds_no_fraction(monkeypatch):
     ctx = fresh_context("sl2xsl2-diagonal")
     g = ctx.adapted
@@ -868,9 +889,7 @@ def test_cartan_item_uses_no_public_operator_and_builds_no_fraction(monkeypatch)
     def forbidden(*args, **kwargs):
         raise AssertionError("cartan-formula reached a public operator or built a Fraction")
 
-    # the package's one public operator; theta_X and iota_X are oracles in conftest
-    monkeypatch.setattr(forms, "ce_differential", forbidden)
-    monkeypatch.setattr(dirac, "ce_differential", forbidden)
+    forbid_the_public_forms(monkeypatch, forbidden)
     monkeypatch.setattr(LinearCombination, "__add__", forbidden)
     monkeypatch.setattr(Fraction, "__new__", forbidden)
     item, _ = ctx._cartan_item(g)
@@ -905,10 +924,10 @@ KERNEL_FAULTS = {
 @pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
 @pytest.mark.parametrize("kernel", KERNEL_FAULTS)
 def test_cartan_item_fails_under_each_kernel_fault(monkeypatch, name, kernel):
-    """A fault in a kernel the public operators share fails cartan-formula,
+    """A fault in a kernel the operators on maps share fails cartan-formula,
     with the reference's witness.
 
-    The fault is bound in forms, where the public operators read it, and
+    The fault is bound in forms, where the oracles read it, and
     in dirac, where the cartan item does.  The item reads iota of a point
     mass off its key and calls no iota kernel, so the fault of that kernel
     is caught through `insert_first` (`test_forms`).
@@ -953,27 +972,26 @@ def test_cartan_item_names_the_least_failing_key_across_orbits(monkeypatch):
     assert item.witness == f"arity 3 key (0, 2, 2) X={g.labels[0]}"
 
 
-# -- d-squared-zero and d-preserves-alternating against the public operators ----
+# -- d-squared-zero and d-preserves-alternating against the operators on maps ---
 #
 # Both items come from one pass over the columns of d on the alternating
 # point masses, which cartan-formula sums from its scatters with the kernel
-# `ce_differential` runs, and read d^2 = 0 off the canonical parts of those
-# columns.  These are earlier
-# bodies, which build each point mass as a MultilinearMap and apply the
-# public operator twice over Q, kept here as the references they must agree
-# with.
+# `_d_scatter`, and read d^2 = 0 off the canonical parts of those columns.
+# These are earlier bodies, which build each point mass as a MultilinearMap
+# and apply d twice over Q through `kernel_differential`, kept here as the
+# references they must agree with.
 
 
 def reference_d_squared_item(g):
     n = g.dim
     for i in range(n):
         w = MultilinearMap(g, 1, {(i,): 1})
-        if not ce_differential(ce_differential(w)).is_zero():
+        if not kernel_differential(kernel_differential(w)).is_zero():
             return CheckItem("d-squared-zero", f"arity 1 key ({i},)")
     for i in range(n):
         for j in range(i + 1, n):
             w = MultilinearMap(g, 2, {(i, j): 1, (j, i): -1})
-            if not ce_differential(ce_differential(w)).is_zero():
+            if not kernel_differential(kernel_differential(w)).is_zero():
                 return CheckItem("d-squared-zero", f"arity 2 key ({i},{j})")
     return CheckItem("d-squared-zero")
 
@@ -982,18 +1000,18 @@ def reference_alternating_item(g):
     n = g.dim
     for i in range(n):
         w = MultilinearMap(g, 1, {(i,): 1})
-        if not is_alternating(ce_differential(w)):
+        if not is_alternating(kernel_differential(w)):
             return CheckItem("d-preserves-alternating", f"arity 1 key ({i},)")
     for i in range(n):
         for j in range(i + 1, n):
             w = MultilinearMap(g, 2, {(i, j): 1, (j, i): -1})
-            if not is_alternating(ce_differential(w)):
+            if not is_alternating(kernel_differential(w)):
                 return CheckItem("d-preserves-alternating", f"arity 2 key ({i},{j})")
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 triple = {(i, j, k): 1, (j, k, i): 1, (k, i, j): 1, (j, i, k): -1, (i, k, j): -1, (k, j, i): -1}
-                if not is_alternating(ce_differential(MultilinearMap(g, 3, triple))):
+                if not is_alternating(kernel_differential(MultilinearMap(g, 3, triple))):
                     return CheckItem("d-preserves-alternating", f"arity 3 key ({i},{j},{k})")
     return CheckItem("d-preserves-alternating")
 
@@ -1144,13 +1162,14 @@ def test_cohomology_scatters_d_once_per_point_mass(monkeypatch):
     parts.  A d that is not alternating past arity 2 fails cartan-formula at
     arity 3, which still scatters every point mass for the d items, and
     sends the first 2-form to the direct second scatter, which fails it, so
-    no other 2-form is tried; both items still equal their references."""
+    no other 2-form is tried; both items still equal their references.
+    dB-equals-2v scatters d once, on the form's entries."""
     ctx = fresh_context("sl2xsl2-diagonal")
     g = ctx.algebra
     calls = Counter()
     monkeypatch.setattr(dirac, "_d_scatter", counting(forms._d_scatter, calls))
     assert ctx.cohomology_check().passed
-    assert calls == {"_cartan_item": 258}
+    assert calls == {"_cartan_item": 258, "_db_item": 1}
 
     calls.clear()
     faulty = d_repeating_the_last_index_above(2, forms._d_scatter)
@@ -1160,7 +1179,7 @@ def test_cohomology_scatters_d_once_per_point_mass(monkeypatch):
     assert not items["cartan-formula"].ok
     for item_id, reference in zip(("d-squared-zero", "d-preserves-alternating"), d_references(g)):
         assert items[item_id] == reference and not reference.ok
-    assert calls == {"_cartan_item": 258, "_d_items": 1}
+    assert calls == {"_cartan_item": 258, "_d_items": 1, "_db_item": 1}
 
 
 @pytest.mark.parametrize("name", ["sl2xsl2-diagonal", "sl3-killing"])
@@ -1194,11 +1213,9 @@ def test_d_items_use_no_public_operator_and_build_no_fraction(monkeypatch):
     g = ctx.adapted
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a d item reached a public operator or built a Fraction or a map")
+        raise AssertionError("a d item reached a public operator or built a Fraction or an element")
 
-    monkeypatch.setattr(forms, "ce_differential", forbidden)
-    monkeypatch.setattr(dirac, "ce_differential", forbidden)
-    monkeypatch.setattr(MultilinearMap, "__init__", forbidden)
+    forbid_the_public_forms(monkeypatch, forbidden)
     monkeypatch.setattr(LinearCombination, "__add__", forbidden)
     monkeypatch.setattr(Fraction, "__new__", forbidden)
     items = ctx._d_items(g, ctx._cartan_item(g)[1])

@@ -1,4 +1,9 @@
-"""Chevalley-Eilenberg operators d, theta, iota and the bracket coproduct."""
+"""The Chevalley-Eilenberg kernels, the dB-equals-2v item and the bracket coproduct.
+
+d, theta_X and iota_X are applied through the conftest oracles that run the
+package's kernels on `conftest.MultilinearMap`, and compared with the
+gather forms kept here.
+"""
 
 import functools
 import random
@@ -11,27 +16,27 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import (
+    MultilinearMap,
     abelian_named_sl2,
+    changed_algebra,
+    form_of_trivector,
     form_value,
     insert_first,
     is_alternating,
+    kernel_differential,
     lie_action,
     pairing,
     tstar_heisenberg,
     unit_vector,
 )
-from cubicdirac import forms
+from cubicdirac import dirac, forms
 from cubicdirac.catalog import catalog_entry, catalog_names
 from cubicdirac.clifford import Multivector
-from cubicdirac.dirac import DiracContext
-from cubicdirac.errors import ContractViolation, UnsupportedArityError
-from cubicdirac.forms import (
-    MultilinearMap,
-    bracket_coproduct,
-    ce_differential,
-    form_of_trivector,
-)
+from cubicdirac.dirac import CheckItem, DiracContext
+from cubicdirac.errors import ContractViolation
+from cubicdirac.forms import bracket_coproduct
 from cubicdirac.lie import orthogonal_split, unit
+from cubicdirac.sparse import LinearCombination
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +89,7 @@ def test_from_matrix_roundtrip(sl2):
 def test_differential_of_invariant_form(sl2):
     """dB(x,y,z) collapses to -B(x,[y,z]) when B is invariant."""
     b = MultilinearMap.from_matrix(sl2, sl2.form)
-    db = ce_differential(b)
+    db = kernel_differential(b)
     assert db.arity == 3
     es = basis(3)
     for i in range(3):
@@ -93,12 +98,6 @@ def test_differential_of_invariant_form(sl2):
                 expected = -form_value(sl2, es[i], sl2.bracket(es[j], es[k]))
                 assert value(db, (i, j, k)) == expected
     assert is_alternating(db)
-
-
-def test_differential_matches_fundamental_trivector(sl2_ctx):
-    g = sl2_ctx.adapted
-    b = MultilinearMap.from_matrix(g, g.form)
-    assert ce_differential(b) == 2 * form_of_trivector(g, sl2_ctx.v)
 
 
 def test_invariant_form_is_killed_by_every_lie_action(sl2):
@@ -151,30 +150,22 @@ def test_cartan_formula_on_point_masses(sl2):
             key = tuple(rng.randrange(3) for _ in range(arity))
             w = MultilinearMap(sl2, arity, {key: Fraction(rng.randint(1, 5))})
             x = basis(3)[rng.randrange(3)]
-            lhs = insert_first(x, ce_differential(w)) + ce_differential(insert_first(x, w))
+            lhs = insert_first(x, kernel_differential(w)) + kernel_differential(insert_first(x, w))
             assert lhs == lie_action(x, w)
 
 
 def test_differential_squares_to_zero(sl2):
     for i in range(3):
         w = MultilinearMap(sl2, 1, {(i,): Fraction(1)})
-        assert ce_differential(ce_differential(w)).is_zero()
+        assert kernel_differential(kernel_differential(w)).is_zero()
     pair = MultilinearMap(sl2, 2, {(0, 2): Fraction(3), (2, 0): Fraction(-3)})
-    assert ce_differential(ce_differential(pair)).is_zero()
+    assert kernel_differential(kernel_differential(pair)).is_zero()
 
 
 def test_differential_preserves_alternating_maps(sl2):
     w = MultilinearMap(sl2, 2, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
     assert is_alternating(w)
-    assert is_alternating(ce_differential(w))
-
-
-def test_arity_cap_is_enforced(sl2):
-    top = MultilinearMap(sl2, 4, {(0, 1, 2, 0): Fraction(1)})
-    with pytest.raises(UnsupportedArityError):
-        ce_differential(top)
-    with pytest.raises(UnsupportedArityError):
-        MultilinearMap(sl2, 5, {})
+    assert is_alternating(kernel_differential(w))
 
 
 def test_maps_over_different_algebras_do_not_mix(sl2):
@@ -314,12 +305,6 @@ def test_bracket_coproduct_matches_the_reference(name, with_subalgebra, contexts
         assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
-def test_form_of_trivector_is_alternating(sl2_ctx):
-    w = form_of_trivector(sl2_ctx.adapted, sl2_ctx.v)
-    assert w.arity == 3
-    assert is_alternating(w)
-
-
 # -- coordinate length ------------------------------------------------------
 
 
@@ -343,8 +328,8 @@ def test_operators_reject_a_wrong_coordinate_length(sl2, call):
 #
 # The gather form of d, theta_X and iota_X: every output tuple is evaluated
 # from the coordinate formula.  It costs n^(k+1) tuples whatever the input,
-# so it lives here as an oracle for the scatter operators: d in the package,
-# and theta_X and iota_X as conftest keeps them.
+# so it lives here as an oracle for the scatter kernels, run through the
+# conftest oracles.
 # d is gathered once per algebra and arity as a matrix, so the sweep over the
 # 584 point masses of sl3 evaluates each output tuple once, not 584 times.
 
@@ -428,7 +413,7 @@ def test_scatter_operators_match_the_dense_reference(name):
     for arity in range(4):
         for entries in (1, 3, g.dim**arity):
             w = random_map(rng, g, arity, entries)
-            results = [(ce_differential(w), dense_differential(w))]
+            results = [(kernel_differential(w), dense_differential(w))]
             x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(g.dim))
             y = tuple(Fraction(rng.randint(-5, 5), rng.choice((2, 3, 7))) for _ in range(g.dim))
             for z in (x, y, *(unit(g.dim, i) for i in range(g.dim))):
@@ -474,4 +459,74 @@ def test_differential_matches_the_dense_reference_on_every_sl3_point_mass():
                 columns.setdefault(key, {})[idx] = c
         for key in product(range(g.dim), repeat=arity):
             w = MultilinearMap(g, arity, {key: 1})
-            assert ce_differential(w).terms == columns.get(key, {})
+            assert kernel_differential(w).terms == columns.get(key, {})
+
+
+# -- dB-equals-2v against the dense reference -----------------------------------
+#
+# The item scatters d on the form's integer entries and reads 2<v, .^.^.> off
+# v's degree-3 blades.  The reference applies the gather form of d to the form
+# as a map, and pairs v with every blade (`conftest.form_of_trivector`).
+
+
+def reference_db_item(ctx):
+    g = ctx.adapted
+    lhs = dense_differential(MultilinearMap.from_matrix(g, g.form)).terms
+    rhs = (2 * form_of_trivector(g, ctx.v)).terms
+    return CheckItem("dB-equals-2v", dirac._first_difference(lhs, rhs, g.labels))
+
+
+# faults put into v where the context builds it, each as a wrapper of the kernel
+V_FAULTS = {
+    "exact": lambda build: build,
+    "v-doubled": lambda build: lambda *args: 2 * build(*args),
+    "v-plus-e1e2e3": lambda build: lambda space, *args: build(space, *args) + space.blade((0, 1, 2)),
+    "v-plus-e1e2": lambda build: lambda space, *args: build(space, *args) + space.blade((0, 1)),
+}
+
+
+def db_context(name):
+    if name == "tstar-heisenberg":
+        return DiracContext(tstar_heisenberg())
+    if name == "sl3-killing-basis-5":
+        return DiracContext(changed_algebra("sl3-killing", 5))
+    entry = catalog_entry(name)
+    return DiracContext(entry.algebra, entry.subalgebra).absolute
+
+
+DB_CASES = [
+    (name, fault)
+    for name in (*catalog_names(), "tstar-heisenberg", "sl3-killing-basis-5")
+    for fault in V_FAULTS
+    if "plus" not in fault or name not in ("abelian1", "abelian2")
+]
+
+
+@pytest.mark.parametrize("name, fault", DB_CASES)
+def test_db_item_matches_the_dense_reference(monkeypatch, name, fault):
+    """The same item and witness as the reference, on the catalog (a pair on
+    its absolute context, in the h-adapted basis), a split form and a
+    rational basis, with v exact and faulted.  A degree-2 blade added to v
+    pairs with no triple, and an abelian algebra has v = 0 = dB, so those
+    leave the item passing."""
+    faulty = V_FAULTS[fault](dirac._multivector_from_numerators)
+    monkeypatch.setattr(dirac, "_multivector_from_numerators", faulty)
+    ctx = db_context(name)
+    item = ctx._db_item()
+    assert item == reference_db_item(ctx)
+    passes = fault in ("exact", "v-plus-e1e2") or (fault == "v-doubled" and name.startswith("abelian"))
+    assert item.ok == passes
+
+
+def test_db_item_builds_no_map(monkeypatch):
+    """dB and 2<v, .> are term tables: no element is added, scaled or negated."""
+    ctx = db_context("sl2xsl2-diagonal")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dB-equals-2v built an element")
+
+    for name in ("__add__", "__sub__", "__neg__", "__rmul__"):
+        monkeypatch.setattr(LinearCombination, name, forbidden)
+    item = ctx._db_item()
+    monkeypatch.undo()
+    assert item == CheckItem("dB-equals-2v")

@@ -6,7 +6,9 @@ and with no subalgebra.  Every fault must fail some item, unless a guard
 refuses it first; every failing item must carry a non-empty witness, and
 both renderers must show it.  The witnesses of three faults are pinned, and so
 is one fault that reaches each of the items that only v's perturbations and
-a doubled bracket coproduct make fail.
+a doubled bracket coproduct make fail, and dB-equals-2v's witness under each
+odd fault of v on every case.  Every item the bundles emit on the cases
+fails under some fault, or is named with the reason it cannot.
 """
 
 import json
@@ -293,3 +295,69 @@ def test_a_negated_bracket_in_a_degree_one_normal_form_breaks_the_residual(monke
     report = faulted_report(monkeypatch, "normal-form-bracket-negated", case)
     failing = {item.item_id for check_id, item in failing_items(report) if check_id == "kostant"}
     assert failing & {"residual-scalar", "residual-linear-terms-vanish"}, failing
+
+
+# (fault, case) -> dB-equals-2v's witness: d B against 2<v, .^.^.> at the
+# least differing index triple of the absolute context's adapted basis
+DB_WITNESSES = {
+    ("v-doubled", "sl2-killing"): "p1,p2,p3: -8 vs -16",
+    ("v-doubled", "sl2-killing-half"): "p1,p2,p3: -4 vs -8",
+    ("v-doubled", "sl2xsl2-diagonal-pair"): "p1,p2,h3: -16 vs -32",
+    ("v-doubled", "sl2xsl2-diagonal"): "p1,p3,p4: 8 vs 16",
+    ("v-negated", "sl2-killing"): "p1,p2,p3: -8 vs 8",
+    ("v-negated", "sl2-killing-half"): "p1,p2,p3: -4 vs 4",
+    ("v-negated", "sl2xsl2-diagonal-pair"): "p1,p2,h3: -16 vs 16",
+    ("v-negated", "sl2xsl2-diagonal"): "p1,p3,p4: 8 vs -8",
+    ("v-zero", "sl2-killing"): "p1,p2,p3: -8 vs 0",
+    ("v-zero", "sl2-killing-half"): "p1,p2,p3: -4 vs 0",
+    ("v-zero", "sl2xsl2-diagonal-pair"): "p1,p2,h3: -16 vs 0",
+    ("v-zero", "sl2xsl2-diagonal"): "p1,p3,p4: 8 vs 0",
+    ("v-plus-e1e2e3", "sl2-killing"): "p1,p2,p3: -8 vs -264",
+    ("v-plus-e1e2e3", "sl2-killing-half"): "p1,p2,p3: -4 vs -36",
+    ("v-plus-e1e2e3", "sl2xsl2-diagonal-pair"): "p1,p2,p3: 0 vs -2048",
+    ("v-plus-e1e2e3", "sl2xsl2-diagonal"): "p1,p2,p3: 0 vs 1024",
+}
+
+
+@pytest.mark.parametrize("fault, case", DB_WITNESSES, ids=[f"{fault}-{case}" for fault, case in DB_WITNESSES])
+def test_db_witness_is_pinned_under_each_odd_fault_of_v(monkeypatch, fault, case):
+    """The item reads v as the context built it, so each of these faults
+    reaches it: 2v, -v and 0 rescale the right side, and e1^e2^e3 added to
+    v moves it off the line of v on sl2 + sl2."""
+    report = faulted_report(monkeypatch, fault, case)
+    witnesses = {item.item_id: item.witness for _, item in failing_items(report)}
+    assert witnesses["dB-equals-2v"] == DB_WITNESSES[fault, case]
+
+
+V_FREE = "reads no v and runs on the input algebra's own structure constants, so it fails only under a fault of the "
+
+# item -> why no fault of FAULTS fails it on any case
+NEVER_FAILS = {
+    "theta-B-vanishes": V_FREE + "theta kernel (test_dirac.test_theta_b_item_matches_lie_action)",
+    "cartan-formula": V_FREE + "d and ad kernels (test_dirac.KERNEL_FAULTS)",
+    "d-squared-zero": V_FREE + "d kernel (test_dirac.test_d_items_match_the_references_on_a_d_that_fails_past_an_arity)",
+    "d-preserves-alternating": V_FREE
+    + "d kernel (test_dirac.test_d_items_match_the_references_on_a_d_that_fails_past_an_arity)",
+    "h-invariance-vacuous": "emitted only when h = 0, where there is nothing to compare: it cannot fail",
+    "c-basis-invariant": "every fault acts in the variant basis as in the first, so both give the same constant",
+}
+
+
+def test_every_item_fails_under_some_fault_or_is_named(monkeypatch):
+    """The item side of the mutation matrix: an item the cases emit that no
+    fault fails is named in NEVER_FAILS with its reason, and a named item
+    that some fault fails must leave the list, so it can only shrink."""
+    emitted = set()
+    for name, pair in CASES.values():
+        entry = catalog_entry(name)
+        report = run_suite(entry.algebra, entry.subalgebra if pair else ())
+        emitted |= {item.item_id for outcome, _ in report.outcomes for item in outcome.items}
+    failed_by: dict = {}
+    for fault in FAULTS:
+        if fault in REFUSED:
+            continue
+        for case in CASES:
+            for _, item in failing_items(faulted_report(monkeypatch, fault, case)):
+                failed_by.setdefault(item.item_id, fault)
+    assert {item_id: failed_by[item_id] for item_id in NEVER_FAILS if item_id in failed_by} == {}
+    assert emitted - failed_by.keys() == NEVER_FAILS.keys()
