@@ -51,28 +51,34 @@ _REQUIRED_KEYS = ("format", "version", "name", "dimension", "basis_labels", "bra
 _OPTIONAL_KEYS = ("subalgebra", "field")
 
 
-def _coefficient(raw, where: str) -> Fraction:
+def _place(where: tuple) -> str:
+    """The location (template, *indices) of a value, formatted; only an error needs it."""
+    template, *indices = where
+    return template.format(*indices)
+
+
+def _coefficient(raw, where: tuple) -> Fraction:
     """The Fraction of a coefficient string, built from the parts its one regex match found."""
     if not isinstance(raw, str):
-        raise AlgebraFileError(f"{where}: coefficient must be a rational string, got {raw!r}")
+        raise AlgebraFileError(f"{_place(where)}: coefficient must be a rational string, got {raw!r}")
     if raw == "0":
         return ZERO
     match = RATIONAL_RE.fullmatch(raw)
     if not match:
-        raise AlgebraFileError(f"{where}: {raw!r} is not an exact rational 'p' or 'p/q'")
+        raise AlgebraFileError(f"{_place(where)}: {raw!r} is not an exact rational 'p' or 'p/q'")
     p, q = match.groups()
     try:
         return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except ValueError as exc:  # Python's limit on the digits of an int read from a string
         raise AlgebraFileError(
-            f"{where}: coefficient of {len(raw)} characters exceeds the limit of "
+            f"{_place(where)}: coefficient of {len(raw)} characters exceeds the limit of "
             f"{sys.get_int_max_str_digits()} digits per integer"
         ) from exc
 
 
-def _expect_int(raw, where: str) -> int:
+def _expect_int(raw, where: tuple) -> int:
     if not isinstance(raw, int) or isinstance(raw, bool):
-        raise AlgebraFileError(f"{where}: expected an integer, got {raw!r}")
+        raise AlgebraFileError(f"{_place(where)}: expected an integer, got {raw!r}")
     return raw
 
 
@@ -104,7 +110,7 @@ def parse_algebra_text(text: str):
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise AlgebraFileError("name must be a non-empty string")
-    dim = _expect_int(doc["dimension"], "dimension")
+    dim = _expect_int(doc["dimension"], ("dimension",))
     if dim < 1:
         raise AlgebraFileError("dimension must be positive")
 
@@ -141,42 +147,39 @@ def parse_algebra_text(text: str):
         raise AlgebraFileError(f"{term_count} bracket terms exceed the maximum {MAX_BRACKET_TERMS}")
     table = {}
     for pos, record in enumerate(raw_brackets):
-        where = f"brackets[{pos}]"
         if not isinstance(record, dict) or set(record) != {"i", "j", "terms"}:
-            raise AlgebraFileError(f"{where}: expected keys i, j, terms")
-        i = _expect_int(record["i"], f"{where}.i")
-        j = _expect_int(record["j"], f"{where}.j")
+            raise AlgebraFileError(f"brackets[{pos}]: expected keys i, j, terms")
+        i = _expect_int(record["i"], ("brackets[{}].i", pos))
+        j = _expect_int(record["j"], ("brackets[{}].j", pos))
         if not (0 <= i < j < dim):
-            raise AlgebraFileError(f"{where}: need 0 <= i < j < dimension, got ({i},{j})")
+            raise AlgebraFileError(f"brackets[{pos}]: need 0 <= i < j < dimension, got ({i},{j})")
         if (i, j) in table:
-            raise AlgebraFileError(f"{where}: duplicate bracket ({i},{j})")
+            raise AlgebraFileError(f"brackets[{pos}]: duplicate bracket ({i},{j})")
         terms = record["terms"]
         if not isinstance(terms, list):
-            raise AlgebraFileError(f"{where}.terms must be a list")
+            raise AlgebraFileError(f"brackets[{pos}].terms must be a list")
         coeffs = [ZERO] * dim
         seen = set()
         for tpos, term in enumerate(terms):
-            twhere = f"{where}.terms[{tpos}]"
             if not isinstance(term, list) or len(term) != 2:
-                raise AlgebraFileError(f"{twhere}: expected [index, coefficient]")
-            k = _expect_int(term[0], f"{twhere}[0]")
+                raise AlgebraFileError(f"brackets[{pos}].terms[{tpos}]: expected [index, coefficient]")
+            k = _expect_int(term[0], ("brackets[{}].terms[{}][0]", pos, tpos))
             if not 0 <= k < dim:
-                raise AlgebraFileError(f"{twhere}: index {k} out of range")
+                raise AlgebraFileError(f"brackets[{pos}].terms[{tpos}]: index {k} out of range")
             if k in seen:
-                raise AlgebraFileError(f"{twhere}: duplicate index {k}")
+                raise AlgebraFileError(f"brackets[{pos}].terms[{tpos}]: duplicate index {k}")
             seen.add(k)
-            coeffs[k] = _coefficient(term[1], twhere)
+            coeffs[k] = _coefficient(term[1], ("brackets[{}].terms[{}]", pos, tpos))
         table[(i, j)] = tuple(coeffs)
 
-    entries = [_coefficient(x, f"form[{pos}]") for pos, x in enumerate(raw_form)]
+    entries = [_coefficient(x, ("form[{}]", pos)) for pos, x in enumerate(raw_form)]
     form = Matrix([entries[r * dim : (r + 1) * dim] for r in range(dim)], cols=dim)
 
     vectors = []
     for pos, vec in enumerate(raw_sub):
-        where = f"subalgebra[{pos}]"
         if not isinstance(vec, list) or len(vec) != dim:
-            raise AlgebraFileError(f"{where}: expected {dim} coordinates")
-        vectors.append(tuple(_coefficient(x, f"{where}[{i}]") for i, x in enumerate(vec)))
+            raise AlgebraFileError(f"subalgebra[{pos}]: expected {dim} coordinates")
+        vectors.append(tuple(_coefficient(x, ("subalgebra[{}][{}]", pos, i)) for i, x in enumerate(vec)))
     subalgebra = tuple(vectors)
 
     algebra = QuadraticLieAlgebra(name, labels, table, form)

@@ -156,7 +156,9 @@ class DiracContext:
         -1/2 delta(Y): ad-invariance gives B(Y, [X_i, X_l]) = -d_i nu(Y)_il,
         and delta(Y) has B(Y, [X_i, X_l]) / (d_i d_l) on e_i e_l.  This needs
         [h, h_perp] in h_perp, which `orthogonal_split` checks, and an
-        ad-invariant form, which every adapted algebra is validated for.
+        ad-invariant form: the input is validated for it, and the adapted
+        algebra is certified to be the input in the adapted basis, where the
+        invariant form is diag(d).
         """
         if not 0 <= j < self.k:
             raise ContractViolation("subalgebra basis index out of range")
@@ -262,9 +264,19 @@ class DiracContext:
 
     # -- checks --------------------------------------------------------------
 
+    def _refuse_a_late_block(self, check: str):
+        """Refuse a check that reads the adapted basis from index 0, or the
+        input algebra, on a block that starts past index 0 (the context of h)."""
+        if self._lo:
+            raise ContractViolation(
+                f"{check} runs only on a block that starts at index 0, not on the block "
+                f"(lo={self._lo}, m={self.m}, k={self.k}) of {self.adapted.name}"
+            )
+
     def kostant_check(self) -> CheckOutcome:
         """Scalar residual, with the first-order mechanism and, for h = 0,
         the v^2 cross-checks and the middle-term rearrangement."""
+        self._refuse_a_late_block("kostant_check")
         labels = self.adapted.labels
         items = [CheckItem("first-order-cancellation", self.first_order_witness)]
         r = self.residual()
@@ -360,6 +372,7 @@ class DiracContext:
         every odd v, so they check the product, kappa and the twisted
         commutator, not v; both run on the generators (see `_dv_law_items`).
         """
+        self._refuse_a_late_block("cohomology_check")
         ctx = self.absolute
         cartan, alternating = self._cartan_item(self.algebra)
         return CheckOutcome(
@@ -383,6 +396,7 @@ class DiracContext:
         {i, j, k}, and to 0 otherwise, so 2<v, .> is read off v's degree-3
         terms.  v is read as built, so a fault in it reaches this item.
         """
+        self._refuse_a_late_block("dB-equals-2v")
         g = self.adapted
         den, entries = _form_entries(g)
         den_g, _, preimage = g._integer_structure

@@ -9,21 +9,26 @@ their common denominator P, indexed by left factor and by result (see
 `_bracket_structure`).  Everything reads it: `bracket_sparse` reads a
 bracket off ad over P, PBW rewriting (`envelope`) rewrites on it, and the
 Killing form, the change of basis and the Chevalley-Eilenberg operators in
-`forms` use it as it is.  The Jacobi identity and ad-invariance are checked
-on it, and non-degeneracy by diagonalizing the form, whose (P, d) the split
-with h = 0 reuses, so an instance is always a genuine quadratic Lie algebra.
-The two identity checks add integer numerators over the nonzero brackets
-and form entries only; they test sums against zero, which the positive
-scale does not change.
+`forms` use it as it is.  The constructor checks the Jacobi identity and
+ad-invariance on it, and non-degeneracy by diagonalizing the form, whose
+(P, d) the split with h = 0 reuses, so an instance is always a genuine
+quadratic Lie algebra.  The two identity checks add integer numerators over
+the nonzero brackets and form entries only; they test sums against zero,
+which the positive scale does not change.
 
 `orthogonal_split` decomposes g = h + h_perp for a non-degenerate subalgebra
 h, produces B-orthogonal bases of both parts (over Q one cannot normalize, so
 the diagonal Gram entries d_i replace unit lengths), and re-expresses the
 whole algebra in the adapted basis (h_perp vectors first, then h vectors)
-where B is diagonal.  It checks there that [h, h] stays in h and
-[h, h_perp] in h_perp; with ad-invariance, that is what lets `dirac` read
-the spin lift of ad y on h_perp, y in h, off the bracket coproduct, with
-no matrix of ad y.
+where B is diagonal.  The adapted algebra is not validated a second time:
+it is g, already validated, moved by P.  The split checks P^T B P = diag(d)
+with every d_i nonzero, so P is invertible, and certifies that the adapted
+constants give [P_i, P_j] in g for every pair (`_certify_adapted`); a
+bracket pulled back along an isomorphism satisfies Jacobi, and P^T B P is
+invariant and non-degenerate for it.  It checks there that [h, h] stays in
+h and [h, h_perp] in h_perp; with ad-invariance, that is what lets `dirac`
+read the spin lift of ad y on h_perp, y in h, off the bracket coproduct,
+with no matrix of ad y.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .linalg import (
     Matrix,
     ZERO,
     diagonalize_form,
-    is_zero_vector,
     nullspace,
     rank,
     solve_linear,
@@ -66,7 +70,7 @@ def normalize_brackets(dim: int, raw: Mapping) -> BracketTable:
         vec = vector(coeffs)
         if len(vec) != dim:
             raise ContractViolation(f"bracket ({i},{j}) coefficient vector has wrong length")
-        if not is_zero_vector(vec):
+        if any(vec):
             table[(i, j)] = vec
     return table
 
@@ -92,14 +96,19 @@ def _bracket_structure(dim: int, den: int, entries: Sequence[tuple[tuple[int, in
 
 
 def _table_structure(dim: int, table: BracketTable) -> BracketStructure:
-    """The integer structure of a normalized table, over the least common denominator."""
-    constants = {}
-    for (i, j), coeffs in table.items():
-        for r, c in enumerate(coeffs):
-            if c:
-                constants[i, j, r] = c
-                constants[j, i, r] = -c
-    den, entries = _integer_terms(constants)
+    """The integer structure of a normalized table, over the least common denominator.
+
+    Each nonzero constant is read as its numerator and denominator once;
+    the entries of both orders are integers, with no Fraction built.
+    """
+    terms = [
+        (i, j, r, c.numerator, c.denominator) for (i, j), coeffs in table.items() for r, c in enumerate(coeffs) if c
+    ]
+    den = lcm(*(q for *_, q in terms))
+    entries = []
+    for i, j, r, p, q in terms:
+        c = p * (den // q)
+        entries += [((i, j, r), c), ((j, i, r), -c)]
     entries.sort()
     return _bracket_structure(dim, den, entries)
 
@@ -223,18 +232,19 @@ class QuadraticLieAlgebra:
 
     @classmethod
     def _from_structure(cls, name: str, labels: Sequence[str], structure: BracketStructure, grams: Sequence):
-        """The algebra with integer structure `structure` and form diag(grams).
+        """The algebra with integer structure `structure` and form diag(grams), not validated.
 
-        It is validated as the constructor validates a table; the
-        elimination that tests non-degeneracy has nothing to eliminate on a
-        diagonal form, and reads the diagonal as its d.
+        The caller vouches for it: `orthogonal_split` passes the structure
+        `_adapted_structure` has certified to be a validated algebra's
+        bracket pulled back along an invertible P with P^T B P = diag(grams).
+        A diagonal form is its own diagonalization, (I, grams).
         """
         self = cls.__new__(cls)
         self.name, self.labels, self.dim = name, tuple(labels), len(labels)
         n = self.dim
         self.form = Matrix._built(tuple(tuple(grams[i] if i == j else ZERO for j in range(n)) for i in range(n)), n)
         self._integer_structure = structure
-        self._validate()
+        self._diagonal_form = Matrix.identity(n), tuple(grams)
         return self
 
     def _validate(self):
@@ -372,8 +382,9 @@ def orthogonal_split(
     integers, each column of P and each row of P^T B over its own
     denominator (see `_pairing_rows`), and the adapted algebra's integer
     structure is read off the bracket support on integers, projected with
-    the same rows over d (see `_adapted_structure`), and validated with no
-    Fraction table built; the inverse of P is never formed.
+    the same rows over d, and certified against the brackets of the columns
+    (see `_adapted_structure`), with no Fraction table built and no second
+    validation; the inverse of P is never formed.
     """
     n = g.dim
     h_raw = [vector(v) for v in subalgebra]
@@ -434,12 +445,11 @@ def orthogonal_split(
 
     if not h_vectors and from_adapted == Matrix.identity(n):
         # The form is diagonal in the given basis, so g is its own adapted
-        # algebra: it is not validated a second time, and the reports keep
-        # the input's labels.
+        # algebra, and the reports keep the input's labels.
         adapted = g
     else:
         labels = tuple(f"p{i + 1}" for i in range(m)) + tuple(f"h{j + 1}" for j in range(k))
-        structure = _adapted_structure(g, cols, rows, grams)
+        structure = _adapted_structure(g, cols, rows, grams, labels)
         adapted = QuadraticLieAlgebra._from_structure(f"{g.name}#adapted", labels, structure, grams)
 
     # closure and ad-invariance keep [h, h] in h and [h, h_perp] in h_perp
@@ -493,9 +503,13 @@ def _pairing_rows(form: Matrix, cols: Sequence[tuple[int, list]]) -> list[tuple[
 
 
 def _adapted_structure(
-    g: QuadraticLieAlgebra, cols: Sequence[tuple[int, list]], rows: Sequence[tuple[int, dict]], grams: Sequence
+    g: QuadraticLieAlgebra,
+    cols: Sequence[tuple[int, list]],
+    rows: Sequence[tuple[int, dict]],
+    grams: Sequence,
+    labels: Sequence[str],
 ) -> BracketStructure:
-    """The integer structure of g in the basis P_1..P_n given by `cols`.
+    """The integer structure of g in the basis P_1..P_n given by `cols`, certified.
 
     The coefficient of P_k in [P_i, P_j] is (P^T B)_k . [P_i, P_j] / d_k,
     with d = `grams`.  Each column is given as N_i / q_i and each row of
@@ -509,6 +523,9 @@ def _adapted_structure(
     over Q = L^2 D R, L the lcm of the q_i and R that of the denominators
     of the r_k, and the numerators and Q are divided by their gcd, which
     leaves Q the least common denominator, as for a table.
+
+    The structure is then checked against the brackets just scattered (see
+    `_certify_adapted`), so it is g's bracket pulled back along P.
     """
     n = g.dim
     den, ad, _ = g._integer_structure
@@ -523,6 +540,7 @@ def _adapted_structure(
     col_scale = [lq // q for q, _ in cols]
     row_scale = [r.numerator * (lr // r.denominator) for r in ratios]
     entries = []
+    brackets = {}
     for i, (_, ni) in enumerate(cols):
         # ad(P_i) by column s: {r: n} with [N_i, e_s] = sum n e_r over D
         ad_i: dict[int, dict] = {}
@@ -545,6 +563,8 @@ def _adapted_structure(
                 if x:
                     for k, mkr in by_row[r]:
                         sums[k] = sums.get(k, 0) + x * mkr
+            if br:
+                brackets[i, j] = br
             scale = col_scale[i] * col_scale[j]
             for k, total in sums.items():
                 if total:
@@ -553,7 +573,53 @@ def _adapted_structure(
     common = lq * lq * den * lr
     divisor = gcd(common, *(c for _, c in entries))
     entries.sort()
-    return _bracket_structure(n, common // divisor, [(key, c // divisor) for key, c in entries])
+    structure = _bracket_structure(n, common // divisor, [(key, c // divisor) for key, c in entries])
+    _certify_adapted(structure, cols, brackets, den, labels)
+    return structure
+
+
+def _certify_adapted(
+    structure: BracketStructure, cols: Sequence[tuple[int, list]], brackets: Mapping, den: int, labels: Sequence[str]
+):
+    """Raise ContractViolation unless sum_k c_ijk P_k = [P_i, P_j] for every i < j.
+
+    c is `structure`, over its denominator Q, and column k of P is N_k / q_k
+    (`cols`); `brackets` holds [N_i, N_j] = sum br_r e_r over g's
+    denominator D for every i < j that the scatter which made c reached.
+    With L the lcm of the q_k, both sides are compared on integers:
+    (sum_k c_ijk (L / q_k) N_k) q_i q_j D against br Q L.  ad[j][i] must be
+    the negation of ad[i][j], and no ad[i][i] may exist.
+
+    This implies everything a validation of the adapted algebra would
+    check.  g passed Jacobi, non-degeneracy and ad-invariance, and
+    `orthogonal_split` has checked P^T B P = diag(d) with every d_i != 0,
+    so P is invertible; a bracket pulled back along an isomorphism is a Lie
+    bracket, and P^T B P is invariant and non-degenerate for it.
+    """
+    q_den, ad, _ = structure
+    lq = lcm(*(q for q, _ in cols))
+    col_scale = [lq // q for q, _ in cols]
+    for i, row in enumerate(ad):
+        for j, terms in row.items():
+            if j == i or ad[j].get(i) != tuple((r, -c) for r, c in terms):
+                _refuse(labels, min(i, j), max(i, j))
+    for i, j in sorted({*brackets, *((i, j) for i, row in enumerate(ad) for j in row if i < j)}):
+        lhs: dict = {}
+        for k, c in ad[i].get(j, ()):
+            c *= col_scale[k]
+            for r, x in cols[k][1]:
+                lhs[r] = lhs.get(r, 0) + c * x
+        br = brackets.get((i, j), {})
+        left, right = cols[i][0] * cols[j][0] * den, q_den * lq
+        if any(lhs.get(r, 0) * left != br.get(r, 0) * right for r in {*lhs, *br}):
+            _refuse(labels, i, j)
+
+
+def _refuse(labels: Sequence[str], i: int, j: int):
+    raise ContractViolation(
+        f"internal: the adapted constants of [{labels[i]}, {labels[j]}] "
+        "do not give the bracket of the adapted basis vectors"
+    )
 
 
 def unit(n: int, i: int) -> tuple[Fraction, ...]:

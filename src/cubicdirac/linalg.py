@@ -1,13 +1,17 @@
 """Dense exact linear algebra over the rationals.
 
-Everything here computes with `fractions.Fraction`; no floating point is
-accepted or produced anywhere in the package.
+Matrices hold `fractions.Fraction` entries, and products and the echelon
+form compute with them; the congruence diagonalization of a form eliminates
+on integer numerators, each row and column over its own denominator, and
+hands back Fractions.  No floating point is accepted or produced anywhere in
+the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation, DegenerateFormError
@@ -31,10 +35,6 @@ def as_scalar(value) -> Fraction:
 
 def vector(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(map(as_scalar, entries))
-
-
-def is_zero_vector(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
 
 
 def _identity_rows(n: int) -> list[list[Fraction]]:
@@ -259,6 +259,25 @@ def rank(a: Matrix) -> int:
     return len(_echelon(aug, a.cols))
 
 
+def _row_numerators(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(t, [N_0, ...]) with row[s] = N_s / t, t the least common denominator of the row."""
+    t = 1
+    for x in row:
+        if x and t % x.denominator:
+            t = lcm(t, x.denominator)
+    return t, [x.numerator * (t // x.denominator) if x else 0 for x in row]
+
+
+def _reduced(scale: int, nums: list[int]) -> tuple[int, list[int]]:
+    """scale and nums divided by their gcd, with scale kept positive."""
+    g = gcd(scale, *nums)
+    if scale < 0:
+        g = -g
+    if g == 1:
+        return scale, nums
+    return scale // g, [x // g for x in nums]
+
+
 def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     """Congruence-diagonalize a symmetric non-degenerate form.
 
@@ -266,62 +285,65 @@ def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     Symmetric Gaussian reduction; when the whole remaining diagonal is zero an
     isotropic pivot is repaired by adding a column with nonzero coupling onto
     the pivot column (char 0, so the repaired diagonal entry 2*B_ij != 0).
+
+    The elimination runs on integers.  Row i of the form being reduced is
+    N_i / t_i over its own denominator, and column j of P is K_j / s_j over
+    its own scale, each kept in lowest terms; no number is put over the
+    denominators of the whole form.  Past pivot r only the trailing block
+    (rows and columns after r) is kept: the pivot step is the Schur
+    complement of that block, row by row, and P's columns take the same
+    column operations.  The pivots are chosen on the same zero tests as in
+    Fraction arithmetic, so (P, d) is the same exact result.
     """
     if b.rows != b.cols:
         raise ContractViolation("form matrix must be square")
     if not b.is_symmetric():
         raise ContractViolation("form matrix must be symmetric")
     n = b.rows
-    m = [list(b.row(i)) for i in range(n)]
-    p = _identity_rows(n)
+    rows = [_row_numerators(b.row(i)) for i in range(n)]
+    cols = [(1, [1 if r == j else 0 for r in range(n)]) for j in range(n)]
+    d = []
 
-    def swap_cols(i, j):
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        m[i], m[j] = m[j], m[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
-    def add_col(dst, src, c):
-        # col_dst += c * col_src, mirrored on rows to stay congruent
-        for r in range(n):
-            if m[r][src]:
-                m[r][dst] += c * m[r][src]
-        for q in range(n):
-            if m[src][q]:
-                m[dst][q] += c * m[src][q]
-        for r in range(n):
-            if p[r][src]:
-                p[r][dst] += c * p[r][src]
+    def swap(r, i):
+        rows[r], rows[i] = rows[i], rows[r]
+        for _, nums in rows[r:]:
+            nums[r], nums[i] = nums[i], nums[r]
+        cols[r], cols[i] = cols[i], cols[r]
 
     for r in range(n):
-        if m[r][r] == 0:
-            pivot = next((j for j in range(r + 1, n) if m[j][j] != 0), None)
+        if rows[r][1][r] == 0:
+            pivot = next((j for j in range(r + 1, n) if rows[j][1][j]), None)
             if pivot is not None:
-                swap_cols(r, pivot)
+                swap(r, pivot)
             else:
-                pair = next(
-                    (
-                        (i, j)
-                        for i in range(r, n)
-                        for j in range(i + 1, n)
-                        if m[i][j] != 0
-                    ),
-                    None,
-                )
+                pair = next(((i, j) for i in range(r, n) for j in range(i + 1, n) if rows[i][1][j]), None)
                 if pair is None:
                     kernel = nullspace(b)
-                    raise DegenerateFormError(
-                        "form is degenerate", witness=kernel[0] if kernel else None
-                    )
+                    raise DegenerateFormError("form is degenerate", witness=kernel[0] if kernel else None)
+                # column i += column j, mirrored on row i
                 i, j = pair
-                add_col(i, j, ONE)
+                for _, nums in rows[r:]:
+                    nums[i] += nums[j]
+                (ti, ni), (tj, nj) = rows[i], rows[j]
+                rows[i] = _reduced(ti * tj, [x * tj + y * ti for x, y in zip(ni, nj)])
+                (si, ki), (sj, kj) = cols[i], cols[j]
+                cols[i] = _reduced(si * sj, [x * sj + y * si for x, y in zip(ki, kj)])
                 if i != r:
-                    swap_cols(r, i)
-        piv = m[r][r]
+                    swap(r, i)
+        t, pivot_row = rows[r]
+        a = pivot_row[r]
+        d.append(Fraction(a, t))
+        s, pivot_col = cols[r]
         for j in range(r + 1, n):
-            if m[r][j] != 0:
-                add_col(j, r, -m[r][j] / piv)
+            c = pivot_row[j]
+            if c:
+                # column j -= (B_rj / B_rr) column r, and row j of the trailing block with it
+                tj, nj = rows[j]
+                f = nj[r]
+                trailing = [a * x - f * y for x, y in zip(nj[r + 1 :], pivot_row[r + 1 :])]
+                rows[j] = _reduced(tj * a, [0] * (r + 1) + trailing)
+                sj, kj = cols[j]
+                cols[j] = _reduced(sj * a * s, [a * s * x - c * sj * y for x, y in zip(kj, pivot_col)])
 
-    d = tuple(m[i][i] for i in range(n))
-    return Matrix._built(tuple(map(tuple, p)), n), d
+    entries = [[Fraction(k, s) if s > 1 else Fraction(k) if k else ZERO for k in nums] for s, nums in cols]
+    return Matrix._built(tuple(zip(*entries)), n), tuple(d)

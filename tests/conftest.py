@@ -21,10 +21,10 @@ import pytest
 from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, forms
 from cubicdirac.clifford import CliffordSpace, Multivector, _multivector_from_numerators, _swap_prefix
 from cubicdirac.envelope import PBWElement
-from cubicdirac.errors import ContractViolation
+from cubicdirac.errors import ContractViolation, DegenerateFormError
 from cubicdirac.forms import _canonical_part
 from cubicdirac.lie import OrthogonalSplit
-from cubicdirac.linalg import ZERO, Matrix, _echelon, as_scalar, rank
+from cubicdirac.linalg import ONE, ZERO, Matrix, _echelon, as_scalar, nullspace, rank
 from cubicdirac.sparse import LinearCombination, _fractions_over, _integer_terms
 from cubicdirac.suite import run_suite
 
@@ -51,6 +51,64 @@ def invert(a: Matrix) -> Matrix:
     if len(_echelon(aug, n)) != n:
         raise ContractViolation("matrix is singular")
     return Matrix([row[n:] for row in aug], cols=n)
+
+
+def reference_diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
+    """(P, d) with P^T B P = diag(d) by symmetric Gaussian reduction in Fraction arithmetic.
+
+    The body `linalg.diagonalize_form` had before it ran on integers: every
+    column operation is applied to B's columns and mirrored on its rows, and
+    an all-zero remaining diagonal is repaired by adding a column with
+    nonzero coupling onto the pivot column.
+    """
+    if b.rows != b.cols:
+        raise ContractViolation("form matrix must be square")
+    if not b.is_symmetric():
+        raise ContractViolation("form matrix must be symmetric")
+    n = b.rows
+    m = [list(b.row(i)) for i in range(n)]
+    p = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+    def swap_cols(i, j):
+        for r in range(n):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        m[i], m[j] = m[j], m[i]
+        for r in range(n):
+            p[r][i], p[r][j] = p[r][j], p[r][i]
+
+    def add_col(dst, src, c):
+        # col_dst += c * col_src, mirrored on rows to stay congruent
+        for r in range(n):
+            if m[r][src]:
+                m[r][dst] += c * m[r][src]
+        for q in range(n):
+            if m[src][q]:
+                m[dst][q] += c * m[src][q]
+        for r in range(n):
+            if p[r][src]:
+                p[r][dst] += c * p[r][src]
+
+    for r in range(n):
+        if m[r][r] == 0:
+            pivot = next((j for j in range(r + 1, n) if m[j][j] != 0), None)
+            if pivot is not None:
+                swap_cols(r, pivot)
+            else:
+                pair = next(((i, j) for i in range(r, n) for j in range(i + 1, n) if m[i][j] != 0), None)
+                if pair is None:
+                    kernel = nullspace(b)
+                    raise DegenerateFormError("form is degenerate", witness=kernel[0] if kernel else None)
+                i, j = pair
+                add_col(i, j, ONE)
+                if i != r:
+                    swap_cols(r, i)
+        piv = m[r][r]
+        for j in range(r + 1, n):
+            if m[r][j] != 0:
+                add_col(j, r, -m[r][j] / piv)
+
+    d = tuple(m[i][i] for i in range(n))
+    return Matrix(p, cols=n), d
 
 
 def abelian_named_sl2() -> QuadraticLieAlgebra:

@@ -227,6 +227,34 @@ def test_duplicate_term_index_is_rejected():
         parse_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        ([{"i": "0", "j": 1, "terms": []}], "brackets[0].i: expected an integer, got '0'"),
+        (
+            [{"i": 0, "j": 1, "terms": []}, {"i": 0, "j": True, "terms": []}],
+            "brackets[1].j: expected an integer, got True",
+        ),
+        ([{"i": 0, "j": 1, "terms": [[0, "1"], [1.0, "1"]]}], "brackets[0].terms[1][0]: expected an integer, got 1.0"),
+        ([{"i": 0, "j": 1, "terms": [[0, "1"], [0, "2"]]}], "brackets[0].terms[1]: duplicate index 0"),
+        ([{"i": 0, "j": 1, "terms": [[2, "1"]]}], "brackets[0].terms[0]: index 2 out of range"),
+        ([{"i": 0, "j": 1, "terms": [[0]]}], "brackets[0].terms[0]: expected [index, coefficient]"),
+        (
+            [{"i": 0, "j": 1, "terms": [[1, "1.5"]]}],
+            "brackets[0].terms[0]: '1.5' is not an exact rational 'p' or 'p/q'",
+        ),
+        ([{"i": 0, "j": 1, "terms": []}, {"i": 0, "j": 1, "terms": []}], "brackets[1]: duplicate bracket (0,1)"),
+    ],
+)
+def test_bracket_errors_name_their_place(brackets, message):
+    """Every bracket error names the record and term it is in, formatted only when it is raised."""
+    doc = base_doc()
+    doc["brackets"] = brackets
+    with pytest.raises(AlgebraFileError) as info:
+        parse_doc(doc)
+    assert str(info.value) == message
+
+
 def test_subalgebra_vectors_must_have_full_length():
     doc = base_doc()
     doc["subalgebra"] = [["1"]]

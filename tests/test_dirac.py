@@ -353,6 +353,28 @@ def test_the_absolute_and_h_contexts_are_blocks_of_the_pair_basis(name, sl3_trip
     assert all(len(mono) <= 1 for mono, _ in h.dirac.terms)
 
 
+def test_the_h_block_refuses_the_checks_that_read_from_index_0():
+    """The context of h is the block (m, k, 0), which starts past index 0.
+    dB-equals-2v scatters d B over the whole adapted algebra, and kostant
+    and cohomology read the input algebra, so on that block each would
+    answer for another context or fail on a missing attribute: all three
+    refuse, naming the block.  What the decomposition check reads of it
+    stays."""
+    entry = catalog_entry("sl2xsl2-diagonal")
+    ctx = DiracContext(entry.algebra, entry.subalgebra)
+    h = ctx._h_context
+    block = re.escape(f"not on the block (lo=3, m=3, k=0) of {ctx.adapted.name}")
+    for check, call in (
+        ("dB-equals-2v", h._db_item),
+        ("kostant_check", h.kostant_check),
+        ("cohomology_check", h.cohomology_check),
+    ):
+        with pytest.raises(ContractViolation, match=f"^{check} runs only on a block that starts at index 0, {block}$"):
+            call()
+    assert h.c_value() == Fraction(1, 16)
+    assert ctx.decomposition_check().passed
+
+
 def test_a_second_check_builds_no_further_context(monkeypatch):
     """kostant_check's variant context and decomposition_check's context of
     h are built once per context, as `absolute` is: the first calls build

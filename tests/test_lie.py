@@ -16,6 +16,7 @@ from conftest import (
     hostile_form,
     invert,
     random_basis,
+    reference_diagonalize_form,
     subalgebra_action,
     tstar_heisenberg,
     unit_vector,
@@ -187,12 +188,12 @@ def test_split_keeps_complement_bracket_closed_into_itself():
 def test_split_refuses_an_adapted_bracket_that_leaves_its_block(monkeypatch, pair, target, message):
     """[h, h] in h and [h, h_perp] in h_perp are checked where the blocks are
     made: an adapted bracket of sl2 + sl2 that gains a term outside its block
-    after validation, [h1, h2] on p1 or [h1, p1] on h1, is refused."""
+    after it is certified, [h1, h2] on p1 or [h1, p1] on h1, is refused."""
     entry = catalog_entry("sl2xsl2-diagonal")
-    validated = QuadraticLieAlgebra._from_structure.__func__
+    certified = QuadraticLieAlgebra._from_structure.__func__
 
     def perturbed(cls, *args):
-        adapted = validated(cls, *args)
+        adapted = certified(cls, *args)
         den, ad, preimage = adapted._integer_structure
         ad = [dict(row) for row in ad]
         i, j = pair
@@ -204,6 +205,74 @@ def test_split_refuses_an_adapted_bracket_that_leaves_its_block(monkeypatch, pai
     monkeypatch.setattr(QuadraticLieAlgebra, "_from_structure", classmethod(perturbed))
     with pytest.raises(ContractViolation, match=message):
         orthogonal_split(entry.algebra, entry.subalgebra)
+
+
+CERTIFIED_CASES = {
+    "sl2-killing": lambda: (catalog_entry("sl2-killing").algebra, ()),
+    "sl3-triple": lambda: (catalog_entry("sl3-killing").algebra, SL3_TRIPLE),
+    "sl3-changed-basis": lambda: (changed_algebra("sl3-killing", 5), ()),
+}
+
+
+@pytest.mark.parametrize("lower", ["negated", "kept", "dropped"])
+@pytest.mark.parametrize("case", CERTIFIED_CASES)
+def test_split_refuses_a_changed_adapted_constant(monkeypatch, case, lower):
+    """The adapted structure is certified before `_adapted_structure`
+    returns: with the first constant of [X_a, X_s], a < s, doubled in the
+    structure it builds and [X_s, X_a] negated with it or kept as it was,
+    or with [X_a, X_s] kept and [X_s, X_a] dropped, the split is refused
+    with the pair named."""
+    g, subalgebra = CERTIFIED_CASES[case]()
+    built = lie._bracket_structure
+    changed = []
+
+    def with_one_constant_doubled(*args):
+        den, ad, preimage = built(*args)
+        a, s = next((a, s) for a, row in enumerate(ad) for s in row if a < s)
+        ad = [dict(row) for row in ad]
+        if lower == "dropped":
+            del ad[s][a]
+        else:
+            (r, c), *rest = ad[a][s]
+            ad[a][s] = ((r, 2 * c), *rest)
+        if lower == "negated":
+            ad[s][a] = tuple((t, -x) for t, x in ad[a][s])
+        changed.append((a, s))
+        return den, tuple(ad), preimage
+
+    monkeypatch.setattr(lie, "_bracket_structure", with_one_constant_doubled)
+    with pytest.raises(ContractViolation, match="internal: the adapted constants of") as info:
+        orthogonal_split(g, subalgebra)
+    (a, s), = changed
+    m = g.dim - len(subalgebra)
+    name = [f"p{i + 1}" for i in range(m)] + [f"h{j + 1}" for j in range(len(subalgebra))]
+    assert f"[{name[a]}, {name[s]}]" in str(info.value)
+
+
+def test_split_refuses_a_valid_lie_table_of_another_basis(monkeypatch):
+    """sl(3)'s adapted constants in the variant basis form a quadratic Lie
+    algebra with the Gram entries of the root basis.  Paired with the root
+    basis's columns they pass Jacobi, non-degeneracy and ad-invariance, the
+    checks the adapted algebra used to be validated by, and the certificate
+    refuses them: it checks that the constants give the brackets of the
+    columns, which those checks do not."""
+    g = catalog_entry("sl3-killing").algebra
+    root, variant = orthogonal_split(g), orthogonal_split(g, p_variant=1)
+    other = variant.adapted._integer_structure
+    assert variant.adapted.form == root.adapted.form
+    assert check_jacobi(other) is None
+    assert diagonalize_form(root.adapted.form)[1] == root.p_gram
+    assert check_ad_invariance(other, root.adapted.form) is None
+    first = next(
+        (i, j)
+        for i in range(g.dim)
+        for j in range(i + 1, g.dim)
+        if root.adapted.bracket_sparse(i, j) != variant.adapted.bracket_sparse(i, j)
+    )
+    monkeypatch.setattr(lie, "_bracket_structure", lambda *args: other)
+    pair = rf"\[{root.adapted.labels[first[0]]}, {root.adapted.labels[first[1]]}\]"
+    with pytest.raises(ContractViolation, match=f"internal: the adapted constants of {pair}"):
+        orthogonal_split(g)
 
 
 def test_split_rejects_degenerate_restriction():
@@ -631,20 +700,74 @@ def test_validation_does_no_fraction_arithmetic(monkeypatch):
     for name in catalog_names():
         g = catalog_entry(name).algebra
         cases.append((g._integer_structure, g.form))
-    calls = []
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
-        def counted(self, other, _original=getattr(Fraction, name), _name=name):
-            calls.append(_name)
-            return _original(self, other)
-
-        monkeypatch.setattr(Fraction, name, counted)
-    dense_ad_invariance(3, {}, Matrix.identity(3))
-    assert calls, "the patched operators are not reached"
-    calls.clear()
+    calls = count_fraction_arithmetic(monkeypatch)
     for st, form in cases:
         assert check_jacobi(st) is None
         assert check_ad_invariance(st, form) is None
     assert calls == []
+
+
+def test_table_pass_and_form_elimination_do_no_fraction_arithmetic(monkeypatch):
+    """The constructor's table pass, `normalize_brackets` and
+    `_table_structure`, and the congruence diagonalization of the form
+    compute on integer numerators: on every catalog entry, in its own basis
+    and a changed one, no Fraction is added, subtracted, multiplied or
+    divided.  The table pass gives the structure of the Fraction reference
+    below, and the elimination the (P, d) of the Fraction reference."""
+    algebras = [catalog_entry(name).algebra for name in catalog_names()]
+    algebras += [changed_algebra(name, 5) for name in catalog_names()]
+    cases = [
+        (
+            g.dim,
+            g.bracket_table(),
+            g.form,
+            reference_table_structure(g.dim, g.bracket_table()),
+            reference_diagonalize_form(g.form),
+        )
+        for g in algebras
+    ]
+    calls = count_fraction_arithmetic(monkeypatch)
+    for n, table, form, expected_structure, expected_diagonal in cases:
+        assert _table_structure(n, normalize_brackets(n, table)) == expected_structure
+        assert diagonalize_form(form) == expected_diagonal
+    assert calls == []
+
+
+def reference_table_structure(dim, table):
+    """The integer structure of a table as it was built in Fraction arithmetic:
+    both orders of every constant, -c negated as a Fraction, over their
+    least common denominator."""
+    constants = {}
+    for (i, j), coeffs in table.items():
+        for r, c in enumerate(coeffs):
+            if c:
+                constants[i, j, r] = c
+                constants[j, i, r] = -c
+    den, entries = _integer_terms(constants)
+    return lie._bracket_structure(dim, den, sorted(entries))
+
+
+def count_fraction_arithmetic(monkeypatch) -> list:
+    """Patch Fraction's arithmetic operators to record each call in the list returned."""
+    calls = []
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            monkeypatch.setattr(Fraction, name, counted(name))
+    monkeypatch.setattr(Fraction, "__neg__", counted("__neg__"))
+    -Fraction(1, 2) * 3 / Fraction(1, 3)
+    assert calls == ["__neg__", "__mul__", "__truediv__"], "the patched operators are not reached"
+    calls.clear()
+    return calls
 
 
 # -- check_ad_invariance before it followed the bracket support -------------

@@ -4,8 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import invert
+from conftest import (
+    changed_algebra,
+    hostile_changed_algebra,
+    hostile_form,
+    invert,
+    reference_diagonalize_form,
+)
+from cubicdirac import catalog_entry, catalog_names
 from cubicdirac.errors import ContractViolation, DegenerateFormError
 from cubicdirac.linalg import (
     Matrix,
@@ -135,3 +144,62 @@ def test_degenerate_form_reports_kernel_witness():
     assert w is not None
     assert b.mat_vec(w) == vector([0, 0])
     assert any(c != 0 for c in w)
+
+
+def same_diagonalization(b: Matrix):
+    """diagonalize_form and the Fraction reference give the same (P, d), or
+    refuse with the same kernel witness; the entries are Fractions."""
+    try:
+        expected = reference_diagonalize_form(b)
+    except DegenerateFormError as exc:
+        with pytest.raises(DegenerateFormError) as info:
+            diagonalize_form(b)
+        assert info.value.witness == exc.witness
+        return None
+    p, d = diagonalize_form(b)
+    assert (p, d) == expected
+    assert all(type(x) is Fraction for x in d)
+    assert all(type(x) is Fraction for i in range(p.rows) for x in p.row(i))
+    return p, d
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric forms of size 1..6 with mixed denominators, drawn from four shapes:
+    any entries, an all-zero diagonal (the isotropic repair), a sum of
+    hyperbolic planes and a rank-deficient Gram S^T S."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(("any", "zero-diagonal", "hyperbolic", "rank-deficient")))
+    rational = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7, 12, 35)))
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    if shape == "rank-deficient":
+        k = draw(st.integers(0, n - 1))
+        s = [[draw(rational) for _ in range(n)] for _ in range(k)]
+        for i in range(n):
+            for j in range(n):
+                entries[i][j] = sum((s[r][i] * s[r][j] for r in range(k)), Fraction(0))
+        return Matrix(entries, cols=n)
+    for i in range(n):
+        for j in range(i, n):
+            if shape == "any" or (i != j and shape == "zero-diagonal"):
+                entries[i][j] = entries[j][i] = draw(rational)
+    if shape == "hyperbolic":
+        for i in range(0, n - 1, 2):
+            entries[i][i + 1] = entries[i + 1][i] = draw(rational.filter(bool))
+    return Matrix(entries, cols=n)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(symmetric_forms())
+def test_diagonalize_matches_the_fraction_reference_on_random_forms(b):
+    same_diagonalization(b)
+
+
+def test_diagonalize_matches_the_fraction_reference_on_catalog_and_hostile_forms():
+    """Every catalog form, each in three changed bases, the hostile diagonal
+    form and the hostile sl(3) form give the reference's (P, d) exactly."""
+    forms = [catalog_entry(name).algebra.form for name in catalog_names()]
+    forms += [changed_algebra(name, seed).form for name in catalog_names() for seed in range(3)]
+    forms += [hostile_form(), hostile_changed_algebra("sl3-killing", 5).form]
+    for b in forms:
+        assert same_diagonalization(b) is not None

@@ -88,15 +88,16 @@ def first_gram_doubled(gram):
     return CliffordSpace((2 * gram[0], *gram[1:]))
 
 
-VALIDATED_FROM_STRUCTURE = QuadraticLieAlgebra._from_structure.__func__
+FROM_STRUCTURE = QuadraticLieAlgebra._from_structure.__func__
 
 
 def adapted_with_one_constant_doubled(cls, *args):
-    """Validate the adapted algebra, then double the first nonzero structure
-    constant [e_a, e_s] of its one table, the integer structure, which v,
-    PBW rewriting and the cohomology kernels all read, and negate the
-    constant of [e_s, e_a] with it, so that the table stays antisymmetric."""
-    adapted = VALIDATED_FROM_STRUCTURE(cls, *args)
+    """Build the adapted algebra from its certified structure, then double
+    the first nonzero structure constant [e_a, e_s] of its one table, the
+    integer structure, which v, PBW rewriting and the cohomology kernels all
+    read, and negate the constant of [e_s, e_a] with it, so that the table
+    stays antisymmetric."""
+    adapted = FROM_STRUCTURE(cls, *args)
     den, ad, preimage = adapted._integer_structure
     a, s = next(((a, s) for a, row in enumerate(ad) for s in row), (None, None))
     if a is not None:
