@@ -16,7 +16,13 @@ which extends B to blades by Gram determinants.
 
 Products run on integer numerators, one sum per blade overlap, and each
 output key becomes one Fraction over the lcm of the Gram denominators of
-the overlaps that reach it (`CliffordSpace._scale_overlaps`).
+the overlaps that reach it (`CliffordSpace._scale_overlaps`).  The one
+blade-pair loop, `_overlap_sums`, adds into a table it is handed, each
+product times its own integer scale: the product and the twisted
+commutator hand it an empty table and scale 1, and the dv-* laws in
+`dirac` add the products on both sides of a law into one table over a
+common denominator, so that the law holds exactly when the scaled table
+is empty.
 
 The degree-2 elements the operator needs are built elsewhere, in closed
 form: the bracket coproduct delta(x) in `forms`, and the spin lift of
@@ -204,7 +210,7 @@ class Multivector(LinearCombination):
         self._check(other)
         den_a, left = _integer_terms(self.terms)
         den_b, right = _integer_terms(other.terms)
-        by_overlap = _overlap_sums(left, right, False)
+        by_overlap = _overlap_sums(left, right, False, {}, 1)
         return Multivector._from_terms((self.space,), self.space._scale_overlaps(by_overlap, den_a * den_b))
 
     def __xor__(self, other: "Multivector") -> "Multivector":
@@ -213,7 +219,7 @@ class Multivector(LinearCombination):
         self._check(other)
         den_a, left = _integer_terms(self.terms)
         den_b, right = _integer_terms(other.terms)
-        disjoint = _overlap_sums(left, right, False).get(0, {})
+        disjoint = _overlap_sums(left, right, False, {}, 1).get(0, {})
         return Multivector._from_terms((self.space,), self.space._scale_overlaps({0: disjoint}, den_a * den_b))
 
     # -- grading -----------------------------------------------------------
@@ -296,22 +302,30 @@ def twisted_commutator(v: Multivector, a: Multivector) -> Multivector:
 
     For odd v this operator is an odd derivation of the Clifford algebra and
     its square is the plain commutator with v*v.  The blade pairs run in
-    `_overlap_sums` with the twist, over D_v D_a as in `Multivector.__mul__`.
+    `_overlap_sums` with the twist, over D_v D_a as in `Multivector.__mul__`:
+    one pass over the pairs of v and a, each adding twice one signed product
+    or nothing.  The dv-* laws run the same twisted form on integer
+    numerators, so d_v in them is this code.
     """
     v._check(a)
     den_v, left = _integer_terms(v.terms)
     den_a, right = _integer_terms(a.terms)
-    by_overlap = _overlap_sums(left, right, True)
+    by_overlap = _overlap_sums(left, right, True, {}, 1)
     return Multivector._from_terms((v.space,), v.space._scale_overlaps(by_overlap, den_v * den_a))
 
 
-def _overlap_sums(left, right, twisted: bool) -> dict[int, dict[int, int]]:
-    """The blade pairs of a product on integer numerators, summed per overlap.
+def _overlap_sums(left, right, twisted: bool, by_overlap: dict, scale: int) -> dict[int, dict[int, int]]:
+    """Add the blade pairs of a product, on integer numerators and times scale, into by_overlap.
 
-    left and right are (mask, n) pairs.  The pair e_A e_B adds +-n_a n_b to
-    the sum of blade A ^ B kept under the overlap A & B, with the sign of
-    `_swap_prefix`; the result {overlap: {mask: n}} still lacks the Gram
-    product of each overlap.  A sum that cancels stays in it as 0.
+    left and right are (mask, n) pairs, and by_overlap is a table
+    {overlap: {mask: n}}, returned.  The pair e_A e_B adds +-scale n_a n_b
+    to the sum of blade A ^ B kept under the overlap A & B, with the sign
+    of `_swap_prefix`; the table still lacks the Gram product of each
+    overlap.  A sum that cancels stays in it as 0.  A product is the call
+    with an empty table and scale 1; products over different denominators
+    add into one table over a common one, each with its own integer scale,
+    and so a signed sum of products is compared with 0 by one
+    `CliffordSpace._scale_overlaps` of the table.
 
     With twisted, the result is that of v a - kappa(a) v for left = v and
     right = a.  e_V e_A and kappa(e_A) e_V land on the same blade V ^ A with
@@ -321,9 +335,9 @@ def _overlap_sums(left, right, twisted: bool) -> dict[int, dict[int, int]]:
     otherwise: for odd V when |A & V| is odd, for even V when |A & ~V| is
     odd.
     """
-    by_overlap: dict[int, dict[int, int]] = {}
     for ma, na in left:
         p = _swap_prefix(ma)
+        na *= scale
         if twisted:
             t = ma if ma.bit_count() & 1 else ~ma
             na *= 2

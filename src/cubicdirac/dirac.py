@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import lcm
 from typing import Sequence
 
 from .clifford import (
@@ -35,6 +36,7 @@ from .clifford import (
     Multivector,
     _bits,
     _multivector_from_numerators,
+    _overlap_sums,
     is_scalar,
     scalar_part,
     twisted_commutator,
@@ -455,6 +457,13 @@ class DiracContext:
         increasing key, as its nonzero numerators at arity 1 and 2, and at
         arity 3 as only their canonical part (see `_d_items`), which is all
         that is read of them.
+
+        No row is copied per key: `_d_scatter` reads the preimage rows of a
+        point mass as they are, and `least_moved` adds into the column
+        itself at arity 3, whose columns are summed before it runs, and
+        into a copy only at arities 1 and 2, whose columns the next arity
+        and the signed sums still read.  It tests the table for a nonzero
+        entry before it looks for the least i.
         """
         _, ad, preimage = g._integer_structure
         n = g.dim
@@ -465,16 +474,19 @@ class DiracContext:
 
         def least_moved(key: tuple, table: dict, previous: dict) -> int | None:
             """The least i whose comparison fails on key, the table being d delta_key."""
-            first = (key[0],)
+            get = table.get
+            first = key[0]
             for rest, val in previous[key[1:]].items():
-                idx = first + rest
-                table[idx] = table.get(idx, 0) + val
+                idx = (first, *rest)
+                table[idx] = get(idx, 0) + val
             for pos, r in enumerate(key):
                 head, tail = key[:pos], key[pos + 1 :]
                 for i, s, c in acting[r]:
-                    idx = (i,) + head + (s,) + tail
-                    table[idx] = table.get(idx, 0) - c
-            return min((idx[0] for idx, val in table.items() if val), default=None)
+                    idx = (i, *head, s, *tail)
+                    table[idx] = get(idx, 0) - c
+            if not any(table.values()):
+                return None
+            return min(idx[0] for idx, val in table.items() if val)
 
         fails = None  # the least failing (arity, key, i)
         alternating: dict = {}
@@ -634,10 +646,6 @@ def _form_entries(g: QuadraticLieAlgebra) -> tuple[int, list]:
     return _integer_terms({(i, j): c for i in range(g.dim) for j, c in enumerate(g.form.row(i)) if c})
 
 
-def _nonzero(numerators: dict) -> dict:
-    return {key: n for key, n in numerators.items() if n}
-
-
 def _alternating_entries(key: tuple) -> list:
     """[(ordering, sign), ...]: the alternating form that is 1 on the
     increasing key, each ordering of key with the sign of its permutation,
@@ -656,7 +664,9 @@ def _signed_sum(columns: dict, entries) -> dict:
         else:
             for idx, val in columns[key].items():
                 out[idx] = get(idx, 0) - val
-    return _nonzero(out)
+    for idx in [idx for idx, val in out.items() if not val]:
+        del out[idx]
+    return out
 
 
 def _key_witness(arity: int, key: tuple) -> str:
@@ -674,14 +684,51 @@ def _dv_law_items(
     d_v(d_v(e_a)) = v^2 e_a - e_a v^2 on every a.  For odd v both sides of
     the square law are even derivations, so agreeing on the generators is
     agreeing everywhere.  A witness names the failing generators' labels.
+
+    v, v2 and the dv[a] are put on integer numerators once.  A law compares
+    its two sides on one table: d_v(e_i e_j), d_v(e_i) (-e_j) and
+    e_i d_v(e_j), or d_v(d_v(e_a)), v2 (-e_a) and e_a v2, add into it over
+    their lcm through `_overlap_sums`, the blade-pair loop of the product
+    and, in its twisted form, of `twisted_commutator`, so d_v on the left
+    side runs the code d_v(e_a) ran.  The law fails exactly where
+    `_scale_overlaps` of the table returns a key.  e_i e_i is the scalar
+    d_i, over its denominator.  No element is built per pair.
     """
-    gens = [space.generator(a) for a in range(space.dim)]
-    pairs = product(enumerate(gens), repeat=2)
-    broken = ((i, j) for (i, a), (j, b) in pairs if twisted_commutator(v, a * b) != dv[i] * b - a * dv[j])
-    derivation = next((f"a={labels[i]} b={labels[j]}" for i, j in broken), None)
-    unequal = (a for a, e in enumerate(gens) if twisted_commutator(v, dv[a]) != v2 * e - e * v2)
-    square = next((labels[a] for a in unequal), None)
-    return CheckItem("dv-derivation-law", derivation), CheckItem("dv-square-is-v2-bracket", square)
+    m = space.dim
+    den_v, v_num = _integer_terms(v.terms)
+    den_2, v2_num = _integer_terms(v2.terms)
+    dv_num = [_integer_terms(x.terms) for x in dv]
+    plus = [[(1 << a, 1)] for a in range(m)]
+    minus = [[(1 << a, -1)] for a in range(m)]
+
+    def differs(*products) -> bool:
+        """Whether the products (den, left, right, twisted), each over its den, sum to nonzero."""
+        den = lcm(*(d for d, *_ in products))
+        table: dict = {}
+        for d, left, right, twisted in products:
+            _overlap_sums(left, right, twisted, table, den // d)
+        return bool(space._scale_overlaps(table, den))
+
+    def derivation_fails(i: int, j: int) -> bool:
+        if i == j:
+            d = space.gram[i]
+            den, square = d.denominator, [(0, d.numerator)]
+        else:
+            den, square = 1, [((1 << i) | (1 << j), 1 if i < j else -1)]
+        (den_i, dv_i), (den_j, dv_j) = dv_num[i], dv_num[j]
+        return differs(
+            (den_v * den, v_num, square, True), (den_i, dv_i, minus[j], False), (den_j, plus[i], dv_j, False)
+        )
+
+    def square_fails(a: int) -> bool:
+        den_a, dv_a = dv_num[a]
+        return differs(
+            (den_v * den_a, v_num, dv_a, True), (den_2, v2_num, minus[a], False), (den_2, plus[a], v2_num, False)
+        )
+
+    broken = (f"a={labels[i]} b={labels[j]}" for i, j in product(range(m), repeat=2) if derivation_fails(i, j))
+    unequal = (labels[a] for a in range(m) if square_fails(a))
+    return CheckItem("dv-derivation-law", next(broken, None)), CheckItem("dv-square-is-v2-bracket", next(unequal, None))
 
 
 def _non_scalar_witness(t: TensorElement, labels: Sequence[str]) -> str | None:

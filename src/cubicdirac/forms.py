@@ -30,13 +30,16 @@ on point masses and reads iota of a point mass off its key, and the d
 items read d of the alternating point masses off the cartan check's
 columns and test them with `_canonical_part`, the alternation test, which
 knows the orderings of up to four slots, the most d of a 3-form reaches.
+`_d_scatter` is the one scatter of d, for the form's entries and for
+point masses alike; on a point mass it reads the preimage rows as they
+are, with no copy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .clifford import CliffordSpace, Multivector
@@ -57,38 +60,48 @@ def _orderings(k: int) -> list:
 _ORDERINGS = [_orderings(k) for k in range(5)]
 
 
+# the nonzero entries of a table on increasing keys, by the chained comparison
+# of the k - 1 adjacent slots of a key of arity k
+_INCREASING_PART = (
+    lambda terms: {key: val for key, val in terms.items() if val},
+    lambda terms: {key: val for key, val in terms.items() if val},
+    lambda terms: {key: val for key, val in terms.items() if val and key[0] < key[1]},
+    lambda terms: {key: val for key, val in terms.items() if val and key[0] < key[1] < key[2]},
+    lambda terms: {key: val for key, val in terms.items() if val and key[0] < key[1] < key[2] < key[3]},
+)
+
+
 def _canonical_part(terms: Mapping) -> dict | None:
     """The nonzero entries of a table {key: value} on increasing keys, or None
     when the table is not alternating.
 
-    The keys are of one arity k.  Each nonzero entry on an increasing key is
-    compared with its k! - 1 other orderings, which must hold the value
-    times the sign of the ordering; the table is alternating when they all
-    do and no other nonzero entry is stored, that is when the nonzero
-    entries number k! times the increasing keys that hold one.  A stored
-    zero on a repeated index fails the test, and one on distinct indices
-    does not, unless an ordering of its key holds a nonzero value; so a
-    table that may hold zeros (the kernels' numerator dicts) drops them
-    first.
+    The keys are of one arity k, at most 4, and `_INCREASING_PART` takes
+    the entries on increasing keys with the comparison of that arity.  The
+    table is alternating when its nonzero entries number k! times those
+    keys and each of them has its k! - 1 other orderings holding its value
+    times the sign of the ordering.  A stored zero on a repeated index
+    fails the test, and one on distinct indices does not, unless an
+    ordering of its key holds a nonzero value; so a table that may hold
+    zeros (the kernels' numerator dicts) drops them first.
     """
     if not terms:
         return {}
-    orderings = _ORDERINGS[len(next(iter(terms)))]
-    canonical: dict = {}
-    nonzero = 0
-    for key, val in terms.items():
-        if not val:
-            if len(set(key)) != len(key):
-                return None
-            continue
-        nonzero += 1
-        if all(map(lt, key, key[1:])):
-            canonical[key] = val
-            for get, sign in orderings:
-                if terms.get(get(key)) != sign * val:
+    arity = len(next(iter(terms)))
+    orderings = _ORDERINGS[arity]
+    canonical = _INCREASING_PART[arity](terms)
+    nonzero = len(terms)
+    if 0 in terms.values():
+        for key, val in terms.items():
+            if not val:
+                if len(set(key)) != arity:
                     return None
+                nonzero -= 1
     if nonzero != len(canonical) * (len(orderings) + 1):
         return None
+    for key, val in canonical.items():
+        for get, sign in orderings:
+            if terms.get(get(key)) != sign * val:
+                return None
     return canonical
 
 
@@ -96,6 +109,9 @@ def _d_scatter(entries, preimage) -> dict:
     """Numerators of d w from the (key, n) entries of w and the preimage index.
 
     The result is over the entries' denominator times P; it may hold zeros.
+    Slot s of position pos adds row key[pos] of the index at even s and
+    subtracts it at odd s, so an entry of value 1, a point mass, reads the
+    rows as they are, and only an entry of another value scales a copy.
     """
     out: dict = {}
     get = out.get
@@ -104,14 +120,19 @@ def _d_scatter(entries, preimage) -> dict:
             row = preimage[r]
             if not row:
                 continue
+            if val != 1:
+                row = [(a, b, c * val) for a, b, c in row]
             tail = key[pos + 1 :]
-            scaled = [(a, b, c * val) for a, b, c in row]
-            negated = [(a, b, -cv) for a, b, cv in scaled] if pos else ()
             for s in range(pos + 1):
                 head, mid = key[:s], key[s:pos]
-                for a, b, cv in negated if s & 1 else scaled:
-                    idx = head + (a,) + mid + (b,) + tail
-                    out[idx] = get(idx, 0) + cv
+                if s & 1:
+                    for a, b, c in row:
+                        idx = (*head, a, *mid, b, *tail)
+                        out[idx] = get(idx, 0) - c
+                else:
+                    for a, b, c in row:
+                        idx = (*head, a, *mid, b, *tail)
+                        out[idx] = get(idx, 0) + c
     return out
 
 

@@ -260,7 +260,16 @@ def rank(a: Matrix) -> int:
 
 
 def _row_numerators(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(t, [N_0, ...]) with row[s] = N_s / t, t the least common denominator of the row."""
+    """(t, [N_0, ...]) with row[s] = N_s / t, t the least common denominator of the row.
+
+    A row with one nonzero entry is that entry's numerator over its denominator.
+    """
+    nonzero = (s for s, x in enumerate(row) if x)
+    first = next(nonzero, None)
+    if first is not None and next(nonzero, None) is None:
+        nums = [0] * len(row)
+        nums[first] = row[first].numerator
+        return row[first].denominator, nums
     t = 1
     for x in row:
         if x and t % x.denominator:
@@ -302,6 +311,8 @@ def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     n = b.rows
     rows = [_row_numerators(b.row(i)) for i in range(n)]
     cols = [(1, [1 if r == j else 0 for r in range(n)]) for j in range(n)]
+    # own[r]: the index of the form's row that rows[r] still is, or None once changed
+    own: list[int | None] = list(range(n))
     d = []
 
     def swap(r, i):
@@ -309,6 +320,7 @@ def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
         for _, nums in rows[r:]:
             nums[r], nums[i] = nums[i], nums[r]
         cols[r], cols[i] = cols[i], cols[r]
+        own[r], own[i] = own[i], own[r]
 
     for r in range(n):
         if rows[r][1][r] == 0:
@@ -326,13 +338,14 @@ def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
                     nums[i] += nums[j]
                 (ti, ni), (tj, nj) = rows[i], rows[j]
                 rows[i] = _reduced(ti * tj, [x * tj + y * ti for x, y in zip(ni, nj)])
+                own[i] = None
                 (si, ki), (sj, kj) = cols[i], cols[j]
                 cols[i] = _reduced(si * sj, [x * sj + y * si for x, y in zip(ki, kj)])
                 if i != r:
                     swap(r, i)
         t, pivot_row = rows[r]
         a = pivot_row[r]
-        d.append(Fraction(a, t))
+        d.append(Fraction(a, t) if own[r] is None else b.entry(own[r], own[r]))
         s, pivot_col = cols[r]
         for j in range(r + 1, n):
             c = pivot_row[j]
@@ -342,6 +355,7 @@ def diagonalize_form(b: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
                 f = nj[r]
                 trailing = [a * x - f * y for x, y in zip(nj[r + 1 :], pivot_row[r + 1 :])]
                 rows[j] = _reduced(tj * a, [0] * (r + 1) + trailing)
+                own[j] = None
                 sj, kj = cols[j]
                 cols[j] = _reduced(sj * a * s, [a * s * x - c * sj * y for x, y in zip(kj, pivot_col)])
 

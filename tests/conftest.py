@@ -8,18 +8,27 @@ The module also keeps the reference oracles the package is compared with,
 most of them bodies the package once had: the Fraction PBW rewriter, the
 Casimir, the matrix nu(Y) of ad Y on h_perp with its spin lift, the
 multilinear map type with the operators d, theta_X and iota_X on it, the
-3-form <v, .^.^.> of a 3-vector, and the Fraction face of the v kernel.
+3-form <v, .^.^.> of a 3-vector, the Fraction face of the v kernel, and
+the dv-* laws on elements.  It also keeps the fault of the blade-pair
+kernel with the twist sign dropped, and a counter of Fraction arithmetic.
 """
 
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
-from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, forms
-from cubicdirac.clifford import CliffordSpace, Multivector, _multivector_from_numerators, _swap_prefix
+from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, clifford, dirac, forms
+from cubicdirac.clifford import (
+    CliffordSpace,
+    Multivector,
+    _multivector_from_numerators,
+    _swap_prefix,
+    twisted_commutator,
+)
+from cubicdirac.dirac import CheckItem
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation, DegenerateFormError
 from cubicdirac.forms import _canonical_part
@@ -372,6 +381,73 @@ def pairing(a: Multivector, b: Multivector) -> Fraction:
 def grade_involution(a: Multivector) -> Multivector:
     """kappa(a): the automorphism acting by (-1)^k on degree k."""
     return Multivector(a.space, {m: (-c if m.bit_count() & 1 else c) for m, c in a.terms.items()})
+
+
+def generator_dv_law_items(space, v, v2, dv, labels, d_v=twisted_commutator):
+    """`dv-derivation-law` and `dv-square-is-v2-bracket` on the generators, on elements.
+
+    The body `dirac._dv_law_items` had before it compared the laws on
+    integer tables: d_v = d_v(v, .), v2 = v^2 and dv[a] = d_v(e_a), with
+    d_v(e_i e_j) = d_v(e_i) e_j - e_i d_v(e_j) on every ordered pair and
+    d_v(d_v(e_a)) = v2 e_a - e_a v2 on every a, each side a Multivector.
+    """
+    gens = [space.generator(a) for a in range(space.dim)]
+    pairs = product(enumerate(gens), repeat=2)
+    broken = ((i, j) for (i, a), (j, b) in pairs if d_v(v, a * b) != dv[i] * b - a * dv[j])
+    derivation = next((f"a={labels[i]} b={labels[j]}" for i, j in broken), None)
+    unequal = (a for a, e in enumerate(gens) if d_v(v, dv[a]) != v2 * e - e * v2)
+    square = next((labels[a] for a in unequal), None)
+    return CheckItem("dv-derivation-law", derivation), CheckItem("dv-square-is-v2-bracket", square)
+
+
+OVERLAP_SUMS = clifford._overlap_sums
+
+
+def overlap_sums_with_twist_sign_dropped(left, right, twisted, by_overlap, scale):
+    """`clifford._overlap_sums` whose twisted form adds v a + kappa(a) v, not v a - kappa(a) v.
+
+    Its plain form is the kernel's.  Its twisted form adds the product of
+    left and right and that of kappa(right) and left, each through the
+    kernel's plain form, so `twisted_commutator(v, a)` under it is
+    v * a + grade_involution(a) * v.
+    """
+    if not twisted:
+        return OVERLAP_SUMS(left, right, False, by_overlap, scale)
+    left, right = list(left), list(right)
+    OVERLAP_SUMS(left, right, False, by_overlap, scale)
+    kappa = [(mask, -n if mask.bit_count() & 1 else n) for mask, n in right]
+    return OVERLAP_SUMS(kappa, left, False, by_overlap, scale)
+
+
+def drop_twist_sign(patch):
+    """Bind the kernel with the twist sign dropped where the package reads it:
+    in clifford, for `twisted_commutator` and so d_v(e_a), and in dirac, for
+    the left sides of the dv-* laws."""
+    for module in (clifford, dirac):
+        patch.setattr(module, "_overlap_sums", overlap_sums_with_twist_sign_dropped)
+
+
+def count_fraction_arithmetic(monkeypatch) -> list:
+    """Patch Fraction's arithmetic operators to record each call in the list returned."""
+    calls = []
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            monkeypatch.setattr(Fraction, name, counted(name))
+    monkeypatch.setattr(Fraction, "__neg__", counted("__neg__"))
+    -Fraction(1, 2) * 3 / Fraction(1, 3)
+    assert calls == ["__neg__", "__mul__", "__truediv__"], "the patched operators are not reached"
+    calls.clear()
+    return calls
 
 
 def is_alternating(w: MultilinearMap) -> bool:

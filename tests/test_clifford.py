@@ -25,6 +25,7 @@ from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, catalog
 from cubicdirac.clifford import (
     CliffordSpace,
     Multivector,
+    _overlap_sums,
     _swap_prefix,
     is_scalar,
     scalar_part,
@@ -575,6 +576,32 @@ def test_twisted_commutator_that_cancels_completely_is_zero():
     assert dz.terms and dz == reference_twisted_commutator(x, z)
     assert twisted_commutator(x, dz).terms == {}
     assert reference_twisted_commutator(x, dz).terms == {}
+
+
+@pytest.mark.parametrize("twisted", (False, True))
+def test_accumulating_overlap_sums_scale_the_product(twisted):
+    """`_overlap_sums` with scale s and an empty table gives s times the
+    product (the twisted commutator when twisted) once the table is scaled,
+    and a second call adds its own scale times its product into the same
+    table."""
+    space = CliffordSpace(mixed_gram(4))
+    rng = random.Random(f"accumulate-{twisted}")
+
+    def product(x, y):
+        """x y, or x y - kappa(y) x, through the blade loop over Q."""
+        out = reference_product_over_q(x, y)
+        return out - reference_product_over_q(grade_involution(y), x) if twisted else out
+
+    for _ in range(20):
+        a, b, c = (coprime_multivector(space, rng, rng.randint(1, 6)) for _ in range(3))
+        (den_a, left), (den_b, right), (den_c, third) = map(_integer_terms, (a.terms, b.terms, c.terms))
+        for s in (1, -1, 6, -35):
+            table = _overlap_sums(left, right, twisted, {}, s)
+            assert space._scale_overlaps(table, den_a * den_b) == (s * product(a, b)).terms
+        table = _overlap_sums(left, right, twisted, {}, 5 * den_c)
+        assert _overlap_sums(left, third, twisted, table, -3 * den_b) is table
+        expected = 5 * product(a, b) - 3 * product(a, c)
+        assert space._scale_overlaps(table, den_a * den_b * den_c) == expected.terms
 
 
 def reference_product_over_q(a, b):

@@ -25,6 +25,9 @@ import pytest
 from conftest import (
     MultilinearMap,
     changed_algebra,
+    count_fraction_arithmetic,
+    drop_twist_sign,
+    generator_dv_law_items,
     grade_involution,
     hostile_form,
     insert_first,
@@ -603,9 +606,11 @@ def wrong_twist_sign(v, a):
 
 def test_dv_derivation_witness_reproduces_the_failure_on_its_own(monkeypatch):
     """d_v(ab) = d_v(a) b + kappa(a) d_v(b) holds for every v, odd or not, so no
-    change of v breaks it; a sign error in the twist does."""
+    change of v breaks it; a sign error in the twist does.  The fault is put
+    into the blade-pair kernel, which d_v(e_a) and the laws' left sides
+    both run."""
     ctx = DiracContext(catalog_entry("sl2-killing").algebra)
-    monkeypatch.setattr(dirac, "twisted_commutator", wrong_twist_sign)
+    drop_twist_sign(monkeypatch)
     a, b = dv_witness(ctx, "dv-derivation-law")
     v = ctx.v
     lhs = wrong_twist_sign(v, a * b)
@@ -626,13 +631,27 @@ DV_WITNESSES = {
 
 
 def inject_dv_fault(monkeypatch, ctx, fault):
-    """Put `fault` into ctx and dirac; return the twisted commutator a reference should use."""
+    """Put `fault` into ctx or into the blade-pair kernel; return the twisted
+    commutator a reference should use."""
     if fault == "even part in v":
         ctx.v = ctx.v + ctx.space.blade((0, 1))
     if fault == "twist sign dropped":
-        monkeypatch.setattr(dirac, "twisted_commutator", wrong_twist_sign)
+        drop_twist_sign(monkeypatch)
         return wrong_twist_sign
     return twisted_commutator
+
+
+def test_the_kernel_fault_is_the_dropped_twist_sign(monkeypatch):
+    """With the kernel's twist sign dropped, `twisted_commutator` is
+    `wrong_twist_sign` on random elements over a Gram with denominators,
+    and the plain product is unchanged."""
+    space = CliffordSpace((Fraction(3, 2), Fraction(-5, 3), Fraction(7, 4)))
+    rng = random.Random("twist-fault")
+    pairs = [(reference_random_multivector(space, rng), reference_random_multivector(space, rng)) for _ in range(30)]
+    expected = [(wrong_twist_sign(v, a), v * a) for v, a in pairs]
+    drop_twist_sign(monkeypatch)
+    assert [(twisted_commutator(v, a), v * a) for v, a in pairs] == expected
+    assert any(twisted_commutator(v, a) != v * a - grade_involution(a) * v for v, a in pairs)
 
 
 @pytest.mark.parametrize("fault", DV_WITNESSES)
@@ -699,12 +718,17 @@ def test_dv_items_fail_wherever_the_sampled_reference_fails(monkeypatch, name, f
         assert all(item.ok for item in got + reference)
 
 
+def rational_gram_space(m):
+    """A space whose Gram entries (-1)^i (2i + 3) / (i + 2) all have denominators."""
+    return CliffordSpace(tuple(Fraction((-1) ** i * (2 * i + 3), i + 2) for i in range(m)))
+
+
 @pytest.mark.parametrize("m", (2, 3, 5))
 def test_dv_law_items_match_the_reference_over_q(monkeypatch, m):
     """On a Gram with denominators and random odd v, the generator checks and
     the sampled laws agree: both pass, and with the twist sign dropped both
     fail the derivation law and pass the square law, which still holds."""
-    space = CliffordSpace(tuple(Fraction((-1) ** i * (2 * i + 3), i + 2) for i in range(m)))
+    space = rational_gram_space(m)
     labels = tuple(f"x{i}" for i in range(m))
     rng = random.Random(f"dv-{m}")
     for trial in range(4):
@@ -712,11 +736,97 @@ def test_dv_law_items_match_the_reference_over_q(monkeypatch, m):
         v = Multivector(space, {mask: c for mask, c in draws if mask.bit_count() & 1})
         d_v = wrong_twist_sign if trial % 2 else twisted_commutator
         with monkeypatch.context() as patch:
-            patch.setattr(dirac, "twisted_commutator", d_v)
+            if trial % 2:
+                drop_twist_sign(patch)
             got = dv_law_items(space, v, labels)
         reference = reference_dv_law_items(space, v, trial, 12, d_v)
         assert [item.ok for item in got] == [item.ok for item in reference]
         assert [item.ok for item in got] == [not (trial % 2 and v.terms), True]
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        (name, fault)
+        for name in (*CATALOG_NAMES, "tstar-heisenberg")
+        for fault in ("none", *DV_WITNESSES)
+        if fault != "even part in v" or name == "tstar-heisenberg" or catalog_entry(name).algebra.dim > 1
+    ],
+)
+def test_dv_law_items_match_the_generator_reference(monkeypatch, name, fault):
+    """The laws on integer tables give the items of the laws on elements,
+    witnesses included, on every catalog entry and T*Heisenberg, clean and
+    under each fault (an even part in v needs two generators)."""
+    g = tstar_heisenberg() if name == "tstar-heisenberg" else catalog_entry(name).algebra
+    ctx = DiracContext(g)
+    d_v = inject_dv_fault(monkeypatch, ctx, fault)
+    labels = ctx.adapted.labels
+    got = dirac._dv_law_items(ctx.space, ctx.v, ctx.v * ctx.v, ctx._dv_generators, labels)
+    dv = [d_v(ctx.v, ctx.space.generator(a)) for a in range(ctx.m)]
+    assert dv == ctx._dv_generators
+    assert got == generator_dv_law_items(ctx.space, ctx.v, ctx.v * ctx.v, dv, labels, d_v)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 5))
+def test_dv_law_items_match_the_generator_reference_over_q(monkeypatch, m):
+    """On the rational Grams, with random v, odd every third draw and
+    otherwise of any parity, a scalar part included, and with the twist
+    sign dropped: the same items and witnesses as the laws on elements,
+    and each law fails on some draw."""
+    space = rational_gram_space(m)
+    labels = tuple(f"x{i}" for i in range(m))
+    rng = random.Random(f"dv-generators-{m}")
+    failing = set()
+    for trial in range(12):
+        v = reference_random_multivector(space, rng, terms=5)
+        if trial % 3 == 0:
+            v = Multivector(space, {mask: c for mask, c in v.terms.items() if mask.bit_count() & 1})
+        for fault in (False, True):
+            d_v = wrong_twist_sign if fault else twisted_commutator
+            with monkeypatch.context() as patch:
+                if fault:
+                    drop_twist_sign(patch)
+                got = dv_law_items(space, v, labels)
+            dv = [d_v(v, space.generator(a)) for a in range(m)]
+            expected = generator_dv_law_items(space, v, v * v, dv, labels, d_v)
+            assert got == expected, (trial, fault, v)
+            failing |= {item.item_id for item in got if not item.ok}
+    assert failing == {"dv-derivation-law", "dv-square-is-v2-bracket"}
+
+
+def test_dv_laws_build_no_fraction_and_no_element_per_pair(monkeypatch):
+    """On the passing path the laws put v, v^2 and the d_v(e_a) on integers
+    and compare each pair on one integer table: once the Gram products of
+    the overlaps are kept, no Fraction is built or added and no element is
+    built, on sl2xsl2-diagonal (integer Grams) and T*Heisenberg (Grams 2
+    and -1/2)."""
+    passing = (CheckItem("dv-derivation-law"), CheckItem("dv-square-is-v2-bracket"))
+    original_new, original_from_terms = Fraction.__new__, LinearCombination._from_terms.__func__
+    built = Counter()
+
+    def new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return original_new(cls, *args, **kwargs)
+
+    def from_terms(cls, carrier, terms):
+        built[cls.__name__] += 1
+        return original_from_terms(cls, carrier, terms)
+
+    for g in (catalog_entry("sl2xsl2-diagonal").algebra, tstar_heisenberg()):
+        ctx = DiracContext(g)
+        args = (ctx.space, ctx.v, ctx._v_square, ctx._dv_generators, ctx.adapted.labels)
+        assert dirac._dv_law_items(*args) == passing
+        with monkeypatch.context() as patch:
+            arithmetic = count_fraction_arithmetic(patch)
+            patch.setattr(Fraction, "__new__", new)
+            patch.setattr(LinearCombination, "_from_terms", classmethod(from_terms))
+            items = dirac._dv_law_items(*args)
+            built_by_a_product = Counter(built)
+            ctx.v * ctx.v
+        assert items == passing
+        assert built_by_a_product == {} and arithmetic == [], g.name
+        assert built["Multivector"] == 1, "the patches are not reached"
+        built.clear()
 
 
 def test_dv_laws_stay_cheap_on_hostile_gram_entries():

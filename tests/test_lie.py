@@ -12,6 +12,7 @@ from conftest import (
     casimir_element,
     changed_algebra,
     changed_basis,
+    count_fraction_arithmetic,
     form_value,
     hostile_form,
     invert,
@@ -745,29 +746,6 @@ def reference_table_structure(dim, table):
                 constants[j, i, r] = -c
     den, entries = _integer_terms(constants)
     return lie._bracket_structure(dim, den, sorted(entries))
-
-
-def count_fraction_arithmetic(monkeypatch) -> list:
-    """Patch Fraction's arithmetic operators to record each call in the list returned."""
-    calls = []
-
-    def counted(name):
-        original = getattr(Fraction, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        return wrapper
-
-    for op in ("add", "sub", "mul", "truediv"):
-        for name in (f"__{op}__", f"__r{op}__"):
-            monkeypatch.setattr(Fraction, name, counted(name))
-    monkeypatch.setattr(Fraction, "__neg__", counted("__neg__"))
-    -Fraction(1, 2) * 3 / Fraction(1, 3)
-    assert calls == ["__neg__", "__mul__", "__truediv__"], "the patched operators are not reached"
-    calls.clear()
-    return calls
 
 
 # -- check_ad_invariance before it followed the bracket support -------------

@@ -13,11 +13,12 @@ fails under some fault, or is named with the reason it cannot.
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import grade_involution
-from cubicdirac import dirac, tensor
+from conftest import overlap_sums_with_twist_sign_dropped
+from cubicdirac import clifford, dirac, tensor
 from cubicdirac.catalog import catalog_entry
 from cubicdirac.clifford import CliffordSpace, _multivector_from_numerators
 from cubicdirac.dirac import DiracContext
@@ -130,7 +131,10 @@ FAULTS = {
     "v-plus-e1e2": [(dirac, "_multivector_from_numerators", v_plus_blade(0, 1))],
     "coproduct-doubled": [(dirac, "bracket_coproduct", doubled_coproduct)],
     "spin-lift-dropped": [(DiracContext, "diagonal_embedding", embedding_without_lift)],
-    "twist-sign-dropped": [(dirac, "twisted_commutator", lambda v, a: v * a + grade_involution(a) * v)],
+    "twist-sign-dropped": [
+        (clifford, "_overlap_sums", overlap_sums_with_twist_sign_dropped),
+        (dirac, "_overlap_sums", overlap_sums_with_twist_sign_dropped),
+    ],
     "lower-index-in-D": [(DiracContext, "_build_dirac", dirac_with_lower_indices)],
     "gram-entry-scaled": [(dirac, "CliffordSpace", first_gram_doubled)],
     "structure-constant-changed": [
@@ -344,21 +348,76 @@ NEVER_FAILS = {
 }
 
 
-def test_every_item_fails_under_some_fault_or_is_named(monkeypatch):
-    """The item side of the mutation matrix: an item the cases emit that no
-    fault fails is named in NEVER_FAILS with its reason, and a named item
-    that some fault fails must leave the list, so it can only shrink."""
-    emitted = set()
+@pytest.fixture(scope="module")
+def mutation_matrix():
+    """The mutation matrix, run once for the module: the item ids the cases
+    emit in report order, and {(item, fault): the cases on which the fault
+    fails the item} for each fault that no guard refuses."""
+    emitted: dict = {}
     for name, pair in CASES.values():
         entry = catalog_entry(name)
         report = run_suite(entry.algebra, entry.subalgebra if pair else ())
-        emitted |= {item.item_id for outcome, _ in report.outcomes for item in outcome.items}
-    failed_by: dict = {}
+        emitted.update((item.item_id, None) for outcome, _ in report.outcomes for item in outcome.items)
+    cells: dict = {}
     for fault in FAULTS:
         if fault in REFUSED:
             continue
         for case in CASES:
-            for _, item in failing_items(faulted_report(monkeypatch, fault, case)):
-                failed_by.setdefault(item.item_id, fault)
+            for _, item in failing_items(faulted_report(pytest.MonkeyPatch, fault, case)):
+                cells.setdefault((item.item_id, fault), []).append(case)
+    return list(emitted), cells
+
+
+def test_every_item_fails_under_some_fault_or_is_named(mutation_matrix):
+    """The item side of the mutation matrix: an item the cases emit that no
+    fault fails is named in NEVER_FAILS with its reason, and a named item
+    that some fault fails must leave the list, so it can only shrink."""
+    emitted, cells = mutation_matrix
+    failed_by: dict = {}
+    for item_id, fault in cells:
+        failed_by.setdefault(item_id, fault)
     assert {item_id: failed_by[item_id] for item_id in NEVER_FAILS if item_id in failed_by} == {}
-    assert emitted - failed_by.keys() == NEVER_FAILS.keys()
+    assert set(emitted) - failed_by.keys() == NEVER_FAILS.keys()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the letters by which the README's table names the cases
+CASE_LETTERS = dict(zip(CASES, "abcd"))
+
+
+def readme_matrix_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index("### Items against faults")
+    end = text.find("\n#", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_the_readme_matrix_is_the_mutation_run(mutation_matrix):
+    """README's item x fault table is the matrix this module runs: one row
+    per emitted item in report order, one column per fault, each cell the
+    letters of the cases on which the fault fails the item, `refused` for
+    the guarded faults; and README gives each item of NEVER_FAILS its
+    reason."""
+    emitted, cells = mutation_matrix
+    section = readme_matrix_section()
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    header = [cell.strip() for cell in rows[0].strip("|").split("|")]
+    assert header == ["item", *(f"`{fault}`" for fault in FAULTS)]
+    table = {}
+    for line in rows[2:]:
+        item, *row = (cell.strip() for cell in line.strip("|").split("|"))
+        table[item.strip("`")] = dict(zip(FAULTS, row))
+    assert list(table) == emitted
+    expected = {
+        item: {
+            fault: "refused" if fault in REFUSED else "".join(CASE_LETTERS[case] for case in cells.get((item, fault), ()))
+            for fault in FAULTS
+        }
+        for item in emitted
+    }
+    assert table == expected
+    # the list after the table, one bullet per item, wrapped
+    listing = section.split("with its reason:\n\n", 1)[1].split("\n\n", 1)[0]
+    bullets = (" ".join(bullet.split()) for bullet in listing.split("\n- "))
+    reasons = dict(bullet.removeprefix("- ").removeprefix("`").split("`: ", 1) for bullet in bullets)
+    assert reasons == NEVER_FAILS
