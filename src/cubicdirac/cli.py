@@ -28,7 +28,7 @@ from .errors import (
     NotASubalgebraError,
     ValidationError,
 )
-from .suite import render_machine, render_text, run_suite
+from .suite import CHECK_IDS, render_machine, render_text, run_suite
 
 _INPUT_ERRORS = (
     AlgebraFileError,
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--checks",
-        choices=("all", "kostant", "cohomology", "decomposition", "invariance"),
+        choices=("all", *CHECK_IDS),
         default="all",
     )
     verify.add_argument("--report", choices=("text", "machine"), default="text")

@@ -200,18 +200,11 @@ class Multivector(LinearCombination):
         self.terms = {m: c for m, c in terms.items() if c}
 
     def __mul__(self, other):
-        """Clifford product; scalars multiply coefficientwise.
-
-        The blade pairs add integer numerators over D_a D_b per overlap in
-        `_overlap_sums`, and each sum is scaled by its overlap's Gram product.
-        """
+        """Clifford product, `_product` untwisted; scalars multiply coefficientwise."""
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
         self._check(other)
-        den_a, left = _integer_terms(self.terms)
-        den_b, right = _integer_terms(other.terms)
-        by_overlap = _overlap_sums(left, right, False, {}, 1)
-        return Multivector._from_terms((self.space,), self.space._scale_overlaps(by_overlap, den_a * den_b))
+        return _product(self, other, False)
 
     def __xor__(self, other: "Multivector") -> "Multivector":
         """Exterior product (use parentheses: ^ binds loosely in Python): the
@@ -301,17 +294,25 @@ def twisted_commutator(v: Multivector, a: Multivector) -> Multivector:
     """v a - kappa(a) v, the odd-twisted bracket with v (kappa = grade involution).
 
     For odd v this operator is an odd derivation of the Clifford algebra and
-    its square is the plain commutator with v*v.  The blade pairs run in
-    `_overlap_sums` with the twist, over D_v D_a as in `Multivector.__mul__`:
-    one pass over the pairs of v and a, each adding twice one signed product
-    or nothing.  The dv-* laws run the same twisted form on integer
-    numerators, so d_v in them is this code.
+    its square is the plain commutator with v*v.  It is `_product` with the
+    twist, the blade-pair pass of `Multivector.__mul__`: one pass over the
+    pairs of v and a, each adding twice one signed product or nothing.  The
+    dv-* laws run the same twisted form on integer numerators, so d_v in
+    them is this code.
     """
     v._check(a)
-    den_v, left = _integer_terms(v.terms)
-    den_a, right = _integer_terms(a.terms)
-    by_overlap = _overlap_sums(left, right, True, {}, 1)
-    return Multivector._from_terms((v.space,), v.space._scale_overlaps(by_overlap, den_v * den_a))
+    return _product(v, a, True)
+
+
+def _product(a: Multivector, b: Multivector, twisted: bool) -> Multivector:
+    """a b, or a b - kappa(b) a with twisted, for `Multivector.__mul__` and
+    `twisted_commutator`: the blade pairs add integer numerators over
+    D_a D_b per overlap in `_overlap_sums`, and each sum is scaled by its
+    overlap's Gram product."""
+    den_a, left = _integer_terms(a.terms)
+    den_b, right = _integer_terms(b.terms)
+    by_overlap = _overlap_sums(left, right, twisted, {}, 1)
+    return Multivector._from_terms((a.space,), a.space._scale_overlaps(by_overlap, den_a * den_b))
 
 
 def _overlap_sums(left, right, twisted: bool, by_overlap: dict, scale: int) -> dict[int, dict[int, int]]:

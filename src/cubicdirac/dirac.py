@@ -89,10 +89,10 @@ class CheckOutcome:
 class DiracContext:
     """g, an optional h, one adapted basis, and the cached operator data.
 
-    The data live on a block (lo, m, k) of the adapted basis: m p indices
-    from lo, then k h indices.  A context of g and h splits once and takes
-    (0, m, k); its `absolute` context is (0, n, 0) and its context of h
-    (m, k, 0) of the same adapted algebra, so their elements mix with its own.
+    The data live on the adapted basis from index 0: m p indices, then k h
+    indices.  A context of g and h splits once; its `absolute` context is
+    g with h = 0 on the same adapted algebra, so their elements mix, and
+    its context of h runs on h's own algebra, the restriction of the split.
     """
 
     def __init__(self, algebra: QuadraticLieAlgebra, subalgebra: Sequence[Sequence] = (), p_variant: int = 0):
@@ -100,25 +100,27 @@ class DiracContext:
         self.subalgebra = tuple(map(vector, subalgebra))
         self.p_variant = p_variant
         self.split = orthogonal_split(algebra, self.subalgebra, p_variant)
-        self._build(self.split.adapted, 0, self.split.p_dim, self.split.h_dim)
+        self._build(self.split.adapted, self.split.p_dim, self.split.h_dim)
 
     @classmethod
-    def _block(cls, adapted: QuadraticLieAlgebra, lo: int, m: int) -> "DiracContext":
-        """The context of the block (lo, m, 0) of an adapted algebra: h = 0, no split."""
+    def _block(cls, algebra: QuadraticLieAlgebra, adapted: QuadraticLieAlgebra, p_variant: int = 0):
+        """The context of `algebra` with h = 0 on `adapted`, the same algebra
+        in an orthogonal basis, with no split."""
         ctx = cls.__new__(cls)
-        ctx._build(adapted, lo, m, 0)
+        ctx.algebra, ctx.subalgebra, ctx.p_variant = algebra, (), p_variant
+        ctx._build(adapted, adapted.dim, 0)
         return ctx
 
-    def _build(self, adapted: QuadraticLieAlgebra, lo: int, m: int, k: int):
+    def _build(self, adapted: QuadraticLieAlgebra, m: int, k: int):
         self.adapted = adapted
-        self._lo, self.m, self.k = lo, m, k
-        self._gram = adapted.form.diagonal()[lo : lo + m + k]
+        self.m, self.k = m, k
+        self._gram = adapted.form.diagonal()
         self.space = CliffordSpace(self._gram[:m])
 
         numerators, den = self._fundamental_numerators()
         self.v = _multivector_from_numerators(self.space, numerators, den, self._gram[:m])
-        # Omega = sum (1/d_i) X_i X_i over the block, X_i X_i being in PBW order
-        self.casimir = PBWElement(adapted, {(lo + i, lo + i): 1 / d for i, d in enumerate(self._gram)})
+        # Omega = sum (1/d_i) X_i X_i, X_i X_i being in PBW order
+        self.casimir = PBWElement(adapted, {(i, i): 1 / d for i, d in enumerate(self._gram)})
         self.dirac = self._build_dirac()
 
         self._embeddings: dict[int, TensorElement] = {}
@@ -129,24 +131,24 @@ class DiracContext:
     # -- construction ------------------------------------------------------
 
     def _fundamental_numerators(self) -> tuple[dict[tuple[int, int, int], int], int]:
-        """t(X_i, X_j, X_k) = -1/2 B(X_i, [X_j, X_k]) = -1/2 d_i c_jk^i on the block's
-        p indices, as ({(i, j, k): n}, den) with t = d_i n / den, i, j, k counted from lo.
+        """t(X_i, X_j, X_k) = -1/2 B(X_i, [X_j, X_k]) = -1/2 d_i c_jk^i on the p
+        indices, as ({(i, j, k): n}, den) with t = d_i n / den.
 
         Scattered from the adapted algebra's integer structure: with
         c_jk^i = N / P there, n = -N over den = 2P, for the nonzero brackets
-        [X_j, X_k] of the block's p indices, keeping the terms on them.
+        [X_j, X_k] of the p indices, keeping the terms on them.
         """
-        lo, block = self._lo, range(self._lo, self._lo + self.m)
+        m = self.m
         den, ad, _ = self.adapted._integer_structure
-        brackets = ((j, k, terms) for j in block for k, terms in ad[j].items() if k in block)
-        triples = ((i, j, k, n) for j, k, terms in brackets for i, n in terms if i in block)
-        return {(i - lo, j - lo, k - lo): -n for i, j, k, n in triples}, 2 * den
+        brackets = ((j, k, terms) for j in range(m) for k, terms in ad[j].items() if k < m)
+        triples = ((i, j, k, n) for j, k, terms in brackets for i, n in terms if i < m)
+        return {(i, j, k): -n for i, j, k, n in triples}, 2 * den
 
     def _build_dirac(self) -> TensorElement:
         """D = sum_i (1/d_i) X_i (x) e_i + 1 (x) v, written as one term table."""
         terms = {((), mask): c for mask, c in self.v.terms.items()}
         for a in range(self.m):
-            terms[(self._lo + a,), 1 << a] = 1 / self._gram[a]
+            terms[(a,), 1 << a] = 1 / self._gram[a]
         return TensorElement._from_terms((self.adapted, self.space), terms)
 
     def diagonal_embedding(self, j: int) -> TensorElement:
@@ -206,15 +208,14 @@ class DiracContext:
         the cohomology and decomposition checks.
 
         Itself when h = 0 (not stored, which would make a reference cycle);
-        otherwise the block (0, n, 0) of the adapted algebra, built once.
+        otherwise the adapted algebra with m = n, built once.  Its v-free
+        laws run on the input algebra, and its c-basis-invariant splits that
+        in the root's next variant basis.
         """
         if self.k == 0:
             return self
         if self._absolute is None:
-            ctx = self._absolute = DiracContext._block(self.adapted, 0, self.adapted.dim)
-            # g with h = 0: the v-free laws run on the input algebra, and
-            # c-basis-invariant splits it in the root's next variant basis
-            ctx.algebra, ctx.subalgebra, ctx.p_variant = self.algebra, (), self.p_variant
+            self._absolute = DiracContext._block(self.algebra, self.adapted, self.p_variant)
         return self._absolute
 
     @cached_property
@@ -259,26 +260,18 @@ class DiracContext:
 
     @cached_property
     def _h_context(self) -> "DiracContext":
-        """The block (m, k, 0): h with no subalgebra, for the decomposition
-        check, built once.  D_h = sum (1/e_j) Y_{m+j} (x) f_j + 1 (x) v_h
-        lies in U(adapted) (x) C(h)."""
-        return DiracContext._block(self.adapted, self.m, self.k)
+        """h with no subalgebra, for the decomposition check, built once on
+        h's own algebra (`OrthogonalSplit.subalgebra_as_algebra`), its input
+        and adapted algebra, with no split; every check runs on it.
+        D_h = sum (1/e_j) Y_j (x) f_j + 1 (x) v_h lies in U(h) (x) C(h)."""
+        h = self.split.subalgebra_as_algebra()
+        return DiracContext._block(h, h)
 
     # -- checks --------------------------------------------------------------
-
-    def _refuse_a_late_block(self, check: str):
-        """Refuse a check that reads the adapted basis from index 0, or the
-        input algebra, on a block that starts past index 0 (the context of h)."""
-        if self._lo:
-            raise ContractViolation(
-                f"{check} runs only on a block that starts at index 0, not on the block "
-                f"(lo={self._lo}, m={self.m}, k={self.k}) of {self.adapted.name}"
-            )
 
     def kostant_check(self) -> CheckOutcome:
         """Scalar residual, with the first-order mechanism and, for h = 0,
         the v^2 cross-checks and the middle-term rearrangement."""
-        self._refuse_a_late_block("kostant_check")
         labels = self.adapted.labels
         items = [CheckItem("first-order-cancellation", self.first_order_witness)]
         r = self.residual()
@@ -323,15 +316,15 @@ class DiracContext:
     def _middle_term_witness(self) -> str | None:
         """sum_{i<j} [X_i,X_j] (x) X^i X^j  =  sum_k X_k (x) delta(X^k), h = 0.
 
-        Both sides are written as term tables over the block, as D is."""
-        lo, gram = self._lo, self._gram
+        Both sides are written as term tables, as D is."""
+        gram = self._gram
         lhs = {
             ((t,), (1 << i) | (1 << j)): c / (gram[i] * gram[j])
             for i, j in combinations(range(self.m), 2)
-            for t, c in self.adapted.bracket_sparse(lo + i, lo + j)
+            for t, c in self.adapted.bracket_sparse(i, j)
         }
         rhs = {
-            ((lo + a,), mask): c / gram[a]
+            ((a,), mask): c / gram[a]
             for a, delta_a in enumerate(self._delta_generators)
             for mask, c in delta_a.terms.items()
         }
@@ -365,8 +358,9 @@ class DiracContext:
         failing witness names its labels.  The items that read v need the
         orthogonal basis v is built in, so a context with a subalgebra runs
         them on its `absolute` context, in the h-adapted basis, and their
-        witnesses name the labels p1.., h1.. of that basis.  Every form item
-        runs on the integer kernels of `forms` and builds no map object.
+        witnesses name the labels p1.., h1.. of that basis.  The context of
+        h runs the whole chain on h's own algebra, its input.  Every form
+        item runs on the integer kernels of `forms` and builds no map object.
 
         The items that depend on v are `dB-equals-2v` and
         `delta-plus-dv-vanishes`.  `dv-derivation-law` and
@@ -374,7 +368,6 @@ class DiracContext:
         every odd v, so they check the product, kappa and the twisted
         commutator, not v; both run on the generators (see `_dv_law_items`).
         """
-        self._refuse_a_late_block("cohomology_check")
         ctx = self.absolute
         cartan, alternating = self._cartan_item(self.algebra)
         return CheckOutcome(
@@ -398,7 +391,6 @@ class DiracContext:
         {i, j, k}, and to 0 otherwise, so 2<v, .> is read off v's degree-3
         terms.  v is read as built, so a fault in it reaches this item.
         """
-        self._refuse_a_late_block("dB-equals-2v")
         g = self.adapted
         den, entries = _form_entries(g)
         den_g, _, preimage = g._integer_structure
@@ -620,9 +612,9 @@ class DiracContext:
     def _embed_h_tensor(self, t: TensorElement, space: CliffordSpace) -> TripleTensorElement:
         """(Delta (x)bar 1) applied to an element of U(h) (x) C(h), over C(g).
 
-        PBW monomials on h's adapted indices m..m+k-1 map multiplicatively
-        through the diagonal embedding into U(g) (x) C(h_perp), whose blades
-        are the low m bits.
+        PBW monomials on h's own indices 0..k-1 map multiplicatively through
+        the diagonal embedding, index j to Delta(Y_j), into U(g) (x) C(h_perp),
+        whose blades are the low m bits.
         The h blade goes on the high bits, hmask << m: it follows the h_perp
         blade in ascending order, so the concatenation carries no sign.
         """
@@ -632,7 +624,7 @@ class DiracContext:
             if mono not in images:
                 acc = TensorElement.one(self.adapted, self.space)
                 for i in mono:
-                    acc = acc * self.diagonal_embedding(i - self.m)
+                    acc = acc * self.diagonal_embedding(i)
                 images[mono] = acc
             high = hmask << self.m
             for (umono, pmask), ci in images[mono].terms.items():

@@ -236,8 +236,9 @@ class QuadraticLieAlgebra:
 
         The caller vouches for it: `orthogonal_split` passes the structure
         `_adapted_structure` has certified to be a validated algebra's
-        bracket pulled back along an invertible P with P^T B P = diag(grams).
-        A diagonal form is its own diagonalization, (I, grams).
+        bracket pulled back along an invertible P with P^T B P = diag(grams),
+        and `OrthogonalSplit.subalgebra_as_algebra` its restriction to the
+        closed h.  A diagonal form is its own diagonalization, (I, grams).
         """
         self = cls.__new__(cls)
         self.name, self.labels, self.dim = name, tuple(labels), len(labels)
@@ -345,21 +346,22 @@ class OrthogonalSplit:
         return len(self.h_vectors)
 
     def subalgebra_as_algebra(self) -> QuadraticLieAlgebra:
-        """h as a standalone quadratic Lie algebra in its orthogonal basis."""
+        """h as a quadratic Lie algebra of its own: the block m.. of the
+        adapted integer structure, indexed from 0, over its least common
+        denominator, with form diag(h_gram).  Not validated again: the
+        split has checked [h, h] in h on the certified adapted algebra, and
+        a closed h with a non-degenerate form is a quadratic Lie algebra.
+        """
         if self.h_dim == 0:
             raise ContractViolation("the split has no subalgebra part")
         m, k = self.p_dim, self.h_dim
-        brackets = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                # `orthogonal_split` has checked that [h, h] lies in h
-                brackets[(i, j)] = self.adapted.bracket_basis(m + i, m + j)[m:]
-        form = Matrix(
-            [[self.h_gram[i] if i == j else ZERO for j in range(k)] for i in range(k)],
-            cols=k,
-        )
+        den, ad, _ = self.adapted._integer_structure
+        block = ((a, s, terms) for a in range(m, m + k) for s, terms in ad[a].items() if s >= m)
+        entries = [((a - m, s - m, r - m), c) for a, s, terms in block for r, c in terms]
+        divisor = gcd(den, *(c for _, c in entries))
+        structure = _bracket_structure(k, den // divisor, [(key, c // divisor) for key, c in entries])
         labels = tuple(f"h{i + 1}" for i in range(k))
-        return QuadraticLieAlgebra(f"{self.ambient.name}|h", labels, brackets, form)
+        return QuadraticLieAlgebra._from_structure(f"{self.ambient.name}|h", labels, structure, self.h_gram)
 
 
 def orthogonal_split(
@@ -453,7 +455,8 @@ def orthogonal_split(
         adapted = QuadraticLieAlgebra._from_structure(f"{g.name}#adapted", labels, structure, grams)
 
     # closure and ad-invariance keep [h, h] in h and [h, h_perp] in h_perp
-    # in the adapted basis; check both anyway, where the blocks are made
+    # in the adapted basis; check both anyway, where h's algebra and the
+    # spin lift read them
     _, ad, _ = adapted._integer_structure
     for j in range(m, n):
         for i, terms in ad[j].items():

@@ -16,7 +16,14 @@ from .dirac import CheckOutcome, DiracContext
 from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
 
-CHECK_IDS = ("kostant", "cohomology", "decomposition", "invariance")
+# each check id, in the order "all" runs them, and the DiracContext method that runs it
+_CHECK_METHODS = {
+    "kostant": "kostant_check",
+    "cohomology": "cohomology_check",
+    "decomposition": "decomposition_check",
+    "invariance": "h_invariance_check",
+}
+CHECK_IDS = tuple(_CHECK_METHODS)
 
 
 @dataclass(frozen=True)
@@ -38,10 +45,7 @@ def run_suite(
 ) -> SuiteReport:
     ctx = DiracContext(algebra, subalgebra)
     if checks == "all":
-        selected = ["kostant", "cohomology"]
-        if ctx.k:
-            selected.append("decomposition")
-        selected.append("invariance")
+        selected = [check for check in CHECK_IDS if ctx.k or check != "decomposition"]
     elif checks in CHECK_IDS:
         if checks == "decomposition" and ctx.k == 0:
             raise ContractViolation(
@@ -54,14 +58,7 @@ def run_suite(
     outcomes = []
     for check_id in selected:
         start = time.perf_counter()
-        if check_id == "kostant":
-            outcome = ctx.kostant_check()
-        elif check_id == "cohomology":
-            outcome = ctx.cohomology_check()
-        elif check_id == "decomposition":
-            outcome = ctx.decomposition_check()
-        else:
-            outcome = ctx.h_invariance_check()
+        outcome = getattr(ctx, _CHECK_METHODS[check_id])()
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         outcomes.append((outcome, elapsed_ms))
     return SuiteReport(algebra.name, algebra.dim, ctx.k, tuple(outcomes))

@@ -6,11 +6,12 @@ hand out the same immutable objects everywhere.
 
 The module also keeps the reference oracles the package is compared with,
 most of them bodies the package once had: the Fraction PBW rewriter, the
-Casimir, the matrix nu(Y) of ad Y on h_perp with its spin lift, the
-multilinear map type with the operators d, theta_X and iota_X on it, the
-3-form <v, .^.^.> of a 3-vector, the Fraction face of the v kernel, and
-the dv-* laws on elements.  It also keeps the fault of the blade-pair
-kernel with the twist sign dropped, and a counter of Fraction arithmetic.
+Casimir, h as an algebra validated on its own, the matrix nu(Y) of ad Y on
+h_perp with its spin lift, the multilinear map type with the operators d,
+theta_X and iota_X on it, the 3-form <v, .^.^.> of a 3-vector, the
+Fraction face of the v kernel, and the dv-* laws on elements.  It also
+keeps the fault of the blade-pair kernel with the twist sign dropped, and a
+counter of Fraction arithmetic.
 """
 
 import random
@@ -187,6 +188,21 @@ def casimir_element(algebra: QuadraticLieAlgebra) -> PBWElement:
     if not algebra.form.is_diagonal():
         raise ContractViolation("the basis is not orthogonal; take the adapted algebra of a split")
     return PBWElement(algebra, {(i, i): 1 / d for i, d in enumerate(algebra.form.diagonal())})
+
+
+def reference_subalgebra_as_algebra(split: OrthogonalSplit) -> QuadraticLieAlgebra:
+    """h as a standalone quadratic Lie algebra in its orthogonal basis, validated.
+
+    A Fraction table read off the adapted algebra's brackets on h, put
+    through the constructor, which checks Jacobi, non-degeneracy and
+    ad-invariance: the reference for `OrthogonalSplit.subalgebra_as_algebra`,
+    which restricts the adapted integer structure and validates nothing.
+    """
+    m, k = split.p_dim, split.h_dim
+    brackets = {(i, j): split.adapted.bracket_basis(m + i, m + j)[m:] for i in range(k) for j in range(i + 1, k)}
+    form = Matrix([[split.h_gram[i] if i == j else ZERO for j in range(k)] for i in range(k)], cols=k)
+    labels = tuple(f"h{i + 1}" for i in range(k))
+    return QuadraticLieAlgebra(f"{split.ambient.name}|h", labels, brackets, form)
 
 
 def subalgebra_action(split: OrthogonalSplit, j: int) -> Matrix:

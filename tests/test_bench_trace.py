@@ -147,10 +147,11 @@ def test_a_pair_builds_one_absolute_context(tmp_path, capsys):
     ad-invariance check: the one the document is parsed into, through the
     constructor.  The two adapted algebras are built from their integer
     structures, certified as the input's bracket in the adapted basis, with
-    no table, no constructor call and no second validation.  The absolute context,
-    which the cohomology and decomposition checks share, and the context of
-    h are index blocks of the pair's adapted algebra, with no split and no
-    algebra of their own.
+    no table, no constructor call and no second validation.  The absolute
+    context, which the cohomology and decomposition checks share, runs on
+    the pair's adapted algebra with no split.  The context of h has an
+    algebra of its own, built from the pair's adapted structure by
+    restriction, with no split and no validation.
     """
     entry = catalog_entry("sl2xsl2-diagonal")
     path = tmp_path / "pair.json"

@@ -11,6 +11,7 @@ values frozen into the assertions:
   * an sl(2) triple inside sl(3): constants 1/3, 1/12, 1/4
 """
 
+import functools
 import inspect
 import random
 import re
@@ -23,6 +24,7 @@ from itertools import product
 import pytest
 
 from conftest import (
+    SL3_TRIPLE,
     MultilinearMap,
     changed_algebra,
     count_fraction_arithmetic,
@@ -37,12 +39,14 @@ from conftest import (
     lie_action,
     moved_subalgebra,
     pbw_from_vector,
+    reference_subalgebra_as_algebra,
     spin_lift,
     subalgebra_action,
     tstar_heisenberg,
     unit_vector,
 )
 from cubicdirac import dirac, forms
+from cubicdirac.algfile import parse_algebra_text
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
 from cubicdirac.clifford import CliffordSpace, Multivector, twisted_commutator
 from cubicdirac.dirac import CheckItem, DiracContext
@@ -52,6 +56,7 @@ from cubicdirac.forms import bracket_coproduct
 from cubicdirac.lie import QuadraticLieAlgebra, unit
 from cubicdirac.sparse import LinearCombination
 from cubicdirac.tensor import TensorElement
+from test_rational_reports import rational_documents
 
 
 def items_by_id(outcome):
@@ -337,45 +342,88 @@ def test_a_pair_has_one_absolute_context_in_its_adapted_basis():
 
 
 @pytest.mark.parametrize("name", ("sl2xsl2-diagonal", "sl3-sl2-triple"))
-def test_the_absolute_and_h_contexts_are_blocks_of_the_pair_basis(name, sl3_triple_context):
-    """g with h = 0 and h alone are the index blocks (0, n, 0) and (m, k, 0)
-    of the pair's adapted algebra: D_g and D_h are built on its generators,
-    and C(g) is C(h_perp) followed by C(h), on one Gram."""
+def test_the_absolute_context_shares_the_pair_basis_and_h_has_its_own_algebra(name, sl3_triple_context):
+    """g with h = 0 runs on the pair's adapted algebra, and h on an algebra
+    of its own, the split's restriction to h, which is both its input and
+    its adapted algebra: D_g is built on the adapted generators and D_h on
+    h's, 0..k-1, and C(g) is C(h_perp) followed by C(h), on one Gram."""
     if name == "sl3-sl2-triple":
         ctx = sl3_triple_context
     else:
         entry = catalog_entry(name)
         ctx = DiracContext(entry.algebra, entry.subalgebra)
     g, h = ctx.absolute, ctx._h_context
-    assert g.adapted is ctx.adapted and h.adapted is ctx.adapted
+    assert g.adapted is ctx.adapted and g.algebra is ctx.algebra
+    assert h.adapted is h.algebra and h.adapted.name == f"{ctx.algebra.name}|h"
+    assert not hasattr(h, "split")
     m, k = ctx.m, ctx.k
     assert (g.m, g.k, h.m, h.k) == (m + k, 0, k, 0)
     assert g.space.gram == ctx.space.gram + h.space.gram
-    assert {i for mono, _ in h.dirac.terms for i in mono} == set(range(m, m + k))
+    assert {i for mono, _ in h.dirac.terms for i in mono} == set(range(k))
     assert {i for mono, _ in g.dirac.terms for i in mono} == set(range(m + k))
     assert all(len(mono) <= 1 for mono, _ in h.dirac.terms)
 
 
-def test_the_h_block_refuses_the_checks_that_read_from_index_0():
-    """The context of h is the block (m, k, 0), which starts past index 0.
-    dB-equals-2v scatters d B over the whole adapted algebra, and kostant
-    and cohomology read the input algebra, so on that block each would
-    answer for another context or fail on a missing attribute: all three
-    refuse, naming the block.  What the decomposition check reads of it
-    stays."""
-    entry = catalog_entry("sl2xsl2-diagonal")
-    ctx = DiracContext(entry.algebra, entry.subalgebra)
+# the pairs whose context of h is checked, with c_h: sl(2) with its
+# Killing form restricted from sl(2) + sl(2) (1/16) or from sl(3) (1/12)
+H_PAIRS = {
+    "sl2xsl2-diagonal": Fraction(1, 16),
+    "sl3-sl2-triple": Fraction(1, 12),
+    "sl2xsl2-diagonal-basis-3-pair": Fraction(1, 16),
+    "sl3-killing-triple": Fraction(1, 12),
+    "sl3-killing-basis-4-triple": Fraction(1, 12),
+}
+
+
+@functools.cache
+def pair_context(case: str) -> DiracContext:
+    """The context of a pair of H_PAIRS: a catalog pair, the sl(3) triple,
+    or a pair of the rational-Gram documents, as parsed."""
+    if case == "sl2xsl2-diagonal":
+        entry = catalog_entry(case)
+        return DiracContext(entry.algebra, entry.subalgebra)
+    if case == "sl3-sl2-triple":
+        return DiracContext(catalog_entry("sl3-killing").algebra, SL3_TRIPLE)
+    text, use_subalgebra = rational_documents()[case]
+    assert use_subalgebra
+    return DiracContext(*parse_algebra_text(text))
+
+
+def test_the_h_pairs_cover_the_pairs_of_the_rational_documents():
+    pairs = {case for case, (_, use_subalgebra) in rational_documents().items() if use_subalgebra}
+    assert pairs <= H_PAIRS.keys()
+
+
+@pytest.mark.parametrize("case", H_PAIRS)
+def test_every_check_passes_on_the_context_of_h(case):
+    """The context of h runs on h's own algebra, so kostant, cohomology and
+    invariance run on it as on any context with h = 0, and all pass.  Its c
+    is that of h built on its own from the validated oracle, and the pair's
+    decomposition still reads it."""
+    ctx = pair_context(case)
     h = ctx._h_context
-    block = re.escape(f"not on the block (lo=3, m=3, k=0) of {ctx.adapted.name}")
-    for check, call in (
-        ("dB-equals-2v", h._db_item),
-        ("kostant_check", h.kostant_check),
-        ("cohomology_check", h.cohomology_check),
-    ):
-        with pytest.raises(ContractViolation, match=f"^{check} runs only on a block that starts at index 0, {block}$"):
-            call()
-    assert h.c_value() == Fraction(1, 16)
-    assert ctx.decomposition_check().passed
+    outcomes = h.kostant_check(), h.cohomology_check(), h.h_invariance_check()
+    assert all(outcome.passed for outcome in outcomes), [outcome.failing() for outcome in outcomes]
+    c_h = DiracContext(reference_subalgebra_as_algebra(ctx.split)).c_value()
+    assert h.c_value() == outcomes[0].values["c"] == c_h == H_PAIRS[case]
+    decomposition = ctx.decomposition_check()
+    assert decomposition.passed and decomposition.values["c_h"] == c_h
+
+
+@pytest.mark.parametrize("case", H_PAIRS)
+def test_h_as_an_algebra_is_the_validated_oracle(monkeypatch, case):
+    """`subalgebra_as_algebra` restricts the adapted integer structure to h
+    with no Fraction arithmetic, and gives the algebra that the Fraction
+    table of h's brackets gives through the validating constructor: the
+    same name, labels, form, brackets and integer structure."""
+    split = pair_context(case).split
+    expected = reference_subalgebra_as_algebra(split)
+    calls = count_fraction_arithmetic(monkeypatch)
+    h = split.subalgebra_as_algebra()
+    assert calls == []
+    assert (h.name, h.labels, h.form) == (expected.name, expected.labels, expected.form)
+    assert h.bracket_table() == expected.bracket_table()
+    assert h._integer_structure == expected._integer_structure
 
 
 def test_a_second_check_builds_no_further_context(monkeypatch):

@@ -25,7 +25,7 @@ from cubicdirac.dirac import DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
 from cubicdirac.forms import bracket_coproduct
-from cubicdirac.lie import QuadraticLieAlgebra
+from cubicdirac.lie import OrthogonalSplit, QuadraticLieAlgebra
 from cubicdirac.suite import render_machine, render_text, run_suite
 from cubicdirac.tensor import TensorElement
 
@@ -40,12 +40,12 @@ CASES = {
 def dirac_with_lower_indices(self):
     """D = sum_i X_i (x) e_i + 1 (x) v: X_i where the dual basis X^i = X_i / d_i belongs.
 
-    X_i is the generator of the context's block, lo + i, so that the fault
-    also reaches D_h, whose p indices are the adapted indices of h.
+    X_i is the context's own generator i; D_h is built by the same method
+    on h's algebra, so the fault reaches it too.
     """
     d = TensorElement.from_parts(PBWElement.one(self.adapted), self.v)
     for i in range(self.m):
-        x = PBWElement.generator(self.adapted, self._lo + i)
+        x = PBWElement.generator(self.adapted, i)
         d = d + TensorElement.from_parts(x, self.space.generator(i))
     return d
 
@@ -198,6 +198,32 @@ def test_guarded_faults_are_refused_on_every_case(monkeypatch, fault):
     for case in CASES:
         with pytest.raises(ContractViolation, match=REFUSED[fault]):
             faulted_report(monkeypatch, fault, case)
+
+
+def test_a_changed_structure_constant_is_refused_before_any_context_of_h(monkeypatch):
+    """`_from_structure` builds h's algebra as well as the adapted one, and
+    the fault is refused on every case before any algebra of h is made.
+    With h = 0 the root context refuses it.  On the pair the doubled
+    constant is [p1, p2], which lies in h, so v of g/h does not read it;
+    the absolute context of the cohomology check refuses it, before the
+    decomposition check would build the context of h."""
+    fault = "structure-constant-changed"
+    made = []
+    restrict = OrthogonalSplit.subalgebra_as_algebra
+    monkeypatch.setattr(OrthogonalSplit, "subalgebra_as_algebra", lambda split: made.append(split) or restrict(split))
+    for case, (name, pair) in CASES.items():
+        if not pair:
+            with monkeypatch.context() as patch:
+                for owner, attr, replacement in FAULTS[fault]:
+                    patch.setattr(owner, attr, replacement)
+                with pytest.raises(ContractViolation, match=REFUSED[fault]):
+                    DiracContext(catalog_entry(name).algebra)
+        with pytest.raises(ContractViolation, match=REFUSED[fault]):
+            faulted_report(monkeypatch, fault, case)
+    assert made == []
+    entry = catalog_entry("sl2xsl2-diagonal")
+    assert DiracContext(entry.algebra, entry.subalgebra).decomposition_check().passed
+    assert len(made) == 1
 
 
 # (fault, case) -> the failing items (check, item, witness) in report order,
