@@ -31,10 +31,6 @@ class CatalogEntry:
     subalgebra: tuple[tuple[Fraction, ...], ...] = ()
 
 
-def _identity_form(n: int) -> Matrix:
-    return Matrix.identity(n)
-
-
 def _mat_mul(a, b):
     size = len(a)
     return tuple(
@@ -100,7 +96,8 @@ def _double_sl2_brackets() -> dict:
     return table
 
 
-def _sl3_reps():
+def _sl3_brackets() -> dict:
+    """Basis e12, e13, e23, h1, h2, f12, f13, f23, from 3x3 matrix representatives."""
     e12 = _unit_matrix(3, 0, 1)
     e13 = _unit_matrix(3, 0, 2)
     e23 = _unit_matrix(3, 1, 2)
@@ -109,74 +106,53 @@ def _sl3_reps():
     f12 = _unit_matrix(3, 1, 0)
     f13 = _unit_matrix(3, 2, 0)
     f23 = _unit_matrix(3, 2, 1)
-    return (e12, e13, e23, h1, h2, f12, f13, f23)
+    return matrix_brackets((e12, e13, e23, h1, h2, f12, f13, f23))
 
 
-def _killing_of(dim: int, raw: dict) -> Matrix:
-    return killing_form(dim, normalize_brackets(dim, raw))
+_SL2_LABELS = ("e", "h", "f")
+
+# name -> (description, labels, bracket builder, form, subalgebra); the form
+# is None for the identity, or the scale of the Killing form
+_ENTRIES = {
+    **{
+        f"abelian{n}": (
+            f"abelian algebra of dimension {n} with the identity form",
+            tuple(f"x{i + 1}" for i in range(n)),
+            dict,
+            None,
+            (),
+        )
+        for n in (1, 2, 3)
+    },
+    "sl2-killing": ("sl(2) with its Killing form", _SL2_LABELS, sl2_brackets, 1, ()),
+    "sl2-killing-neg": ("sl(2) with the Killing form negated", _SL2_LABELS, sl2_brackets, -1, ()),
+    "sl2-killing-half": ("sl(2) with half the Killing form", _SL2_LABELS, sl2_brackets, Fraction(1, 2), ()),
+    "sl2xsl2-diagonal": (
+        "sl(2) x sl(2) with the Killing form and the diagonal sl(2) subalgebra",
+        ("e1", "h1", "f1", "e2", "h2", "f2"),
+        _double_sl2_brackets,
+        1,
+        ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 1)),
+    ),
+    "sl3-killing": (
+        "sl(3) with its Killing form (dimension 8)",
+        ("e12", "e13", "e23", "h1", "h2", "f12", "f13", "f23"),
+        _sl3_brackets,
+        1,
+        (),
+    ),
+}
+CATALOG_NAMES = tuple(_ENTRIES)
 
 
 @lru_cache(maxsize=None)
 def catalog_entry(name: str) -> CatalogEntry:
-    if name not in CATALOG_NAMES:
-        raise KeyError(name)
-    if name.startswith("abelian"):
-        n = int(name[len("abelian") :])
-        labels = tuple(f"x{i + 1}" for i in range(n))
-        algebra = QuadraticLieAlgebra(name, labels, {}, _identity_form(n))
-        return CatalogEntry(
-            name, f"abelian algebra of dimension {n} with the identity form", algebra
-        )
-    if name == "sl2-killing":
-        table = sl2_brackets()
-        algebra = QuadraticLieAlgebra(name, ("e", "h", "f"), table, _killing_of(3, table))
-        return CatalogEntry(name, "sl(2) with its Killing form", algebra)
-    if name == "sl2-killing-neg":
-        table = sl2_brackets()
-        algebra = QuadraticLieAlgebra(
-            name, ("e", "h", "f"), table, _killing_of(3, table).scaled(Fraction(-1))
-        )
-        return CatalogEntry(name, "sl(2) with the Killing form negated", algebra)
-    if name == "sl2-killing-half":
-        table = sl2_brackets()
-        algebra = QuadraticLieAlgebra(
-            name, ("e", "h", "f"), table, _killing_of(3, table).scaled(Fraction(1, 2))
-        )
-        return CatalogEntry(name, "sl(2) with half the Killing form", algebra)
-    if name == "sl2xsl2-diagonal":
-        table = _double_sl2_brackets()
-        labels = ("e1", "h1", "f1", "e2", "h2", "f2")
-        algebra = QuadraticLieAlgebra(name, labels, table, _killing_of(6, table))
-        diag = (
-            (1, 0, 0, 1, 0, 0),
-            (0, 1, 0, 0, 1, 0),
-            (0, 0, 1, 0, 0, 1),
-        )
-        sub = tuple(tuple(Fraction(c) for c in v) for v in diag)
-        return CatalogEntry(
-            name,
-            "sl(2) x sl(2) with the Killing form and the diagonal sl(2) subalgebra",
-            algebra,
-            sub,
-        )
-    if name == "sl3-killing":
-        table = matrix_brackets(_sl3_reps())
-        labels = ("e12", "e13", "e23", "h1", "h2", "f12", "f13", "f23")
-        algebra = QuadraticLieAlgebra(name, labels, table, _killing_of(8, table))
-        return CatalogEntry(name, "sl(3) with its Killing form (dimension 8)", algebra)
-    raise KeyError(name)
-
-
-CATALOG_NAMES = (
-    "abelian1",
-    "abelian2",
-    "abelian3",
-    "sl2-killing",
-    "sl2-killing-neg",
-    "sl2-killing-half",
-    "sl2xsl2-diagonal",
-    "sl3-killing",
-)
+    description, labels, brackets, scale, subalgebra = _ENTRIES[name]
+    n = len(labels)
+    table = brackets()
+    form = Matrix.identity(n) if scale is None else killing_form(n, normalize_brackets(n, table)).scaled(scale)
+    algebra = QuadraticLieAlgebra(name, labels, table, form)
+    return CatalogEntry(name, description, algebra, tuple(tuple(Fraction(c) for c in v) for v in subalgebra))
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -16,7 +16,8 @@ which extends B to blades by Gram determinants.
 
 Products run on integer numerators, one sum per blade overlap, and each
 output key becomes one Fraction over the lcm of the Gram denominators of
-the overlaps that reach it (`CliffordSpace._scale_overlaps`).  The one
+the overlaps that reach it (`CliffordSpace._scale_overlaps`); integer Gram
+entries take the same path, each denominator 1.  The one
 blade-pair loop, `_overlap_sums`, adds into a table it is handed, each
 product times its own integer scale: the product and the twisted
 commutator hand it an empty table and scale 1, and the dv-* laws in
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .errors import ContractViolation
 from .linalg import ZERO, as_scalar, vector
-from .sparse import LinearCombination, _fractions_over, _integer_terms
+from .sparse import LinearCombination, _integer_terms
 
 ONE = Fraction(1)
 # the signs of the orderings of three indices, in the order permutations() lists them
@@ -66,7 +67,7 @@ class CliffordSpace:
     all Gram denominators.
     """
 
-    __slots__ = ("dim", "gram", "_overlap_grams", "_integral")
+    __slots__ = ("dim", "gram", "_overlap_grams")
 
     def __init__(self, gram: Sequence):
         self.gram = vector(gram)
@@ -74,7 +75,6 @@ class CliffordSpace:
         if any(d == 0 for d in self.gram):
             raise ContractViolation("Gram entries must be nonzero")
         self._overlap_grams: dict[int, Fraction] = {}
-        self._integral = all(d.denominator == 1 for d in self.gram)
 
     def _gram_product(self, mask: int) -> Fraction:
         """The product of d_i over the bits of mask, kept per mask on first use;
@@ -96,17 +96,9 @@ class CliffordSpace:
         integer adds, lifted only when a new denominator raises that lcm,
         and it gets one Fraction at the end; no key is put over the lcm of
         all the overlaps' denominators.  A key whose contributions cancel is
-        left out.  With integer Gram entries every denominator is 1, and the
-        numerators go straight into one table.
+        left out.  Integer Gram entries take the same path: each denominator
+        is then 1, and every contribution is one integer add.
         """
-        if self._integral:
-            out: dict = {}
-            get = out.get
-            for overlap, sums in by_overlap.items():
-                num = self._gram_product(overlap).numerator
-                for key, n in sums.items():
-                    out[key] = get(key, 0) + n * num
-            return _fractions_over(out, den)
         # key -> [lcm of the denominators that reached it, numerator over it]
         acc: dict = {}
         for overlap, sums in by_overlap.items():

@@ -574,7 +574,7 @@ class DiracContext:
           and c_{g/h} = c_g - c_h.
         """
         if self.k == 0:
-            raise ContractViolation("the decomposition check needs a nonzero subalgebra")
+            raise ContractViolation("the decomposition check needs a subalgebra; none was given")
         ctx_h = self._h_context
         ctx_g = self.absolute
         space = ctx_g.space

@@ -348,9 +348,10 @@ class OrthogonalSplit:
     def subalgebra_as_algebra(self) -> QuadraticLieAlgebra:
         """h as a quadratic Lie algebra of its own: the block m.. of the
         adapted integer structure, indexed from 0, over its least common
-        denominator, with form diag(h_gram).  Not validated again: the
-        split has checked [h, h] in h on the certified adapted algebra, and
-        a closed h with a non-degenerate form is a quadratic Lie algebra.
+        denominator, with the adapted labels h1.. and form diag(h_gram).
+        Not validated again: the split has checked [h, h] in h on the
+        certified adapted algebra, and a closed h with a non-degenerate
+        form is a quadratic Lie algebra.
         """
         if self.h_dim == 0:
             raise ContractViolation("the split has no subalgebra part")
@@ -360,8 +361,9 @@ class OrthogonalSplit:
         entries = [((a - m, s - m, r - m), c) for a, s, terms in block for r, c in terms]
         divisor = gcd(den, *(c for _, c in entries))
         structure = _bracket_structure(k, den // divisor, [(key, c // divisor) for key, c in entries])
-        labels = tuple(f"h{i + 1}" for i in range(k))
-        return QuadraticLieAlgebra._from_structure(f"{self.ambient.name}|h", labels, structure, self.h_gram)
+        return QuadraticLieAlgebra._from_structure(
+            f"{self.ambient.name}|h", self.adapted.labels[m:], structure, self.h_gram
+        )
 
 
 def orthogonal_split(

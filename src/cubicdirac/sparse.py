@@ -63,21 +63,17 @@ class LinearCombination:
             raise ContractViolation(f"{type(self).__name__} operands live on different carriers")
 
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key, ZERO) + c
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-        return self._from_terms(self.carrier, out)
+        return self._combine(other, False)
 
     def __sub__(self, other):
+        return self._combine(other, True)
+
+    def _combine(self, other, subtract: bool):
+        """self + other, or self - other with subtract; a key that cancels is dropped."""
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            acc = out.get(key, ZERO) - c
+            acc = out.get(key, ZERO) - c if subtract else out.get(key, ZERO) + c
             if acc:
                 out[key] = acc
             else:
@@ -109,8 +105,6 @@ def _integer_terms(terms: dict) -> tuple[int, list]:
         d = c.denominator
         if den % d:
             den = lcm(den, d)
-    if den == 1:
-        return 1, [(key, c.numerator) for key, c in terms.items()]
     return den, [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
 
 

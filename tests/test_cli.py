@@ -1,11 +1,14 @@
 """Command line behaviour: exit codes, report formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cubicdirac
 from cubicdirac import cli
 from cubicdirac.algfile import emit_algebra_text, parse_algebra_text
 from cubicdirac.catalog import CATALOG_NAMES, catalog_entry
@@ -20,17 +23,38 @@ def write_entry(tmp_path, name):
     return path
 
 
+def run_module(*args):
+    """`python -m cubicdirac.cli` in a child process that imports the package under test."""
+    source = str(Path(cubicdirac.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "cubicdirac.cli", *args], capture_output=True, text=True, env=env)
+
+
 def strip_times(document):
     for check in document["checks"]:
         check.pop("time_ms")
     return document
 
 
+CATALOG_DOCUMENTS = Path(__file__).with_name("catalog_documents.json")
+
+
 def test_catalog_list(capsys):
+    """`catalog list` prints the text in catalog_documents.json, one line per
+    name of CATALOG_NAMES in order."""
+    expected = json.loads(CATALOG_DOCUMENTS.read_text(encoding="utf-8"))
+    assert tuple(expected["show"]) == CATALOG_NAMES
     assert cli.main(["catalog", "list"]) == 0
-    out = capsys.readouterr().out
-    for name in CATALOG_NAMES:
-        assert name in out
+    assert capsys.readouterr().out == expected["list"]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_show_is_the_recorded_document(name, capsys):
+    """Each `catalog show` prints its document in catalog_documents.json byte for byte."""
+    expected = json.loads(CATALOG_DOCUMENTS.read_text(encoding="utf-8"))["show"][name]
+    assert cli.main(["catalog", "show", name]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
 
 
 def test_catalog_show_round_trips(capsys):
@@ -123,11 +147,14 @@ def test_single_check_selection(tmp_path, capsys):
 
 
 def test_decomposition_without_subalgebra_is_a_usage_error(tmp_path, capsys):
+    """One error line on stderr, nothing on stdout, exit 2; the line is the
+    one `DiracContext.decomposition_check` raises."""
     path = write_entry(tmp_path, "sl2-killing")
     code = cli.main(["verify", "--input", str(path), "--checks", "decomposition"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in captured.err
+    assert captured.out == ""
+    assert captured.err == "error: the decomposition check needs a subalgebra; none was given\n"
 
 
 def test_subalgebra_flag_requires_one_in_the_file(tmp_path, capsys):
@@ -263,11 +290,7 @@ def test_consecutive_calls_share_the_parser_but_not_their_arguments(tmp_path, ca
 
 def test_module_invocation_smoke(tmp_path):
     path = write_entry(tmp_path, "abelian2")
-    result = subprocess.run(
-        [sys.executable, "-m", "cubicdirac.cli", "verify", "--input", str(path), "--checks", "kostant"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_module("verify", "--input", str(path), "--checks", "kostant")
     assert result.returncode == 0
     assert "all checks passed" in result.stdout
 
@@ -277,11 +300,7 @@ def test_oversized_coefficient_exits_2_without_a_traceback(tmp_path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["form"][0] = "1" * 5001
     path.write_text(json.dumps(doc), encoding="utf-8")
-    result = subprocess.run(
-        [sys.executable, "-m", "cubicdirac.cli", "verify", "--input", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    result = run_module("verify", "--input", str(path))
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: form[0]: coefficient of 5001 characters")
@@ -291,11 +310,7 @@ def test_oversized_coefficient_exits_2_without_a_traceback(tmp_path):
 def test_input_that_is_not_utf8_exits_2_without_a_traceback(tmp_path, command):
     path = tmp_path / "latin.json"
     path.write_bytes(b"\xff\xfe{")
-    result = subprocess.run(
-        [sys.executable, "-m", "cubicdirac.cli", command, "--input", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    result = run_module(command, "--input", str(path))
     assert result.returncode == 2
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
