@@ -112,14 +112,11 @@ class CliffordSpace:
                     acc[key] = [d, n * num]
                     continue
                 common = slot[0]
-                if common == d:
-                    slot[1] += n * num
-                elif common % d == 0:
-                    slot[1] += n * num * (common // d)
-                else:
+                if common % d:
                     wider = lcm(common, d)
-                    slot[0] = wider
-                    slot[1] = slot[1] * (wider // common) + n * num * (wider // d)
+                    slot[1] *= wider // common
+                    slot[0] = common = wider
+                slot[1] += n * num * (common // d)
         return {key: Fraction(n, common * den) for key, (common, n) in acc.items() if n}
 
     def zero(self) -> "Multivector":

@@ -41,7 +41,6 @@ from .clifford import (
     scalar_part,
     twisted_commutator,
 )
-from .envelope import PBWElement
 from .errors import ContractViolation
 from .forms import _ORDERINGS, _ad_rows, _canonical_part, _d_scatter, _theta_scatter, bracket_coproduct
 from .lie import QuadraticLieAlgebra, orthogonal_split, unit
@@ -119,8 +118,6 @@ class DiracContext:
 
         numerators, den = self._fundamental_numerators()
         self.v = _multivector_from_numerators(self.space, numerators, den, self._gram[:m])
-        # Omega = sum (1/d_i) X_i X_i, X_i X_i being in PBW order
-        self.casimir = PBWElement(adapted, {(i, i): 1 / d for i, d in enumerate(self._gram)})
         self.dirac = self._build_dirac()
 
         self._embeddings: dict[int, TensorElement] = {}
@@ -191,7 +188,9 @@ class DiracContext:
     def residual(self) -> TensorElement:
         """D^2 - Omega_g (x) 1 + Delta(Omega_h); a scalar by the main theorem."""
         if self._residual is None:
-            omega = TensorElement.from_parts(self.casimir, self.space.one())
+            # Omega_g (x) 1 = sum (1/d_i) X_i X_i (x) 1, X_i X_i being in PBW order
+            terms = {((i, i), 0): 1 / d for i, d in enumerate(self._gram)}
+            omega = TensorElement._from_terms((self.adapted, self.space), terms)
             self._residual = self._dirac_square - omega + self.delta_casimir()
         return self._residual
 
@@ -614,7 +613,8 @@ class DiracContext:
 
         PBW monomials on h's own indices 0..k-1 map multiplicatively through
         the diagonal embedding, index j to Delta(Y_j), into U(g) (x) C(h_perp),
-        whose blades are the low m bits.
+        whose blades are the low m bits; the image of a monomial starts at
+        Delta of its first index, and the empty monomial maps to 1 (x) 1.
         The h blade goes on the high bits, hmask << m: it follows the h_perp
         blade in ascending order, so the concatenation carries no sign.
         """
@@ -622,8 +622,8 @@ class DiracContext:
         images: dict[tuple, TensorElement] = {}
         for (mono, hmask), c in t.terms.items():
             if mono not in images:
-                acc = TensorElement.one(self.adapted, self.space)
-                for i in mono:
+                acc = self.diagonal_embedding(mono[0]) if mono else TensorElement.one(self.adapted, self.space)
+                for i in mono[1:]:
                     acc = acc * self.diagonal_embedding(i)
                 images[mono] = acc
             high = hmask << self.m

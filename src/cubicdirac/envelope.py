@@ -10,8 +10,9 @@ The rewriting runs on integers (`_pbw_rewrite`): it reads the brackets off
 the algebra's integer structure, whose constants are numerators over P, and
 tracks how many brackets each term has taken, so that a term of depth e is
 a numerator over P^e.  The normal form comes out over P^E, E the greatest
-such depth, with no Fraction built.  `pbw_normalize` is its Fraction face, and
-the tensor product calls the integer rewriter directly.
+such depth, with no Fraction built.  `pbw_normalize` is its Fraction face.
+No check reaches this module: the tensor product takes its one bracket per
+product off the bracket table itself.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ given per unordered basis pair (i < j) as a coefficient vector.  The
 constructor builds one table from them, once, before it validates
 anything: the integer structure (P, ad, preimage), the constants times
 their common denominator P, indexed by left factor and by result (see
-`_bracket_structure`).  Everything reads it: `bracket_sparse` reads a
-bracket off ad over P, PBW rewriting (`envelope`) rewrites on it, and the
+`_bracket_structure`).  Everything reads it: `bracket_sparse` and the tensor
+product read a bracket off ad over P, `pbw_normalize` rewrites on it, and the
 Killing form, the change of basis and the Chevalley-Eilenberg operators in
 `forms` use it as it is.  The constructor checks the Jacobi identity and
 ad-invariance on it, and non-degeneracy by diagonalizing the form, whose

@@ -10,8 +10,8 @@ A subclass names its carrier fields and supplies its product and repr.
 
 The product kernels run on integers: `_integer_terms` writes an operand's
 coefficients over one common denominator, and the kernel multiplies and adds
-the numerators.  The Chevalley-Eilenberg kernels and PBW rewriting turn their
-sums back into Fractions with `_fractions_over`, once per output key.  The
+the numerators.  The Chevalley-Eilenberg kernels and `pbw_normalize` turn
+their sums back into Fractions with `_fractions_over`, once per output key.  The
 Clifford product, the twisted commutator and the tensor product keep one
 sum per blade overlap; each sum is scaled by its overlap's Gram product at
 the end, each key over the lcm of the Gram denominators that reach it, so

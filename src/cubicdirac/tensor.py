@@ -8,11 +8,9 @@ its carrier, its product and its repr.
 
 The product runs on integers.  Each operand is put over its own common
 denominator, and each distinct pair of PBW monomials is normalised once per
-call by the integer rewriter that reads the algebra's one bracket table
-(`envelope._pbw_rewrite`; a pair of generators is read off it directly), its
-normal form over a power of the table's denominator P; a pair whose
-concatenation is already in PBW order is its own normal form and is not
-rewritten.  Every blade pair of a monomial pair adds straight into the sum
+call with at most one bracket, read off the algebra's integer bracket table
+(`_normal_form`): D has U-degree at most one, so no product of the checks
+needs more.  Every blade pair of a monomial pair adds straight into the sum
 of its blade overlap, one sum per overlap, and only at the end does
 `CliffordSpace._scale_overlaps` scale each sum by the Gram product of its
 overlap, putting each key over the lcm of the Gram denominators that reach
@@ -36,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .clifford import CliffordSpace, Multivector, _swap_prefix
-from .envelope import PBWElement, _pbw_rewrite
+from .errors import ContractViolation
 from .lie import QuadraticLieAlgebra
 from .linalg import ZERO
 from .sparse import LinearCombination, _integer_terms
@@ -62,7 +60,8 @@ class TensorElement(LinearCombination):
         return cls(algebra, space, {((), 0): Fraction(1)})
 
     @classmethod
-    def from_parts(cls, u: PBWElement, c: Multivector) -> "TensorElement":
+    def from_parts(cls, u, c: Multivector) -> "TensorElement":
+        """u (x) c for a PBWElement u."""
         terms = {}
         for mono, cu in u.terms.items():
             for mask, cc in c.terms.items():
@@ -74,8 +73,8 @@ class TensorElement(LinearCombination):
 
         a's coefficients are over D_a and b's over D_b.  Each distinct pair
         of PBW monomials is normalised once on integers, its normal form
-        over P^e for the algebra's denominator P (see `_normal_form`), and
-        all of them are lifted to P^E, E the greatest e.  Every blade pair
+        over P^e, e <= 1, for the algebra's denominator P (`_normal_form`),
+        and all of them are lifted to P^E, E the greatest e.  Every blade pair
         of a monomial pair adds its signed numerator product, times each
         term of the pair's normal form, straight into the sum of its blade
         overlap, over D_a D_b P^E; `CliffordSpace._scale_overlaps` applies
@@ -98,8 +97,7 @@ class TensorElement(LinearCombination):
         by_overlap: dict[int, dict] = {}
         for ma, mb, depth, monos in normal:
             if depth < top:
-                lift = structure[0] ** (top - depth)
-                monos = [(mono, n * lift) for mono, n in monos]
+                monos = [(mono, n * structure[0]) for mono, n in monos]
             right_blades = blades_b[mb]
             for mask_a, na, p in blades_a[ma]:
                 for mask_b, nb in right_blades:
@@ -147,22 +145,22 @@ class TensorElement(LinearCombination):
 def _normal_form(structure, ma: tuple, mb: tuple) -> tuple[int, tuple]:
     """The PBW normal form of the monomial ma mb as (e, ((monomial, N), ...)), each coefficient N / P^e.
 
-    When the concatenation is already in PBW order (ma or mb empty, or
-    ma[-1] <= mb[0]) it is its own normal form, and nothing is rewritten.
-    Two generators X_j X_i, j > i, are X_i X_j + [X_j, X_i], read off ad
-    over P; longer monomials go through `envelope._pbw_rewrite`.
+    A concatenation already in PBW order (ma or mb empty, or ma[-1] <= mb[0])
+    is its own normal form.  Two generators X_j X_i, j > i, are
+    X_i X_j + [X_j, X_i], read off ad over P.  Any other pair needs more
+    than one bracket and is refused.
     """
     if not (ma and mb and ma[-1] > mb[0]):
         return 0, ((ma + mb, 1),)
+    if len(ma) != 1 or len(mb) != 1:
+        degrees = f"a U-degree {len(ma)} monomial times a U-degree {len(mb)} monomial"
+        raise ContractViolation(f"the tensor product takes at most one bracket; {degrees} out of PBW order needs more")
     den, ad, _ = structure
-    if len(ma) == len(mb) == 1:
-        terms = ad[ma[0]].get(mb[0])
-        swapped = mb + ma
-        if not terms:
-            return 0, ((swapped, 1),)
-        return 1, ((swapped, den), *(((k,), c) for k, c in terms))
-    depth, out = _pbw_rewrite(structure, ((ma + mb, 1),))
-    return depth, tuple(out.items())
+    terms = ad[ma[0]].get(mb[0])
+    swapped = mb + ma
+    if not terms:
+        return 0, ((swapped, 1),)
+    return 1, ((swapped, den), *(((k,), c) for k, c in terms))
 
 
 class TripleTensorElement(TensorElement):

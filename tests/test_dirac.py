@@ -26,6 +26,7 @@ import pytest
 from conftest import (
     SL3_TRIPLE,
     MultilinearMap,
+    casimir_element,
     changed_algebra,
     count_fraction_arithmetic,
     drop_twist_sign,
@@ -78,7 +79,7 @@ def oracle_square(ctx):
     g = ctx.adapted
     space = ctx.space
     gram = space.gram
-    total = TensorElement.from_parts(ctx.casimir, space.one())
+    total = TensorElement.from_parts(casimir_element(g), space.one())
     for i in range(ctx.m):
         for j in range(i + 1, ctx.m):
             br = pbw_from_vector(g, g.bracket_basis(i, j))
@@ -98,7 +99,7 @@ def test_abelian_dirac_square_is_the_casimir(contexts):
         ctx = contexts(name)
         assert ctx.v.is_zero()
         square = ctx.dirac * ctx.dirac
-        assert square == TensorElement.from_parts(ctx.casimir, ctx.space.one())
+        assert square == TensorElement.from_parts(casimir_element(ctx.adapted), ctx.space.one())
         assert ctx.c_value() == 0
 
 

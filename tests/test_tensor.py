@@ -10,6 +10,11 @@ The product itself is an integer kernel; `reference_tensor_mul` keeps the
 Fraction product it replaced, one PBW normalisation per term pair by the
 Fraction rewriter `conftest.reference_pbw_normalize`, and the kernel is
 compared with it on seeded operands.
+
+The product takes at most one bracket, as every product of the checks
+does: the seeded operands of a product are drawn with U-degrees bounded by
+one of `CONTRACT_DEGREES`, so that only two generators are ever out of PBW
+order.
 """
 
 import random
@@ -35,6 +40,10 @@ from cubicdirac.errors import ContractViolation
 from cubicdirac.lie import QuadraticLieAlgebra
 from cubicdirac.linalg import ZERO
 from cubicdirac.tensor import TensorElement, TripleTensorElement
+
+
+# U-degree bounds (left, right) of two operands whose product takes at most one bracket
+CONTRACT_DEGREES = ((1, 1), (2, 0), (0, 2))
 
 
 def _mono_mul(algebra, ma, mb) -> dict:
@@ -156,8 +165,9 @@ def test_no_sign_when_either_factor_is_even(abelian2, full_space):
 def test_merged_product_is_the_koszul_product():
     """(mono, p, h) <-> (mono, p | h << m) carries the two-factor product to the merged one.
 
-    Seeded random operands over sl(2) (so the PBW factor rewrites), for every
-    m <= 3 and k <= 2, with Grams that are not units and have denominators.
+    Seeded random operands over sl(2) (so the PBW factor takes brackets),
+    for every m <= 3 and k <= 2, with Grams that are not units and have
+    denominators.
     """
     sl2 = catalog_entry("sl2-killing").algebra
     p_grams = (Fraction(2, 3), Fraction(-5, 2), Fraction(7, 4))
@@ -169,16 +179,16 @@ def test_merged_product_is_the_koszul_product():
             p_space, h_space = CliffordSpace(p_grams[:m]), CliffordSpace(h_grams[:k])
             full = CliffordSpace(p_grams[:m] + h_grams[:k])
 
-            def operand():
+            def operand(max_degree):
                 terms = {}
                 for _ in range(rng.randint(1, 4)):
-                    mono = tuple(sorted(rng.randrange(3) for _ in range(rng.randint(0, 2))))
+                    mono = tuple(sorted(rng.randrange(3) for _ in range(rng.randint(0, max_degree))))
                     key = (mono, rng.randrange(1 << m), rng.randrange(1 << k))
                     terms[key] = Fraction(rng.choice((-7, -2, -1, 1, 3, 5)), rng.randint(1, 6))
                 return terms
 
             for _ in range(12):
-                a, b = operand(), operand()
+                a, b = (operand(d) for d in rng.choice(CONTRACT_DEGREES))
                 odd_pairs += sum(
                     (ha.bit_count() & 1) and (pb.bit_count() & 1) for (_, _, ha) in a for (_, pb, _) in b
                 )
@@ -190,13 +200,14 @@ def test_merged_product_is_the_koszul_product():
 
 
 def test_tensor_associativity_randomized(space):
+    """Over sl(2), one factor of each triple of U-degree up to 1 and the others scalar in U(g)."""
     sl2 = catalog_entry("sl2-killing").algebra
     rng = random.Random(29)
 
-    def random_tensor():
+    def random_tensor(max_degree):
         out = TensorElement.zero(sl2, space)
         for _ in range(3):
-            word = [rng.randrange(3) for _ in range(rng.randint(0, 2))]
+            word = [rng.randrange(3) for _ in range(rng.randint(0, max_degree))]
             u = PBWElement.one(sl2)
             for i in word:
                 u = u * PBWElement.generator(sl2, i)
@@ -207,22 +218,26 @@ def test_tensor_associativity_randomized(space):
         return out
 
     for _ in range(25):
-        a, b, c = random_tensor(), random_tensor(), random_tensor()
+        degree_one = rng.randrange(3)
+        a, b, c = (random_tensor(int(t == degree_one)) for t in range(3))
         assert (a * b) * c == a * (b * c)
 
 
 def test_triple_associativity_randomized(abelian2, full_space):
+    """One factor of each triple of U-degree 1 and the others scalar in U(g)."""
     rng = random.Random(37)
 
-    def random_triple():
+    def random_triple(degree):
         terms = {}
         for _ in range(3):
-            key = ((rng.randrange(2),), rng.randrange(4), rng.randrange(2))
+            mono = (rng.randrange(2),) if degree else ()
+            key = (mono, rng.randrange(4), rng.randrange(2))
             terms[key] = terms.get(key, 0) + Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         return triple(abelian2, full_space, 2, terms)
 
     for _ in range(25):
-        a, b, c = random_triple(), random_triple(), random_triple()
+        degree_one = rng.randrange(3)
+        a, b, c = (random_triple(t == degree_one) for t in range(3))
         assert (a * b) * c == a * (b * c)
 
 
@@ -309,8 +324,8 @@ def test_kernel_matches_the_reference_over_prime_denominators_and_mixed_parity()
     for algebra in (catalog_entry("sl2-killing").algebra, catalog_entry("abelian2").algebra):
         for _ in range(30):
             a, b = (
-                TensorElement(algebra, space, random_tensor_terms(rng, algebra.dim, 16, 2, rng.randint(1, 6)))
-                for _ in range(2)
+                TensorElement(algebra, space, random_tensor_terms(rng, algebra.dim, 16, d, rng.randint(1, 6)))
+                for d in rng.choice(CONTRACT_DEGREES)
             )
             inhomogeneous += is_inhomogeneous(a) and is_inhomogeneous(b)
             assert_kernel_is_the_reference(a, b)
@@ -338,19 +353,15 @@ def test_kernel_matches_the_reference_on_products_that_cancel():
 
 
 def test_kernel_matches_the_reference_on_the_diagonal_embedding_powers(contexts, sl3_triple_context):
-    """Delta(Y_j1) ... Delta(Y_jk), k <= 3, the images _embed_h_tensor builds, on two pairs."""
+    """Delta(Y_i) Delta(Y_j), the images _embed_h_tensor builds of D_h^2, on two pairs."""
     for ctx in (contexts("sl2xsl2-diagonal", with_subalgebra=True), sl3_triple_context):
-        powers = [TensorElement.one(ctx.adapted, ctx.space)]
-        for _ in range(3):
-            powers = [
-                assert_kernel_is_the_reference(acc, ctx.diagonal_embedding(j))
-                for acc in powers
-                for j in range(ctx.k)
-            ]
-        assert max(len(mono) for p in powers for mono, _ in p.terms) == 3
-        for dj in (ctx.diagonal_embedding(j) for j in range(ctx.k)):
-            assert_kernel_is_the_reference(powers[-1], dj)
-            assert_kernel_is_the_reference(dj, powers[0])
+        one = TensorElement.one(ctx.adapted, ctx.space)
+        embedded = [ctx.diagonal_embedding(j) for j in range(ctx.k)]
+        squares = [assert_kernel_is_the_reference(di, dj) for di in embedded for dj in embedded]
+        assert max(len(mono) for p in squares for mono, _ in p.terms) == 2
+        for dj in embedded:
+            assert_kernel_is_the_reference(one, dj)
+            assert_kernel_is_the_reference(dj, one)
 
 
 def test_kernel_matches_the_reference_over_an_adapted_algebra_with_denominators():
@@ -363,10 +374,36 @@ def test_kernel_matches_the_reference_over_an_adapted_algebra_with_denominators(
     rng = random.Random(13)
     for _ in range(6):
         a, b = (
-            TensorElement(g, ctx.space, random_tensor_terms(rng, g.dim, 1 << ctx.m, 2, rng.randint(1, 5)))
-            for _ in range(2)
+            TensorElement(g, ctx.space, random_tensor_terms(rng, g.dim, 1 << ctx.m, d, rng.randint(1, 5)))
+            for d in rng.choice(CONTRACT_DEGREES)
         )
         assert_kernel_is_the_reference(a, b)
+
+
+def test_a_product_needing_more_than_one_bracket_is_refused():
+    """Out of PBW order only two generators may meet.
+
+    Over sl(2) (e, h, f), X_f times X_e X_h and X_h X_f times X_e would need
+    a second bracket and are refused, naming the two U-degrees; X_e X_f
+    times a U-scalar, in order, is a concatenation and matches the reference.
+    """
+    algebra = catalog_entry("sl2-killing").algebra
+    space = CliffordSpace((Fraction(2, 3), Fraction(-5, 7)))
+
+    def tensor(terms):
+        return TensorElement(algebra, space, {key: Fraction(c) for key, c in terms.items()})
+
+    for a, b, degrees in (
+        (tensor({((2,), 0b01): 1}), tensor({((0, 1), 0b11): 3}), (1, 2)),
+        (tensor({((1, 2), 0b10): -2}), tensor({((0,), 0b01): 1}), (2, 1)),
+    ):
+        named = "U-degree {} monomial times a U-degree {} monomial".format(*degrees)
+        with pytest.raises(ContractViolation, match=named):
+            a * b
+    in_order = tensor({((0, 2), 0b01): Fraction(1, 2), ((1,), 0b11): 3})
+    scalar = tensor({((), 0b10): Fraction(-4, 5), ((), 0): 1})
+    assert assert_kernel_is_the_reference(in_order, scalar).u_degree_terms(2)
+    assert assert_kernel_is_the_reference(scalar, in_order).u_degree_terms(2)
 
 
 def test_triple_product_keeps_its_type(abelian2, full_space):
