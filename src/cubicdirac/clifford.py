@@ -17,13 +17,15 @@ which extends B to blades by Gram determinants.
 Products run on integer numerators, one sum per blade overlap, and each
 output key becomes one Fraction over the lcm of the Gram denominators of
 the overlaps that reach it (`CliffordSpace._scale_overlaps`); integer Gram
-entries take the same path, each denominator 1.  The one
-blade-pair loop, `_overlap_sums`, adds into a table it is handed, each
-product times its own integer scale: the product and the twisted
-commutator hand it an empty table and scale 1, and the dv-* laws in
-`dirac` add the products on both sides of a law into one table over a
-common denominator, so that the law holds exactly when the scaled table
-is empty.
+entries take the same path, each denominator 1.  The package has one
+blade-pair loop, `_overlap_sums`, which adds into a table it is handed,
+each product times its own integer scale: the product and the twisted
+commutator hand it an empty table and scale 1; the dv-* laws in `dirac`
+add the products on both sides of a law into one table over a common
+denominator, so that the law holds exactly when the scaled table is
+empty; and the tensor product in `tensor` adds the blades of each pair of
+PBW monomials into one table per monomial of their normal form, scaled by
+its coefficient.
 
 The degree-2 elements the operator needs are built elsewhere, in closed
 form: the bracket coproduct delta(x) in `forms`, and the spin lift of
@@ -59,9 +61,9 @@ class CliffordSpace:
     """An orthogonal basis with nonzero diagonal Gram entries.
 
     A product of blades e_A e_B is +-(the product of d_i over A & B) times
-    e_{A ^ B}.  The product kernels (`_overlap_sums`, and the tensor
-    product's blade-pair loop) add integer numerators into one sum per
-    overlap A & B, and `_scale_overlaps` multiplies each sum by its
+    e_{A ^ B}.  The blade-pair loop `_overlap_sums`, which every product
+    runs on, adds integer numerators into one sum per overlap A & B, and
+    `_scale_overlaps` multiplies each sum by its
     overlap's Gram product, each key over the lcm of the denominators that
     reach it, so no coefficient is ever put over the product or the lcm of
     all Gram denominators.

@@ -9,7 +9,8 @@ most of them bodies the package once had: the Fraction PBW rewriter, the
 Casimir, h as an algebra validated on its own, the matrix nu(Y) of ad Y on
 h_perp with its spin lift, the multilinear map type with the operators d,
 theta_X and iota_X on it, the 3-form <v, .^.^.> of a 3-vector, the
-Fraction face of the v kernel, and the dv-* laws on elements.  It also
+Fraction face of the v kernel, the tensor element u (x) c built from a
+PBW element and a multivector, and the dv-* laws on elements.  It also
 keeps the fault of the blade-pair kernel with the twist sign dropped, and a
 counter of Fraction arithmetic.
 """
@@ -21,7 +22,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, clifford, dirac, forms
+from cubicdirac import DiracContext, QuadraticLieAlgebra, catalog_entry, clifford, dirac, forms, tensor
 from cubicdirac.clifford import (
     CliffordSpace,
     Multivector,
@@ -37,6 +38,7 @@ from cubicdirac.lie import OrthogonalSplit
 from cubicdirac.linalg import ONE, ZERO, Matrix, _echelon, as_scalar, nullspace, rank
 from cubicdirac.sparse import LinearCombination, _fractions_over, _integer_terms
 from cubicdirac.suite import run_suite
+from cubicdirac.tensor import TensorElement
 
 
 def unit_vector(n: int, i: int) -> tuple[Fraction, ...]:
@@ -361,6 +363,12 @@ def insert_first(x, w: MultilinearMap) -> MultilinearMap:
     return MultilinearMap._from_terms((g, w.arity - 1), _fractions_over(out, den * den_x))
 
 
+def tensor_from_parts(u: PBWElement, c: Multivector) -> TensorElement:
+    """u (x) c: the tensor element with coefficient c_u c_c on each (monomial, blade) pair."""
+    terms = {(mono, mask): cu * cc for mono, cu in u.terms.items() for mask, cc in c.terms.items()}
+    return TensorElement(u.algebra, c.space, terms)
+
+
 def blade_clifford(space, ma: int, mb: int):
     """e_A e_B = +-(the Gram product of A & B) e_{A ^ B}, with the sign the product kernels take."""
     coeff = space._gram_product(ma & mb)
@@ -437,9 +445,9 @@ def overlap_sums_with_twist_sign_dropped(left, right, twisted, by_overlap, scale
 
 def drop_twist_sign(patch):
     """Bind the kernel with the twist sign dropped where the package reads it:
-    in clifford, for `twisted_commutator` and so d_v(e_a), and in dirac, for
-    the left sides of the dv-* laws."""
-    for module in (clifford, dirac):
+    in clifford, for `twisted_commutator` and so d_v(e_a), in dirac, for the
+    left sides of the dv-* laws, and in tensor, whose product never twists."""
+    for module in (clifford, dirac, tensor):
         patch.setattr(module, "_overlap_sums", overlap_sums_with_twist_sign_dropped)
 
 

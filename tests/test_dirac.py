@@ -43,6 +43,7 @@ from conftest import (
     reference_subalgebra_as_algebra,
     spin_lift,
     subalgebra_action,
+    tensor_from_parts,
     tstar_heisenberg,
     unit_vector,
 )
@@ -79,18 +80,18 @@ def oracle_square(ctx):
     g = ctx.adapted
     space = ctx.space
     gram = space.gram
-    total = TensorElement.from_parts(casimir_element(g), space.one())
+    total = tensor_from_parts(casimir_element(g), space.one())
     for i in range(ctx.m):
         for j in range(i + 1, ctx.m):
             br = pbw_from_vector(g, g.bracket_basis(i, j))
             blade = space.blade((i, j), Fraction(1) / (gram[i] * gram[j]))
-            total = total + TensorElement.from_parts(br, blade)
+            total = total + tensor_from_parts(br, blade)
     for i in range(ctx.m):
         dv = twisted_commutator(ctx.v, space.generator(i))
-        total = total + TensorElement.from_parts(
+        total = total + tensor_from_parts(
             PBWElement.generator(g, i), (Fraction(1) / gram[i]) * dv
         )
-    total = total + TensorElement.from_parts(PBWElement.one(g), ctx.v * ctx.v)
+    total = total + tensor_from_parts(PBWElement.one(g), ctx.v * ctx.v)
     return total
 
 
@@ -99,7 +100,7 @@ def test_abelian_dirac_square_is_the_casimir(contexts):
         ctx = contexts(name)
         assert ctx.v.is_zero()
         square = ctx.dirac * ctx.dirac
-        assert square == TensorElement.from_parts(casimir_element(ctx.adapted), ctx.space.one())
+        assert square == tensor_from_parts(casimir_element(ctx.adapted), ctx.space.one())
         assert ctx.c_value() == 0
 
 
@@ -236,11 +237,11 @@ def test_middle_term_identity_directly(contexts):
     for i in range(3):
         for j in range(i + 1, 3):
             br = pbw_from_vector(g, g.bracket_basis(i, j))
-            lhs = lhs + TensorElement.from_parts(br, space.blade((i, j), Fraction(1) / (gram[i] * gram[j])))
+            lhs = lhs + tensor_from_parts(br, space.blade((i, j), Fraction(1) / (gram[i] * gram[j])))
     rhs = TensorElement.zero(g, space)
     for a in range(3):
         delta = bracket_coproduct(space, g, unit_vector(3, a))
-        rhs = rhs + TensorElement.from_parts(
+        rhs = rhs + tensor_from_parts(
             PBWElement.generator(g, a), (Fraction(1) / gram[a]) * delta
         )
     assert lhs == rhs
@@ -516,7 +517,7 @@ def transport(source_ctx, target_ctx):
         for i in range(space.dim):
             if mask >> i & 1:
                 c = c * space.vector(cols[i])
-        out = out + TensorElement.from_parts(coeff * u, c)
+        out = out + tensor_from_parts(coeff * u, c)
     return out
 
 
@@ -577,7 +578,7 @@ def test_the_lift_in_delta_is_the_spin_lift_of_nu_and_minus_half_delta(contexts,
         assert alpha.terms
         assert alpha == Fraction(-1, 2) * bracket_coproduct(ctx.space, ctx.adapted, unit(ctx.adapted.dim, ctx.m + j))
         y = PBWElement.generator(ctx.adapted, ctx.m + j)
-        want = TensorElement.from_parts(y, ctx.space.one()) + TensorElement.from_parts(one, alpha)
+        want = tensor_from_parts(y, ctx.space.one()) + tensor_from_parts(one, alpha)
         assert ctx.diagonal_embedding(j) == want
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import overlap_sums_with_twist_sign_dropped
+from conftest import overlap_sums_with_twist_sign_dropped, tensor_from_parts
 from cubicdirac import clifford, dirac, tensor
 from cubicdirac.catalog import catalog_entry
 from cubicdirac.clifford import CliffordSpace, _multivector_from_numerators
@@ -43,10 +43,10 @@ def dirac_with_lower_indices(self):
     X_i is the context's own generator i; D_h is built by the same method
     on h's algebra, so the fault reaches it too.
     """
-    d = TensorElement.from_parts(PBWElement.one(self.adapted), self.v)
+    d = tensor_from_parts(PBWElement.one(self.adapted), self.v)
     for i in range(self.m):
         x = PBWElement.generator(self.adapted, i)
-        d = d + TensorElement.from_parts(x, self.space.generator(i))
+        d = d + tensor_from_parts(x, self.space.generator(i))
     return d
 
 
@@ -134,6 +134,7 @@ FAULTS = {
     "twist-sign-dropped": [
         (clifford, "_overlap_sums", overlap_sums_with_twist_sign_dropped),
         (dirac, "_overlap_sums", overlap_sums_with_twist_sign_dropped),
+        (tensor, "_overlap_sums", overlap_sums_with_twist_sign_dropped),
     ],
     "lower-index-in-D": [(DiracContext, "_build_dirac", dirac_with_lower_indices)],
     "gram-entry-scaled": [(dirac, "CliffordSpace", first_gram_doubled)],

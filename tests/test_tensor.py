@@ -31,9 +31,11 @@ from conftest import (
     hostile_changed_algebra,
     hostile_form,
     reference_pbw_normalize,
+    tensor_from_parts,
 )
+from cubicdirac import clifford, tensor
 from cubicdirac.catalog import catalog_entry
-from cubicdirac.clifford import CliffordSpace
+from cubicdirac.clifford import CliffordSpace, _overlap_sums
 from cubicdirac.dirac import DiracContext
 from cubicdirac.envelope import PBWElement
 from cubicdirac.errors import ContractViolation
@@ -120,7 +122,7 @@ def koszul_product(algebra, p_space, h_space, a: dict, b: dict) -> dict:
 def elem(algebra, space, i, indices, coeff=1):
     """X_i (x) (blade on indices), the building block for these tests."""
     u = PBWElement.generator(algebra, i) if i is not None else PBWElement.one(algebra)
-    return TensorElement.from_parts(u, space.blade(indices, Fraction(coeff)))
+    return tensor_from_parts(u, space.blade(indices, Fraction(coeff)))
 
 
 def test_unit_acts_as_identity(abelian2, space):
@@ -134,7 +136,7 @@ def test_square_of_odd_simple_tensor(abelian2, space):
     """(X (x) e1)^2 = X^2 (x) d1, the sign-free case of the super product."""
     a = elem(abelian2, space, 0, (0,))
     x = PBWElement.generator(abelian2, 0)
-    expected = TensorElement.from_parts(x * x, space.scalar(Fraction(2)))
+    expected = tensor_from_parts(x * x, space.scalar(Fraction(2)))
     assert a * a == expected
 
 
@@ -142,7 +144,7 @@ def test_product_of_distinct_odd_tensors(abelian2, space):
     a = elem(abelian2, space, 0, (0,))
     b = elem(abelian2, space, 1, (1,))
     x, y = PBWElement.generator(abelian2, 0), PBWElement.generator(abelian2, 1)
-    assert a * b == TensorElement.from_parts(x * y, space.blade((0, 1)))
+    assert a * b == tensor_from_parts(x * y, space.blade((0, 1)))
 
 
 def test_koszul_sign_in_triple_product(abelian2, full_space):
@@ -214,7 +216,7 @@ def test_tensor_associativity_randomized(space):
             mask = rng.randrange(4)
             indices = tuple(s for s in range(2) if mask >> s & 1)
             coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            out = out + TensorElement.from_parts(coeff * u, space.blade(indices))
+            out = out + tensor_from_parts(coeff * u, space.blade(indices))
         return out
 
     for _ in range(25):
@@ -243,7 +245,7 @@ def test_triple_associativity_randomized(abelian2, full_space):
 
 def test_u_degree_filtration(abelian2, space):
     x = PBWElement.generator(abelian2, 0)
-    a = TensorElement.from_parts(x * x, space.one()) + TensorElement.from_parts(x, space.generator(1))
+    a = tensor_from_parts(x * x, space.one()) + tensor_from_parts(x, space.generator(1))
     deg2 = a.u_degree_terms(2)
     deg1 = a.u_degree_terms(1)
     assert set(deg2) == {((0, 0), 0)}
@@ -412,6 +414,31 @@ def test_triple_product_keeps_its_type(abelian2, full_space):
     product = assert_kernel_is_the_reference(x, y)
     assert type(product) is TripleTensorElement
     assert type(x * 2) is TripleTensorElement
+
+
+def overlap_sums_with_one_overlap_negated(left, right, twisted, by_overlap, scale):
+    """`clifford._overlap_sums` whose plain form adds the sums under the
+    overlap e_1 (mask 1) negated; its twisted form is the kernel's."""
+    if twisted:
+        return _overlap_sums(left, right, True, by_overlap, scale)
+    for overlap, sums in _overlap_sums(left, right, False, {}, scale).items():
+        sign = -1 if overlap == 1 else 1
+        table = by_overlap.setdefault(overlap, {})
+        for mask, n in sums.items():
+            table[mask] = table.get(mask, 0) + sign * n
+    return by_overlap
+
+
+def test_the_blade_pair_kernel_reaches_the_square_of_d(contexts, monkeypatch):
+    """D^2 runs on the one blade-pair kernel, `clifford._overlap_sums`: with
+    the sums under one overlap negated there, D^2 on sl(3) differs from the
+    reference, whose blade products are `conftest.blade_clifford`'s."""
+    d = contexts("sl3-killing").dirac
+    reference = reference_tensor_mul(d, d)
+    assert d * d == reference
+    for module in (clifford, tensor):
+        monkeypatch.setattr(module, "_overlap_sums", overlap_sums_with_one_overlap_negated)
+    assert d * d != reference
 
 
 def hostile_document_context():
